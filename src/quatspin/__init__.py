@@ -29,7 +29,6 @@ from .matrices import (
     from_matrix,
     ket_to_vector,
     bra_to_vector,
-    matrix_oracle_check,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -60,7 +59,6 @@ from .special import (
     laguerre,
     spherical_harmonic,
     quadrature_sphere,
-    quadrature_radial,
 )
 from .spinor import (
     SpinorFunction,
@@ -85,7 +83,6 @@ from .hydrogen import (
     system_residual,
     shoot_eigenvalue,
     assemble_wavefunction,
-    probability_density,
     probability_in_region,
 )
 from .pauli_dirac import (
@@ -104,20 +101,20 @@ __all__ = [
     "mul", "decompose", "conj_vec", "conj_complex", "conj_both",
     "norm_sq", "quadratic_form", "inverse", "is_zero_divisor", "allclose",
     "to_matrix_linear", "to_matrix_paper", "to_matrix_ks", "from_matrix",
-    "ket_to_vector", "bra_to_vector", "matrix_oracle_check",
+    "ket_to_vector", "bra_to_vector",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY2",
     "HBAR", "SpinState", "SpinOperator", "RotationOperator",
     "pauli_quaternion", "spin_operator", "spin_up", "spin_down", "superposition",
     "apply", "bra", "inner", "outer", "outer_reconstruct",
     "rotation", "dagger", "rotate_operator", "rotated_pauli", "ladder",
-    "laguerre", "spherical_harmonic", "quadrature_sphere", "quadrature_radial",
+    "laguerre", "spherical_harmonic", "quadrature_sphere",
     "SpinorFunction", "clebsch_coefficients", "spinor_as_vector",
     "spinor_as_biquaternion", "measure_probability",
     "ALPHA_FS", "MC2_EV", "QuantumNumbers", "WaveFunction",
     "sommerfeld_energy", "energy", "energy_ev", "binding_energy_ev",
     "radial_parameters", "radial_F", "radial_G",
     "ode_residual", "system_residual", "shoot_eigenvalue",
-    "assemble_wavefunction", "probability_density", "probability_in_region",
+    "assemble_wavefunction", "probability_in_region",
     "PauliAlgebraElement", "DiracMatrix", "embed", "pauli_element_matrix",
     "hodge", "gamma", "verify_clifford",
     "verify",

@@ -20,11 +20,16 @@ the positive-definite Euclidean norm of the 8 real components and never
 vanishes for q != 0.  quadratic_form(q) = Sc(q conj_vec(q)) = q0^2+q1^2+q2^2+q3^2
 is complex-valued and governs invertibility: it vanishes exactly on the zero
 divisors, where no inverse exists.
+
+Coefficients may be broadcastable numpy arrays: one Biquaternion then holds a
+batch, and products, conjugations and norms act elementwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Biquaternion", "E0", "E1", "E2", "E3",
@@ -36,20 +41,37 @@ __all__ = [
 TOL = 1e-12
 
 
+def _coef(x):
+    """Scalars become Python complex; arrays become complex ndarrays."""
+    if type(x) is complex:
+        return x
+    if isinstance(x, (complex, float, int)):
+        return complex(x)
+    a = np.asarray(x, dtype=complex)
+    return complex(a) if a.ndim == 0 else a
+
+
 @dataclass(frozen=True, eq=False)
 class Biquaternion:
-    """Immutable biquaternion with complex coefficients q0..q3 on e0..e3."""
+    """Immutable biquaternion with coefficients q0..q3 on e0..e3.
+
+    Each coefficient is a complex scalar or a broadcastable complex array.
+    ==, hash, inverse and is_zero_divisor are for scalar coefficients only.
+    """
 
     q0: complex = 0j
     q1: complex = 0j
     q2: complex = 0j
     q3: complex = 0j
 
+    # numpy defers to __rmul__: array * q scales q, not an object array
+    __array_ufunc__ = None
+
     def __post_init__(self):
-        object.__setattr__(self, "q0", complex(self.q0))
-        object.__setattr__(self, "q1", complex(self.q1))
-        object.__setattr__(self, "q2", complex(self.q2))
-        object.__setattr__(self, "q3", complex(self.q3))
+        object.__setattr__(self, "q0", _coef(self.q0))
+        object.__setattr__(self, "q1", _coef(self.q1))
+        object.__setattr__(self, "q2", _coef(self.q2))
+        object.__setattr__(self, "q3", _coef(self.q3))
 
     def coefficients(self) -> tuple[complex, complex, complex, complex]:
         return (self.q0, self.q1, self.q2, self.q3)
@@ -78,7 +100,7 @@ class Biquaternion:
     def __mul__(self, other):
         if isinstance(other, Biquaternion):
             return mul(self, other)
-        c = complex(other)
+        c = _coef(other)
         return Biquaternion(c*self.q0, c*self.q1, c*self.q2, c*self.q3)
 
     def __rmul__(self, other):
@@ -86,7 +108,7 @@ class Biquaternion:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        c = complex(other)
+        c = _coef(other)
         return Biquaternion(self.q0/c, self.q1/c, self.q2/c, self.q3/c)
 
     def __eq__(self, other) -> bool:
@@ -157,9 +179,9 @@ def norm_sq(q: Biquaternion) -> float:
     """Sc(q conj_both(q)) = sum of squared real and imaginary parts.
 
     Positive-definite: this is the squared Euclidean norm of q viewed as an
-    8-real-component vector, zero iff q = 0.
+    8-real-component vector, zero iff q = 0.  Elementwise for array q.
     """
-    return (abs(q.q0)**2 + abs(q.q1)**2 + abs(q.q2)**2 + abs(q.q3)**2)
+    return sum(c.real*c.real + c.imag*c.imag for c in q.coefficients())
 
 
 def quadratic_form(q: Biquaternion) -> complex:
@@ -201,12 +223,11 @@ def allclose(a: Biquaternion, b: Biquaternion, tol: float = TOL) -> bool:
 
 
 def max_dev(a: Biquaternion, b: Biquaternion) -> float:
-    """Largest absolute componentwise deviation between two biquaternions."""
-    return max(abs(a.q0 - b.q0), abs(a.q1 - b.q1),
-               abs(a.q2 - b.q2), abs(a.q3 - b.q3))
+    """Largest absolute componentwise deviation, over every array element."""
+    return max(float(np.max(abs(x - y)))
+               for x, y in zip(a.coefficients(), b.coefficients()))
 
 
 def is_real(q: Biquaternion, tol: float = TOL) -> bool:
-    """True iff all four coefficients have (numerically) zero imaginary part."""
-    return max(abs(q.q0.imag), abs(q.q1.imag),
-               abs(q.q2.imag), abs(q.q3.imag)) <= tol
+    """True iff every coefficient has (numerically) zero imaginary part."""
+    return max(float(np.max(abs(c.imag))) for c in q.coefficients()) <= tol

@@ -41,8 +41,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: NaN and infinities are usage
+    errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return x
+
+
 def _emit_json(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, indent=2))
+    sys.stdout.write(json.dumps(record, indent=2, allow_nan=False))
     sys.stdout.write("\n")
 
 
@@ -61,10 +74,6 @@ def _csv_cell(x):
     if isinstance(x, bool):
         return str(x).lower()
     return x
-
-
-def _f(x) -> float:
-    return float(x)
 
 
 def _cpair(z) -> list[float]:
@@ -95,9 +104,9 @@ def _cmd_energy(args, parser) -> int:
             E = hy.energy(qn)
             s, C, _ = hy.radial_parameters(qn)
             scale = hy.MC2_EV if args.units == "ev" else 1.0
-            row.update({"j": _f(qn.j), "energy": _f(E*scale),
-                        "binding": _f((E - 1.0)*scale),
-                        "s": _f(s), "C": _f(C)})
+            row.update({"j": float(qn.j), "energy": float(E*scale),
+                        "binding": float((E - 1.0)*scale),
+                        "s": float(s), "C": float(C)})
             rows.append(row)
             n_valid += 1
     record = {
@@ -153,15 +162,15 @@ def _cmd_density(args, parser) -> int:
     dens = w.density_grid(R, TH)
     cell = 2.0*math.pi*R*R*np.outer(wr, wx)
     total = float(np.sum(dens*cell))
-    rows = [{"r": _f(R[i, j]), "theta": _f(TH[i, j]),
-             "density": _f(dens[i, j]), "cell_weight": _f(cell[i, j])}
+    rows = [{"r": float(R[i, j]), "theta": float(TH[i, j]),
+             "density": float(dens[i, j]), "cell_weight": float(cell[i, j])}
             for i in range(n_r) for j in range(n_theta)]
     record = {
         "command": "density",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,
-                   "grid": f"{n_r}:{n_theta}", "r_max": _f(r_max)},
+                   "grid": f"{n_r}:{n_theta}", "r_max": float(r_max)},
         "units": {"r": "Bohr", "theta": "rad", "density": "per Bohr^3"},
-        "energy_mc2": _f(w.energy),
+        "energy_mc2": float(w.energy),
         "grid_integral": total,
         "rows": rows,
     }
@@ -184,11 +193,12 @@ def _cmd_probability(args, parser) -> int:
     record = {
         "command": "probability",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,
-                   "r_lo": _f(args.r_lo),
-                   "r_hi": "inf" if math.isinf(args.r_hi) else _f(args.r_hi)},
+                   "r_lo": float(args.r_lo),
+                   "r_hi": ("inf" if math.isinf(args.r_hi)
+                            else float(args.r_hi))},
         "units": {"r": "Bohr", "probability": "dimensionless"},
-        "probability": _f(p),
-        "quadrature_error": _f(err),
+        "probability": float(p),
+        "quadrature_error": float(err),
     }
     if args.csv:
         _emit_csv([{"r_lo": record["params"]["r_lo"],
@@ -207,7 +217,7 @@ def _cmd_spinor(args, parser) -> int:
     k = args.k
     if k == 0:
         parser.error("--k must be a nonzero integer")
-    l = k if k > 0 else -k - 1
+    l = hy.l_of_k(k)
     j = abs(k) - 0.5
     try:
         s = SpinorFunction(l, j, args.mj)
@@ -219,27 +229,27 @@ def _cmd_spinor(args, parser) -> int:
     p_up, p_dn = abs(vec[0])**2, abs(vec[1])**2
     record = {
         "command": "spinor",
-        "params": {"k": k, "mj": _f(args.mj),
-                   "theta": _f(th), "phi": _f(ph)},
+        "params": {"k": k, "mj": float(args.mj),
+                   "theta": float(th), "phi": float(ph)},
         "l": l,
-        "j": _f(j),
-        "coefficients": {"c1": _f(s.c1), "c2": _f(s.c2)},
+        "j": float(j),
+        "coefficients": {"c1": float(s.c1), "c2": float(s.c2)},
         "component_up": _cpair(vec[0]),
         "component_down": _cpair(vec[1]),
         "biquaternion": _coeff_pairs(q),
-        "p_up": _f(p_up),
-        "p_down": _f(p_dn),
-        "density": _f(p_up + p_dn),
+        "p_up": float(p_up),
+        "p_down": float(p_dn),
+        "density": float(p_up + p_dn),
     }
     if args.csv:
-        row = {"l": l, "j": _f(j), "mj": _f(args.mj), "theta": _f(th),
-               "phi": _f(ph), "c1": _f(s.c1), "c2": _f(s.c2),
+        row = {"l": l, "j": float(j), "mj": float(args.mj), "theta": float(th),
+               "phi": float(ph), "c1": float(s.c1), "c2": float(s.c2),
                "up_re": record["component_up"][0],
                "up_im": record["component_up"][1],
                "down_re": record["component_down"][0],
                "down_im": record["component_down"][1],
-               "p_up": _f(p_up), "p_down": _f(p_dn),
-               "density": _f(p_up + p_dn)}
+               "p_up": float(p_up), "p_down": float(p_dn),
+               "density": float(p_up + p_dn)}
         _emit_csv([row], list(row))
     else:
         _emit_json(record)
@@ -249,43 +259,44 @@ def _cmd_spinor(args, parser) -> int:
 # ------------------------------------------------------------------ rotate
 
 def _parse_axis(text: str, parser):
+    """A named axis ('x', 'y', 'z') as is, or nx,ny,nz as a unit 3-tuple."""
     if text in ("x", "y", "z"):
-        return text, {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0),
-                      "z": (0.0, 0.0, 1.0)}[text]
+        return text
     parts = text.split(",")
     if len(parts) != 3:
         parser.error(f"--axis expects x, y, z, or nx,ny,nz; got {text!r}")
     try:
-        v = np.array([float(p) for p in parts])
-    except ValueError:
-        parser.error(f"--axis components must be numbers, got {text!r}")
+        v = np.array([_finite_float(p) for p in parts])
+    except argparse.ArgumentTypeError:
+        parser.error(f"--axis components must be finite numbers, got {text!r}")
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
         parser.error("--axis must be a nonzero vector")
     v = v/norm
-    return None, (float(v[0]), float(v[1]), float(v[2]))
+    return (float(v[0]), float(v[1]), float(v[2]))
 
 
 def _cmd_rotate(args, parser) -> int:
     target = args.target.lower().lstrip("s")
     if target not in ("x", "y", "z"):
         parser.error(f"--target expects Sx, Sy, or Sz; got {args.target!r}")
-    name, vec = _parse_axis(args.axis, parser)
-    D = sp.rotation(vec, args.angle)
+    axis = _parse_axis(args.axis, parser)
+    D = sp.rotation(axis, args.angle)
     S = sp.spin_operator(target)
     rotated = sp.rotate_operator(D, S)
     record = {
         "command": "rotate",
-        "params": {"axis": [_f(c) for c in vec], "angle": _f(args.angle),
+        "params": {"axis": [float(c) for c in D.axis],
+                   "angle": float(args.angle),
                    "target": f"S{target}"},
         "units": {"angle": "rad", "operator": "hbar = 1"},
         "rotation": _coeff_pairs(D.value),
         "rotated_operator": _coeff_pairs(rotated),
     }
-    if name is not None:
-        closed = sp.rotated_pauli(name, target, args.angle)*(sp.HBAR/2)
+    if isinstance(axis, str):
+        closed = sp.rotated_pauli(axis, target, args.angle)*(sp.HBAR/2)
         record["closed_form"] = _coeff_pairs(closed)
-        record["closed_form_deviation"] = _f(max_dev(rotated, closed))
+        record["closed_form_deviation"] = float(max_dev(rotated, closed))
     if args.csv:
         rows = []
         labels = ("e0", "e1", "e2", "e3")
@@ -312,13 +323,14 @@ def _cmd_verify(args, parser) -> int:
     except KeyError as exc:
         parser.error(str(exc.args[0]))
     elapsed = time.monotonic() - t0
-    checks = [{"name": r.name, "suite": r.suite, "max_dev": _f(r.max_dev),
-               "tol": _f(r.tol), "passed": r.passed, "detail": r.detail}
+    checks = [{"name": r.name, "suite": r.suite, "max_dev": float(r.max_dev),
+               "tol": float(r.tol), "passed": r.passed, "detail": r.detail}
               for r in results]
     n_fail = sum(not r.passed for r in results)
     record = {
         "command": "verify",
-        "params": {"suite": args.suite, "seed": args.seed, "tol": _f(args.tol)},
+        "params": {"suite": args.suite, "seed": args.seed,
+                   "tol": float(args.tol)},
         "checks": checks,
         "summary": {"total": len(results), "passed": len(results) - n_fail,
                     "failed": n_fail},
@@ -343,7 +355,7 @@ def _add_state_flags(p, with_mj=True):
     p.add_argument("--k", type=int, default=-1,
                    help="Dirac quantum number (nonzero int)")
     if with_mj:
-        p.add_argument("--mj", type=float, default=0.5,
+        p.add_argument("--mj", type=_finite_float, default=0.5,
                        help="total angular momentum projection (half-odd)")
 
 
@@ -373,15 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p)
     p.add_argument("--grid", default="64:32",
                    help="R:THETA node counts (Gauss-Legendre), default 64:32")
-    p.add_argument("--r-max", type=float, default=None,
+    p.add_argument("--r-max", type=_finite_float, default=None,
                    help="radial extent in Bohr (default: scaled to the state)")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("probability", help="probability in a radial shell")
     _add_state_flags(p)
-    p.add_argument("--r-lo", type=float, default=0.0,
+    p.add_argument("--r-lo", type=_finite_float, default=0.0,
                    help="inner radius in Bohr")
+    # inf is allowed; NaN fails the 0 <= r_lo < r_hi check
     p.add_argument("--r-hi", type=float, default=math.inf,
                    help="outer radius in Bohr (inf allowed)")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
@@ -390,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spinor", help="evaluate a spin spherical harmonic")
     p.add_argument("--k", type=int, default=-1,
                    help="Dirac quantum number (encodes l and j)")
-    p.add_argument("--mj", type=float, default=0.5,
+    p.add_argument("--mj", type=_finite_float, default=0.5,
                    help="total angular momentum projection")
-    p.add_argument("--theta", type=float, default=1.0,
+    p.add_argument("--theta", type=_finite_float, default=1.0,
                    help="polar angle in radians")
-    p.add_argument("--phi", type=float, default=0.0,
+    p.add_argument("--phi", type=_finite_float, default=0.0,
                    help="azimuthal angle in radians")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_spinor)
@@ -403,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "rotation")
     p.add_argument("--axis", default="z",
                    help="rotation axis: x, y, z, or nx,ny,nz")
-    p.add_argument("--angle", type=float, required=True,
+    p.add_argument("--angle", type=_finite_float, required=True,
                    help="rotation angle in radians")
     p.add_argument("--target", default="Sz",
                    help="operator to rotate: Sx, Sy, or Sz")
@@ -417,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=12345,
                    help="seed for randomized checks (fixed seed gives "
                         "byte-identical reports)")
-    p.add_argument("--tol", type=float, default=1.0,
+    p.add_argument("--tol", type=_finite_float, default=1.0,
                    help="tolerance multiplier applied to every check")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_verify)

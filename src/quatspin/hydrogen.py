@@ -37,41 +37,47 @@ total-angular-momentum spinors to the two components,
 
 with l(k) = k for k > 0 and -k - 1 otherwise; its biquaternion form is
 a q_up + b q_down, and the probability density is the scalar part of
-conj_both(Psi) Psi (the e2/e3 parts cancel identically; the product equals
-density times (e0 - i e1)).
+Psi conj_both(Psi), i.e. norm_sq(Psi).  The reversed product conj_both(Psi)
+Psi has the same scalar part, its e2/e3 parts cancel identically, and it
+equals density times (e0 - i e1).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .biquaternion import Biquaternion, mul, conj_both
+from .biquaternion import Biquaternion, mul, conj_both, norm_sq
 from .special import laguerre
 from .spinor import SpinorFunction, spinor_as_biquaternion
 
 __all__ = [
-    "ALPHA_FS", "MC2_EV", "QuantumNumbers", "WaveFunction",
+    "ALPHA_FS", "MC2_EV", "QuantumNumbers", "WaveFunction", "l_of_k",
     "sommerfeld_energy", "energy", "energy_ev", "binding_energy_ev",
     "radial_parameters", "radial_F", "radial_G",
     "ode_residual", "system_residual", "shoot_eigenvalue",
-    "assemble_wavefunction", "probability_density", "probability_in_region",
+    "assemble_wavefunction", "probability_in_region",
 ]
 
 ALPHA_FS = 7.2973525693e-3   # fine-structure constant
 MC2_EV = 510998.95           # electron rest energy in eV
 
-_SQRT2_2 = math.sqrt(2.0)/2.0
 
-
-def _l_of_k(k: int) -> int:
+def l_of_k(k: int) -> int:
     """Orbital angular momentum attached to a Dirac quantum number."""
     return k if k > 0 else -k - 1
+
+
+def _is_int(x) -> bool:
+    """True for integral numbers (3 or 3.0); False for bools, NaN and inf."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x) and x == int(x))
 
 
 @dataclass(frozen=True)
@@ -84,23 +90,25 @@ class QuantumNumbers:
     Z: int = 1
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.k != int(self.k) or self.k == 0:
+        if not _is_int(self.k) or self.k == 0:
             raise ValueError(f"k must be a nonzero integer, got {self.k!r}")
         if abs(self.k) > self.n:
             raise ValueError(f"|k| must not exceed n, got n={self.n}, k={self.k}")
         if abs(self.k) == self.n and self.k > 0:
             raise ValueError(
                 f"n = |k| requires k < 0, got n={self.n}, k={self.k}")
-        if self.Z != int(self.Z) or self.Z < 1:
+        if not _is_int(self.Z) or self.Z < 1:
             raise ValueError(f"Z must be a positive integer, got {self.Z!r}")
         if self.Z*ALPHA_FS >= abs(self.k):
             raise ValueError(
                 f"s imaginary: Z alpha = {self.Z*ALPHA_FS:.6f} >= |k| = "
                 f"{abs(self.k)}")
         j = abs(self.k) - 0.5
-        if abs(2*self.m_j - round(2*self.m_j)) > 1e-9 or round(2*self.m_j) % 2 == 0:
+        if not (math.isfinite(self.m_j)
+                and abs(2*self.m_j - round(2*self.m_j)) <= 1e-9
+                and round(2*self.m_j) % 2 == 1):
             raise ValueError(f"m_j must be half-odd-integer, got {self.m_j!r}")
         if abs(self.m_j) > j + 1e-9:
             raise ValueError(f"|m_j| must not exceed j = {j}, got {self.m_j!r}")
@@ -116,12 +124,12 @@ class QuantumNumbers:
     @property
     def l_upper(self) -> int:
         """Orbital quantum number of the large-component spinor."""
-        return _l_of_k(self.k)
+        return l_of_k(self.k)
 
     @property
     def l_lower(self) -> int:
         """Orbital quantum number of the small-component spinor."""
-        return _l_of_k(-self.k)
+        return l_of_k(-self.k)
 
 
 def sommerfeld_energy(n: int, k: int, Z: float) -> float:
@@ -129,8 +137,10 @@ def sommerfeld_energy(n: int, k: int, Z: float) -> float:
 
     E = [1 + (Z alpha/(n - |k| + s))^2]^{-1/2} with s = sqrt(k^2 - (Z alpha)^2).
     The Z -> 0 limit is exactly 1 (free particle).  Raises ValueError when
-    Z alpha >= |k| (s imaginary).
+    n < |k| (negative radial index) or Z alpha >= |k| (s imaginary).
     """
+    if n < abs(k):
+        raise ValueError(f"|k| must not exceed n, got n={n}, k={k}")
     za = Z*ALPHA_FS
     if za >= abs(k):
         raise ValueError(f"s imaginary: Z alpha = {za} >= |k| = {abs(k)}")
@@ -344,71 +354,38 @@ class WaveFunction:
         rho = self.C*np.asarray(r_au, dtype=float)/ALPHA_FS
         return _radial_FG(self.qn.n, self.qn.k, self.qn.Z, self.energy, rho)
 
-    def component_amplitudes(self, r_au: float, theta: float, phi: float):
-        """(a, b): coefficients of Psi on the spin basis, Psi = a q+ + b q-."""
-        r_nat = r_au/ALPHA_FS
-        F, G = self.radial(r_au)
-        F, G = float(F), float(G)
-        up, lo = self.spinor_upper, self.spinor_lower
-        pref = self.A/r_nat
-        a = pref*(F*up.c1*complex(up.harmonic("up", theta, phi))
-                  + 1j*G*lo.c1*complex(lo.harmonic("up", theta, phi)))
-        b = pref*(F*up.c2*complex(up.harmonic("down", theta, phi))
-                  + 1j*G*lo.c2*complex(lo.harmonic("down", theta, phi)))
-        return a, b
+    def psi(self, r_au, theta, phi) -> Biquaternion:
+        """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
 
-    def psi_from_amplitudes(self, r_au: float, theta: float,
-                            phi: float) -> Biquaternion:
-        """Spin-basis assembly route: expand a q+ + b q- on the units.
-
-        Coefficients (a e0 - i a e1 - b e2 - i b e3)/sqrt2; used to
-        cross-check psi(), which goes through the spinor-function objects.
+        r (Bohr, > 0), theta and phi broadcast; array arguments give a
+        biquaternion with array coefficients.
         """
-        a, b = self.component_amplitudes(r_au, theta, phi)
-        return Biquaternion(_SQRT2_2*a, -1j*_SQRT2_2*a,
-                            -_SQRT2_2*b, -1j*_SQRT2_2*b)
-
-    def psi(self, r_au: float, theta: float, phi: float) -> Biquaternion:
-        """Wavefunction value as a biquaternion.
-
-        Composed from the two spinor blocks, (A/r)(F y_up + i G y_low); the
-        equivalent spin-basis expansion a q+ + b q- with the coefficients of
-        component_amplitudes() is checked against this independently.
-        """
-        r_nat = r_au/ALPHA_FS
+        r_au = np.asarray(r_au, dtype=float)
+        if not r_au.min() > 0:        # also rejects NaN
+            raise ValueError("r must be > 0")
         F, G = self.radial(r_au)
-        pref = self.A/r_nat
+        pref = self.A/(r_au/ALPHA_FS)
         y_up = spinor_as_biquaternion(self.spinor_upper, theta, phi)
         y_lo = spinor_as_biquaternion(self.spinor_lower, theta, phi)
-        return y_up*(pref*float(F)) + y_lo*(pref*1j*float(G))
+        return y_up*(pref*F) + y_lo*(1j*pref*G)
 
-    def density_product(self, r_au: float, theta: float,
-                        phi: float) -> Biquaternion:
+    def density_product(self, r_au, theta, phi) -> Biquaternion:
         """conj_both(Psi) Psi; equals density (e0 - i e1), per natural volume."""
         p = self.psi(r_au, theta, phi)
         return mul(conj_both(p), p)
 
-    def density(self, r_au: float, theta: float, phi: float) -> float:
-        """Probability density per Bohr radius cubed: Sc(conj_both(Psi) Psi)."""
-        return self.density_product(r_au, theta, phi).q0.real/ALPHA_FS**3
+    def density(self, r_au, theta, phi):
+        """Probability density per Bohr radius cubed, Sc(Psi conj_both(Psi)).
+
+        r (Bohr, > 0), theta and phi broadcast.  The limit at r -> 0 is
+        +inf for |k| = 1 and 0 otherwise; r <= 0 raises ValueError.
+        """
+        return norm_sq(self.psi(r_au, theta, phi))/ALPHA_FS**3
 
     def density_grid(self, r_au, theta):
-        """Vectorized density (per Bohr^3) on broadcastable (r, theta) arrays.
-
-        Componentwise expansion (A/r)^2 [F^2 (C1^2 |Ya|^2 + C2^2 |Yb|^2)
-        + G^2 (C3^2 |Yc|^2 + C4^2 |Yd|^2)]; the F G cross terms vanish
-        pointwise because paired harmonics share the same order m.  The value
-        is independent of phi.
-        """
-        r_nat = np.asarray(r_au, dtype=float)/ALPHA_FS
-        theta = np.asarray(theta, dtype=float)
-        F, G = self.radial(r_au)
-        up, lo = self.spinor_upper, self.spinor_lower
-        ang_F = (up.c1**2*np.abs(up.harmonic("up", theta, 0.0))**2
-                 + up.c2**2*np.abs(up.harmonic("down", theta, 0.0))**2)
-        ang_G = (lo.c1**2*np.abs(lo.harmonic("up", theta, 0.0))**2
-                 + lo.c2**2*np.abs(lo.harmonic("down", theta, 0.0))**2)
-        return (self.A/r_nat)**2*(F*F*ang_F + G*G*ang_G)/ALPHA_FS**3
+        """density() on broadcastable (r, theta) arrays; it does not depend
+        on phi."""
+        return self.density(r_au, theta, 0.0)
 
 
 def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
@@ -434,12 +411,6 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
         spinor_upper=SpinorFunction(qn.l_upper, j, qn.m_j),
         spinor_lower=SpinorFunction(qn.l_lower, j, qn.m_j),
     )
-
-
-def probability_density(w: WaveFunction, r_au: float, theta: float,
-                        phi: float) -> float:
-    """Pointwise probability density (per Bohr^3) from the biquaternion form."""
-    return w.density(r_au, theta, phi)
 
 
 def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,

@@ -15,6 +15,8 @@ form for real quaternions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .biquaternion import Biquaternion
@@ -22,7 +24,7 @@ from .biquaternion import Biquaternion
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY2",
     "to_matrix_linear", "to_matrix_paper", "to_matrix_ks",
-    "from_matrix", "ket_to_vector", "bra_to_vector", "matrix_oracle_check",
+    "from_matrix", "ket_to_vector", "bra_to_vector",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,7 +32,11 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
-_SQRT2_2 = np.sqrt(2.0)/2.0
+def _block(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] with the 2x2 block as the last two axes."""
+    m = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
 
 
 def to_matrix_linear(q: Biquaternion) -> np.ndarray:
@@ -40,12 +46,11 @@ def to_matrix_linear(q: Biquaternion) -> np.ndarray:
          = [[q0 + i q1,  q2 + i q3],
             [-q2 + i q3, q0 - i q1]].
 
-    Ring isomorphism: M(ab) = M(a) M(b) and M is bijective.
+    Ring isomorphism: M(ab) = M(a) M(b) and M is bijective.  Array
+    coefficients give a stack of shape (..., 2, 2).
     """
-    return np.array([
-        [q.q0 + 1j*q.q1, q.q2 + 1j*q.q3],
-        [-q.q2 + 1j*q.q3, q.q0 - 1j*q.q1],
-    ])
+    return _block(q.q0 + 1j*q.q1, q.q2 + 1j*q.q3,
+                  -q.q2 + 1j*q.q3, q.q0 - 1j*q.q1)
 
 
 def to_matrix_paper(q: Biquaternion) -> np.ndarray:
@@ -55,11 +60,9 @@ def to_matrix_paper(q: Biquaternion) -> np.ndarray:
     complex-linear; agrees with to_matrix_linear exactly when q1, q2, q3 are
     purely imaginary (in particular on the Pauli unit quaternions).
     """
-    return np.array([
-        [q.q0 + 1j*q.q1, q.q2 + 1j*q.q3],
-        [q.q2.conjugate() - 1j*q.q3.conjugate(),
-         q.q0 + 1j*q.q1.conjugate()],
-    ])
+    return _block(q.q0 + 1j*q.q1, q.q2 + 1j*q.q3,
+                  q.q2.conjugate() - 1j*q.q3.conjugate(),
+                  q.q0 + 1j*q.q1.conjugate())
 
 
 def to_matrix_ks(q: Biquaternion) -> np.ndarray:
@@ -70,17 +73,18 @@ def to_matrix_ks(q: Biquaternion) -> np.ndarray:
     """
     z = q.q0 + 1j*q.q1
     w = q.q2 + 1j*q.q3
-    return np.array([[z, w], [-w.conjugate(), z.conjugate()]])
+    return _block(z, w, -w.conjugate(), z.conjugate())
 
 
 def from_matrix(m: np.ndarray) -> Biquaternion:
-    """Invert to_matrix_linear: recover q from any 2x2 complex matrix."""
+    """Invert to_matrix_linear: recover q from a 2x2 complex matrix or a
+    stack of them (shape (..., 2, 2))."""
     m = np.asarray(m, dtype=complex)
     return Biquaternion(
-        (m[0, 0] + m[1, 1])/2,
-        (m[0, 0] - m[1, 1])/2j,
-        (m[0, 1] - m[1, 0])/2,
-        (m[0, 1] + m[1, 0])/2j,
+        (m[..., 0, 0] + m[..., 1, 1])/2,
+        (m[..., 0, 0] - m[..., 1, 1])/2j,
+        (m[..., 0, 1] - m[..., 1, 0])/2,
+        (m[..., 0, 1] + m[..., 1, 0])/2j,
     )
 
 
@@ -91,7 +95,7 @@ def ket_to_vector(q: Biquaternion) -> np.ndarray:
     column of M(q).  Complex-linear, and intertwines left multiplication:
     ket(S q) = M(S) ket(q) for every S.
     """
-    return np.array([_SQRT2_2*(q.q0 + 1j*q.q1), _SQRT2_2*(-q.q2 + 1j*q.q3)])
+    return to_matrix_linear(q)[..., :, 0]*math.sqrt(0.5)
 
 
 def bra_to_vector(q: Biquaternion) -> np.ndarray:
@@ -101,15 +105,4 @@ def bra_to_vector(q: Biquaternion) -> np.ndarray:
     Applied to conj_both of a ket it returns the conjugate-transposed ket
     vector, so bra-row times ket-column is the inner product.
     """
-    return np.array([_SQRT2_2*(q.q0 + 1j*q.q1), _SQRT2_2*(q.q2 + 1j*q.q3)])
-
-
-def matrix_oracle_check(identity: str, samples: int = 1000, seed: int = 12345):
-    """Evaluate a registered identity independently on both representations.
-
-    Runs the named check from the verification registry (quaternion side and
-    matrix side computed separately) and returns its result record with the
-    max deviation.  Unknown names raise KeyError.
-    """
-    from . import verify  # deferred: verify imports the whole package
-    return verify.run_check(identity, samples=samples, seed=seed)
+    return to_matrix_linear(q)[..., 0, :]*math.sqrt(0.5)

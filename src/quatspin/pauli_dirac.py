@@ -62,27 +62,21 @@ class PauliAlgebraElement:
 
 
 def pauli_element_matrix(e: PauliAlgebraElement) -> np.ndarray:
-    """Direct 2x2 matrix sum of the basis expansion (the oracle route)."""
-    out = np.zeros((2, 2), dtype=complex)
-    for c, m in zip(e.coefficients(), _BASIS_MATRICES):
-        out += c*m
-    return out
+    """Direct 2x2 matrix sum of the basis expansion (the oracle route).
+
+    Array coefficients give a stack of shape (..., 2, 2).
+    """
+    return sum(np.multiply.outer(c, m)
+               for c, m in zip(e.coefficients(), _BASIS_MATRICES))
 
 
-def embed(e: PauliAlgebraElement, printed_form: bool = False) -> Biquaternion:
+def embed(e: PauliAlgebraElement) -> Biquaternion:
     """Biquaternion image of an 8-coefficient Pauli-algebra element.
 
-    The default mapping is the unique one whose matrix image reproduces
-    pauli_element_matrix (an algebra isomorphism).  printed_form=True selects
-    the historical printed variant, which flips the sign of the q7 term in
-    the scalar and reuses q7 instead of q6 in the e3 coefficient; it agrees
-    with the corrected map exactly when q6 = q7 = 0 and is retained for
-    documentation only.
+    The unique mapping whose matrix image reproduces pauli_element_matrix
+    (an algebra isomorphism).  Array coefficients give an array image.
     """
     q = e.coefficients()
-    if printed_form:
-        return Biquaternion(q[0] - 1j*q[7], -(1j*q[1] + q[4]),
-                            -(1j*q[2] + q[5]), -(1j*q[3] + q[7]))
     return Biquaternion(q[0] + 1j*q[7], -(1j*q[1] + q[4]),
                         -(1j*q[2] + q[5]), -(1j*q[3] + q[6]))
 
@@ -100,13 +94,10 @@ class DiracMatrix:
                   tuple[Biquaternion, Biquaternion]]
 
     def to_matrix4(self) -> np.ndarray:
-        """Expand each block through the linear representation."""
-        out = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                out[2*i:2*i + 2, 2*j:2*j + 2] = \
-                    to_matrix_linear(self.blocks[i][j])
-        return out
+        """Expand each block through the linear representation; blocks with
+        array coefficients of one shape give a stack of shape (..., 4, 4)."""
+        return np.block([[to_matrix_linear(b) for b in row]
+                         for row in self.blocks])
 
     def __matmul__(self, other: "DiracMatrix") -> "DiracMatrix":
         """Block multiplication carried out in quaternion arithmetic."""

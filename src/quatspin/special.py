@@ -5,8 +5,7 @@ Generalized Laguerre polynomials come from the stable three-term recurrence
 solutions use 2s +- 1 with irrational s).  Spherical harmonics are built on
 the associated Legendre function with explicit orthonormalization and the
 Condon-Shortley phase; negative orders go through the conjugation symmetry.
-Sphere integrals use a Gauss-Legendre x uniform product rule; radial
-integrals use adaptive quadrature.
+Sphere integrals use a Gauss-Legendre x uniform product rule.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, lpmv
 
 __all__ = [
-    "laguerre", "spherical_harmonic", "quadrature_sphere", "quadrature_radial",
+    "laguerre", "spherical_harmonic", "quadrature_sphere",
     "gauss_legendre_nodes",
 ]
 
@@ -82,21 +80,6 @@ def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
     TH, PH = np.meshgrid(theta, phi, indexing="ij")
     vals = f(TH, PH)
     return (2*np.pi/n_phi)*np.sum(np.asarray(vals)*w[:, None])
-
-
-def quadrature_radial(f, r_lo: float, r_hi: float,
-                      rel_tol: float = 1e-10) -> float:
-    """Adaptive integral of f on [r_lo, r_hi] with relative target 1e-8.
-
-    Wraps adaptive Gauss-Kronrod quadrature; raises RuntimeError with the
-    error estimate if the reported accuracy misses the target.
-    """
-    val, err = quad(f, r_lo, r_hi, epsabs=1e-13, epsrel=rel_tol, limit=300)
-    if err > max(1e-8*abs(val), 1e-11):
-        raise RuntimeError(
-            f"radial quadrature did not converge: value {val!r}, "
-            f"error estimate {err!r} on [{r_lo}, {r_hi}]")
-    return val
 
 
 def gauss_legendre_nodes(n: int, lo: float, hi: float):

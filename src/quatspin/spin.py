@@ -31,8 +31,6 @@ __all__ = [
 
 HBAR = 1.0
 
-_SQRT2_2 = math.sqrt(2.0)/2.0
-
 # unit assignment: spatial axes (x, y, z) ride on units (e3, e2, e1)
 _AXIS_UNIT = {"x": E3, "y": E2, "z": E1}
 
@@ -43,8 +41,8 @@ _PAULI_QUAT = {
     "identity": E0,
 }
 
-_Q_UP = Biquaternion(_SQRT2_2, -1j*_SQRT2_2, 0, 0)
-_Q_DOWN = Biquaternion(0, 0, -_SQRT2_2, -1j*_SQRT2_2)
+_Q_UP = Biquaternion(1, -1j, 0, 0)*math.sqrt(0.5)
+_Q_DOWN = Biquaternion(0, 0, -1, -1j)*math.sqrt(0.5)
 
 
 @dataclass(frozen=True)

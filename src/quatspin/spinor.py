@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+_Q_UP = spin_up().value
+_Q_DOWN = spin_down().value
+
+
 def _is_half_odd(x: float) -> bool:
     return abs(2*x - round(2*x)) < 1e-9 and round(2*x) % 2 != 0
 
@@ -98,25 +102,23 @@ def spinor_as_vector(s: SpinorFunction, theta, phi) -> np.ndarray:
                      s.c2*s.harmonic("down", theta, phi)])
 
 
-def spinor_as_biquaternion(s: SpinorFunction, theta: float,
-                           phi: float) -> Biquaternion:
-    """Biquaternion form C1 Y1 q+ + C2 Y2 q-.
+def spinor_as_biquaternion(s: SpinorFunction, theta,
+                           phi) -> Biquaternion:
+    """Biquaternion form C1 Y1 q+ + C2 Y2 q-, Y1 = Y_l^{m_j-1/2},
+    Y2 = Y_l^{m_j+1/2}, on the spin-state quaternions q+ and q-.
 
-    Expanded on units: (1/sqrt2)(C1 Y1 e0 - i C1 Y1 e1 - C2 Y2 e2
-    - i C2 Y2 e3) with Y1 = Y_l^{m_j-1/2}, Y2 = Y_l^{m_j+1/2}.
+    theta and phi broadcast; array angles give array coefficients.
     """
-    a = s.c1*complex(s.harmonic("up", theta, phi))
-    b = s.c2*complex(s.harmonic("down", theta, phi))
-    r = math.sqrt(2.0)/2.0
-    return Biquaternion(r*a, -1j*r*a, -r*b, -1j*r*b)
+    return (_Q_UP*(s.c1*s.harmonic("up", theta, phi))
+            + _Q_DOWN*(s.c2*s.harmonic("down", theta, phi)))
 
 
-def measure_probability(state: str, s: SpinorFunction, theta: float,
-                        phi: float) -> float:
+def measure_probability(state: str, s: SpinorFunction, theta, phi):
     """Probability density of measuring spin 'up' or 'down' at (theta, phi).
 
     Squared magnitude of the bra projection onto the spinor; up and down add
     up pointwise to the spinor's total density |C1 Y1|^2 + |C2 Y2|^2.
+    theta and phi broadcast.
     """
     if state not in ("up", "down"):
         raise ValueError(f"state must be 'up' or 'down', got {state!r}")

@@ -103,6 +103,8 @@ def test_probability_full_domain(capsys):
     assert rec["probability"] == pytest.approx(1.0, abs=1e-6)
     assert rec["params"]["r_hi"] == "inf"
     assert rec["quadrature_error"] < 1e-6
+    _, explicit = _run_json(capsys, "probability", "--r-hi", "inf")
+    assert explicit == rec
 
 
 def test_probability_inner_shell(capsys):
@@ -122,6 +124,29 @@ def test_probability_rejects_bad_interval():
     with pytest.raises(SystemExit) as exc:
         cli.main(["probability", "--r-lo", "3", "--r-hi", "1"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["rotate", "--angle", "nan"],
+    ["rotate", "--angle", "inf"],
+    ["rotate", "--angle", "1", "--axis", "nan,0,1"],
+    ["spinor", "--theta", "nan"],
+    ["spinor", "--phi=-inf"],
+    ["spinor", "--mj", "nan"],
+    ["density", "--r-max", "nan"],
+    ["density", "--mj", "nan"],
+    ["probability", "--r-lo", "nan"],
+    ["probability", "--r-hi", "nan"],
+    ["probability", "--mj", "inf"],
+    ["verify", "--tol", "nan"],
+])
+def test_non_finite_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: " in err
 
 
 def test_spinor_worked_example(capsys):

@@ -10,8 +10,7 @@ from quatspin import (
     ALPHA_FS, MC2_EV, QuantumNumbers, sommerfeld_energy, energy, energy_ev,
     binding_energy_ev, radial_parameters, radial_F, radial_G, ode_residual,
     system_residual, shoot_eigenvalue, assemble_wavefunction,
-    probability_density, probability_in_region,
-    Biquaternion, allclose,
+    probability_in_region, allclose, verify,
 )
 from quatspin.hydrogen import clear_shooting_cache
 from quatspin.special import gauss_legendre_nodes
@@ -75,6 +74,12 @@ def test_quantum_number_validation():
         QuantumNumbers(1, -1, 0.5, 200)      # Z alpha >= |k|
     with pytest.raises(ValueError):
         QuantumNumbers(1, -1, 0.5, 0)        # Z >= 1
+    with pytest.raises(ValueError, match="n must be"):
+        QuantumNumbers(True, -1)             # bool is not an integer here
+    with pytest.raises(ValueError, match="m_j"):
+        QuantumNumbers(1, -1, math.nan)
+    with pytest.raises(ValueError, match="must not exceed n"):
+        sommerfeld_energy(1, -2, 1)          # n < |k|
 
 
 def test_valid_state_count_low_shells():
@@ -223,24 +228,35 @@ def test_wavefunction_normalization_and_shells():
 def test_density_assembly_structure():
     rng = np.random.default_rng(77)
     w = assemble_wavefunction(QuantumNumbers(2, -2, 1.5))
-    for _ in range(25):
-        r = rng.uniform(0.2, 8.0)
-        th = math.acos(rng.uniform(-1, 1))
-        ph = rng.uniform(0, 2*math.pi)
-        prod = w.density_product(r, th, ph)
-        # scalar real and nonnegative; e2, e3 cancel; e1 = -i * scalar
-        assert abs(prod.q0.imag) < 1e-12
-        assert prod.q0.real >= 0
-        assert abs(prod.q2) < 1e-12 and abs(prod.q3) < 1e-12
-        assert abs(prod.q1 + 1j*prod.q0.real) < 1e-12
-        dens = probability_density(w, r, th, ph)
-        assert dens == pytest.approx(prod.q0.real/ALPHA_FS**3, rel=1e-12)
-        # spin-basis route and spinor route build the same biquaternion
-        assert allclose(w.psi(r, th, ph), w.psi_from_amplitudes(r, th, ph),
-                        tol=1e-14)
-        a, b = w.component_amplitudes(r, th, ph)
-        assert abs(a)**2 + abs(b)**2 == pytest.approx(prod.q0.real,
-                                                      rel=1e-12)
+    r = rng.uniform(0.2, 8.0, 25)
+    th = np.arccos(rng.uniform(-1, 1, 25))
+    ph = rng.uniform(0, 2*math.pi, 25)
+    prod = w.density_product(r, th, ph)
+    # scalar real and nonnegative; e2, e3 cancel; e1 = -i * scalar
+    assert np.all(np.abs(prod.q0.imag) < 1e-12)
+    assert np.all(prod.q0.real >= 0)
+    assert np.all(np.abs(prod.q2) < 1e-12) and np.all(np.abs(prod.q3) < 1e-12)
+    assert np.all(np.abs(prod.q1 + 1j*prod.q0.real) < 1e-12)
+    dens = w.density(r, th, ph)
+    np.testing.assert_allclose(dens, prod.q0.real/ALPHA_FS**3, rtol=1e-12)
+    assert w.density(r[0], th[0], ph[0]) == pytest.approx(dens[0], rel=1e-14)
+    # the verify oracles: spin-basis assembly and the hand-expanded density
+    assert allclose(w.psi(r, th, ph), verify.psi_oracle(w, r, th, ph),
+                    tol=1e-14)
+    a, b = verify.amplitude_oracle(w, r, th, ph)
+    np.testing.assert_allclose(np.abs(a)**2 + np.abs(b)**2, prod.q0.real,
+                               rtol=1e-12)
+    np.testing.assert_allclose(dens, verify.density_oracle(w, r, th),
+                               rtol=1e-12)
+
+
+def test_density_rejects_nonpositive_radius():
+    w = assemble_wavefunction(QuantumNumbers(1, -1))
+    for r in (0.0, -1.0, np.array([0.5, 0.0]), np.array([[1.0], [-2.0]])):
+        with pytest.raises(ValueError, match="r must be > 0"):
+            w.density(r, 0.3, 0.0)
+    with pytest.raises(ValueError, match="r must be > 0"):
+        w.density_grid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def test_density_grid_matches_pointwise():

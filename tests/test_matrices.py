@@ -1,12 +1,11 @@
 """2x2 matrix representations and the ket/bra vector maps."""
 
 import numpy as np
-import pytest
 
 from quatspin import (
     Biquaternion, E0, E1, E2, E3, mul, allclose,
     to_matrix_linear, to_matrix_paper, to_matrix_ks, from_matrix,
-    ket_to_vector, bra_to_vector, matrix_oracle_check,
+    ket_to_vector, bra_to_vector,
     SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2,
     spin_up, spin_down, pauli_quaternion, bra,
 )
@@ -106,10 +105,3 @@ def test_bra_of_state_is_conjugate_row():
         col = ket_to_vector(state.value)
         np.testing.assert_allclose(row, np.conj(col), atol=1e-15)
 
-
-def test_oracle_check_entry_point():
-    rep = matrix_oracle_check("homomorphism", samples=200, seed=99)
-    assert rep.passed
-    assert rep.max_dev < 1e-12
-    with pytest.raises(KeyError):
-        matrix_oracle_check("not-a-check")

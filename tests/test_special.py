@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, sph_harm_y
 
-from quatspin import (
-    laguerre, spherical_harmonic, quadrature_sphere, quadrature_radial,
-)
+from quatspin import laguerre, spherical_harmonic, quadrature_sphere
 from quatspin.special import gauss_legendre_nodes
 
 
@@ -87,13 +85,6 @@ def test_sphere_quadrature_orthonormality():
 def test_sphere_quadrature_constant():
     val = quadrature_sphere(lambda th, ph: np.ones_like(th))
     np.testing.assert_allclose(val, 4*math.pi, rtol=1e-12)
-
-
-def test_radial_quadrature():
-    val = quadrature_radial(lambda r: r*r*np.exp(-r), 0.0, 60.0)
-    np.testing.assert_allclose(val, 2.0, rtol=1e-10)
-    val = quadrature_radial(lambda r: np.exp(-2*r), 0.0, 40.0)
-    np.testing.assert_allclose(val, 0.5, rtol=1e-10)
 
 
 def test_gauss_legendre_nodes():
