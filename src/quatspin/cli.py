@@ -4,8 +4,9 @@ Subcommands: energy (level tables), density ((r, theta) grids), probability
 (shell integrals), spinor (angular-state evaluation), rotate (operator
 conjugation), verify (the identity-check suites).  Output is JSON by default,
 CSV with --csv; floats are emitted as shortest-round-trip decimal strings, so
-identical invocations produce byte-identical output.  Timing goes to stderr
-only.
+identical invocations produce byte-identical output; a NaN or infinite
+result is refused by both writers (exit 2, empty stdout).  Timing goes to
+stderr only.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
 """
@@ -70,6 +71,9 @@ def _emit_csv(rows: list[dict], fields: list[str]) -> None:
 
 def _csv_cell(x):
     if isinstance(x, float):
+        if not math.isfinite(x):    # refused as the JSON writer refuses it
+            raise ValueError(
+                f"Out of range float values are not CSV compliant: {x!r}")
         return repr(x)
     if isinstance(x, bool):
         return str(x).lower()

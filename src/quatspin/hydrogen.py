@@ -50,11 +50,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .biquaternion import Biquaternion, mul, conj_both, norm_sq
-from .special import laguerre
+from .special import gauss_laguerre_nodes, laguerre
 from .spinor import SpinorFunction, spinor_as_biquaternion
 
 __all__ = [
@@ -183,21 +181,48 @@ def _lag(n: int, a: float, x):
     return laguerre(n, a, x)
 
 
+def _brackets(n: int, k: int, Z: int, E: float, x):
+    """Laguerre brackets (P, Q) at x = 2 rho, so that F = rho^s e^{-rho} P
+    and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x."""
+    za = Z*ALPHA_FS
+    s = math.sqrt(k*k - za*za)
+    W = (s - k*E)/math.sqrt(1.0 - E*E)
+    nr = n - abs(k)
+    L1 = _lag(nr - 1, 2*s + 1, x)
+    L2 = _lag(nr, 2*s - 1, x)
+    return za*x*L1 + (s - k)*W*L2, (s - k)*x*L1 + za*W*L2
+
+
 def _radial_FG(n: int, k: int, Z: int, E: float, rho):
     """Unnormalized closed-form (F, G) at dimensionless rho (vectorized)."""
     za = Z*ALPHA_FS
     s = math.sqrt(k*k - za*za)
-    C = math.sqrt(1.0 - E*E)
-    W = (s - k*E)/C
-    nr = n - abs(k)
     rho = np.asarray(rho, dtype=float)
     with np.errstate(divide="ignore"):  # rho = 0 is handled by s > 0
         pref = np.where(rho > 0, np.power(rho, s)*np.exp(-rho), 0.0)
-    L1 = _lag(nr - 1, 2*s + 1, 2*rho)
-    L2 = _lag(nr, 2*s - 1, 2*rho)
-    F = pref*(za*2*rho*L1 + (s - k)*W*L2)
-    G = -pref*((s - k)*2*rho*L1 + za*W*L2)
-    return F, G
+    P, Q = _brackets(n, k, Z, E, 2*rho)
+    return pref*P, -pref*Q
+
+
+def _log_radial_norm_sq(n: int, k: int, Z: int, E: float) -> float:
+    """Log of the integral of F^2 + G^2 over r in natural units, exact up
+    to rounding.
+
+    With x = 2 rho = 2 C r the integrand is 2^{-2s} x^{2s} e^{-x} (P^2 + Q^2)
+    and dr = dx/(2C); P^2 + Q^2 has degree 2 n_r, so n_r + 2 generalized
+    Gauss-Laguerre nodes with alpha = 2s integrate it exactly.  The sum is
+    taken in log form: the far weights underflow where the brackets are
+    large, and for large |k| the integral itself exceeds the float range.
+    """
+    za = Z*ALPHA_FS
+    s = math.sqrt(k*k - za*za)
+    x, log_w = gauss_laguerre_nodes(n - abs(k) + 2, 2*s)
+    P, Q = _brackets(n, k, Z, E, x)
+    with np.errstate(divide="ignore"):  # a bracket zero at a node adds 0
+        log_terms = log_w + 2*np.log(np.hypot(P, Q))
+    top = float(np.max(log_terms))
+    return (top + math.log(float(np.sum(np.exp(log_terms - top))))
+            - (2*s + 1)*math.log(2.0) - 0.5*math.log(1.0 - E*E))
 
 
 def radial_F(qn: QuantumNumbers, rho):
@@ -272,6 +297,7 @@ def ode_residual(qn: QuantumNumbers, E: float, r_grid):
 
 def _shoot_mismatch(E: float, k: int, Z: int) -> float:
     """Normalized Wronskian mismatch of two-sided integration at energy E."""
+    from scipy.integrate import solve_ivp
     za = Z*ALPHA_FS
     s = math.sqrt(k*k - za*za)
     C = math.sqrt(1.0 - E*E)
@@ -307,6 +333,7 @@ def _shoot_default(n: int, k: int, Z: int) -> float:
 
 
 def _shoot_bracketed(k: int, Z: int, lo: float, hi: float) -> float:
+    from scipy.optimize import brentq
     f_lo = _shoot_mismatch(lo, k, Z)
     f_hi = _shoot_mismatch(hi, k, Z)
     if f_lo*f_hi > 0:
@@ -393,18 +420,15 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
 
     The normalization constant A comes from the full-domain integral:
     A^2 integral (F^2 + G^2) dr = 1 in natural units (the angular spinors are
-    sphere-normalized, so this is the whole Born integral).
+    sphere-normalized, so this is the whole Born integral), evaluated
+    exactly by Gauss-Laguerre quadrature.
     """
     E = energy(qn)
     s, C, _ = radial_parameters(qn, E)
-
-    def integrand(r):
-        F, G = _radial_FG(qn.n, qn.k, qn.Z, E, C*r)
-        return F*F + G*G
-
-    total, _ = quad(integrand, 0.0, 80.0/C, epsabs=1e-13, epsrel=1e-12,
-                    limit=300)
-    A = 1.0/math.sqrt(total)
+    A = math.exp(-0.5*_log_radial_norm_sq(qn.n, qn.k, qn.Z, E))
+    if A == 0.0:
+        raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
+                         f"the float range")
     j = qn.j
     return WaveFunction(
         qn=qn, energy=E, s=s, C=C, A=A,
@@ -418,13 +442,17 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     """Probability of finding the electron in the radial shell [r_lo, r_hi].
 
     Radii in Bohr; r_hi may be inf.  The angular integral is exactly 1, so
-    this reduces to the radial Born integral of A^2 (F^2 + G^2).
+    this reduces to the radial Born integral of A^2 (F^2 + G^2), done by
+    adaptive quadrature.
     """
+    from scipy.integrate import quad
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
     lo = r_lo/ALPHA_FS
     hi = r_hi/ALPHA_FS
-    cap = 100.0/w.C  # the tail beyond contributes < 1e-80 of the total
+    # the cap lies past the outermost Laguerre node (~4n in rho); the tail
+    # beyond it is < 1e-50 of the total (checked for n <= 60)
+    cap = max(100.0, 4.0*w.qn.n + 60.0)/w.C
     lo, hi = min(lo, cap), min(hi, cap)
     if hi <= lo:
         return (0.0, 0.0) if return_error else 0.0

@@ -2,10 +2,12 @@
 
 Generalized Laguerre polynomials come from the stable three-term recurrence
 (the superscript must accept non-integer real values, since the radial
-solutions use 2s +- 1 with irrational s).  Spherical harmonics are built on
-the associated Legendre function with explicit orthonormalization and the
-Condon-Shortley phase; negative orders go through the conjugation symmetry.
-Sphere integrals use a Gauss-Legendre x uniform product rule.
+solutions use 2s +- 1 with irrational s).  Spherical harmonics come from the
+fully normalized associated-Legendre recurrence with the Condon-Shortley
+phase; negative orders go through the conjugation symmetry.  Sphere
+integrals use a Gauss-Legendre x uniform product rule; radial integrals of
+x^alpha e^{-x} times a polynomial use generalized Gauss-Laguerre nodes.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 __all__ = [
     "laguerre", "spherical_harmonic", "quadrature_sphere",
-    "gauss_legendre_nodes",
+    "gauss_legendre_nodes", "gauss_laguerre_nodes",
 ]
 
 
@@ -35,10 +36,13 @@ def laguerre(n: int, alpha: float, x):
         raise ValueError(f"superscript must exceed -1, got {alpha!r}")
     n = int(n)
     x = np.asarray(x)
-    L0 = np.ones_like(x)
     if n == 0:
+        L0 = np.ones_like(x)
         return L0 if L0.ndim else L0[()]
-    L1 = 1 + alpha - x
+    # a 0-d array becomes a Python number: scalar steps (the quadrature
+    # integrands) then skip numpy's per-operation overhead
+    x = x if x.ndim else x.item()
+    L0, L1 = 1.0, 1 + alpha - x
     for k in range(1, n):
         L0, L1 = L1, ((2*k + 1 + alpha - x)*L1 - (k + alpha)*L0)/(k + 1)
     return L1 if np.ndim(L1) else np.asarray(L1)[()]
@@ -47,9 +51,21 @@ def laguerre(n: int, alpha: float, x):
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal spherical harmonic Y_l^m(theta, phi), Condon-Shortley phase.
 
-    Y_l^m = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(cos theta) e^{i m phi}
-    for m >= 0 (lpmv already carries the (-1)^m phase); negative orders via
-    Y_l^{-m} = (-1)^m conj(Y_l^m).  theta and phi broadcast.
+    Y_l^m = Pbar_l^m(cos theta) e^{i m phi} for m >= 0, where Pbar_l^m is
+    the associated Legendre function with sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
+    and the (-1)^m phase folded in.  It comes from the normalized forward
+    column recurrence with the factor sin^m theta held out until the end
+    (Holmes & Featherstone, J. Geodesy 76, 279, 2002):
+
+        Pbar_m^m / u^m = -sqrt((2m+1)/(2m)) Pbar_{m-1}^{m-1} / u^{m-1},
+                         Pbar_0^0 = 1/sqrt(4 pi),   u = |sin theta|
+        Pbar_l^m       = a_lm (x Pbar_{l-1}^m - b_lm Pbar_{l-2}^m),
+                         x = cos theta,   Pbar_{m-1}^m = 0
+        a_lm = sqrt((4l^2-1)/(l^2-m^2)),  b_lm = sqrt(((l-1)^2-m^2)/(4(l-1)^2-1)).
+
+    No factorials or gamma functions appear, so high degrees stay finite.
+    Negative orders via Y_l^{-m} = (-1)^m conj(Y_l^m).  theta and phi
+    broadcast.
     """
     if l != int(l) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
@@ -57,11 +73,17 @@ def spherical_harmonic(l: int, m: int, theta, phi):
         raise ValueError(f"order must be an integer with |m| <= l, got {m!r}")
     l, m = int(l), int(m)
     ma = abs(m)
-    norm = math.sqrt((2*l + 1)/(4*math.pi)
-                     * math.exp(gammaln(l - ma + 1) - gammaln(l + ma + 1)))
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    y = norm*lpmv(ma, l, np.cos(theta))*np.exp(1j*ma*phi)
+    x = np.cos(theta)
+    p0, p = 0.0, 1.0/math.sqrt(4*math.pi)
+    for i in range(1, ma + 1):
+        p *= -math.sqrt((2*i + 1)/(2*i))
+    for d in range(ma + 1, l + 1):
+        a = math.sqrt((4*d*d - 1)/(d*d - ma*ma))
+        b = math.sqrt(((d - 1)**2 - ma*ma)/(4*(d - 1)**2 - 1))
+        p0, p = p, a*(x*p - b*p0)
+    y = p*np.abs(np.sin(theta))**ma*np.exp(1j*ma*phi)
     if m < 0:
         y = (-1)**ma*np.conj(y)
     return y if np.ndim(y) else np.asarray(y)[()]
@@ -87,3 +109,29 @@ def gauss_legendre_nodes(n: int, lo: float, hi: float):
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5*(hi - lo)
     return lo + half*(x + 1), half*w
+
+
+def gauss_laguerre_nodes(n: int, alpha: float):
+    """Generalized Gauss-Laguerre nodes and log weights for the weight
+    x^alpha e^{-x} on [0, inf); exact for polynomials of degree <= 2n - 1.
+
+    The nodes are the eigenvalues of the Golub-Welsch Jacobi matrix
+    (diagonal 2i + alpha + 1, off-diagonal sqrt(i (i + alpha))).  The weights
+    are Gamma(n+alpha+1) x_j / (n! (n+1)^2 L_{n+1}^{(alpha)}(x_j)^2), returned
+    as logs: they underflow at the far nodes for large n, and eigenvector-
+    based weights lose their relative accuracy there.
+    """
+    if n != int(n) or n < 1:
+        raise ValueError(f"node count must be a positive integer, got {n!r}")
+    if not alpha > -1:
+        raise ValueError(f"superscript must exceed -1, got {alpha!r}")
+    n = int(n)
+    i = np.arange(1, n)
+    off = np.sqrt(i*(i + alpha))
+    jacobi = (np.diag(2*np.arange(n) + alpha + 1.0)
+              + np.diag(off, 1) + np.diag(off, -1))
+    x = np.linalg.eigvalsh(jacobi)
+    log_w = (math.lgamma(n + alpha + 1) - math.lgamma(n + 1)
+             - 2*math.log(n + 1) + np.log(x)
+             - 2*np.log(np.abs(laguerre(n + 1, alpha, x))))
+    return x, log_w

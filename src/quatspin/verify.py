@@ -12,7 +12,8 @@ Checks report (max_dev, tol); multi-assertion checks with mixed natural
 tolerances report the maximum of dev_i/tol_i against tol 1.0 and say so in
 their detail string.  Sampled checks evaluate one batch of draws in one
 vectorized call.  Second routes that no production path uses live here as
-the *_oracle functions.
+the *_oracle functions.  scipy is imported only inside the checks whose
+second route needs it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .biquaternion import (
     Biquaternion, E0, E1, E2, E3, mul, decompose, conj_vec, conj_complex,
@@ -571,6 +571,21 @@ def _chk_clebsch(rng, samples):
     return dev, "closed form vs J^2 eigendecomposition, l <= 4"
 
 
+@_register("harmonic-oracle", "spinor", 1e-12)
+def _chk_harmonic(rng, samples):
+    from scipy.special import sph_harm_y
+    n = samples or 64
+    th, ph = _sphere_points(rng.random((n, 2)))
+    th = np.concatenate([th, [0.0, math.pi]])       # both poles
+    ph = np.concatenate([ph, [0.5, 2.0]])
+    lm = np.array([(l, m) for l in range(41) for m in range(-l, l + 1)])
+    got = np.array([spherical_harmonic(l, m, th, ph) for l, m in lm])
+    want = sph_harm_y(lm[:, :1], lm[:, 1:], th, ph)
+    return _mdev(got, want), (f"normalized Legendre recurrence vs scipy "
+                              f"sph_harm_y, l <= 40, |m| <= l, {n} points "
+                              f"and the poles")
+
+
 @_register("spinor-worked-example", "spinor", 1.0)
 def _chk_spinor_example(rng, samples):
     n = samples or 100
@@ -821,6 +836,20 @@ def _chk_norm3d(rng, samples):
                  "oracle = 1, 18 states")
 
 
+@_register("normalization-oracle", "hydrogen", 1e-10)
+def _chk_norm_oracle(rng, samples):
+    dev = 0.0
+    for Z in (1, 92):
+        for n in (1, 2, 3, 8, 16, 33, 40):
+            for k in sorted({-1, -n}):
+                w = hy.assemble_wavefunction(hy.QuantumNumbers(n, k, 0.5, Z))
+                dev = max(dev, abs(hy.probability_in_region(w, 0.0, math.inf)
+                                   - 1.0))
+    return dev, ("A from Gauss-Laguerre: adaptive quadrature to "
+                 "max(100, 4n + 60)/C gives P(0, inf) = 1; n <= 40, "
+                 "k = -1 and -n, Z = 1 and 92")
+
+
 @_register("density-assembly", "hydrogen", 1e-12)
 def _chk_density_assembly(rng, samples):
     n_pts = samples or 100
@@ -855,6 +884,7 @@ def _chk_density_assembly(rng, samples):
 
 @_register("probability-shells", "hydrogen", 1e-6)
 def _chk_prob_shells(rng, samples):
+    from scipy.special import gammainc
     qn = hy.QuantumNumbers(1, -1, 0.5, 1)
     w = hy.assemble_wavefunction(qn)
     dev = abs(hy.probability_in_region(w, 0.0, math.inf) - 1.0)

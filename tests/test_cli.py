@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import quatspin
 from quatspin import cli
 
 
@@ -149,6 +154,17 @@ def test_non_finite_flags_are_usage_errors(capsys, argv):
     assert "error: " in err
 
 
+def test_density_csv_refuses_non_finite(capsys):
+    # a finite but huge --r-max overflows the cell weights to inf
+    with np.errstate(all="ignore"):
+        code = cli.main(["density", "--r-max", "1e300", "--grid", "4:4",
+                         "--csv"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and "not CSV compliant" in err
+
+
 def test_spinor_worked_example(capsys):
     code, rec = _run_json(capsys, "spinor", "--k", "-3", "--mj", "1.5",
                           "--theta", "0.8", "--phi", "0.3")
@@ -171,6 +187,17 @@ def test_spinor_k_encodes_l(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spinor", "--k", "2", "--mj", "2.5"])  # |m_j| > j
     assert exc.value.code == 1
+
+
+def test_spinor_high_l_is_finite(capsys):
+    code, out = _run(capsys, "spinor", "--k", "-161", "--mj", "160.5")
+    assert code == 0
+    rec = json.loads(out, parse_constant=lambda c: pytest.fail(c))
+    assert rec["l"] == 160
+    values = [*rec["component_up"], *rec["component_down"], rec["p_up"],
+              rec["p_down"], rec["density"]]
+    assert all(math.isfinite(v) for v in values)
+    assert rec["density"] > 0
 
 
 def test_rotate_quarter_turn(capsys):
@@ -244,3 +271,40 @@ def test_json_round_trip(capsys):
     rec = json.loads(out)
     assert json.loads(json.dumps(rec)) == rec
     assert repr(rec["probability"]) in out  # shortest round-trip floats
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from quatspin import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    report.append([argv[0], code, len(scipy)])
+print(json.dumps(report))
+"""
+
+
+def _import_probe(*argvs):
+    """Run cli.main on each argv in order in one fresh interpreter; return
+    [command, exit code, number of scipy modules loaded] after each."""
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(argvs)],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def test_scipy_loaded_only_on_first_use():
+    report = _import_probe(["energy"], ["rotate", "--angle", "1.0"],
+                           ["spinor"], ["density"], ["probability"])
+    assert report == [["energy", 0, 0], ["rotate", 0, 0], ["spinor", 0, 0],
+                      ["density", 0, 0], ["probability", 0, report[-1][2]]]
+    assert report[-1][2] > 0
+    [(name, code, n_scipy)] = _import_probe(["verify", "--suite",
+                                             "hydrogen"])
+    assert (name, code) == ("verify", 0) and n_scipy > 0

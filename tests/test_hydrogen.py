@@ -225,6 +225,19 @@ def test_wavefunction_normalization_and_shells():
         probability_in_region(w, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("Z", [1, 92])
+@pytest.mark.parametrize("n", [33, 40, 50])
+def test_full_range_probability_at_high_n(n, Z):
+    # the normalization is exact and the probability cut-off grows with n
+    w = assemble_wavefunction(QuantumNumbers(n, -1, 0.5, Z))
+    assert abs(probability_in_region(w, 0.0, math.inf) - 1.0) < 1e-10
+
+
+def test_normalization_out_of_float_range_raises():
+    with pytest.raises(ValueError, match="float range"):
+        assemble_wavefunction(QuantumNumbers(200, -200))
+
+
 def test_density_assembly_structure():
     rng = np.random.default_rng(77)
     w = assemble_wavefunction(QuantumNumbers(2, -2, 1.5))

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre, sph_harm_y
 
 from quatspin import laguerre, spherical_harmonic, quadrature_sphere
-from quatspin.special import gauss_legendre_nodes
+from quatspin.special import gauss_laguerre_nodes, gauss_legendre_nodes
 
 
 def test_laguerre_against_scipy():
@@ -46,6 +46,22 @@ def test_spherical_harmonics_against_scipy():
                 got = spherical_harmonic(l, m, th, ph)
                 want = complex(sph_harm_y(l, m, th, ph))
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("l", [100, 160, 200])
+def test_spherical_harmonics_high_degree(l):
+    rng = np.random.default_rng(l)
+    th = np.concatenate([[0.0, 1e-3, 0.05, 1.0, math.pi/2, 3.0, math.pi],
+                         np.arccos(rng.uniform(-1, 1, 20))])
+    ph = rng.uniform(0, 2*math.pi, th.size)
+    for m in (0, 1, l//2, l - 10, l - 1, l, -l, -(l//2)):
+        got = spherical_harmonic(l, m, th, ph)
+        assert np.all(np.isfinite(got)), (l, m)
+        np.testing.assert_allclose(got, sph_harm_y(l, m, th, ph),
+                                   rtol=1e-10, atol=1e-11)
+    # these two were NaN when the norm went through factorials
+    assert np.isfinite(spherical_harmonic(160, 160, 1.0, 0.0))
+    assert np.isfinite(spherical_harmonic(100, 90, 1.0, 0.0))
 
 
 def test_spherical_harmonics_poles_and_phase():
@@ -93,3 +109,19 @@ def test_gauss_legendre_nodes():
     assert len(x) == 6
     np.testing.assert_allclose(np.sum(w*x**7), 2.0**8/8, rtol=1e-13)
     assert np.all(x > 0) and np.all(x < 2)
+
+
+@pytest.mark.parametrize("n, alpha", [(1, 0.0), (3, 0.5), (12, 1.99),
+                                      (40, 1.14), (60, 5.0)])
+def test_gauss_laguerre_nodes(n, alpha):
+    # exact moments: integral of x^(alpha + j) e^-x = Gamma(alpha + j + 1)
+    x, log_w = gauss_laguerre_nodes(n, alpha)
+    assert len(x) == n and np.all(np.diff(x) > 0) and x[0] > 0
+    for j in (0, 1, n, 2*n - 1):
+        got = np.sum(np.exp(log_w + j*np.log(x)))
+        assert got == pytest.approx(math.exp(math.lgamma(alpha + j + 1)),
+                                    rel=1e-12)
+    with pytest.raises(ValueError):
+        gauss_laguerre_nodes(0, alpha)
+    with pytest.raises(ValueError):
+        gauss_laguerre_nodes(n, -1.0)
