@@ -12,6 +12,7 @@ Nothing here imports scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -96,7 +97,7 @@ def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
     uniform rule in phi (n_phi nodes, exact for trigonometric polynomials up
     to degree n_phi - 1).  f must broadcast over meshgrid arrays.
     """
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x, w = _leggauss(n_theta)
     theta = np.arccos(x)
     phi = 2*np.pi*np.arange(n_phi)/n_phi
     TH, PH = np.meshgrid(theta, phi, indexing="ij")
@@ -104,9 +105,18 @@ def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
     return (2*np.pi/n_phi)*np.sum(np.asarray(vals)*w[:, None])
 
 
+@functools.lru_cache(maxsize=128)
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], memoized per node count
+    (read-only arrays: callers share them)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(n: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5*(hi - lo)
     return lo + half*(x + 1), half*w
 

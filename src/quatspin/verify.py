@@ -44,7 +44,7 @@ from . import pauli_dirac as pd
 
 __all__ = ["CheckResult", "run_check", "run_suite", "suite_names",
            "check_names", "clebsch_oracle", "amplitude_oracle", "psi_oracle",
-           "density_oracle"]
+           "density_oracle", "probability_oracle"]
 
 
 @dataclass(frozen=True)
@@ -721,6 +721,41 @@ def density_oracle(w: hy.WaveFunction, r_au, theta):
     return (w.A/r_nat)**2*(F*F*ang_F + G*G*ang_G)/hy.ALPHA_FS**3
 
 
+def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):
+    """Adaptive-quadrature route of probability_in_region: scipy's quad of
+    A^2 rho^{2s} e^{-2 rho} (P^2 + Q^2) over the same capped shell.
+
+    The integrand restates the closed form in Python floats instead of
+    calling the production brackets: one loop runs the recurrences of
+    L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)} together (quad calls it ~10^3
+    times per shell at n = 40), and the prefactor is a power times an
+    exponential, finite for n <= 60.
+    """
+    from scipy.integrate import quad
+    cap = max(100.0, 4.0*w.qn.n + 60.0)/w.C
+    lo, hi = min(r_lo/hy.ALPHA_FS, cap), min(r_hi/hy.ALPHA_FS, cap)
+    if hi <= lo:
+        return 0.0
+    n_r, k, s, C = w.qn.n_r, w.qn.k, w.s, w.C
+    za = w.qn.Z*hy.ALPHA_FS
+    W = (s - k*w.energy)/C
+    a1, a2 = 2*s + 1, 2*s - 1
+    norm = w.A*w.A
+
+    def integrand(r):
+        rho = C*r
+        x = 2.0*rho
+        p0, p1, q0, q1 = 0.0, 1.0, 0.0, 1.0         # degrees -1 and 0
+        for j in range(n_r):
+            p0, p1 = p1, ((2*j + 1 + a1 - x)*p1 - (j + a1)*p0)/(j + 1)
+            q0, q1 = q1, ((2*j + 1 + a2 - x)*q1 - (j + a2)*q0)/(j + 1)
+        P = za*x*p0 + (s - k)*W*q1
+        Q = (s - k)*x*p0 + za*W*q1
+        return norm*rho**(2*s)*math.exp(-2.0*rho)*(P*P + Q*Q)
+
+    return quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=300)[0]
+
+
 @_register("energy-degeneracy", "hydrogen", 1e-15)
 def _chk_degeneracy(rng, samples):
     dev = 0.0
@@ -843,11 +878,29 @@ def _chk_norm_oracle(rng, samples):
         for n in (1, 2, 3, 8, 16, 33, 40):
             for k in sorted({-1, -n}):
                 w = hy.assemble_wavefunction(hy.QuantumNumbers(n, k, 0.5, Z))
-                dev = max(dev, abs(hy.probability_in_region(w, 0.0, math.inf)
+                dev = max(dev, abs(probability_oracle(w, 0.0, math.inf)
                                    - 1.0))
     return dev, ("A from Gauss-Laguerre: adaptive quadrature to "
                  "max(100, 4n + 60)/C gives P(0, inf) = 1; n <= 40, "
                  "k = -1 and -n, Z = 1 and 92")
+
+
+@_register("shell-oracle", "hydrogen", 1e-12)
+def _chk_shell_oracle(rng, samples):
+    dev, count = 0.0, 0
+    for Z in (1, 92):
+        for n in (1, 2, 3, 8, 16, 33, 40, 60):
+            for k in sorted({-1, n//2, -n} - {0}):
+                w = hy.assemble_wavefunction(hy.QuantumNumbers(n, k, 0.5, Z))
+                # shell edges drawn uniformly in rho on [0, 2n + 30]
+                a, b = np.sort(rng.random(2))*(2.0*n + 30.0)/w.C*hy.ALPHA_FS
+                for lo, hi in ((0.0, a), (a, b), (a, math.inf)):
+                    dev = max(dev, abs(hy.probability_in_region(w, lo, hi)
+                                       - probability_oracle(w, lo, hi)))
+                    count += 1
+    return dev, (f"Gauss-Legendre shells vs adaptive quadrature, {count} "
+                 f"seeded shells [0, a], [a, b], [a, inf); n <= 60, "
+                 f"k in {{-1, n/2, -n}}, Z = 1 and 92")
 
 
 @_register("density-assembly", "hydrogen", 1e-12)

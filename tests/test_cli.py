@@ -273,6 +273,19 @@ def test_json_round_trip(capsys):
     assert repr(rec["probability"]) in out  # shortest round-trip floats
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "100", "--k", "-100"),
+    ("--n", "150", "--k", "-150", "--z", "20"),
+    ("--n", "150", "--k", "-150", "--z", "92", "--r-hi", "3000"),
+])
+def test_probability_at_large_k(capsys, argv):
+    # A rho^s e^{-rho} is finite although rho^s e^{-rho} alone overflows
+    code, rec = _run_json(capsys, "probability", *argv)
+    assert code == 0
+    assert abs(rec["probability"] - 1.0) < 1e-12
+    assert 0.0 <= rec["quadrature_error"] < 1e-12
+
+
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from quatspin import cli
@@ -301,10 +314,11 @@ def _import_probe(*argvs):
 
 def test_scipy_loaded_only_on_first_use():
     report = _import_probe(["energy"], ["rotate", "--angle", "1.0"],
-                           ["spinor"], ["density"], ["probability"])
+                           ["spinor"], ["density"], ["probability"],
+                           ["probability", "--r-hi", "1"])
     assert report == [["energy", 0, 0], ["rotate", 0, 0], ["spinor", 0, 0],
-                      ["density", 0, 0], ["probability", 0, report[-1][2]]]
-    assert report[-1][2] > 0
+                      ["density", 0, 0], ["probability", 0, 0],
+                      ["probability", 0, 0]]
     [(name, code, n_scipy)] = _import_probe(["verify", "--suite",
                                              "hydrogen"])
     assert (name, code) == ("verify", 0) and n_scipy > 0

@@ -233,6 +233,40 @@ def test_full_range_probability_at_high_n(n, Z):
     assert abs(probability_in_region(w, 0.0, math.inf) - 1.0) < 1e-10
 
 
+def test_tail_probability_regression():
+    # reference from adaptive quadrature split at the density's bulk; an
+    # absolute tolerance of 1e-13 alone would pass values 2e-9 off
+    w = assemble_wavefunction(QuantumNumbers(40, 7, 0.5, 50))
+    assert probability_in_region(w, 100.0, math.inf) == pytest.approx(
+        2.277759886266109e-20, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("Z", [1, 92])
+@pytest.mark.parametrize("n,k", [(60, -1), (60, 30), (80, -1), (80, 40),
+                                 (120, -1), (120, 60)])
+def test_full_range_probability_beyond_n_60(n, k, Z):
+    w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
+    assert abs(probability_in_region(w, 0.0, math.inf) - 1.0) < 1e-12
+
+
+def test_shell_probabilities_nonnegative():
+    rng = np.random.default_rng(4)
+    for n, k, Z in ((1, -1, 1), (5, 2, 92), (20, -7, 20), (40, 7, 50)):
+        w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
+        # edges out to twice the cap, so far shells underflow or vanish
+        edges = rng.random((20, 2))*2*max(100, 4*n + 60)/w.C*ALPHA_FS
+        for lo, hi in np.sort(edges, axis=1):
+            val, err = probability_in_region(w, lo, hi, return_error=True)
+            assert val >= 0.0 and err >= 0.0
+
+
+def test_density_at_large_k_peak():
+    # F = rho^s e^{-rho} P peaks at rho = s; unnormalized it overflows
+    w = assemble_wavefunction(QuantumNumbers(150, -150))
+    d = w.density(w.s/w.C*ALPHA_FS, 1.0, 0.3)
+    assert math.isfinite(d) and d > 0
+
+
 def test_normalization_out_of_float_range_raises():
     with pytest.raises(ValueError, match="float range"):
         assemble_wavefunction(QuantumNumbers(200, -200))
