@@ -22,7 +22,10 @@ is complex-valued and governs invertibility: it vanishes exactly on the zero
 divisors, where no inverse exists.
 
 Coefficients may be broadcastable numpy arrays: one Biquaternion then holds a
-batch, and products, conjugations and norms act elementwise.
+batch, and products, conjugations and norms act elementwise.  A coefficient
+that is an exact scalar zero is structural: scaling keeps it 0j, even by an
+infinite or NaN factor, so q+ and q- (two zero coefficients each) scale by
+an array without filling zero arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +54,20 @@ def _coef(x):
     return complex(a) if a.ndim == 0 else a
 
 
+def _bq(q0, q1, q2, q3) -> "Biquaternion":
+    """Biquaternion from coefficients that are already complex scalars or
+    complex arrays (results of the operations below): no coercion."""
+    q = object.__new__(Biquaternion)
+    d = q.__dict__
+    d["q0"], d["q1"], d["q2"], d["q3"] = q0, q1, q2, q3
+    return q
+
+
+def _scaled(c, x):
+    """c*x, except that a structural (exact scalar) zero x stays 0j."""
+    return x if type(x) is complex and not x else c*x
+
+
 @dataclass(frozen=True, eq=False)
 class Biquaternion:
     """Immutable biquaternion with coefficients q0..q3 on e0..e3.
@@ -68,10 +85,9 @@ class Biquaternion:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q0", _coef(self.q0))
-        object.__setattr__(self, "q1", _coef(self.q1))
-        object.__setattr__(self, "q2", _coef(self.q2))
-        object.__setattr__(self, "q3", _coef(self.q3))
+        d = self.__dict__
+        d["q0"], d["q1"], d["q2"], d["q3"] = (
+            _coef(self.q0), _coef(self.q1), _coef(self.q2), _coef(self.q3))
 
     def coefficients(self) -> tuple[complex, complex, complex, complex]:
         return (self.q0, self.q1, self.q2, self.q3)
@@ -84,24 +100,25 @@ class Biquaternion:
     @property
     def vector(self) -> "Biquaternion":
         """Vec(q), the e1..e3 part."""
-        return Biquaternion(0, self.q1, self.q2, self.q3)
+        return _bq(0j, self.q1, self.q2, self.q3)
 
     def __add__(self, other: "Biquaternion") -> "Biquaternion":
-        return Biquaternion(self.q0 + other.q0, self.q1 + other.q1,
-                            self.q2 + other.q2, self.q3 + other.q3)
+        return _bq(self.q0 + other.q0, self.q1 + other.q1,
+                   self.q2 + other.q2, self.q3 + other.q3)
 
     def __sub__(self, other: "Biquaternion") -> "Biquaternion":
-        return Biquaternion(self.q0 - other.q0, self.q1 - other.q1,
-                            self.q2 - other.q2, self.q3 - other.q3)
+        return _bq(self.q0 - other.q0, self.q1 - other.q1,
+                   self.q2 - other.q2, self.q3 - other.q3)
 
     def __neg__(self) -> "Biquaternion":
-        return Biquaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+        return _bq(-self.q0, -self.q1, -self.q2, -self.q3)
 
     def __mul__(self, other):
         if isinstance(other, Biquaternion):
             return mul(self, other)
         c = _coef(other)
-        return Biquaternion(c*self.q0, c*self.q1, c*self.q2, c*self.q3)
+        return _bq(_scaled(c, self.q0), _scaled(c, self.q1),
+                   _scaled(c, self.q2), _scaled(c, self.q3))
 
     def __rmul__(self, other):
         # scalars commute with everything, so left scalar product is the same
@@ -109,7 +126,7 @@ class Biquaternion:
 
     def __truediv__(self, other):
         c = _coef(other)
-        return Biquaternion(self.q0/c, self.q1/c, self.q2/c, self.q3/c)
+        return _bq(self.q0/c, self.q1/c, self.q2/c, self.q3/c)
 
     def __eq__(self, other) -> bool:
         # exact coefficient equality; use allclose for tolerant comparison
@@ -139,7 +156,7 @@ def mul(a: Biquaternion, b: Biquaternion) -> Biquaternion:
     """
     a0, a1, a2, a3 = a.q0, a.q1, a.q2, a.q3
     b0, b1, b2, b3 = b.q0, b.q1, b.q2, b.q3
-    return Biquaternion(
+    return _bq(
         a0*b0 - a1*b1 - a2*b2 - a3*b3,
         a0*b1 + a1*b0 + a2*b3 - a3*b2,
         a0*b2 - a1*b3 + a2*b0 + a3*b1,
@@ -160,19 +177,19 @@ def decompose(a: Biquaternion, b: Biquaternion) -> tuple[complex, Biquaternion]:
 
 def conj_vec(q: Biquaternion) -> Biquaternion:
     """Quaternion conjugate: negate the vector part."""
-    return Biquaternion(q.q0, -q.q1, -q.q2, -q.q3)
+    return _bq(q.q0, -q.q1, -q.q2, -q.q3)
 
 
 def conj_complex(q: Biquaternion) -> Biquaternion:
     """Complex conjugate each coefficient, leave the units alone."""
-    return Biquaternion(q.q0.conjugate(), q.q1.conjugate(),
-                        q.q2.conjugate(), q.q3.conjugate())
+    return _bq(q.q0.conjugate(), q.q1.conjugate(),
+               q.q2.conjugate(), q.q3.conjugate())
 
 
 def conj_both(q: Biquaternion) -> Biquaternion:
     """Compose both conjugations; this is the bra-forming involution."""
-    return Biquaternion(q.q0.conjugate(), -q.q1.conjugate(),
-                        -q.q2.conjugate(), -q.q3.conjugate())
+    return _bq(q.q0.conjugate(), -q.q1.conjugate(),
+               -q.q2.conjugate(), -q.q3.conjugate())
 
 
 def norm_sq(q: Biquaternion) -> float:

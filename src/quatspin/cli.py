@@ -151,11 +151,14 @@ def _state_or_usage(args, parser) -> hy.QuantumNumbers:
 
 
 def _cmd_density(args, parser) -> int:
-    n_r, n_theta = _parse_grid(args.grid, parser)
+    grid = _parse_grid(args.grid, parser) if args.grid is not None else None
     qn = _state_or_usage(args, parser)
     w = hy.assemble_wavefunction(qn)
+    # defaults sized to the state: the outermost Laguerre node lies near
+    # rho = 2n, and theta needs n + 2 nodes for the degree-2l harmonics
+    n_r, n_theta = grid or (max(128, 48 + 6*qn.n), max(32, qn.n + 2))
     r_max = args.r_max if args.r_max is not None \
-        else 40.0/w.C*hy.ALPHA_FS
+        else (2*qn.n + 40.0)/w.C*hy.ALPHA_FS
     if r_max <= 0:
         parser.error("--r-max must be positive")
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
@@ -182,6 +185,9 @@ def _cmd_density(args, parser) -> int:
         _emit_csv(rows, ["r", "theta", "density", "cell_weight"])
     else:
         _emit_json(record)
+    if abs(total - 1.0) > 1e-6:
+        print(f"warning: grid_integral = {total!r} misses 1 by more than "
+              f"1e-6; enlarge --grid or --r-max", file=sys.stderr)
     return 0
 
 
@@ -387,10 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="probability density on an "
                                        "(r, theta) grid, phi-averaged")
     _add_state_flags(p)
-    p.add_argument("--grid", default="64:32",
-                   help="R:THETA node counts (Gauss-Legendre), default 64:32")
+    p.add_argument("--grid", default=None,
+                   help="R:THETA node counts (Gauss-Legendre), default "
+                        "max(128, 48 + 6n):max(32, n + 2)")
     p.add_argument("--r-max", type=_finite_float, default=None,
-                   help="radial extent in Bohr (default: scaled to the state)")
+                   help="radial extent in Bohr (default (2n + 40)/C in "
+                        "natural units, scaled to the state)")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_density)
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from .biquaternion import Biquaternion, mul, conj_both, norm_sq
 from .special import gauss_laguerre_nodes, gauss_legendre_nodes, laguerre
-from .spinor import SpinorFunction, spinor_as_biquaternion
+from .spinor import SpinorFunction, spinor_biquaternions
 
 __all__ = [
     "ALPHA_FS", "MC2_EV", "QuantumNumbers", "WaveFunction", "l_of_k",
@@ -177,7 +177,8 @@ def radial_parameters(qn: QuantumNumbers, E: float | None = None):
 def _lag(n: int, a: float, x):
     """Laguerre with the degree -1 convention: L_{-1} == 0."""
     if n < 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
+        z = np.zeros_like(np.asarray(x, dtype=float))
+        return z if z.ndim else 0.0
     return laguerre(n, a, x)
 
 
@@ -195,18 +196,62 @@ def _brackets(n: int, k: int, Z: int, E: float, x):
 
 def _radial_FG(n: int, k: int, Z: int, E: float, rho, A: float = 1.0):
     """Closed-form (F, G) at dimensionless rho (vectorized), times the
-    normalization A (1: unnormalized).
+    normalization A (1: unnormalized).  A 0-d rho whose prefactor splits
+    (below) runs on Python floats and gives floats.
 
-    The prefactor A rho^s e^{-rho} is one exponential, so it stays finite
-    where rho^s e^{-rho} alone leaves the float range (large |k|).
+    The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
+    so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
+    are normal floats.  Elsewhere (large |k|, far tails) it is the single
+    exponential exp(log A + s log rho - rho), which stays finite where
+    rho^s alone leaves the float range.
     """
     za = Z*ALPHA_FS
     s = math.sqrt(k*k - za*za)
+    log_a = math.log(A)
     rho = np.asarray(rho, dtype=float)
-    with np.errstate(divide="ignore"):  # rho = 0 gives exp(-inf) = 0
-        pref = np.exp(math.log(A) + s*np.log(rho) - rho)
+    if rho.ndim == 0:
+        rho = lo = hi = float(rho)      # one point runs on Python floats
+        exp = math.exp
+    else:
+        lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
+        exp = np.exp
+    # each condition of _split_ok is monotone or concave in rho, so it holds
+    # on every node when it holds at both ends
+    if lo > 0 and all(_split_ok(log_a, s*math.log(x), x) for x in {lo, hi}):
+        pref = A*rho**s*exp(-rho)
+    else:
+        rho = np.asarray(rho)
+        with np.errstate(divide="ignore", over="ignore", under="ignore",
+                         invalid="ignore"):  # rho = 0 gives exp(-inf) = 0
+            log_rs = s*np.log(rho)
+            pref = np.where(_split_ok(log_a, log_rs, rho),
+                            A*rho**s*np.exp(-rho),
+                            np.exp(log_a + log_rs - rho))
     P, Q = _brackets(n, k, Z, E, 2*rho)
     return pref*P, -pref*Q
+
+
+def _split_ok(log_a, log_rs, rho):
+    """True where A, rho^s, A rho^s, e^{-rho} and the product all lie well
+    inside the normal float range (logs within +-700)."""
+    log_p = log_a + log_rs
+    return ((abs(log_a) < 700) & (abs(log_rs) < 700) & (log_p < 700)
+            & (rho < 700) & (log_p - rho > -700))
+
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    """a cut to length 1 along every axis on which it is constant.
+
+    Exact: the comparison is bitwise (signed zeros and NaNs count as
+    values), and broadcasting against the other arguments restores the
+    cut axes."""
+    bits = a.view(np.int64)
+    for axis in range(a.ndim):
+        if a.shape[axis] > 1:
+            first = (slice(None),)*axis + (slice(0, 1),)
+            if (bits == bits[first]).all():
+                a, bits = a[first], bits[first]
+    return a
 
 
 def _log_radial_norm_sq(n: int, k: int, Z: int, E: float) -> float:
@@ -390,17 +435,40 @@ class WaveFunction:
         """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
 
         r (Bohr, > 0), theta and phi broadcast; array arguments give a
-        biquaternion with array coefficients.
+        biquaternion with fresh array coefficients of the broadcast shape,
+        and one point gives Python complex coefficients.  Each argument is
+        first cut to length 1 along every axis on which it is constant (a
+        meshgrid R varies along one axis only), so F and G are evaluated
+        once per distinct radius and the spinors once per distinct angle;
+        only the final combination is formed at full size.
         """
         r_au = np.asarray(r_au, dtype=float)
-        if not r_au.min() > 0:        # also rejects NaN
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        point = r_au.ndim == theta.ndim == phi.ndim == 0
+        if point:
+            r, theta, phi = float(r_au), float(theta), float(phi)
+            r_min = r
+        else:
+            shape = np.broadcast_shapes(r_au.shape, theta.shape, phi.shape)
+            r, theta, phi = _trim(r_au), _trim(theta), _trim(phi)
+            r_min = r.min()
+        if not r_min > 0:               # also rejects NaN
             raise ValueError("r must be > 0")
         F, G = _radial_FG(self.qn.n, self.qn.k, self.qn.Z, self.energy,
-                          self.C*r_au/ALPHA_FS, self.A)
-        pref = ALPHA_FS/r_au
-        y_up = spinor_as_biquaternion(self.spinor_upper, theta, phi)
-        y_lo = spinor_as_biquaternion(self.spinor_lower, theta, phi)
-        return y_up*(pref*F) + y_lo*(1j*pref*G)
+                          self.C*r/ALPHA_FS, self.A)
+        pref = ALPHA_FS/r
+        f, g = pref*F, 1j*pref*G
+        y_up, y_lo = spinor_biquaternions(
+            (self.spinor_upper, self.spinor_lower), theta, phi)
+        # Psi = f y_up + g y_lo as one expression per coefficient: numpy
+        # then reuses the full-size product temporaries for the sums
+        p = Biquaternion(*(f*u + g*v for u, v in zip(y_up.coefficients(),
+                                                      y_lo.coefficients())))
+        if not point and any(c.shape != shape for c in p.coefficients()):
+            p = Biquaternion(*(np.broadcast_to(c, shape).copy()
+                               for c in p.coefficients()))
+        return p
 
     def density_product(self, r_au, theta, phi) -> Biquaternion:
         """conj_both(Psi) Psi; equals density (e0 - i e1), per natural volume."""

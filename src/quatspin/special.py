@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "laguerre", "spherical_harmonic", "quadrature_sphere",
+    "laguerre", "spherical_harmonic", "spherical_harmonics",
+    "quadrature_sphere",
     "gauss_legendre_nodes", "gauss_laguerre_nodes",
 ]
 
@@ -39,18 +40,33 @@ def laguerre(n: int, alpha: float, x):
     x = np.asarray(x)
     if n == 0:
         L0 = np.ones_like(x)
-        return L0 if L0.ndim else L0[()]
-    # a 0-d array becomes a Python number: scalar steps (the quadrature
-    # integrands) then skip numpy's per-operation overhead
+        return L0 if L0.ndim else L0.item()
+    # a 0-d array becomes a Python number, and so does the result: scalar
+    # steps (single density points) then skip numpy's per-operation overhead
     x = x if x.ndim else x.item()
     L0, L1 = 1.0, 1 + alpha - x
     for k in range(1, n):
         L0, L1 = L1, ((2*k + 1 + alpha - x)*L1 - (k + alpha)*L0)/(k + 1)
-    return L1 if np.ndim(L1) else np.asarray(L1)[()]
+    return L1
 
 
-def spherical_harmonic(l: int, m: int, theta, phi):
-    """Orthonormal spherical harmonic Y_l^m(theta, phi), Condon-Shortley phase.
+@functools.lru_cache(maxsize=1024)
+def _legendre_column(l: int, ma: int):
+    """Coefficients of the normalized column recurrence of order ma up to
+    degree l: the start value Pbar_ma^ma / u^ma and the pairs (a_d, b_d)
+    for d = ma + 1 .. l (see spherical_harmonics), memoized per (l, |m|)."""
+    p = 1.0/math.sqrt(4*math.pi)
+    for i in range(1, ma + 1):
+        p *= -math.sqrt((2*i + 1)/(2*i))
+    return p, tuple((math.sqrt((4*d*d - 1)/(d*d - ma*ma)),
+                     math.sqrt(((d - 1)**2 - ma*ma)/(4*(d - 1)**2 - 1)))
+                    for d in range(ma + 1, l + 1))
+
+
+def spherical_harmonics(degrees, m: int, theta, phi) -> list:
+    """[Y_l^m(theta, phi) for l in degrees]: harmonics of one integer order
+    m at nonnegative integer degrees from a single pass of the normalized
+    column recurrence; 0 where l < |m|.
 
     Y_l^m = Pbar_l^m(cos theta) e^{i m phi} for m >= 0, where Pbar_l^m is
     the associated Legendre function with sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
@@ -66,28 +82,52 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 
     No factorials or gamma functions appear, so high degrees stay finite.
     Negative orders via Y_l^{-m} = (-1)^m conj(Y_l^m).  theta and phi
-    broadcast.
+    broadcast; when both are 0-d the recurrence runs on Python floats and
+    each value is a Python complex.
+    """
+    ma = abs(m)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if theta.ndim == phi.ndim == 0:
+        theta, phi = float(theta), float(phi)
+        x, u = math.cos(theta), abs(math.sin(theta))
+        t = 0.0 + ma*phi                # as in 1j*m*phi: no -0.0
+        e = complex(math.cos(t), math.sin(t))
+        zero = 0j
+    else:
+        x, u = np.cos(theta), np.abs(np.sin(theta))
+        e = np.exp(1j*ma*phi)
+        zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
+                        dtype=complex)
+    p, table = _legendre_column(max(degrees), ma)
+    column = {ma: p}                      # Pbar_l^m / u^m by degree l
+    p0 = 0.0
+    for d, (a, b) in enumerate(table, ma + 1):
+        p0, p = p, a*(x*p - b*p0)
+        column[d] = p
+    out = []
+    for l in degrees:
+        if l < ma:
+            out.append(zero)
+            continue
+        y = column[l]*u**ma*e
+        if m < 0:
+            y = (-1)**ma*y.conjugate()
+        out.append(y)
+    return out
+
+
+def spherical_harmonic(l: int, m: int, theta, phi):
+    """Orthonormal spherical harmonic Y_l^m(theta, phi), Condon-Shortley
+    phase, from the column recurrence of spherical_harmonics.
+
+    Requires integers l >= 0 and |m| <= l; theta and phi broadcast.
     """
     if l != int(l) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
     if m != int(m) or abs(m) > l:
         raise ValueError(f"order must be an integer with |m| <= l, got {m!r}")
-    l, m = int(l), int(m)
-    ma = abs(m)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    x = np.cos(theta)
-    p0, p = 0.0, 1.0/math.sqrt(4*math.pi)
-    for i in range(1, ma + 1):
-        p *= -math.sqrt((2*i + 1)/(2*i))
-    for d in range(ma + 1, l + 1):
-        a = math.sqrt((4*d*d - 1)/(d*d - ma*ma))
-        b = math.sqrt(((d - 1)**2 - ma*ma)/(4*(d - 1)**2 - 1))
-        p0, p = p, a*(x*p - b*p0)
-    y = p*np.abs(np.sin(theta))**ma*np.exp(1j*ma*phi)
-    if m < 0:
-        y = (-1)**ma*np.conj(y)
-    return y if np.ndim(y) else np.asarray(y)[()]
+    return spherical_harmonics((int(l),), int(m), theta, phi)[0]
 
 
 def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biquaternion import Biquaternion
-from .special import spherical_harmonic
+from .special import spherical_harmonics
 from .spin import spin_up, spin_down, inner
 
 __all__ = [
     "SpinorFunction", "clebsch_coefficients", "spinor_as_vector",
-    "spinor_as_biquaternion", "measure_probability",
+    "spinor_as_biquaternion", "spinor_biquaternions", "measure_probability",
 ]
 
 
@@ -87,13 +87,7 @@ class SpinorFunction:
     def harmonic(self, which: str, theta, phi):
         """Y_l^{m_j -+ 1/2} for which in {'up','down'}; zero if |m| > l."""
         m = self.m_j - 0.5 if which == "up" else self.m_j + 0.5
-        m = int(round(m))
-        if abs(m) > self.l:
-            # the paired Clebsch weight is zero there as well
-            z = np.zeros(np.broadcast(np.asarray(theta),
-                                      np.asarray(phi)).shape, dtype=complex)
-            return z if z.ndim else z[()]
-        return spherical_harmonic(self.l, m, theta, phi)
+        return spherical_harmonics((self.l,), int(round(m)), theta, phi)[0]
 
 
 def spinor_as_vector(s: SpinorFunction, theta, phi) -> np.ndarray:
@@ -102,15 +96,30 @@ def spinor_as_vector(s: SpinorFunction, theta, phi) -> np.ndarray:
                      s.c2*s.harmonic("down", theta, phi)])
 
 
+def spinor_biquaternions(spinors, theta, phi) -> list[Biquaternion]:
+    """Biquaternion forms C1 Y1 q+ + C2 Y2 q- of spinors that share m_j,
+    Y1 = Y_l^{m_j-1/2}, Y2 = Y_l^{m_j+1/2}, on the spin-state quaternions
+    q+ and q-.
+
+    The Y1 of every spinor come from one column pass of the Legendre
+    recurrence and the Y2 from another, so the two spinors of a Dirac state
+    (l and l +- 1) cost two passes, not four.  theta and phi broadcast;
+    array angles give array coefficients.
+    """
+    m_j = spinors[0].m_j
+    if any(s.m_j != m_j for s in spinors):
+        raise ValueError("spinors must share m_j")
+    ls = [s.l for s in spinors]
+    y1 = spherical_harmonics(ls, int(round(m_j - 0.5)), theta, phi)
+    y2 = spherical_harmonics(ls, int(round(m_j + 0.5)), theta, phi)
+    return [_Q_UP*(s.c1*a) + _Q_DOWN*(s.c2*b)
+            for s, a, b in zip(spinors, y1, y2)]
+
+
 def spinor_as_biquaternion(s: SpinorFunction, theta,
                            phi) -> Biquaternion:
-    """Biquaternion form C1 Y1 q+ + C2 Y2 q-, Y1 = Y_l^{m_j-1/2},
-    Y2 = Y_l^{m_j+1/2}, on the spin-state quaternions q+ and q-.
-
-    theta and phi broadcast; array angles give array coefficients.
-    """
-    return (_Q_UP*(s.c1*s.harmonic("up", theta, phi))
-            + _Q_DOWN*(s.c2*s.harmonic("down", theta, phi)))
+    """Biquaternion form of one spinor (see spinor_biquaternions)."""
+    return spinor_biquaternions((s,), theta, phi)[0]
 
 
 def measure_probability(state: str, s: SpinorFunction, theta, phi):

@@ -678,6 +678,14 @@ _STATES = ((1, -1), (2, -1), (2, 1), (2, -2), (3, -1), (3, -2))
 _ZS = (1, 20, 50)
 
 
+def _normalized_radial(w: hy.WaveFunction, r_au):
+    """(A F, A G) at radii in Bohr, with A rho^s e^{-rho} formed in range:
+    the unnormalized F overflows for large |k| (n = k = 150) where A F
+    does not."""
+    rho = w.C*np.asarray(r_au, dtype=float)/hy.ALPHA_FS
+    return hy._radial_FG(w.qn.n, w.qn.k, w.qn.Z, w.energy, rho, w.A)
+
+
 def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
     """(a, b): coefficients of Psi on the spin basis, Psi = a q+ + b q-.
 
@@ -685,9 +693,9 @@ def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
     through the spinor biquaternions that WaveFunction.psi uses.  Arguments
     broadcast.
     """
-    F, G = w.radial(r_au)
+    F, G = _normalized_radial(w, r_au)
     up, lo = w.spinor_upper, w.spinor_lower
-    pref = w.A/(np.asarray(r_au, dtype=float)/hy.ALPHA_FS)
+    pref = hy.ALPHA_FS/np.asarray(r_au, dtype=float)
     a = pref*(F*up.c1*up.harmonic("up", theta, phi)
               + 1j*G*lo.c1*lo.harmonic("up", theta, phi))
     b = pref*(F*up.c2*up.harmonic("down", theta, phi)
@@ -712,13 +720,13 @@ def density_oracle(w: hy.WaveFunction, r_au, theta):
     """
     r_nat = np.asarray(r_au, dtype=float)/hy.ALPHA_FS
     theta = np.asarray(theta, dtype=float)
-    F, G = w.radial(r_au)
+    F, G = _normalized_radial(w, r_au)
     up, lo = w.spinor_upper, w.spinor_lower
     ang_F = (up.c1**2*np.abs(up.harmonic("up", theta, 0.0))**2
              + up.c2**2*np.abs(up.harmonic("down", theta, 0.0))**2)
     ang_G = (lo.c1**2*np.abs(lo.harmonic("up", theta, 0.0))**2
              + lo.c2**2*np.abs(lo.harmonic("down", theta, 0.0))**2)
-    return (w.A/r_nat)**2*(F*F*ang_F + G*G*ang_G)/hy.ALPHA_FS**3
+    return (F*F*ang_F + G*G*ang_G)/r_nat**2/hy.ALPHA_FS**3
 
 
 def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):

@@ -7,12 +7,14 @@ runtime budgets.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import quatspin
 from quatspin import (
     ALPHA_FS, MC2_EV, Biquaternion, allclose, mul,
     spin_operator, spin_up, spin_down, apply, outer_reconstruct,
@@ -227,11 +229,15 @@ def test_criterion_09_pauli_embedding_isomorphism():
 
 def test_criterion_10_cli_determinism():
     cmd = [sys.executable, "-m", "quatspin", "verify", "--seed", "12345"]
+    # the child finds the package where this process found it
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     runs = []
     slowest = 0.0
     for _ in range(2):
         t0 = time.monotonic()
-        proc = subprocess.run(cmd, capture_output=True, timeout=300)
+        proc = subprocess.run(cmd, capture_output=True, env=env, timeout=300)
         slowest = max(slowest, time.monotonic() - t0)
         assert proc.returncode == 0, proc.stderr.decode()
         runs.append(proc.stdout)

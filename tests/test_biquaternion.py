@@ -1,5 +1,7 @@
 """Core algebra: Hamilton product, conjugations, norms, inverses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,17 @@ def test_coefficient_coercion():
     assert all(isinstance(c, complex) for c in q.coefficients())
     assert q.scalar == 1 + 0j
     assert q.vector == Biquaternion(0, 2.5, 0, -3)
+
+
+def test_scaling_keeps_structural_zeros():
+    # exact scalar zeros stay 0j, even under an infinite or NaN factor;
+    # nonzero coefficients follow complex arithmetic
+    q = Biquaternion(1, 0, 0, 0)*math.inf
+    assert q.q1 == q.q2 == q.q3 == 0j
+    assert all(type(c) is complex for c in q.coefficients()[1:])
+    assert q.q0.real == math.inf
+    assert (E2*math.nan).q0 == 0j
+    arr = E1*np.array([1.0, 2.0])
+    assert arr.q0 == 0j and arr.q2 == 0j and arr.q3 == 0j
+    np.testing.assert_array_equal(arr.q1, [1.0, 2.0])
+    assert allclose(arr + E0, Biquaternion(1, np.array([1.0, 2.0]), 0, 0))

@@ -322,3 +322,29 @@ def test_scipy_loaded_only_on_first_use():
     [(name, code, n_scipy)] = _import_probe(["verify", "--suite",
                                              "hydrogen"])
     assert (name, code) == ("verify", 0) and n_scipy > 0
+
+
+@pytest.mark.parametrize("n, k, z", [(20, -1, 1), (1, -1, 92), (40, -1, 1),
+                                     (60, 30, 92)])
+def test_density_default_grid_is_sized_to_the_state(capsys, n, k, z):
+    code = cli.main(["density", "--n", str(n), "--k", str(k),
+                     "--z", str(z)])
+    captured = capsys.readouterr()
+    rec = json.loads(captured.out)
+    assert code == 0
+    assert rec["params"]["grid"] == f"{max(128, 48 + 6*n)}:{max(32, n + 2)}"
+    assert abs(rec["grid_integral"] - 1.0) <= 1e-6
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_density_warns_when_the_grid_misses(capsys, fmt):
+    code = cli.main(["density", "--n", "20", "--grid", "16:8"] + fmt)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "warning: grid_integral" in captured.err
+    if fmt:
+        assert len(list(csv.DictReader(io.StringIO(captured.out)))) == 128
+    else:
+        rec = json.loads(captured.out)
+        assert abs(rec["grid_integral"] - 1.0) > 1e-6

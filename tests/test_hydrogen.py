@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from quatspin import (
@@ -340,3 +341,90 @@ def test_wavefunction_record_fields():
     assert w.spinor_lower.l == qn.l_lower
     F, G = w.radial(1.0)
     assert np.isfinite(F) and np.isfinite(G)
+
+
+def test_density_separable_inputs_match_points():
+    # the same nodes as a meshgrid, as broadcast axes and point by point;
+    # psi cuts constant axes, which must not change a value or the shape
+    w = assemble_wavefunction(QuantumNumbers(7, 3, -1.5, 20))
+    r = np.linspace(0.05, 6.0, 9)
+    th = np.linspace(0.0, math.pi, 5)
+    R, TH = np.meshgrid(r, th, indexing="ij")
+    mesh = w.density(R, TH, 0.4)
+    axes = w.density(r[:, None], th[None, :], 0.4)
+    points = np.array([[w.density(a, b, 0.4) for b in th] for a in r])
+    assert mesh.shape == axes.shape == (9, 5)
+    np.testing.assert_allclose(mesh, points, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(axes, points, rtol=1e-14, atol=0)
+    # phi varying along a third axis, and inputs constant along every axis
+    PH = np.broadcast_to(np.array([0.4, 2.0])[None, None, :], (9, 5, 2))
+    np.testing.assert_allclose(w.density(R[..., None], TH[..., None], PH),
+                               np.repeat(points[..., None], 2, axis=2),
+                               rtol=1e-14, atol=0)
+    same = w.density(np.full((4, 3), 2.5), np.full((4, 3), 1.1), 0.4)
+    assert same.shape == (4, 3)
+    np.testing.assert_allclose(same, w.density(2.5, 1.1, 0.4), rtol=1e-14)
+    assert same.flags.writeable and mesh.flags.writeable
+    same[0, 0] = -1.0                  # a fresh array, not a broadcast view
+    assert same[1, 1] > 0
+    psi = w.psi(np.full((4, 3), 2.5), 1.1, 0.4)
+    assert all(c.shape == (4, 3) and c.flags.writeable
+               for c in psi.coefficients())
+
+
+def test_laguerre_sees_each_radius_once(monkeypatch):
+    # on an Nr x Ntheta meshgrid the radial recurrences run on Nr nodes
+    import quatspin.hydrogen as hy
+    plain, seen = hy.laguerre, []
+
+    def counting(n, a, x):
+        seen.append(np.size(x))
+        return plain(n, a, x)
+
+    w = assemble_wavefunction(QuantumNumbers(12, -3, 0.5, 20))
+    monkeypatch.setattr(hy, "laguerre", counting)
+    R, TH = np.meshgrid(np.linspace(0.1, 20.0, 40),
+                        np.linspace(0.0, math.pi, 30), indexing="ij")
+    w.density_grid(R, TH)
+    assert seen and max(seen) <= 40
+
+
+@pytest.mark.parametrize("Z", [1, 92])
+def test_density_matches_oracles_at_large_k(Z):
+    # the unnormalized F overflows near rho = s; A F does not
+    w = assemble_wavefunction(QuantumNumbers(150, -150, 0.5, Z))
+    r = w.s/w.C*ALPHA_FS*np.array([0.5, 1.0, 1.5])
+    th = np.array([0.3, 1.2, 2.5])
+    ph = np.array([0.1, 1.0, 4.0])
+    dens = w.density(r, th, ph)
+    assert np.all(np.isfinite(dens)) and np.all(dens > 0)
+    np.testing.assert_allclose(verify.density_oracle(w, r, th), dens,
+                               rtol=1e-12)
+    a, b = verify.amplitude_oracle(w, r, th, ph)
+    np.testing.assert_allclose((np.abs(a)**2 + np.abs(b)**2)/ALPHA_FS**3,
+                               dens, rtol=1e-12)
+
+
+def _valid_state(n, k_pick, mj_pick, Z):
+    ks = [k for k in range(-n, n) if k != 0]
+    k = ks[k_pick % len(ks)]
+    two_j = 2*abs(k) - 1
+    return QuantumNumbers(n, k, (mj_pick % (two_j + 1))*1.0 - two_j/2, Z)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 20), k_pick=st.integers(0, 39),
+       mj_pick=st.integers(0, 39), Z=st.integers(1, 92),
+       u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_density_routes_agree_property(n, k_pick, mj_pick, Z, u):
+    qn = _valid_state(n, k_pick, mj_pick, Z)
+    w = assemble_wavefunction(qn)
+    r = (0.02 + 2.0*u[0])*n*n/Z*np.array([0.5, 1.0, 1.7])
+    th = math.pi*np.array([u[1], 0.5, 1.0 - u[1]/3])
+    ph = 2*math.pi*u[2]
+    grid = w.density(r, th, ph)
+    points = np.array([w.density(a, b, ph) for a, b in zip(r, th)])
+    oracle = verify.density_oracle(w, r, th)
+    scale = max(float(np.max(oracle)), 1e-300)
+    assert np.max(np.abs(grid - points)) <= 1e-13*scale
+    assert np.max(np.abs(grid - oracle)) <= 1e-12*scale

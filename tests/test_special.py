@@ -7,7 +7,9 @@ import pytest
 from scipy.special import eval_genlaguerre, sph_harm_y
 
 from quatspin import laguerre, spherical_harmonic, quadrature_sphere
-from quatspin.special import gauss_laguerre_nodes, gauss_legendre_nodes
+from quatspin.special import (
+    gauss_laguerre_nodes, gauss_legendre_nodes, spherical_harmonics,
+)
 
 
 def test_laguerre_against_scipy():
@@ -125,3 +127,29 @@ def test_gauss_laguerre_nodes(n, alpha):
         gauss_laguerre_nodes(0, alpha)
     with pytest.raises(ValueError):
         gauss_laguerre_nodes(n, -1.0)
+
+
+def test_spherical_harmonic_scalar_and_array_paths_agree():
+    # 0-d angles run the recurrence on Python floats, arrays on numpy
+    rng = np.random.default_rng(11)
+    th = np.concatenate([np.arccos(rng.uniform(-1, 1, 12)), [0.0, math.pi]])
+    ph = np.concatenate([rng.uniform(0, 2*math.pi, 12), [0.5, 2.0]])
+    for l in range(41):
+        for m in range(-l, l + 1):
+            arr = spherical_harmonic(l, m, th, ph)
+            pts = [spherical_harmonic(l, m, float(t), float(p))
+                   for t, p in zip(th, ph)]
+            assert all(type(y) is complex for y in pts)
+            np.testing.assert_allclose(pts, arr, rtol=1e-14, atol=1e-15)
+
+
+def test_shared_column_pass_matches_single_harmonics():
+    th = np.array([0.2, 1.3, 2.9])
+    ph = np.array([0.7, 3.0, 5.5])
+    for m in (-4, 0, 3):
+        ys = spherical_harmonics((0, 2, 4, 5, 9), m, th, ph)
+        for l, y in zip((0, 2, 4, 5, 9), ys):
+            if l < abs(m):
+                assert np.array_equal(y, np.zeros(3))
+            else:
+                assert np.array_equal(y, spherical_harmonic(l, m, th, ph))

@@ -10,6 +10,8 @@ from quatspin import (
     spinor_as_biquaternion, measure_probability,
     ket_to_vector, norm_sq, spherical_harmonic, quadrature_sphere,
 )
+from quatspin.biquaternion import max_dev
+from quatspin.spinor import spinor_biquaternions
 from quatspin.verify import clebsch_oracle
 
 
@@ -130,3 +132,15 @@ def test_measure_probability_rejects_bad_label():
     s = SpinorFunction(1, 1.5, 0.5)
     with pytest.raises(ValueError):
         measure_probability("sideways", s, 0.5, 0.5)
+
+
+def test_spinor_pair_shares_column_passes():
+    # the two spinors of a Dirac state, l and l + 1, from one call
+    up, lo = SpinorFunction(3, 3.5, -1.5), SpinorFunction(4, 3.5, -1.5)
+    th = np.array([0.4, 1.9])
+    ph = np.array([2.2, 0.1])
+    pair = spinor_biquaternions((up, lo), th, ph)
+    for s, q in zip((up, lo), pair):
+        assert max_dev(q, spinor_as_biquaternion(s, th, ph)) == 0.0
+    with pytest.raises(ValueError, match="share m_j"):
+        spinor_biquaternions((up, SpinorFunction(4, 3.5, 0.5)), th, ph)

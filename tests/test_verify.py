@@ -58,3 +58,9 @@ def test_selected_hydrogen_checks():
                  "radial-shape", "probability-shells"):
         res = verify.run_check(name)
         assert res.passed, (name, res.max_dev)
+
+
+def test_wrong_energy_residual_at_the_eigenvalue():
+    # e^{-rho} split off the radial prefactor: rounding at rho = 600 no
+    # longer doubles the residual at the eigenvalue
+    assert verify.run_check("ode-wrong-energy").max_dev <= 7e-6
