@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Biquaternion", "E0", "E1", "E2", "E3",
     "mul", "decompose", "conj_vec", "conj_complex", "conj_both",
@@ -50,6 +48,7 @@ def _coef(x):
         return x
     if isinstance(x, (complex, float, int)):
         return complex(x)
+    import numpy as np
     a = np.asarray(x, dtype=complex)
     return complex(a) if a.ndim == 0 else a
 
@@ -239,12 +238,19 @@ def allclose(a: Biquaternion, b: Biquaternion, tol: float = TOL) -> bool:
     return max_dev(a, b) <= tol
 
 
+def _peak(x) -> float:
+    """max |x| over every element of a scalar or array x."""
+    if isinstance(x, (complex, float)):
+        return float(abs(x))
+    import numpy as np
+    return float(np.max(abs(x)))
+
+
 def max_dev(a: Biquaternion, b: Biquaternion) -> float:
     """Largest absolute componentwise deviation, over every array element."""
-    return max(float(np.max(abs(x - y)))
-               for x, y in zip(a.coefficients(), b.coefficients()))
+    return max(_peak(x - y) for x, y in zip(a.coefficients(), b.coefficients()))
 
 
 def is_real(q: Biquaternion, tol: float = TOL) -> bool:
     """True iff every coefficient has (numerically) zero imaginary part."""
-    return max(float(np.max(abs(c.imag))) for c in q.coefficients()) <= tol
+    return max(_peak(c.imag) for c in q.coefficients()) <= tol

@@ -6,7 +6,9 @@ conjugation), verify (the identity-check suites).  Output is JSON by default,
 CSV with --csv; floats are emitted as shortest-round-trip decimal strings, so
 identical invocations produce byte-identical output; a NaN or infinite
 result is refused by both writers (exit 2, empty stdout).  Timing goes to
-stderr only.
+stderr only.  Building the parser imports nothing numeric; each subcommand
+imports the modules it runs, so energy, spinor and rotate about a named
+axis never load numpy.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
 """
@@ -20,15 +22,6 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
-
-from . import hydrogen as hy
-from . import spin as sp
-from . import verify as vf
-from .biquaternion import max_dev
-from .special import gauss_legendre_nodes
-from .spinor import SpinorFunction, spinor_as_biquaternion, spinor_as_vector
 
 __all__ = ["main", "build_parser"]
 
@@ -92,6 +85,7 @@ def _coeff_pairs(q) -> list[list[float]]:
 # ------------------------------------------------------------------ energy
 
 def _cmd_energy(args, parser) -> int:
+    from .levels import MC2_EV, QuantumNumbers, energy, radial_parameters
     if args.z < 1:
         parser.error("--z must be a positive integer")
     rows = []
@@ -100,14 +94,14 @@ def _cmd_energy(args, parser) -> int:
         for k in args.k:
             row = {"n": n, "k": k}
             try:
-                qn = hy.QuantumNumbers(n, k, 0.5, args.z)
+                qn = QuantumNumbers(n, k, 0.5, args.z)
             except ValueError as exc:
                 row["error"] = str(exc)
                 rows.append(row)
                 continue
-            E = hy.energy(qn)
-            s, C, _ = hy.radial_parameters(qn)
-            scale = hy.MC2_EV if args.units == "ev" else 1.0
+            E = energy(qn)
+            s, C, _ = radial_parameters(qn)
+            scale = MC2_EV if args.units == "ev" else 1.0
             row.update({"j": float(qn.j), "energy": float(E*scale),
                         "binding": float((E - 1.0)*scale),
                         "s": float(s), "C": float(C)})
@@ -143,14 +137,18 @@ def _parse_grid(spec: str, parser) -> tuple[int, int]:
     return nr, nt
 
 
-def _state_or_usage(args, parser) -> hy.QuantumNumbers:
+def _state_or_usage(args, parser):
+    from .levels import QuantumNumbers
     try:
-        return hy.QuantumNumbers(args.n, args.k, args.mj, args.z)
+        return QuantumNumbers(args.n, args.k, args.mj, args.z)
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _cmd_density(args, parser) -> int:
+    import numpy as np
+    from . import hydrogen as hy
+    from .special import gauss_legendre_nodes
     grid = _parse_grid(args.grid, parser) if args.grid is not None else None
     qn = _state_or_usage(args, parser)
     w = hy.assemble_wavefunction(qn)
@@ -169,9 +167,10 @@ def _cmd_density(args, parser) -> int:
     dens = w.density_grid(R, TH)
     cell = 2.0*math.pi*R*R*np.outer(wr, wx)
     total = float(np.sum(dens*cell))
-    rows = [{"r": float(R[i, j]), "theta": float(TH[i, j]),
-             "density": float(dens[i, j]), "cell_weight": float(cell[i, j])}
-            for i in range(n_r) for j in range(n_theta)]
+    rows = [{"r": r_, "theta": t, "density": d, "cell_weight": c}
+            for r_, t, d, c in zip(R.ravel().tolist(), TH.ravel().tolist(),
+                                   dens.ravel().tolist(),
+                                   cell.ravel().tolist())]
     record = {
         "command": "density",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,
@@ -194,6 +193,7 @@ def _cmd_density(args, parser) -> int:
 # ------------------------------------------------------------- probability
 
 def _cmd_probability(args, parser) -> int:
+    from . import hydrogen as hy
     if not (0.0 <= args.r_lo < args.r_hi):
         parser.error("need 0 <= --r-lo < --r-hi")
     qn = _state_or_usage(args, parser)
@@ -224,19 +224,22 @@ def _cmd_probability(args, parser) -> int:
 # ------------------------------------------------------------------ spinor
 
 def _cmd_spinor(args, parser) -> int:
+    from .levels import l_of_k
+    from .spinor import (SpinorFunction, spinor_as_biquaternion,
+                         spinor_components)
     k = args.k
     if k == 0:
         parser.error("--k must be a nonzero integer")
-    l = hy.l_of_k(k)
+    l = l_of_k(k)
     j = abs(k) - 0.5
     try:
         s = SpinorFunction(l, j, args.mj)
     except ValueError as exc:
         parser.error(str(exc))
     th, ph = args.theta, args.phi
-    vec = spinor_as_vector(s, th, ph)
+    up, down = spinor_components(s, th, ph)
     q = spinor_as_biquaternion(s, th, ph)
-    p_up, p_dn = abs(vec[0])**2, abs(vec[1])**2
+    p_up, p_dn = abs(up)**2, abs(down)**2
     record = {
         "command": "spinor",
         "params": {"k": k, "mj": float(args.mj),
@@ -244,8 +247,8 @@ def _cmd_spinor(args, parser) -> int:
         "l": l,
         "j": float(j),
         "coefficients": {"c1": float(s.c1), "c2": float(s.c2)},
-        "component_up": _cpair(vec[0]),
-        "component_down": _cpair(vec[1]),
+        "component_up": _cpair(up),
+        "component_down": _cpair(down),
         "biquaternion": _coeff_pairs(q),
         "p_up": float(p_up),
         "p_down": float(p_dn),
@@ -275,6 +278,7 @@ def _parse_axis(text: str, parser):
     parts = text.split(",")
     if len(parts) != 3:
         parser.error(f"--axis expects x, y, z, or nx,ny,nz; got {text!r}")
+    import numpy as np              # np.linalg.norm: the axis keeps its digits
     try:
         v = np.array([_finite_float(p) for p in parts])
     except argparse.ArgumentTypeError:
@@ -287,6 +291,8 @@ def _parse_axis(text: str, parser):
 
 
 def _cmd_rotate(args, parser) -> int:
+    from . import spin as sp
+    from .biquaternion import max_dev
     target = args.target.lower().lstrip("s")
     if target not in ("x", "y", "z"):
         parser.error(f"--target expects Sx, Sy, or Sz; got {args.target!r}")
@@ -326,6 +332,7 @@ def _cmd_rotate(args, parser) -> int:
 # ------------------------------------------------------------------ verify
 
 def _cmd_verify(args, parser) -> int:
+    from . import verify as vf
     t0 = time.monotonic()
     try:
         results = vf.run_suite(args.suite, seed=args.seed,

@@ -7,15 +7,13 @@ fully normalized associated-Legendre recurrence with the Condon-Shortley
 phase; negative orders go through the conjugation symmetry.  Sphere
 integrals use a Gauss-Legendre x uniform product rule; radial integrals of
 x^alpha e^{-x} times a polynomial use generalized Gauss-Laguerre nodes.
-Nothing here imports scipy.
+Nothing here imports scipy; numpy is imported by the calls that use arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 __all__ = [
     "laguerre", "spherical_harmonic", "spherical_harmonics",
@@ -37,6 +35,7 @@ def laguerre(n: int, alpha: float, x):
     if not alpha > -1:
         raise ValueError(f"superscript must exceed -1, got {alpha!r}")
     n = int(n)
+    import numpy as np
     x = np.asarray(x)
     if n == 0:
         L0 = np.ones_like(x)
@@ -86,9 +85,13 @@ def spherical_harmonics(degrees, m: int, theta, phi) -> list:
     each value is a Python complex.
     """
     ma = abs(m)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if theta.ndim == phi.ndim == 0:
+    point = isinstance(theta, (int, float)) and isinstance(phi, (int, float))
+    if not point:
+        import numpy as np
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        point = theta.ndim == phi.ndim == 0
+    if point:
         theta, phi = float(theta), float(phi)
         x, u = math.cos(theta), abs(math.sin(theta))
         t = 0.0 + ma*phi                # as in 1j*m*phi: no -0.0
@@ -137,6 +140,7 @@ def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
     uniform rule in phi (n_phi nodes, exact for trigonometric polynomials up
     to degree n_phi - 1).  f must broadcast over meshgrid arrays.
     """
+    import numpy as np
     x, w = _leggauss(n_theta)
     theta = np.arccos(x)
     phi = 2*np.pi*np.arange(n_phi)/n_phi
@@ -149,6 +153,7 @@ def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
 def _leggauss(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], memoized per node count
     (read-only arrays: callers share them)."""
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -176,6 +181,7 @@ def gauss_laguerre_nodes(n: int, alpha: float):
     if not alpha > -1:
         raise ValueError(f"superscript must exceed -1, got {alpha!r}")
     n = int(n)
+    import numpy as np
     i = np.arange(1, n)
     off = np.sqrt(i*(i + alpha))
     jacobi = (np.diag(2*np.arange(n) + alpha + 1.0)

@@ -18,15 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .biquaternion import Biquaternion
 from .special import spherical_harmonics
 from .spin import spin_up, spin_down, inner
 
 __all__ = [
-    "SpinorFunction", "clebsch_coefficients", "spinor_as_vector",
-    "spinor_as_biquaternion", "spinor_biquaternions", "measure_probability",
+    "SpinorFunction", "clebsch_coefficients", "spinor_components",
+    "spinor_as_vector", "spinor_as_biquaternion", "spinor_biquaternions",
+    "measure_probability",
 ]
 
 
@@ -90,10 +89,17 @@ class SpinorFunction:
         return spherical_harmonics((self.l,), int(round(m)), theta, phi)[0]
 
 
-def spinor_as_vector(s: SpinorFunction, theta, phi) -> np.ndarray:
-    """Two-component form (C1 Y_l^{m_j-1/2}, C2 Y_l^{m_j+1/2})."""
-    return np.array([s.c1*s.harmonic("up", theta, phi),
-                     s.c2*s.harmonic("down", theta, phi)])
+def spinor_components(s: SpinorFunction, theta, phi) -> tuple:
+    """Two-component form (C1 Y_l^{m_j-1/2}, C2 Y_l^{m_j+1/2}) as a pair;
+    Python complex values at Python-float angles."""
+    return (s.c1*s.harmonic("up", theta, phi),
+            s.c2*s.harmonic("down", theta, phi))
+
+
+def spinor_as_vector(s: SpinorFunction, theta, phi):
+    """spinor_components stacked into one ndarray (leading axis of 2)."""
+    import numpy as np
+    return np.array(spinor_components(s, theta, phi))
 
 
 def spinor_biquaternions(spinors, theta, phi) -> list[Biquaternion]:

@@ -288,20 +288,26 @@ def test_probability_at_large_k(capsys, argv):
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+def loaded():
+    scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    return [len(scipy)] + [m in sys.modules for m in
+                           ("numpy", "quatspin.verify", "quatspin.pauli_dirac")]
+import quatspin
+report = [["import quatspin", 0, *loaded()]]
 from quatspin import cli
-report = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-    report.append([argv[0], code, len(scipy)])
+    report.append([argv[0], code, *loaded()])
 print(json.dumps(report))
 """
 
 
 def _import_probe(*argvs):
-    """Run cli.main on each argv in order in one fresh interpreter; return
-    [command, exit code, number of scipy modules loaded] after each."""
+    """Import quatspin, then run cli.main on each argv in order, in one
+    fresh interpreter.  Returns one row after the import and one after each
+    call: [what ran, exit code, number of scipy modules loaded, numpy
+    loaded, quatspin.verify loaded, quatspin.pauli_dirac loaded]."""
     src = os.path.dirname(os.path.dirname(quatspin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -316,12 +322,33 @@ def test_scipy_loaded_only_on_first_use():
     report = _import_probe(["energy"], ["rotate", "--angle", "1.0"],
                            ["spinor"], ["density"], ["probability"],
                            ["probability", "--r-hi", "1"])
-    assert report == [["energy", 0, 0], ["rotate", 0, 0], ["spinor", 0, 0],
-                      ["density", 0, 0], ["probability", 0, 0],
-                      ["probability", 0, 0]]
-    [(name, code, n_scipy)] = _import_probe(["verify", "--suite",
-                                             "hydrogen"])
+    assert [row[:3] for row in report] == [
+        ["import quatspin", 0, 0], ["energy", 0, 0], ["rotate", 0, 0],
+        ["spinor", 0, 0], ["density", 0, 0], ["probability", 0, 0],
+        ["probability", 0, 0]]
+    [_, (name, code, n_scipy, *_)] = _import_probe(["verify", "--suite",
+                                                    "hydrogen"])
     assert (name, code) == ("verify", 0) and n_scipy > 0
+
+
+def test_numpy_loaded_only_where_arrays_appear():
+    none = [0, False, False, False]
+    numpy = [0, True, False, False]
+    report = _import_probe(["energy", "--units", "ev"],
+                           ["spinor", "--k", "-3", "--mj", "1.5"],
+                           *(["rotate", "--axis", axis, "--angle", "0.7",
+                              "--target", "Sx"] for axis in "xyz"),
+                           ["density", "--grid", "16:8"],
+                           ["probability", "--r-hi", "1"])
+    assert report == [["import quatspin", 0, *none], ["energy", 0, *none],
+                      ["spinor", 0, *none], ["rotate", 0, *none],
+                      ["rotate", 0, *none], ["rotate", 0, *none],
+                      ["density", 0, *numpy], ["probability", 0, *numpy]]
+    [_, row] = _import_probe(["probability"])
+    assert row == ["probability", 0, *numpy]
+    # a generic axis is normalized with numpy, so that its digits stay put
+    [_, row] = _import_probe(["rotate", "--axis", "1,2,2", "--angle", "0.7"])
+    assert row == ["rotate", 0, *numpy]
 
 
 @pytest.mark.parametrize("n, k, z", [(20, -1, 1), (1, -1, 92), (40, -1, 1),

@@ -305,6 +305,24 @@ def test_density_rejects_nonpositive_radius():
             w.density(r, 0.3, 0.0)
     with pytest.raises(ValueError, match="r must be > 0"):
         w.density_grid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    for r in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="r must be > 0"):
+            w.density(r, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("n, k, mj, Z", [(1, -1, 0.5, 1), (7, 3, -1.5, 50),
+                                         (40, -12, 2.5, 92)])
+def test_density_at_infinite_radius_is_the_limit_zero(n, k, mj, Z):
+    w = assemble_wavefunction(QuantumNumbers(n, k, mj, Z))
+    with np.errstate(invalid="raise"):  # no NaN made and hidden on the way
+        assert w.density(math.inf, 1.0, 0.0) == 0.0
+        r = np.array([0.5, 2.0, math.inf])
+        th = np.array([0.3, 2.8])
+        R, TH = np.meshgrid(r, th, indexing="ij")
+        grid = w.density_grid(R, TH)
+    assert grid.shape == (3, 2)
+    assert np.all(grid[2] == 0.0)
+    np.testing.assert_array_equal(grid[:2], w.density_grid(R[:2], TH[:2]))
 
 
 def test_density_grid_matches_pointwise():

@@ -1,0 +1,37 @@
+"""The package namespace: every public name resolves on first access."""
+
+import importlib
+
+import pytest
+
+import quatspin
+
+_SUBMODULES = ("biquaternion", "matrices", "spin", "special", "spinor",
+               "levels", "hydrogen", "pauli_dirac")
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    modules = [importlib.import_module(f"quatspin.{m}") for m in _SUBMODULES]
+    listed = dir(quatspin)
+    for name in quatspin.__all__:
+        assert name in listed
+        if name == "verify":
+            assert quatspin.verify is importlib.import_module(
+                "quatspin.verify")
+            continue
+        homes = [m for m in modules if name in m.__all__]
+        assert homes, name
+        assert all(getattr(quatspin, name) is getattr(m, name)
+                   for m in homes), name
+    assert len(set(quatspin.__all__)) == len(quatspin.__all__)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from quatspin import *", namespace)
+    assert all(namespace[n] is getattr(quatspin, n) for n in quatspin.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quatspin.no_such_name
