@@ -10,7 +10,8 @@ stderr only.  Building the parser imports nothing numeric; each subcommand
 imports the modules it runs, so energy, spinor and rotate about a named
 axis never load numpy.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
+Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
+exits quietly), 2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -145,10 +147,50 @@ def _state_or_usage(args, parser):
         parser.error(str(exc))
 
 
+_DENSITY_JSON_ROW = ('    {\n      "r": %s,\n      "theta": %s,\n'
+                     '      "density": %s,\n      "cell_weight": %s\n    }')
+
+
+def _emit_density(record: dict, r, theta, dens, cell, as_csv: bool) -> None:
+    """Write the density record with one row per (r, theta) node, r outer:
+    the bytes of json.dumps(record + rows, indent=2) + "\n", or of
+    _emit_csv(rows).  Each r, each theta and each density and cell weight is
+    formatted once with repr, the shortest round-trip digits both encoders
+    emit, into a fixed row template; nothing is written before every value
+    has passed the finiteness check."""
+    import numpy as np
+    if as_csv:
+        head, row, sep, tail = ("r,theta,density,cell_weight\n",
+                                "%s,%s,%s,%s", "\n", "\n")
+    else:
+        # json.dumps checks the header's floats; "rows" is the last key, so
+        # the rows go in before the closing brace
+        head = (json.dumps(record, indent=2, allow_nan=False)[:-2]
+                + ',\n  "rows": [\n')
+        row, sep, tail = _DENSITY_JSON_ROW, ",\n", "\n  ]\n}\n"
+    dens, cell = dens.ravel(), cell.ravel()
+    bad = ~(np.isfinite(dens) & np.isfinite(cell))
+    if bad.any():               # the first value either encoder would refuse
+        i = int(bad.argmax())
+        x = float(dens[i] if not np.isfinite(dens[i]) else cell[i])
+        raise ValueError("Out of range float values are not "
+                         f"{'CSV' if as_csv else 'JSON'} compliant: {x!r}")
+    n_theta = len(theta)
+    r_col = [s for x in r.tolist() for s in (repr(x),)*n_theta]
+    theta_col = list(map(repr, theta.tolist()))*len(r)
+    cols = zip(r_col, theta_col, map(repr, dens.tolist()),
+               map(repr, cell.tolist()))
+    sys.stdout.write(head + sep.join(map(row.__mod__, cols)))
+    # the closing bytes get a write of their own: an unbuffered stdout
+    # (python -u) drops the rest of a write cut short by a reader that quit,
+    # and reports the broken pipe only on the next write
+    sys.stdout.write(tail)
+
+
 def _cmd_density(args, parser) -> int:
     import numpy as np
     from . import hydrogen as hy
-    from .special import gauss_legendre_nodes
+    from .special import _leggauss, gauss_legendre_nodes
     grid = _parse_grid(args.grid, parser) if args.grid is not None else None
     qn = _state_or_usage(args, parser)
     w = hy.assemble_wavefunction(qn)
@@ -160,17 +202,13 @@ def _cmd_density(args, parser) -> int:
     if r_max <= 0:
         parser.error("--r-max must be positive")
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    x, wx = _leggauss(n_theta)
     order = np.argsort(-x)                  # theta ascending
     theta, wx = np.arccos(x[order]), wx[order]
     R, TH = np.meshgrid(r, theta, indexing="ij")
     dens = w.density_grid(R, TH)
     cell = 2.0*math.pi*R*R*np.outer(wr, wx)
     total = float(np.sum(dens*cell))
-    rows = [{"r": r_, "theta": t, "density": d, "cell_weight": c}
-            for r_, t, d, c in zip(R.ravel().tolist(), TH.ravel().tolist(),
-                                   dens.ravel().tolist(),
-                                   cell.ravel().tolist())]
     record = {
         "command": "density",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,
@@ -178,12 +216,8 @@ def _cmd_density(args, parser) -> int:
         "units": {"r": "Bohr", "theta": "rad", "density": "per Bohr^3"},
         "energy_mc2": float(w.energy),
         "grid_integral": total,
-        "rows": rows,
     }
-    if args.csv:
-        _emit_csv(rows, ["r", "theta", "density", "cell_weight"])
-    else:
-        _emit_json(record)
+    _emit_density(record, r, theta, dens, cell, args.csv)
     if abs(total - 1.0) > 1e-6:
         print(f"warning: grid_integral = {total!r} misses 1 by more than "
               f"1e-6; enlarge --grid or --r-max", file=sys.stderr)
@@ -461,10 +495,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()      # a failing stdout fails here, not at exit
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # stdout was closed early (a reader such as `head` quit) or refused
+        # the bytes (a full disk); the unwritten rest goes to the null
+        # device so the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -165,6 +165,103 @@ def test_density_csv_refuses_non_finite(capsys):
     assert "error: " in err and "not CSV compliant" in err
 
 
+def test_density_json_refuses_non_finite(capsys):
+    with np.errstate(all="ignore"):
+        code = cli.main(["density", "--r-max", "1e300", "--grid", "4:4"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and "not JSON compliant" in err
+
+
+def _density_dict_rows(params):
+    """The density rows as dicts, rebuilt from a record's params the way the
+    dict-per-row writer built them: the oracle of the row writer."""
+    from quatspin import hydrogen as hy
+    from quatspin.levels import QuantumNumbers
+    from quatspin.special import gauss_legendre_nodes
+    n_r, n_theta = map(int, params["grid"].split(":"))
+    w = hy.assemble_wavefunction(QuantumNumbers(
+        params["n"], params["k"], params["mj"], params["z"]))
+    r, wr = gauss_legendre_nodes(n_r, 0.0, params["r_max"])
+    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    order = np.argsort(-x)
+    theta, wx = np.arccos(x[order]), wx[order]
+    R, TH = np.meshgrid(r, theta, indexing="ij")
+    dens = w.density_grid(R, TH)
+    cell = 2.0*math.pi*R*R*np.outer(wr, wx)
+    return [{"r": r_, "theta": t, "density": d, "cell_weight": c}
+            for r_, t, d, c in zip(R.ravel().tolist(), TH.ravel().tolist(),
+                                   dens.ravel().tolist(),
+                                   cell.ravel().tolist())]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "4:4"],
+    ["--grid", "24:12"],
+    ["--n", "20"],                                  # default grid 168:32
+    ["--z", "92", "--n", "3", "--k", "2", "--mj", "-1.5"],
+    ["--r-max", "400", "--grid", "48:4"],           # subnormals and zeros
+])
+def test_density_rows_match_the_dict_encoders(capsys, argv):
+    code = cli.main(["density", *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    record = json.loads(out)
+    rows = _density_dict_rows(record["params"])
+    assert out == json.dumps(record | {"rows": rows}, indent=2,
+                             allow_nan=False) + "\n"
+    if "400" in argv:
+        d = [row["density"] for row in rows]
+        assert 0.0 in d and any(0 < x < sys.float_info.min for x in d)
+
+    code = cli.main(["density", "--csv", *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: repr(v) for k, v in row.items()} for row in rows)
+    assert out == buf.getvalue()
+
+
+def _child_env():
+    """os.environ with this quatspin's source directory on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _cli_subprocess(argv, stdout):
+    return subprocess.Popen([sys.executable, "-m", "quatspin", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE,
+                            env=_child_env())
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_closed_stdout_pipe_exits_one_quietly(fmt):
+    # the output (~850 kB) outgrows the pipe, so the writer is still
+    # writing when the reader quits, as `quatspin density --n 20 | head`
+    proc = _cli_subprocess(["density", "--n", "20", *fmt], subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["density", "--n", "2"], ["energy"]])
+def test_full_stdout_device_is_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = _cli_subprocess(argv, full)
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_spinor_worked_example(capsys):
     code, rec = _run_json(capsys, "spinor", "--k", "-3", "--mj", "1.5",
                           "--theta", "0.8", "--phi", "0.3")
@@ -308,12 +405,9 @@ def _import_probe(*argvs):
     fresh interpreter.  Returns one row after the import and one after each
     call: [what ran, exit code, number of scipy modules loaded, numpy
     loaded, quatspin.verify loaded, quatspin.pauli_dirac loaded]."""
-    src = os.path.dirname(os.path.dirname(quatspin.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(argvs)],
-                          capture_output=True, env=env, timeout=300)
+                          capture_output=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout)
 
