@@ -36,7 +36,7 @@ __all__ = [
     "Biquaternion", "E0", "E1", "E2", "E3",
     "mul", "decompose", "conj_vec", "conj_complex", "conj_both",
     "norm_sq", "quadratic_form", "inverse", "is_zero_divisor",
-    "allclose", "is_real",
+    "allclose",
 ]
 
 TOL = 1e-12
@@ -250,7 +250,3 @@ def max_dev(a: Biquaternion, b: Biquaternion) -> float:
     """Largest absolute componentwise deviation, over every array element."""
     return max(_peak(x - y) for x, y in zip(a.coefficients(), b.coefficients()))
 
-
-def is_real(q: Biquaternion, tol: float = TOL) -> bool:
-    """True iff every coefficient has (numerically) zero imaginary part."""
-    return max(_peak(c.imag) for c in q.coefficients()) <= tol

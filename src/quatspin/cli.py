@@ -87,7 +87,7 @@ def _coeff_pairs(q) -> list[list[float]]:
 # ------------------------------------------------------------------ energy
 
 def _cmd_energy(args, parser) -> int:
-    from .levels import MC2_EV, QuantumNumbers, energy, radial_parameters
+    from .levels import MC2_EV, QuantumNumbers, _level
     if args.z < 1:
         parser.error("--z must be a positive integer")
     rows = []
@@ -101,12 +101,11 @@ def _cmd_energy(args, parser) -> int:
                 row["error"] = str(exc)
                 rows.append(row)
                 continue
-            E = energy(qn)
-            s, C, _ = radial_parameters(qn)
+            lv = _level(qn)
             scale = MC2_EV if args.units == "ev" else 1.0
-            row.update({"j": float(qn.j), "energy": float(E*scale),
-                        "binding": float((E - 1.0)*scale),
-                        "s": float(s), "C": float(C)})
+            row.update({"j": float(qn.j), "energy": float(lv.E*scale),
+                        "binding": float(-lv.eps*scale),
+                        "s": float(lv.s), "C": float(lv.C)})
             rows.append(row)
             n_valid += 1
     record = {
@@ -207,8 +206,10 @@ def _cmd_density(args, parser) -> int:
     theta, wx = np.arccos(x[order]), wx[order]
     R, TH = np.meshgrid(r, theta, indexing="ij")
     dens = w.density_grid(R, TH)
-    cell = 2.0*math.pi*R*R*np.outer(wr, wx)
-    total = float(np.sum(dens*cell))
+    # a huge --r-max overflows here; the writer refuses it with one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell = 2.0*math.pi*R*R*np.outer(wr, wx)
+        total = float(np.sum(dens*cell))
     record = {
         "command": "density",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,

@@ -6,9 +6,10 @@ energies in units of the electron rest energy mc^2.  Public radial arguments
 are in Bohr radii (r_natural = r_bohr / alpha); energies convert to eV via
 mc^2 = 510998.95 eV.
 
-The quantum numbers (n, k, m_j, Z) and the Sommerfeld energy E live in
-levels, which needs no numpy; they are re-exported here.  With
-C = sqrt(1 - E^2), rho = C r, W = (s - kE)/C, Z alpha = za, the
+The quantum numbers (n, k, m_j, Z), the Sommerfeld energy E and the
+level's radial parameters (levels._level: s, E, 1 - E, C = sqrt(1 - E^2),
+s - k, W = (s - kE)/C, Z alpha = za) live in levels, which needs no numpy;
+every function here reads them from that one record.  With rho = C r, the
 radial pair
 
     F(rho) = A rho^s e^{-rho} [ za 2rho L_{n_r-1}^{(2s+1)}(2rho)
@@ -45,8 +46,9 @@ import numpy as np
 
 from .biquaternion import Biquaternion, mul, conj_both, norm_sq
 from .levels import (
-    ALPHA_FS, MC2_EV, QuantumNumbers, l_of_k, sommerfeld_energy, energy,
-    energy_ev, binding_energy_ev, radial_parameters,
+    ALPHA_FS, MC2_EV, QuantumNumbers, _level, _Level, l_of_k,
+    sommerfeld_energy, energy, energy_ev, binding_energy_ev,
+    radial_parameters,
 )
 from .special import gauss_laguerre_nodes, gauss_legendre_nodes, laguerre
 from .spinor import SpinorFunction, spinor_biquaternions
@@ -68,19 +70,16 @@ def _lag(n: int, a: float, x):
     return laguerre(n, a, x)
 
 
-def _brackets(n: int, k: int, Z: int, E: float, x):
+def _brackets(lv: _Level, x):
     """Laguerre brackets (P, Q) at x = 2 rho, so that F = rho^s e^{-rho} P
     and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x."""
-    za = Z*ALPHA_FS
-    s = math.sqrt(k*k - za*za)
-    W = (s - k*E)/math.sqrt(1.0 - E*E)
-    nr = n - abs(k)
-    L1 = _lag(nr - 1, 2*s + 1, x)
-    L2 = _lag(nr, 2*s - 1, x)
-    return za*x*L1 + (s - k)*W*L2, (s - k)*x*L1 + za*W*L2
+    nr = lv.n - abs(lv.k)
+    L1 = _lag(nr - 1, 2*lv.s + 1, x)
+    L2 = _lag(nr, 2*lv.s - 1, x)
+    return lv.za*x*L1 + lv.sk*lv.W*L2, lv.sk*x*L1 + lv.za*lv.W*L2
 
 
-def _radial_FG(n: int, k: int, Z: int, E: float, rho, A: float = 1.0):
+def _radial_FG(lv: _Level, rho, A: float = 1.0):
     """Closed-form (F, G) at dimensionless rho (vectorized), times the
     normalization A (1: unnormalized).  A 0-d rho whose prefactor splits
     (below) runs on Python floats and gives floats.
@@ -92,8 +91,7 @@ def _radial_FG(n: int, k: int, Z: int, E: float, rho, A: float = 1.0):
     rho^s alone leaves the float range.  At rho = inf (F, G) is the limit
     0.
     """
-    za = Z*ALPHA_FS
-    s = math.sqrt(k*k - za*za)
+    s = lv.s
     log_a = math.log(A)
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 0:
@@ -104,7 +102,7 @@ def _radial_FG(n: int, k: int, Z: int, E: float, rho, A: float = 1.0):
         exp = np.exp
     if hi == math.inf:      # e^{-rho} beats every power of rho: the limit is 0
         finite = rho < hi
-        F, G = _radial_FG(n, k, Z, E, np.where(finite, rho, 0.0), A)
+        F, G = _radial_FG(lv, np.where(finite, rho, 0.0), A)
         return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
     # each condition of _split_ok is monotone or concave in rho, so it holds
     # on every node when it holds at both ends
@@ -118,7 +116,7 @@ def _radial_FG(n: int, k: int, Z: int, E: float, rho, A: float = 1.0):
             pref = np.where(_split_ok(log_a, log_rs, rho),
                             A*rho**s*np.exp(-rho),
                             np.exp(log_a + log_rs - rho))
-    P, Q = _brackets(n, k, Z, E, 2*rho)
+    P, Q = _brackets(lv, 2*rho)
     return pref*P, -pref*Q
 
 
@@ -145,7 +143,7 @@ def _trim(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _log_radial_norm_sq(n: int, k: int, Z: int, E: float) -> float:
+def _log_radial_norm_sq(lv: _Level) -> float:
     """Log of the integral of F^2 + G^2 over r in natural units, exact up
     to rounding.
 
@@ -155,26 +153,25 @@ def _log_radial_norm_sq(n: int, k: int, Z: int, E: float) -> float:
     taken in log form: the far weights underflow where the brackets are
     large, and for large |k| the integral itself exceeds the float range.
     """
-    za = Z*ALPHA_FS
-    s = math.sqrt(k*k - za*za)
-    x, log_w = gauss_laguerre_nodes(n - abs(k) + 2, 2*s)
-    P, Q = _brackets(n, k, Z, E, x)
+    s = lv.s
+    x, log_w = gauss_laguerre_nodes(lv.n - abs(lv.k) + 2, 2*s)
+    P, Q = _brackets(lv, x)
     with np.errstate(divide="ignore"):  # a bracket zero at a node adds 0
         log_terms = log_w + 2*np.log(np.hypot(P, Q))
     top = float(np.max(log_terms))
     return (top + math.log(float(np.sum(np.exp(log_terms - top))))
-            - (2*s + 1)*math.log(2.0) - 0.5*math.log(1.0 - E*E))
+            - (2*s + 1)*math.log(2.0) - 0.5*math.log(1.0 - lv.E*lv.E))
 
 
 def radial_F(qn: QuantumNumbers, rho):
     """Large radial component F(rho), unnormalized closed form."""
-    F, _ = _radial_FG(qn.n, qn.k, qn.Z, energy(qn), rho)
+    F, _ = _radial_FG(_level(qn), rho)
     return F
 
 
 def radial_G(qn: QuantumNumbers, rho):
     """Small radial component G(rho), unnormalized closed form."""
-    _, G = _radial_FG(qn.n, qn.k, qn.Z, energy(qn), rho)
+    _, G = _radial_FG(_level(qn), rho)
     return G
 
 
@@ -193,13 +190,10 @@ def system_residual(qn: QuantumNumbers, E: float, F_fn, G_fn, r_grid):
         raise ValueError("grid must be a 1-d array")
     if not (np.all(r_au > 0) and np.all(np.diff(r_au) > 0)):
         raise ValueError("grid must be strictly positive and ascending")
-    if not 0.0 < E < 1.0:
-        raise ValueError(f"bound state requires 0 < E < mc^2, got E = {E!r}")
+    lv = _level(qn, E)
+    za, k = lv.za, lv.k
     r = r_au/ALPHA_FS
-    C = math.sqrt(1.0 - E*E)
-    za = qn.Z*ALPHA_FS
-    k = qn.k
-    h = np.minimum(8e-4/C, 0.01*r)
+    h = np.minimum(8e-4/lv.C, 0.01*r)
     F_st = [F_fn(r + m*h) for m in (-2, -1, 1, 2)]
     G_st = [G_fn(r + m*h) for m in (-2, -1, 1, 2)]
     dF = (-F_st[3] + 8*F_st[2] - 8*F_st[1] + F_st[0])/(12*h)
@@ -207,8 +201,8 @@ def system_residual(qn: QuantumNumbers, E: float, F_fn, G_fn, r_grid):
     Fv, Gv = F_fn(r), G_fn(r)
     t1 = dF + (k/r)*Fv - (1 + E + za/r)*Gv
     n1 = np.abs(dF) + np.abs((k/r)*Fv) + np.abs((1 + E + za/r)*Gv)
-    t2 = dG - (k/r)*Gv + (E - 1 + za/r)*Fv
-    n2 = np.abs(dG) + np.abs((k/r)*Gv) + np.abs((E - 1 + za/r)*Fv)
+    t2 = dG - (k/r)*Gv + (-lv.eps + za/r)*Fv
+    n2 = np.abs(dG) + np.abs((k/r)*Gv) + np.abs((-lv.eps + za/r)*Fv)
     # keep the floor strictly positive even for identically-zero inputs
     floor = max(1e-200*max(float(n1.max()), float(n2.max())), 2.3e-308)
     res1 = np.where(n1 > floor, np.abs(t1)/np.maximum(n1, floor), 0.0)
@@ -223,15 +217,13 @@ def ode_residual(qn: QuantumNumbers, E: float, r_grid):
     eigenvalue: the residual then grows by orders of magnitude, which is the
     eigenvalue-sensitivity probe).
     """
-    C = math.sqrt(1.0 - E*E) if 0.0 < E < 1.0 else None
-    if C is None:
-        raise ValueError(f"bound state requires 0 < E < mc^2, got E = {E!r}")
+    lv = _level(qn, E)
 
     def F_fn(r):
-        return _radial_FG(qn.n, qn.k, qn.Z, E, C*r)[0]
+        return _radial_FG(lv, lv.C*r)[0]
 
     def G_fn(r):
-        return _radial_FG(qn.n, qn.k, qn.Z, E, C*r)[1]
+        return _radial_FG(lv, lv.C*r)[1]
 
     return system_residual(qn, E, F_fn, G_fn, r_grid)
 
@@ -310,17 +302,27 @@ class WaveFunction:
     """Assembled bound-state wavefunction Psi = (A/r)(F y_up + i G y_low)."""
 
     qn: QuantumNumbers
-    energy: float
-    s: float
-    C: float
+    level: _Level
     A: float
     spinor_upper: SpinorFunction
     spinor_lower: SpinorFunction
 
+    @property
+    def energy(self) -> float:
+        return self.level.E
+
+    @property
+    def s(self) -> float:
+        return self.level.s
+
+    @property
+    def C(self) -> float:
+        return self.level.C
+
     def radial(self, r_au):
         """Unnormalized closed-form (F, G) at radii in Bohr."""
         rho = self.C*np.asarray(r_au, dtype=float)/ALPHA_FS
-        return _radial_FG(self.qn.n, self.qn.k, self.qn.Z, self.energy, rho)
+        return _radial_FG(self.level, rho)
 
     def psi(self, r_au, theta, phi) -> Biquaternion:
         """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
@@ -346,8 +348,7 @@ class WaveFunction:
             r_min = r.min()
         if not r_min > 0:               # also rejects NaN
             raise ValueError("r must be > 0")
-        F, G = _radial_FG(self.qn.n, self.qn.k, self.qn.Z, self.energy,
-                          self.C*r/ALPHA_FS, self.A)
+        F, G = _radial_FG(self.level, self.C*r/ALPHA_FS, self.A)
         pref = ALPHA_FS/r
         f, g = pref*F, 1j*pref*G
         y_up, y_lo = spinor_biquaternions(
@@ -389,15 +390,14 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
     sphere-normalized, so this is the whole Born integral), evaluated
     exactly by Gauss-Laguerre quadrature.
     """
-    E = energy(qn)
-    s, C, _ = radial_parameters(qn, E)
-    A = math.exp(-0.5*_log_radial_norm_sq(qn.n, qn.k, qn.Z, E))
+    lv = _level(qn)
+    A = math.exp(-0.5*_log_radial_norm_sq(lv))
     if A == 0.0:
         raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
                          f"the float range")
     j = qn.j
     return WaveFunction(
-        qn=qn, energy=E, s=s, C=C, A=A,
+        qn=qn, level=lv, A=A,
         spinor_upper=SpinorFunction(qn.l_upper, j, qn.m_j),
         spinor_lower=SpinorFunction(qn.l_lower, j, qn.m_j),
     )
@@ -427,8 +427,7 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     t_c, w_c = gauss_legendre_nodes(nodes, 0.0, 1.0)
     t_f, w_f = gauss_legendre_nodes(nodes + nodes//4, 0.0, 1.0)
     t = np.concatenate((t_c, t_f))      # both rules in one evaluation
-    F, G = _radial_FG(w.qn.n, w.qn.k, w.qn.Z, w.energy,
-                      w.C*(lo + (hi - lo)*t*t), w.A)
+    F, G = _radial_FG(w.level, w.C*(lo + (hi - lo)*t*t), w.A)
     terms = 2.0*(hi - lo)*t*(F*F + G*G)       # dr = 2 (hi - lo) t dt
     coarse = float(np.dot(w_c, terms[:nodes]))
     val = float(np.dot(w_f, terms[nodes:]))

@@ -7,12 +7,16 @@ j = |k| - 1/2.  The radial index n_r = n - |k| counts Laguerre degrees, and
 n = |k| requires k < 0.  Energies are in units of mc^2 = 510998.95 eV:
 
     E = [1 + (Z alpha / (n_r + s))^2]^{-1/2},   s = sqrt(k^2 - (Z alpha)^2).
+
+_level derives a level's radial parameters once; every radial function, the
+wavefunction and the energy table read them from its record.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 __all__ = [
@@ -117,16 +121,31 @@ def energy_ev(qn: QuantumNumbers) -> float:
 
 def binding_energy_ev(qn: QuantumNumbers) -> float:
     """E - mc^2 in eV (negative for bound states)."""
-    return (energy(qn) - 1.0)*MC2_EV
+    return -_level(qn).eps*MC2_EV
 
 
-def radial_parameters(qn: QuantumNumbers, E: float | None = None):
+def radial_parameters(qn: QuantumNumbers):
     """(s, C, scale): exponent s, decay constant C = sqrt(1 - E^2) in natural
     units, and scale = C/alpha = rho per Bohr radius."""
+    lv = _level(qn)
+    return lv.s, lv.C, lv.C/ALPHA_FS
+
+
+# a level's radial parameters: za = Z alpha, s = sqrt(k^2 - za^2), the
+# energy E, eps = 1 - E, C = sqrt(1 - E^2), sk = s - k, W = (s - kE)/C
+_Level = namedtuple("_Level", "n k za s E eps C sk W")
+
+
+def _level(qn: QuantumNumbers, E: float | None = None) -> _Level:
+    """The radial parameters of qn at its Sommerfeld energy, or at an
+    explicit E (the off-shell probe of ode_residual).  Raises ValueError
+    unless 0 < E < 1."""
     if E is None:
         E = energy(qn)
     if not 0.0 < E < 1.0:
         raise ValueError(f"bound state requires 0 < E < mc^2, got E = {E!r}")
-    s = math.sqrt(qn.k*qn.k - (qn.Z*ALPHA_FS)**2)
+    za = qn.Z*ALPHA_FS
+    s = math.sqrt(qn.k*qn.k - za*za)
     C = math.sqrt(1.0 - E*E)
-    return s, C, C/ALPHA_FS
+    return _Level(qn.n, qn.k, za, s, E, 1.0 - E, C, s - qn.k,
+                  (s - qn.k*E)/C)

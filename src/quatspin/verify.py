@@ -79,14 +79,14 @@ def check_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def run_check(name: str, samples: int | None = None,
-              seed: int = 12345, tol_scale: float = 1.0) -> CheckResult:
+def run_check(name: str, seed: int = 12345,
+              tol_scale: float = 1.0) -> CheckResult:
     """Run one registered check with a fresh seeded generator."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(_REGISTRY)}")
     suite, tol, fn = _REGISTRY[name]
     rng = np.random.default_rng(seed)
-    out = fn(rng, samples)
+    out = fn(rng)
     dev, detail = out if isinstance(out, tuple) else (out, "")
     tol = tol*tol_scale
     return CheckResult(name, suite, float(dev), tol, bool(dev <= tol), detail)
@@ -109,6 +109,12 @@ def _bq(c) -> Biquaternion:
     """Biquaternion from 8 reals on the last axis (re, im of q0..q3)."""
     return Biquaternion(c[..., 0] + 1j*c[..., 1], c[..., 2] + 1j*c[..., 3],
                         c[..., 4] + 1j*c[..., 5], c[..., 6] + 1j*c[..., 7])
+
+
+def _prepend(fixed, batch: Biquaternion) -> Biquaternion:
+    """One 1-d batch: the scalar biquaternions in fixed, then batch."""
+    return Biquaternion(*(np.concatenate((f, b)) for f, b in zip(
+        zip(*(p.coefficients() for p in fixed)), batch.coefficients())))
 
 
 def _real_quat(c) -> Biquaternion:
@@ -169,7 +175,7 @@ def clebsch_oracle(l: int, j: float, m_j: float) -> tuple[float, float]:
 # ---------------------------------------------------------------- algebra
 
 @_register("hamilton-table", "algebra", 1e-15)
-def _chk_hamilton(rng, samples):
+def _chk_hamilton(rng):
     """All 16 unit products against the matrix representation."""
     dev = 0.0
     for a in _UNITS:
@@ -184,22 +190,21 @@ def _chk_hamilton(rng, samples):
 
 
 @_register("product-associativity", "algebra", 1e-12)
-def _chk_assoc(rng, samples):
-    n = samples or 1000
+def _chk_assoc(rng):
+    n = 1000
     x = rng.standard_normal((n, 3, 8))
     a, b, c = _bq(x[:, 0]), _bq(x[:, 1]), _bq(x[:, 2])
     return max_dev(mul(mul(a, b), c), mul(a, mul(b, c))), f"{n} random triples"
 
 
 @_register("noncommutativity", "algebra", 1e-15)
-def _chk_noncomm(rng, samples):
+def _chk_noncomm(rng):
     return max_dev(mul(E1, E2), -mul(E2, E1)), "e1 e2 = -e2 e1"
 
 
 @_register("decompose-recombine", "algebra", 1e-13)
-def _chk_decompose(rng, samples):
-    n = samples or 300
-    c = rng.standard_normal((n, 2, 8))
+def _chk_decompose(rng):
+    c = rng.standard_normal((300, 2, 8))
     a, b = _bq(c[:, 0]), _bq(c[:, 1])
     sc, vec = decompose(a, b)
     dot = a.q1*b.q1 + a.q2*b.q2 + a.q3*b.q3
@@ -213,9 +218,8 @@ def _chk_decompose(rng, samples):
 
 
 @_register("conjugation-involutions", "algebra", 1e-15)
-def _chk_conj_inv(rng, samples):
-    n = samples or 200
-    q = _bq(rng.standard_normal((n, 8)))
+def _chk_conj_inv(rng):
+    q = _bq(rng.standard_normal((200, 8)))
     dev = max(max_dev(conj_vec(conj_vec(q)), q),
               max_dev(conj_complex(conj_complex(q)), q),
               max_dev(conj_both(q), conj_vec(conj_complex(q))))
@@ -224,9 +228,8 @@ def _chk_conj_inv(rng, samples):
 
 
 @_register("conjugation-anti-automorphism", "algebra", 1e-12)
-def _chk_conj_anti(rng, samples):
-    n = samples or 300
-    c = rng.standard_normal((n, 2, 8))
+def _chk_conj_anti(rng):
+    c = rng.standard_normal((300, 2, 8))
     a, b = _bq(c[:, 0]), _bq(c[:, 1])
     dev = max(max_dev(conj_vec(mul(a, b)), mul(conj_vec(b), conj_vec(a))),
               max_dev(conj_both(mul(a, b)), mul(conj_both(b), conj_both(a))))
@@ -234,9 +237,8 @@ def _chk_conj_anti(rng, samples):
 
 
 @_register("norm-eight-vector", "algebra", 1e-14)
-def _chk_norm8(rng, samples):
-    n = samples or 300
-    c = rng.standard_normal((n, 8))
+def _chk_norm8(rng):
+    c = rng.standard_normal((300, 8))
     q = _bq(c)
     eight = np.sum(c*c, axis=-1)
     scale = np.maximum(eight, 1.0)
@@ -247,9 +249,8 @@ def _chk_norm8(rng, samples):
 
 
 @_register("real-norm-multiplicativity", "algebra", 1e-12)
-def _chk_norm_mult(rng, samples):
-    n = samples or 300
-    c = rng.standard_normal((n, 2, 4))
+def _chk_norm_mult(rng):
+    c = rng.standard_normal((300, 2, 4))
     a, b = _real_quat(c[:, 0]), _real_quat(c[:, 1])
     lhs = norm_sq(mul(a, b))
     rhs = norm_sq(a)*norm_sq(b)
@@ -258,10 +259,9 @@ def _chk_norm_mult(rng, samples):
 
 
 @_register("inverse-roundtrip", "algebra", 1e-12)
-def _chk_inverse(rng, samples):
-    n = samples or 200
+def _chk_inverse(rng):
     dev = 0.0
-    for _ in range(n):
+    for _ in range(200):
         q = _real_quat(rng.standard_normal(4))
         dev = max(dev, max_dev(mul(q, inverse(q)), E0))
         p = _bq(rng.standard_normal(8))
@@ -278,8 +278,7 @@ def _chk_inverse(rng, samples):
 
 
 @_register("zero-divisor-detection", "algebra", 1e-15)
-def _chk_zero_div(rng, samples):
-    n = samples or 200
+def _chk_zero_div(rng):
     idem = Biquaternion(0.5, 0.5j, 0, 0)       # (1/2)(e0 + i e1)
     q_up = sp.spin_up().value                   # (1/sqrt2)(e0 - i e1)
     bad = 0
@@ -288,7 +287,7 @@ def _chk_zero_div(rng, samples):
     bad += not is_zero_divisor(q_up)            # quadratic form is exactly 0
     bad += abs(quadratic_form(q_up)) > 1e-15
     bad += norm_sq(mul(q_up, conj_vec(q_up))) > 1e-28
-    for _ in range(n):
+    for _ in range(200):
         r = _bq(rng.standard_normal(8))
         prod = mul(idem, r)
         if norm_sq(prod) > 1e-12:
@@ -300,8 +299,8 @@ def _chk_zero_div(rng, samples):
 
 
 @_register("homomorphism", "algebra", 1e-12)
-def _chk_homomorphism(rng, samples):
-    n = samples or 1000
+def _chk_homomorphism(rng):
+    n = 1000
     c = rng.standard_normal((n, 2, 8))
     a, b = _bq(c[:, 0]), _bq(c[:, 1])
     dev = _mdev(to_matrix_linear(mul(a, b)),
@@ -310,8 +309,8 @@ def _chk_homomorphism(rng, samples):
 
 
 @_register("matrix-roundtrip", "algebra", 1e-14)
-def _chk_roundtrip(rng, samples):
-    n = samples or 300
+def _chk_roundtrip(rng):
+    n = 300
     c = rng.standard_normal((n, 16))
     q = _bq(c[:, :8])
     m = c[:, 8:12].reshape(n, 2, 2) + 1j*c[:, 12:].reshape(n, 2, 2)
@@ -321,9 +320,8 @@ def _chk_roundtrip(rng, samples):
 
 
 @_register("paper-map-subspace", "algebra", 1e-14)
-def _chk_paper_map(rng, samples):
-    n = samples or 300
-    c = rng.standard_normal((n, 5)).T
+def _chk_paper_map(rng):
+    c = rng.standard_normal((300, 5)).T
     q = Biquaternion(c[0] + 1j*c[1], 1j*c[2], 1j*c[3], 1j*c[4])
     dev = _mdev(to_matrix_paper(q), to_matrix_linear(q))
     for axis in ("x", "y", "z", "identity"):
@@ -335,14 +333,13 @@ def _chk_paper_map(rng, samples):
 
 
 @_register("ks-form", "algebra", 1e-14)
-def _chk_ks(rng, samples):
-    n = samples or 300
+def _chk_ks(rng):
     dev = _mdev(to_matrix_ks(E2), np.array([[0, 1], [-1, 0]]))
     sample = Biquaternion(1, 2, 3, 4)
     dev = max(dev, _mdev(to_matrix_ks(sample),
                          np.array([[1 + 2j, 3 + 4j], [-3 + 4j, 1 - 2j]])))
     dev = max(dev, _mdev(to_matrix_ks(E0), IDENTITY2))
-    q = _real_quat(rng.standard_normal((n, 4)))
+    q = _real_quat(rng.standard_normal((300, 4)))
     det = np.linalg.det(to_matrix_ks(q))
     dev = max(dev, _amax(abs(det - norm_sq(q))/np.maximum(norm_sq(q), 1.0)))
     return dev, "z/w block form and det = |q|^2 on real quaternions"
@@ -365,7 +362,7 @@ def _eigen_dev(axis: str, targets) -> float:
 
 
 @_register("eigen-x", "spin", 1e-14)
-def _chk_eigen_x(rng, samples):
+def _chk_eigen_x(rng):
     up, dn = sp.spin_up(), sp.spin_down()
     h2 = sp.HBAR/2
     return _eigen_dev("x", [(up, dn.value*h2), (dn, up.value*h2)]), \
@@ -373,7 +370,7 @@ def _chk_eigen_x(rng, samples):
 
 
 @_register("eigen-y", "spin", 1e-14)
-def _chk_eigen_y(rng, samples):
+def _chk_eigen_y(rng):
     up, dn = sp.spin_up(), sp.spin_down()
     h2 = sp.HBAR/2
     return _eigen_dev("y", [(up, dn.value*(1j*h2)), (dn, up.value*(-1j*h2))]), \
@@ -381,7 +378,7 @@ def _chk_eigen_y(rng, samples):
 
 
 @_register("eigen-z", "spin", 1e-14)
-def _chk_eigen_z(rng, samples):
+def _chk_eigen_z(rng):
     up, dn = sp.spin_up(), sp.spin_down()
     h2 = sp.HBAR/2
     return _eigen_dev("z", [(up, up.value*h2), (dn, dn.value*(-h2))]), \
@@ -389,7 +386,7 @@ def _chk_eigen_z(rng, samples):
 
 
 @_register("pauli-products", "spin", 1e-14)
-def _chk_pauli_products(rng, samples):
+def _chk_pauli_products(rng):
     dev = 0.0
     for a in "xyz":
         for b in "xyz":
@@ -404,15 +401,14 @@ def _chk_pauli_products(rng, samples):
 
 
 @_register("orthonormality", "spin", 1e-14)
-def _chk_orthonormality(rng, samples):
-    n = samples or 100
+def _chk_orthonormality(rng):
     up, dn = sp.spin_up(), sp.spin_down()
     dev = abs(sp.inner(up, up) - 1)
     dev = max(dev, abs(sp.inner(dn, dn) - 1))
     dev = max(dev, abs(sp.inner(up, dn)), abs(sp.inner(dn, up)))
     both = sp.superposition(1, 1)
     dev = max(dev, abs(sp.inner(both, up) - math.sqrt(0.5)))
-    for _ in range(n):
+    for _ in range(100):
         a = sp.superposition(*(rng.standard_normal(4) @
                                np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])))
         b = sp.superposition(*(rng.standard_normal(4) @
@@ -426,7 +422,7 @@ def _chk_orthonormality(rng, samples):
 
 
 @_register("outer-products", "spin", 1e-14)
-def _chk_outer(rng, samples):
+def _chk_outer(rng):
     up, dn = sp.spin_up(), sp.spin_down()
     dev = max_dev(sp.outer_reconstruct("Sz"), sp.pauli_quaternion("z"))
     dev = max(dev, max_dev(sp.outer_reconstruct("Sx"), sp.pauli_quaternion("x")))
@@ -443,27 +439,23 @@ def _chk_outer(rng, samples):
 
 
 @_register("ket-map-compatibility", "spin", 1e-14)
-def _chk_ket_compat(rng, samples):
-    n = samples or 100
-    dev = 0.0
-    states = [sp.spin_up().value, sp.spin_down().value]
-    ops = [sp.pauli_quaternion(a) for a in "xyz"]
-    for _ in range(n):
-        states.append(_bq(rng.standard_normal(8)))
-        ops.append(_bq(rng.standard_normal(8)))
-    for S in ops[:20]:
-        for q in states[:20]:
-            lhs = ket_to_vector(mul(S, q))
-            rhs = to_matrix_linear(S) @ ket_to_vector(q)
-            dev = max(dev, _mdev(lhs, rhs))
-    dev = max(dev, _mdev(ket_to_vector(sp.spin_up().value), [1, 0]))
-    dev = max(dev, _mdev(ket_to_vector(sp.spin_down().value), [0, 1]))
-    dev = max(dev, _mdev(ket_to_vector(Biquaternion()), [0, 0]))
+def _chk_ket_compat(rng):
+    # 20 states (the basis kets, then 18 draws) against 20 operators (the
+    # Pauli quaternions, then 17 draws): all 400 pairs in one batch
+    c = rng.standard_normal((18, 2, 8))      # (state, operator) per draw
+    q = _prepend((sp.spin_up().value, sp.spin_down().value), _bq(c[:, 0]))
+    S = _prepend([sp.pauli_quaternion(a) for a in "xyz"], _bq(c[:17, 1]))
+    kets = ket_to_vector(q)                             # (20, 2)
+    S_col = Biquaternion(*(x[:, None] for x in S.coefficients()))
+    lhs = ket_to_vector(mul(S_col, q))                  # (20, 20, 2)
+    rhs = (to_matrix_linear(S)[:, None] @ kets[..., None])[..., 0]
+    dev = max(_mdev(lhs, rhs), _mdev(kets[:2], IDENTITY2),
+              _mdev(ket_to_vector(Biquaternion()), [0, 0]))
     return dev, "ket(S q) = M(S) ket(q); basis kets map to (1,0), (0,1)"
 
 
 @_register("ladder-algebra", "spin", 1e-14)
-def _chk_ladder(rng, samples):
+def _chk_ladder(rng):
     up, dn = sp.spin_up().value, sp.spin_down().value
     lp, lm = sp.ladder("+"), sp.ladder("-")
     dev = max_dev(lp, Biquaternion(0, 0, 0.5, -0.5j))
@@ -488,7 +480,7 @@ def _rand_axis(rng):
 
 
 @_register("rotation-conjugation", "rotation", 1e-12)
-def _chk_rot_conj(rng, samples):
+def _chk_rot_conj(rng):
     angles = np.linspace(0, 2*math.pi, 32, endpoint=False)
     dev = 0.0
     for rot_axis in "xyz":
@@ -508,10 +500,9 @@ def _chk_rot_conj(rng, samples):
 
 
 @_register("rotation-double-cover", "rotation", 1e-13)
-def _chk_double_cover(rng, samples):
-    n = samples or 50
+def _chk_double_cover(rng):
     dev = 0.0
-    for _ in range(n):
+    for _ in range(50):
         D = sp.rotation(_rand_axis(rng), 2*math.pi)
         dev = max(dev, max_dev(D.value, -E0))
         state = sp.spin_up() if rng.random() < 0.5 else sp.spin_down()
@@ -521,10 +512,9 @@ def _chk_double_cover(rng, samples):
 
 
 @_register("rotation-composition", "rotation", 1e-12)
-def _chk_rot_compose(rng, samples):
-    n = samples or 100
+def _chk_rot_compose(rng):
     dev = 0.0
-    for _ in range(n):
+    for _ in range(100):
         axis = _rand_axis(rng)
         p1, p2 = rng.uniform(-2*math.pi, 2*math.pi, 2)
         lhs = mul(sp.rotation(axis, p1).value, sp.rotation(axis, p2).value)
@@ -535,7 +525,7 @@ def _chk_rot_compose(rng, samples):
 
 
 @_register("rotation-own-axis", "rotation", 1e-14)
-def _chk_rot_own(rng, samples):
+def _chk_rot_own(rng):
     dev = 0.0
     for axis in "xyz":
         S = sp.spin_operator(axis)
@@ -559,7 +549,7 @@ def _all_spinor_labels(l_max=4):
 
 
 @_register("clebsch-oracle", "spinor", 1e-12)
-def _chk_clebsch(rng, samples):
+def _chk_clebsch(rng):
     dev = 0.0
     for l, j, mj in _all_spinor_labels():
         c1, c2 = clebsch_coefficients(l, j, mj)
@@ -572,9 +562,9 @@ def _chk_clebsch(rng, samples):
 
 
 @_register("harmonic-oracle", "spinor", 1e-12)
-def _chk_harmonic(rng, samples):
+def _chk_harmonic(rng):
     from scipy.special import sph_harm_y
-    n = samples or 64
+    n = 64
     th, ph = _sphere_points(rng.random((n, 2)))
     th = np.concatenate([th, [0.0, math.pi]])       # both poles
     ph = np.concatenate([ph, [0.5, 2.0]])
@@ -587,10 +577,9 @@ def _chk_harmonic(rng, samples):
 
 
 @_register("spinor-worked-example", "spinor", 1.0)
-def _chk_spinor_example(rng, samples):
-    n = samples or 100
+def _chk_spinor_example(rng):
     s = SpinorFunction(2, 2.5, 1.5)
-    th, ph = _sphere_points(rng.random((n, 2)))
+    th, ph = _sphere_points(rng.random((100, 2)))
     y22 = spherical_harmonic(2, 2, th, ph)
     y21 = spherical_harmonic(2, 1, th, ph)
     vec = spinor_as_vector(s, th, ph)
@@ -605,11 +594,10 @@ def _chk_spinor_example(rng, samples):
 
 
 @_register("spinor-completeness", "spinor", 1e-12)
-def _chk_spinor_complete(rng, samples):
-    n = samples or 100
+def _chk_spinor_complete(rng):
     labels = _all_spinor_labels()
     dev = 0.0
-    for _ in range(n):
+    for _ in range(100):
         l, j, mj = labels[rng.integers(len(labels))]
         s = SpinorFunction(l, j, mj)
         th = math.acos(rng.uniform(-1, 1))
@@ -624,7 +612,7 @@ def _chk_spinor_complete(rng, samples):
 
 
 @_register("spinor-normalization", "spinor", 1e-8)
-def _chk_spinor_norm(rng, samples):
+def _chk_spinor_norm(rng):
     dev = 0.0
     for l, j, mj in _all_spinor_labels():
         s = SpinorFunction(l, j, mj)
@@ -638,11 +626,10 @@ def _chk_spinor_norm(rng, samples):
 
 
 @_register("spinor-vector-consistency", "spinor", 1e-12)
-def _chk_spinor_vec(rng, samples):
-    n = samples or 200
+def _chk_spinor_vec(rng):
     labels = _all_spinor_labels()
     dev = 0.0
-    for _ in range(n):
+    for _ in range(200):
         l, j, mj = labels[rng.integers(len(labels))]
         s = SpinorFunction(l, j, mj)
         th = math.acos(rng.uniform(-1, 1))
@@ -654,7 +641,7 @@ def _chk_spinor_vec(rng, samples):
 
 
 @_register("spinor-orthogonality", "spinor", 1e-8)
-def _chk_spinor_orth(rng, samples):
+def _chk_spinor_orth(rng):
     dev = 0.0
     pairs = [((1, 0.5, 0.5), (1, 1.5, 0.5)),
              ((2, 1.5, -0.5), (2, 2.5, -0.5)),
@@ -683,7 +670,7 @@ def _normalized_radial(w: hy.WaveFunction, r_au):
     the unnormalized F overflows for large |k| (n = k = 150) where A F
     does not."""
     rho = w.C*np.asarray(r_au, dtype=float)/hy.ALPHA_FS
-    return hy._radial_FG(w.qn.n, w.qn.k, w.qn.Z, w.energy, rho, w.A)
+    return hy._radial_FG(w.level, rho, w.A)
 
 
 def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
@@ -744,9 +731,8 @@ def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):
     lo, hi = min(r_lo/hy.ALPHA_FS, cap), min(r_hi/hy.ALPHA_FS, cap)
     if hi <= lo:
         return 0.0
-    n_r, k, s, C = w.qn.n_r, w.qn.k, w.s, w.C
-    za = w.qn.Z*hy.ALPHA_FS
-    W = (s - k*w.energy)/C
+    n_r, lv = w.qn.n_r, w.level
+    za, s, C, sk, W = lv.za, lv.s, lv.C, lv.sk, lv.W
     a1, a2 = 2*s + 1, 2*s - 1
     norm = w.A*w.A
 
@@ -757,15 +743,15 @@ def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):
         for j in range(n_r):
             p0, p1 = p1, ((2*j + 1 + a1 - x)*p1 - (j + a1)*p0)/(j + 1)
             q0, q1 = q1, ((2*j + 1 + a2 - x)*q1 - (j + a2)*q0)/(j + 1)
-        P = za*x*p0 + (s - k)*W*q1
-        Q = (s - k)*x*p0 + za*W*q1
+        P = za*x*p0 + sk*W*q1
+        Q = sk*x*p0 + za*W*q1
         return norm*rho**(2*s)*math.exp(-2.0*rho)*(P*P + Q*Q)
 
     return quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=300)[0]
 
 
 @_register("energy-degeneracy", "hydrogen", 1e-15)
-def _chk_degeneracy(rng, samples):
+def _chk_degeneracy(rng):
     dev = 0.0
     for Z in _ZS:
         for n, k in ((2, 1), (3, 1), (3, 2)):
@@ -780,7 +766,7 @@ def _chk_degeneracy(rng, samples):
 
 
 @_register("energy-reference-values", "hydrogen", 1.0)
-def _chk_energy_refs(rng, samples):
+def _chk_energy_refs(rng):
     qn = hy.QuantumNumbers(1, -1, 0.5, 1)
     binding = hy.binding_energy_ev(qn)
     d1 = abs(binding - (-13.6059))/0.001
@@ -798,7 +784,7 @@ def _chk_energy_refs(rng, samples):
 
 
 @_register("eigenvalue-agreement", "hydrogen", 1e-8)
-def _chk_shooting(rng, samples):
+def _chk_shooting(rng):
     dev = 0.0
     for Z in _ZS:
         for n, k in _STATES:
@@ -810,7 +796,7 @@ def _chk_shooting(rng, samples):
 
 
 @_register("ode-residual", "hydrogen", 1e-6)
-def _chk_residual(rng, samples):
+def _chk_residual(rng):
     grid = np.linspace(0.05, 30.0, 400)
     dev = 0.0
     for Z in _ZS:
@@ -822,7 +808,7 @@ def _chk_residual(rng, samples):
 
 
 @_register("ode-wrong-energy", "hydrogen", 1.0)
-def _chk_wrong_energy(rng, samples):
+def _chk_wrong_energy(rng):
     qn = hy.QuantumNumbers(1, -1, 0.5, 20)
     grid = np.linspace(0.05, 30.0, 400)
     E = hy.energy(qn)
@@ -836,7 +822,7 @@ def _chk_wrong_energy(rng, samples):
 
 
 @_register("radial-shape", "hydrogen", 1e-10)
-def _chk_radial_shape(rng, samples):
+def _chk_radial_shape(rng):
     dev = 0.0
     qn = hy.QuantumNumbers(1, -1, 0.5, 1)
     s, _, _ = hy.radial_parameters(qn)
@@ -861,7 +847,7 @@ def _chk_radial_shape(rng, samples):
 
 
 @_register("normalization-3d", "hydrogen", 1e-6)
-def _chk_norm3d(rng, samples):
+def _chk_norm3d(rng):
     dev = 0.0
     for Z in _ZS:
         for n, k in _STATES:
@@ -880,7 +866,7 @@ def _chk_norm3d(rng, samples):
 
 
 @_register("normalization-oracle", "hydrogen", 1e-10)
-def _chk_norm_oracle(rng, samples):
+def _chk_norm_oracle(rng):
     dev = 0.0
     for Z in (1, 92):
         for n in (1, 2, 3, 8, 16, 33, 40):
@@ -894,7 +880,7 @@ def _chk_norm_oracle(rng, samples):
 
 
 @_register("shell-oracle", "hydrogen", 1e-12)
-def _chk_shell_oracle(rng, samples):
+def _chk_shell_oracle(rng):
     dev, count = 0.0, 0
     for Z in (1, 92):
         for n in (1, 2, 3, 8, 16, 33, 40, 60):
@@ -912,11 +898,10 @@ def _chk_shell_oracle(rng, samples):
 
 
 @_register("density-assembly", "hydrogen", 1e-12)
-def _chk_density_assembly(rng, samples):
-    n_pts = samples or 100
+def _chk_density_assembly(rng):
     states = [hy.QuantumNumbers(n, k, mj, 1) for (n, k), mj in
               zip(_STATES, (0.5, 0.5, -0.5, 1.5, 0.5, -1.5))]
-    u = rng.random((n_pts, 3))
+    u = rng.random((100, 3))
     r_all = 0.1 + (6.0 - 0.1)*u[:, 0]
     th_all, ph_all = _sphere_points(u[:, 1:])
     dev = 0.0
@@ -944,7 +929,7 @@ def _chk_density_assembly(rng, samples):
 
 
 @_register("probability-shells", "hydrogen", 1e-6)
-def _chk_prob_shells(rng, samples):
+def _chk_prob_shells(rng):
     from scipy.special import gammainc
     qn = hy.QuantumNumbers(1, -1, 0.5, 1)
     w = hy.assemble_wavefunction(qn)
@@ -962,7 +947,7 @@ def _chk_prob_shells(rng, samples):
 
 
 @_register("nonrelativistic-limit", "hydrogen", 1.0)
-def _chk_nonrel(rng, samples):
+def _chk_nonrel(rng):
     from scipy.integrate import quad as _quad
     dev = 0.0
     for Z in (1, 5, 10):
@@ -984,9 +969,8 @@ def _chk_nonrel(rng, samples):
 # ------------------------------------------------------------------ dirac
 
 @_register("pauli-embedding", "dirac", 1e-14)
-def _chk_embed(rng, samples):
-    n = samples or 1000
-    e = pd.PauliAlgebraElement(*rng.standard_normal((n, 8)).T)
+def _chk_embed(rng):
+    e = pd.PauliAlgebraElement(*rng.standard_normal((1000, 8)).T)
     dev = _mdev(to_matrix_linear(pd.embed(e)), pd.pauli_element_matrix(e))
     dev = max(dev, max_dev(pd.embed(pd.PauliAlgebraElement(q0=1)), E0))
     dev = max(dev, max_dev(pd.embed(pd.PauliAlgebraElement(q7=1)), E0*1j))
@@ -995,9 +979,8 @@ def _chk_embed(rng, samples):
 
 
 @_register("pauli-embedding-product", "dirac", 1e-12)
-def _chk_embed_product(rng, samples):
-    n = samples or 300
-    c = rng.standard_normal((n, 2, 8))
+def _chk_embed_product(rng):
+    c = rng.standard_normal((300, 2, 8))
     a = pd.PauliAlgebraElement(*c[:, 0].T)
     b = pd.PauliAlgebraElement(*c[:, 1].T)
     lhs = mul(pd.embed(a), pd.embed(b))
@@ -1007,9 +990,8 @@ def _chk_embed_product(rng, samples):
 
 
 @_register("printed-embedding-variant", "dirac", 1e-15)
-def _chk_embed_variant(rng, samples):
-    n = samples or 200
-    c = rng.standard_normal((n, 8))
+def _chk_embed_variant(rng):
+    c = rng.standard_normal((200, 8))
     c[:, 6:] = 0.0
     q = c.T
     # the historical printed formula flips the sign of the q7 term in the
@@ -1021,19 +1003,18 @@ def _chk_embed_variant(rng, samples):
 
 
 @_register("hodge-element", "dirac", 1e-14)
-def _chk_hodge(rng, samples):
-    n = samples or 100
+def _chk_hodge(rng):
     h = pd.hodge()
     dev = max_dev(mul(h, E0), E0*(-1j))
     dev = max(dev, max_dev(mul(h, h), -E0))
-    e = pd.PauliAlgebraElement(*rng.standard_normal((n, 8)).T)
+    e = pd.PauliAlgebraElement(*rng.standard_normal((100, 8)).T)
     dev = max(dev, _mdev(to_matrix_linear(mul(h, pd.embed(e))),
                          -1j*pd.pauli_element_matrix(e)))
     return dev, "-i e0 acts as -i I on every embedded element"
 
 
 @_register("gamma-matrices", "dirac", 1e-15)
-def _chk_gammas(rng, samples):
+def _chk_gammas(rng):
     zero2 = np.zeros((2, 2))
     want = (
         np.diag([1, 1, -1, -1]).astype(complex),
@@ -1052,16 +1033,15 @@ def _chk_gammas(rng, samples):
 
 
 @_register("clifford-relations", "dirac", 1e-14)
-def _chk_clifford(rng, samples):
+def _chk_clifford(rng):
     rep = pd.verify_clifford()
     return rep["max_deviation"], \
         "anticommutators {g_mu, g_nu} = 2 eta_mu_nu, eta = (+,-,-,-)"
 
 
 @_register("block-multiplication", "dirac", 1e-12)
-def _chk_blocks(rng, samples):
-    n = samples or 20
-    q = [_bq(x) for x in np.moveaxis(rng.standard_normal((n, 8, 8)), 1, 0)]
+def _chk_blocks(rng):
+    q = [_bq(x) for x in np.moveaxis(rng.standard_normal((20, 8, 8)), 1, 0)]
     a = pd.DiracMatrix(((q[0], q[1]), (q[2], q[3])))
     b = pd.DiracMatrix(((q[4], q[5]), (q[6], q[7])))
     dev = _mdev((a @ b).to_matrix4(), a.to_matrix4() @ b.to_matrix4())

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -154,24 +155,26 @@ def test_non_finite_flags_are_usage_errors(capsys, argv):
     assert "error: " in err
 
 
-def test_density_csv_refuses_non_finite(capsys):
-    # a finite but huge --r-max overflows the cell weights to inf
-    with np.errstate(all="ignore"):
+def _refused_density(capsys, *flags):
+    """Run density with a finite but huge --r-max, which overflows the cell
+    weights, with every numpy RuntimeWarning turned into an error."""
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(["density", "--r-max", "1e300", "--grid", "4:4",
-                         "--csv"])
+                         *flags])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "error: " in err and "not CSV compliant" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_density_csv_refuses_non_finite(capsys):
+    assert "not CSV compliant" in _refused_density(capsys, "--csv")
 
 
 def test_density_json_refuses_non_finite(capsys):
-    with np.errstate(all="ignore"):
-        code = cli.main(["density", "--r-max", "1e300", "--grid", "4:4"])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert "error: " in err and "not JSON compliant" in err
+    assert "not JSON compliant" in _refused_density(capsys)
 
 
 def _density_dict_rows(params):

@@ -36,8 +36,8 @@ def test_check_results_are_deterministic():
     a = verify.run_check("homomorphism", seed=321)
     b = verify.run_check("homomorphism", seed=321)
     assert a == b
-    c = verify.run_check("product-associativity", samples=50, seed=1)
-    d = verify.run_check("product-associativity", samples=50, seed=1)
+    c = verify.run_check("product-associativity", seed=1)
+    d = verify.run_check("product-associativity", seed=1)
     assert c == d
 
 
@@ -45,12 +45,6 @@ def test_tol_scale_can_force_failure():
     res = verify.run_check("homomorphism", tol_scale=1e-30)
     assert not res.passed
     assert res.max_dev > res.tol
-
-
-def test_sample_count_is_respected():
-    small = verify.run_check("product-associativity", samples=10)
-    assert small.passed
-    assert "10" in small.detail
 
 
 def test_selected_hydrogen_checks():
