@@ -22,7 +22,7 @@ _EXPORTS = {
         "ket_to_vector", "bra_to_vector",
         "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY2"),
     "spin": (
-        "HBAR", "SpinState", "SpinOperator", "RotationOperator",
+        "HBAR", "SpinState", "RotationOperator",
         "pauli_quaternion", "spin_operator", "spin_up", "spin_down",
         "superposition", "apply", "bra", "inner", "outer",
         "outer_reconstruct", "rotation", "dagger", "rotate_operator",

@@ -22,7 +22,7 @@ is complex-valued and governs invertibility: it vanishes exactly on the zero
 divisors, where no inverse exists.
 
 Coefficients may be broadcastable numpy arrays: one Biquaternion then holds a
-batch, and products, conjugations and norms act elementwise.  A coefficient
+batch, and every operation but == and hash acts elementwise.  A coefficient
 that is an exact scalar zero is structural: scaling keeps it 0j, even by an
 infinite or NaN factor, so q+ and q- (two zero coefficients each) scale by
 an array without filling zero arrays.
@@ -72,7 +72,7 @@ class Biquaternion:
     """Immutable biquaternion with coefficients q0..q3 on e0..e3.
 
     Each coefficient is a complex scalar or a broadcastable complex array.
-    ==, hash, inverse and is_zero_divisor are for scalar coefficients only.
+    == and hash are for scalar coefficients only.
     """
 
     q0: complex = 0j
@@ -213,29 +213,35 @@ def inverse(q: Biquaternion) -> Biquaternion:
 
     Exists for every nonzero real quaternion (the form is then |q|^2 > 0)
     and for any biquaternion whose quadratic form does not vanish.  Raises
-    ValueError("no inverse") for zero and for zero divisors.
+    ValueError("no inverse") for zero and for zero divisors (in a batch, if
+    any element is one).
     """
     form = quadratic_form(q)
-    if abs(form) <= TOL*max(norm_sq(q), 1e-300):
+    f, n = abs(form), norm_sq(q)
+    if _any((f <= TOL*n) | (f <= TOL*1e-300)):     # f <= TOL*max(n, 1e-300)
         raise ValueError("no inverse")
     return conj_vec(q)/form
 
 
-def is_zero_divisor(q: Biquaternion, tol: float = TOL) -> bool:
+def is_zero_divisor(q: Biquaternion):
     """True iff q != 0 and its complex quadratic form vanishes (tol 1e-12).
 
     Such elements annihilate their conjugates, q * conj_vec(q) = 0, and have
-    no inverse even though their Euclidean norm_sq is positive.
+    no inverse even though their Euclidean norm_sq is positive.  A bool for
+    scalar q, a bool array for a batch.
     """
-    n = norm_sq(q)
-    if n == 0.0:
-        return False
-    return abs(quadratic_form(q)) <= tol*max(n, 1.0)
+    f, n = abs(quadratic_form(q)), norm_sq(q)
+    return (n != 0) & ((f <= TOL*n) | (f <= TOL))   # f <= TOL*max(n, 1)
 
 
 def allclose(a: Biquaternion, b: Biquaternion, tol: float = TOL) -> bool:
     """Componentwise tolerance comparison; no exact float equality anywhere."""
     return max_dev(a, b) <= tol
+
+
+def _any(flags) -> bool:
+    """True if a bool, or any element of a bool array, is set."""
+    return flags if type(flags) is bool else bool(flags.any())
 
 
 def _peak(x) -> float:

@@ -97,11 +97,11 @@ def _cmd_energy(args, parser) -> int:
             row = {"n": n, "k": k}
             try:
                 qn = QuantumNumbers(n, k, 0.5, args.z)
+                lv = _level(qn)
             except ValueError as exc:
                 row["error"] = str(exc)
                 rows.append(row)
                 continue
-            lv = _level(qn)
             scale = MC2_EV if args.units == "ev" else 1.0
             row.update({"j": float(qn.j), "energy": float(lv.E*scale),
                         "binding": float(-lv.eps*scale),

@@ -8,9 +8,11 @@ multiplication, and rotations conjugate.  The dictionary is
     sigma_z <-> q_z = -i e1
     I       <-> e0
 
-so S_a = (hbar/2) q_a.  Bras are conj_both of kets; the inner product is read
-off the scalar and e1 coefficients of bra times ket; outer products |a><b|
-are (1/2) a conj_both(b).  hbar = 1 (natural units) throughout.
+so S_a is the biquaternion (hbar/2) q_a.  Bras are conj_both of kets; the
+inner product is read off the scalar and e1 coefficients of bra times ket;
+outer products |a><b| are (1/2) a conj_both(b).  hbar = 1 (natural units).
+States and rotations batch: amplitudes, axes and angles may be arrays, while
+Python scalars stay on Python floats and load no numpy.
 """
 
 from __future__ import annotations
@@ -19,20 +21,17 @@ import math
 from dataclasses import dataclass, field
 
 from .biquaternion import (
-    Biquaternion, E0, E1, E2, E3, mul, conj_both, conj_vec, norm_sq,
+    Biquaternion, E0, mul, conj_both, norm_sq, _any, _peak,
 )
 
 __all__ = [
-    "HBAR", "SpinState", "SpinOperator", "RotationOperator",
+    "HBAR", "SpinState", "RotationOperator",
     "pauli_quaternion", "spin_operator", "spin_up", "spin_down",
     "superposition", "apply", "bra", "inner", "outer", "outer_reconstruct",
     "rotation", "dagger", "rotate_operator", "rotated_pauli", "ladder",
 ]
 
 HBAR = 1.0
-
-# unit assignment: spatial axes (x, y, z) ride on units (e3, e2, e1)
-_AXIS_UNIT = {"x": E3, "y": E2, "z": E1}
 
 _PAULI_QUAT = {
     "x": Biquaternion(0, 0, 0, -1j),
@@ -45,25 +44,24 @@ _Q_UP = Biquaternion(1, -1j, 0, 0)*math.sqrt(0.5)
 _Q_DOWN = Biquaternion(0, 0, -1, -1j)*math.sqrt(0.5)
 
 
+def _lib(*xs):
+    """math when every argument is a Python scalar, numpy otherwise."""
+    if all(isinstance(x, (int, float, complex)) for x in xs):
+        return math
+    import numpy as np
+    return np
+
+
 @dataclass(frozen=True)
 class SpinState:
-    """Unit-norm biquaternion playing the role of a ket."""
+    """Unit-norm biquaternion (or batch of them) playing the role of a ket."""
 
     value: Biquaternion
-    label: str = ""
 
     def __post_init__(self):
         n = norm_sq(self.value)
-        if abs(n - 1.0) > 1e-9:
+        if not _peak(n - 1.0) <= 1e-9:
             raise ValueError(f"state not normalized: norm_sq = {n!r}")
-
-
-@dataclass(frozen=True)
-class SpinOperator:
-    """Spin observable: a Pauli quaternion times a real scale (default hbar/2)."""
-
-    value: Biquaternion
-    scale: float = HBAR/2
 
 
 @dataclass(frozen=True)
@@ -74,17 +72,18 @@ class RotationOperator:
     every angle, and D(n, 2pi) = -e0 (spinor double cover).
     """
 
-    axis: tuple[float, float, float]
+    axis: tuple
     angle: float
     value: Biquaternion = field(init=False)
 
     def __post_init__(self):
         nx, ny, nz = self.axis
-        r = math.sqrt(nx*nx + ny*ny + nz*nz)
-        if abs(r - 1.0) > 1e-12:
+        lib = _lib(nx, ny, nz, self.angle)
+        r = lib.sqrt(nx*nx + ny*ny + nz*nz)
+        if not _peak(r - 1.0) <= 1e-12:
             raise ValueError(f"axis must be a unit vector, |n| = {r!r}")
-        c = math.cos(self.angle/2)
-        s = math.sin(self.angle/2)
+        c = lib.cos(self.angle/2)
+        s = lib.sin(self.angle/2)
         object.__setattr__(self, "value",
                            Biquaternion(c, -nz*s, -ny*s, -nx*s))
 
@@ -101,39 +100,43 @@ def pauli_quaternion(axis: str) -> Biquaternion:
         raise ValueError(f"unknown axis {axis!r}") from None
 
 
-def spin_operator(axis: str, scale: float = HBAR/2) -> SpinOperator:
-    return SpinOperator(pauli_quaternion(axis), scale)
+def spin_operator(axis: str) -> Biquaternion:
+    """S_a = (hbar/2) q_a for 'x', 'y', 'z' (or 'identity')."""
+    return pauli_quaternion(axis)*(HBAR/2)
 
 
 def spin_up() -> SpinState:
     """q+ = (1/sqrt2)(e0 - i e1), the sigma_z eigenstate with eigenvalue +1."""
-    return SpinState(_Q_UP, "up")
+    return SpinState(_Q_UP)
 
 
 def spin_down() -> SpinState:
     """q- = (1/sqrt2)(-e2 - i e3), the sigma_z eigenstate with eigenvalue -1."""
-    return SpinState(_Q_DOWN, "down")
+    return SpinState(_Q_DOWN)
 
 
-def superposition(c_up: complex, c_down: complex, label: str = "") -> SpinState:
-    """Normalized c_up |+> + c_down |->."""
-    n = math.sqrt(abs(c_up)**2 + abs(c_down)**2)
-    if n == 0.0:
+def superposition(c_up, c_down) -> SpinState:
+    """Normalized c_up |+> + c_down |-> (a batch for array amplitudes);
+    ValueError for a zero pair or a NaN or infinite amplitude."""
+    n = _lib(c_up, c_down).hypot(abs(c_up), abs(c_down))
+    if not _peak(n) < math.inf:
+        raise ValueError("amplitudes must be finite")
+    if _any(n == 0.0):
         raise ValueError("zero state")
-    return SpinState(_Q_UP*(c_up/n) + _Q_DOWN*(c_down/n), label)
+    return SpinState(_Q_UP*(c_up/n) + _Q_DOWN*(c_down/n))
 
 
 def _value(x) -> Biquaternion:
     return x.value if hasattr(x, "value") else x
 
 
-def apply(op: SpinOperator, state) -> Biquaternion:
-    """Operator action: scale times left Hamilton multiplication.
+def apply(op: Biquaternion, state) -> Biquaternion:
+    """Operator action: left Hamilton multiplication.
 
     The result is not renormalized; eigen-actions carry their eigenvalue
     factors (e.g. S_z on down gives -(hbar/2) q-).
     """
-    return mul(op.value, _value(state))*op.scale
+    return mul(op, _value(state))
 
 
 def bra(state) -> Biquaternion:
@@ -166,18 +169,17 @@ def outer_reconstruct(form: str) -> Biquaternion:
     'Sy' -> i(|-><+| - |+><-|); each equals 2/hbar times the operator, i.e.
     the plain Pauli quaternion -i e1 / -i e3 / -i e2.
     """
-    up, dn = _Q_UP, _Q_DOWN
     if form == "Sz":
-        return outer(up, up) - outer(dn, dn)
+        return outer(_Q_UP, _Q_UP) - outer(_Q_DOWN, _Q_DOWN)
     if form == "Sx":
-        return outer(up, dn) + outer(dn, up)
+        return outer(_Q_UP, _Q_DOWN) + outer(_Q_DOWN, _Q_UP)
     if form == "Sy":
-        return (outer(dn, up) - outer(up, dn))*1j
+        return (outer(_Q_DOWN, _Q_UP) - outer(_Q_UP, _Q_DOWN))*1j
     raise ValueError(f"unknown form {form!r}")
 
 
-def rotation(axis, angle: float) -> RotationOperator:
-    """Rotation operator about a unit axis ('x'/'y'/'z' or a 3-vector)."""
+def rotation(axis, angle) -> RotationOperator:
+    """Rotation about 'x'/'y'/'z' or a unit axis (nx, ny, nz); arrays batch."""
     if isinstance(axis, str):
         vec = {"x": (1.0, 0.0, 0.0),
                "y": (0.0, 1.0, 0.0),
@@ -185,7 +187,9 @@ def rotation(axis, angle: float) -> RotationOperator:
         if vec is None:
             raise ValueError(f"unknown axis {axis!r}")
         axis = vec
-    return RotationOperator(tuple(float(c) for c in axis), float(angle))
+    if _lib(*axis, angle) is math:
+        axis, angle = (float(c) for c in axis), float(angle)
+    return RotationOperator(tuple(axis), angle)
 
 
 def dagger(D: RotationOperator) -> RotationOperator:
@@ -193,21 +197,21 @@ def dagger(D: RotationOperator) -> RotationOperator:
     return RotationOperator(D.axis, -D.angle)
 
 
-def rotate_operator(D: RotationOperator, S: SpinOperator) -> Biquaternion:
-    """Conjugate an operator: scale * dagger(D) S D.
+def rotate_operator(D: RotationOperator, S: Biquaternion) -> Biquaternion:
+    """Conjugate an operator: dagger(D) S D.
 
     For D about axis i and S along j with (i, j, k) right-handed cyclic the
-    result is scale*(q_j cos phi - q_k sin phi); see rotated_pauli.
+    result is q_j cos phi - q_k sin phi times S's scale; see rotated_pauli.
     """
-    return mul(mul(dagger(D).value, S.value), D.value)*S.scale
+    return mul(mul(dagger(D).value, S), D.value)
 
 
-def rotated_pauli(rot_axis: str, op_axis: str, angle: float) -> Biquaternion:
+def rotated_pauli(rot_axis: str, op_axis: str, angle) -> Biquaternion:
     """Closed form of dagger(D) q_j D for named axes.
 
     Same axis returns q_j unchanged; otherwise q_j cos(phi) - q_k sin(phi)
     with k completing (i, j, k) right-handed, picking up the epsilon sign
-    when (i, j) are anti-cyclic.
+    when (i, j) are anti-cyclic.  An array angle gives a batch.
     """
     if rot_axis == op_axis:
         return pauli_quaternion(op_axis)
@@ -218,7 +222,8 @@ def rotated_pauli(rot_axis: str, op_axis: str, angle: float) -> Biquaternion:
     eps = 1.0 if (j - i) % 3 == 1 else -1.0
     qj = pauli_quaternion(op_axis)
     qk = pauli_quaternion(order[k])
-    return qj*math.cos(angle) - qk*(eps*math.sin(angle))
+    lib = _lib(angle)
+    return qj*lib.cos(angle) - qk*(eps*lib.sin(angle))
 
 
 def ladder(sign: str) -> Biquaternion:

@@ -20,17 +20,13 @@ from dataclasses import dataclass, field
 
 from .biquaternion import Biquaternion
 from .special import spherical_harmonics
-from .spin import spin_up, spin_down, inner
+from .spin import _Q_UP, _Q_DOWN, inner
 
 __all__ = [
     "SpinorFunction", "clebsch_coefficients", "spinor_components",
     "spinor_as_vector", "spinor_as_biquaternion", "spinor_biquaternions",
     "measure_probability",
 ]
-
-
-_Q_UP = spin_up().value
-_Q_DOWN = spin_down().value
 
 
 def _is_half_odd(x: float) -> bool:
@@ -137,6 +133,6 @@ def measure_probability(state: str, s: SpinorFunction, theta, phi):
     """
     if state not in ("up", "down"):
         raise ValueError(f"state must be 'up' or 'down', got {state!r}")
-    ket = spin_up() if state == "up" else spin_down()
+    ket = _Q_UP if state == "up" else _Q_DOWN
     amp = inner(ket, spinor_as_biquaternion(s, theta, phi))
     return abs(amp)**2

@@ -10,10 +10,10 @@ regardless of which subset runs.
 
 Checks report (max_dev, tol); multi-assertion checks with mixed natural
 tolerances report the maximum of dev_i/tol_i against tol 1.0 and say so in
-their detail string.  Sampled checks evaluate one batch of draws in one
-vectorized call.  Second routes that no production path uses live here as
-the *_oracle functions.  scipy is imported only inside the checks whose
-second route needs it, so importing this module does not load it.
+their detail string.  Sampled checks draw each array once and evaluate it as
+one batch; they loop only over fixed sets (axes, basis states, labels).
+Second routes that no production path uses live here as the *_oracle
+functions; scipy is imported only in the checks whose second route needs it.
 """
 
 from __future__ import annotations
@@ -260,13 +260,10 @@ def _chk_norm_mult(rng):
 
 @_register("inverse-roundtrip", "algebra", 1e-12)
 def _chk_inverse(rng):
-    dev = 0.0
-    for _ in range(200):
-        q = _real_quat(rng.standard_normal(4))
-        dev = max(dev, max_dev(mul(q, inverse(q)), E0))
-        p = _bq(rng.standard_normal(8))
-        if abs(quadratic_form(p)) > 1e-3:
-            dev = max(dev, max_dev(mul(inverse(p), p), E0))
+    x = rng.standard_normal((200, 12))         # (real q, biquaternion p)
+    q, p = _real_quat(x[:, :4]), _bq(x[:, 4:])
+    p = _bq(x[abs(quadratic_form(p)) > 1e-3, 4:])
+    dev = max(max_dev(mul(q, inverse(q)), E0), max_dev(mul(inverse(p), p), E0))
     q = Biquaternion(3, 0, 4, 0)
     dev = max(dev, max_dev(inverse(q), Biquaternion(3/25, 0, -4/25, 0)))
     try:
@@ -287,14 +284,11 @@ def _chk_zero_div(rng):
     bad += not is_zero_divisor(q_up)            # quadratic form is exactly 0
     bad += abs(quadratic_form(q_up)) > 1e-15
     bad += norm_sq(mul(q_up, conj_vec(q_up))) > 1e-28
-    for _ in range(200):
-        r = _bq(rng.standard_normal(8))
-        prod = mul(idem, r)
-        if norm_sq(prod) > 1e-12:
-            bad += not is_zero_divisor(prod)    # the form is multiplicative
-        inv = _real_quat(rng.standard_normal(4))
-        if norm_sq(inv) > 1e-12:
-            bad += is_zero_divisor(inv)
+    x = rng.standard_normal((200, 12))         # (r, real quaternion)
+    prod, inv = mul(idem, _bq(x[:, :8])), _real_quat(x[:, 8:])
+    # the form is multiplicative, so idem r is a zero divisor unless zero
+    bad += np.count_nonzero((norm_sq(prod) > 1e-12) & ~is_zero_divisor(prod))
+    bad += np.count_nonzero((norm_sq(inv) > 1e-12) & is_zero_divisor(inv))
     return float(bad), "vanishing quadratic form iff no inverse"
 
 
@@ -355,8 +349,7 @@ def _eigen_dev(axis: str, targets) -> float:
         got = sp.apply(S, state)
         dev = max(dev, max_dev(got, target))
         lhs = ket_to_vector(got)
-        rhs = (sp.HBAR/2)*(to_matrix_linear(S.value) @
-                           ket_to_vector(state.value))
+        rhs = to_matrix_linear(S) @ ket_to_vector(state.value)
         dev = max(dev, _mdev(lhs, rhs))
     return dev
 
@@ -408,16 +401,14 @@ def _chk_orthonormality(rng):
     dev = max(dev, abs(sp.inner(up, dn)), abs(sp.inner(dn, up)))
     both = sp.superposition(1, 1)
     dev = max(dev, abs(sp.inner(both, up) - math.sqrt(0.5)))
-    for _ in range(100):
-        a = sp.superposition(*(rng.standard_normal(4) @
-                               np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])))
-        b = sp.superposition(*(rng.standard_normal(4) @
-                               np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])))
-        lhs = sp.inner(a, b)
-        rhs = np.vdot(ket_to_vector(a.value), ket_to_vector(b.value))
-        dev = max(dev, abs(lhs - rhs))
-        row = bra_to_vector(sp.bra(a))
-        dev = max(dev, abs(lhs - row @ ket_to_vector(b.value)))
+    c = rng.standard_normal((100, 2, 4))       # (a, b) x (up, down) re, im
+    amp = c[..., 0::2] + 1j*c[..., 1::2]
+    a, b = (sp.superposition(*amp[:, i].T) for i in (0, 1))
+    lhs = sp.inner(a, b)
+    ket_a, ket_b = ket_to_vector(a.value), ket_to_vector(b.value)
+    dev = max(dev, _amax(abs(lhs - np.sum(ket_a.conj()*ket_b, axis=-1)),
+                         abs(lhs - np.sum(bra_to_vector(sp.bra(a))*ket_b,
+                                          axis=-1))))
     return dev, "basis orthonormality + random states vs C^2 dot product"
 
 
@@ -474,64 +465,59 @@ def _chk_ladder(rng):
 
 # --------------------------------------------------------------- rotation
 
-def _rand_axis(rng):
-    v = rng.standard_normal(3)
-    return tuple(v/np.linalg.norm(v))
+def _rand_axes(rng, n: int):
+    """n random unit axes as components (nx, ny, nz), each of shape (n,)."""
+    v = rng.standard_normal((n, 3))
+    return tuple((v/np.linalg.norm(v, axis=-1, keepdims=True)).T)
 
 
 @_register("rotation-conjugation", "rotation", 1e-12)
 def _chk_rot_conj(rng):
-    angles = np.linspace(0, 2*math.pi, 32, endpoint=False)
+    phi = np.linspace(0, 2*math.pi, 32, endpoint=False)
     dev = 0.0
     for rot_axis in "xyz":
+        D = sp.rotation(rot_axis, phi)
+        md = to_matrix_linear(D.value)
         for op_axis in "xyz":
             S = sp.spin_operator(op_axis)
-            for phi in angles:
-                D = sp.rotation(rot_axis, float(phi))
-                got = sp.rotate_operator(D, S)
-                closed = sp.rotated_pauli(rot_axis, op_axis, float(phi)) \
-                    * (sp.HBAR/2)
-                dev = max(dev, max_dev(got, closed))
-                md = to_matrix_linear(D.value)
-                ms = to_matrix_linear(S.value)*(sp.HBAR/2)
-                oracle = from_matrix(md.conj().T @ ms @ md)
-                dev = max(dev, max_dev(got, oracle))
+            got = sp.rotate_operator(D, S)
+            closed = sp.rotated_pauli(rot_axis, op_axis, phi)*(sp.HBAR/2)
+            oracle = from_matrix(md.conj().swapaxes(-1, -2)
+                                 @ to_matrix_linear(S) @ md)
+            dev = max(dev, max_dev(got, closed), max_dev(got, oracle))
     return dev, "9 (axis, operator) pairs x 32 angles, closed form + oracle"
 
 
 @_register("rotation-double-cover", "rotation", 1e-13)
 def _chk_double_cover(rng):
-    dev = 0.0
-    for _ in range(50):
-        D = sp.rotation(_rand_axis(rng), 2*math.pi)
-        dev = max(dev, max_dev(D.value, -E0))
-        state = sp.spin_up() if rng.random() < 0.5 else sp.spin_down()
-        dev = max(dev, max_dev(mul(D.value, state.value), -state.value))
-    dev = max(dev, max_dev(sp.rotation("z", 0.0).value, E0))
+    D = sp.rotation(_rand_axes(rng, 50), 2*math.pi)
+    up, dn = sp.spin_up().value, sp.spin_down().value
+    state = Biquaternion(*np.where(rng.random((50, 1)) < 0.5,
+                                   up.coefficients(), dn.coefficients()).T)
+    dev = max(max_dev(D.value, -E0), max_dev(mul(D.value, state), -state),
+              max_dev(sp.rotation("z", 0.0).value, E0))
     return dev, "D(n, 2 pi) = -e0 on operators and states"
 
 
 @_register("rotation-composition", "rotation", 1e-12)
 def _chk_rot_compose(rng):
-    dev = 0.0
-    for _ in range(100):
-        axis = _rand_axis(rng)
-        p1, p2 = rng.uniform(-2*math.pi, 2*math.pi, 2)
-        lhs = mul(sp.rotation(axis, p1).value, sp.rotation(axis, p2).value)
-        rhs = sp.rotation(axis, p1 + p2).value
-        dev = max(dev, max_dev(lhs, rhs))
-        dev = max(dev, abs(norm_sq(sp.rotation(axis, p1).value) - 1.0))
-    return dev, "same-axis angle additivity and unit norm"
+    axis = _rand_axes(rng, 100)
+    p1, p2 = rng.uniform(-2*math.pi, 2*math.pi, (100, 2)).T
+    D1 = sp.rotation(axis, p1).value
+    lhs = mul(D1, sp.rotation(axis, p2).value)
+    rhs = sp.rotation(axis, p1 + p2).value
+    return max(max_dev(lhs, rhs), _amax(abs(norm_sq(D1) - 1.0))), \
+        "same-axis angle additivity and unit norm"
 
 
 @_register("rotation-own-axis", "rotation", 1e-14)
 def _chk_rot_own(rng):
+    phi = np.linspace(0, 2*math.pi, 32)
     dev = 0.0
     for axis in "xyz":
         S = sp.spin_operator(axis)
-        for phi in np.linspace(0, 2*math.pi, 32):
-            got = sp.rotate_operator(sp.rotation(axis, float(phi)), S)
-            dev = max(dev, max_dev(got, S.value*(sp.HBAR/2)))
+        dev = max(dev, max_dev(sp.rotate_operator(sp.rotation(axis, phi), S),
+                               S))
     return dev, "rotation about an operator's own axis leaves it fixed"
 
 
@@ -595,19 +581,15 @@ def _chk_spinor_example(rng):
 
 @_register("spinor-completeness", "spinor", 1e-12)
 def _chk_spinor_complete(rng):
-    labels = _all_spinor_labels()
+    th, ph = _sphere_points(rng.random((100, 2)))
     dev = 0.0
-    for _ in range(100):
-        l, j, mj = labels[rng.integers(len(labels))]
+    for l, j, mj in _all_spinor_labels():
         s = SpinorFunction(l, j, mj)
-        th = math.acos(rng.uniform(-1, 1))
-        ph = rng.uniform(0, 2*math.pi)
-        pu = measure_probability("up", s, th, ph)
-        pdn = measure_probability("down", s, th, ph)
+        p = sum(measure_probability(w, s, th, ph) for w in ("up", "down"))
         total = norm_sq(spinor_as_biquaternion(s, th, ph))
-        dev = max(dev, abs(pu + pdn - total))
         vec = spinor_as_vector(s, th, ph)
-        dev = max(dev, abs(total - (abs(vec[0])**2 + abs(vec[1])**2)))
+        dev = max(dev, _amax(abs(p - total),
+                             abs(total - (abs(vec[0])**2 + abs(vec[1])**2))))
     return dev, "P_up + P_down = |spinor|^2 pointwise"
 
 
@@ -627,16 +609,12 @@ def _chk_spinor_norm(rng):
 
 @_register("spinor-vector-consistency", "spinor", 1e-12)
 def _chk_spinor_vec(rng):
-    labels = _all_spinor_labels()
+    th, ph = _sphere_points(rng.random((200, 2)))
     dev = 0.0
-    for _ in range(200):
-        l, j, mj = labels[rng.integers(len(labels))]
+    for l, j, mj in _all_spinor_labels():
         s = SpinorFunction(l, j, mj)
-        th = math.acos(rng.uniform(-1, 1))
-        ph = rng.uniform(0, 2*math.pi)
         lhs = ket_to_vector(spinor_as_biquaternion(s, th, ph))
-        rhs = spinor_as_vector(s, th, ph)
-        dev = max(dev, _mdev(lhs, rhs))
+        dev = max(dev, _mdev(lhs, spinor_as_vector(s, th, ph).T))
     return dev, "ket map of the biquaternion form equals the 2-vector form"
 
 

@@ -99,7 +99,7 @@ def test_criterion_04_rotation_identities():
                 D = rotation(rot_axis, float(phi))
                 got = rotate_operator(D, S)
                 md = to_matrix_linear(D.value)
-                ms = to_matrix_linear(S.value)*(HBAR/2)
+                ms = to_matrix_linear(S)
                 oracle = from_matrix(md.conj().T @ ms @ md)
                 closed = rotated_pauli(rot_axis, op_axis, float(phi))*(HBAR/2)
                 for other in (oracle, closed):

@@ -185,3 +185,51 @@ def test_scaling_keeps_structural_zeros():
     assert arr.q0 == 0j and arr.q2 == 0j and arr.q3 == 0j
     np.testing.assert_array_equal(arr.q1, [1.0, 2.0])
     assert allclose(arr + E0, Biquaternion(1, np.array([1.0, 2.0]), 0, 0))
+
+
+def test_scalar_inverse_and_zero_divisor_are_pinned():
+    assert repr(inverse(Biquaternion(1 + 2j, 3, -0.5j, 4)).coefficients()) == (
+        "((0.060830670926517574+0.0807667731629393j), "
+        "(-0.1334185303514377+0.02453674121405751j), "
+        "(0.004089456869009585+0.022236421725239618j), "
+        "(-0.17789137380191694+0.03271565495207668j))")
+    assert repr(inverse(Biquaternion(1e-150)).coefficients()) == (
+        "((1e+150+0j), (-0+0j), (-0+0j), (-0+0j))")
+    with pytest.raises(ValueError, match="no inverse"):
+        inverse(Biquaternion(1e-157))     # form below TOL*1e-300
+    flags = [is_zero_divisor(q) for q in (
+        Biquaternion(0.5, 0.5j), Biquaternion(1, 1j*(1 + 1e-13)),
+        Biquaternion(1e-7, 1e-7j*(1 + 1e-5)), Biquaternion(3, 0, 4j, 0),
+        Biquaternion(1e-200, 1e-200j))]
+    assert flags == [True, True, True, False, False]
+    assert all(type(f) is bool for f in flags)
+
+
+def _element(q, i):
+    return Biquaternion(*(np.broadcast_to(c, (200,))[i]
+                          for c in q.coefficients()))
+
+
+def test_batches_agree_with_scalar_calls():
+    rng = np.random.default_rng(101)
+    x = rng.standard_normal((200, 8))
+    q = Biquaternion(x[:, 0] + 1j*x[:, 1], x[:, 2] + 1j*x[:, 3],
+                     x[:, 4] + 1j*x[:, 5], x[:, 6] + 1j*x[:, 7])
+    # every fourth element a zero divisor: (1/2)(e0 + i e1) times q
+    zd = mul(Biquaternion(0.5, 0.5j), q)
+    mixed = Biquaternion(*(np.where(np.arange(200) % 4 == 0, z, c) for z, c in
+                           zip(zd.coefficients(), q.coefficients())))
+    flags = is_zero_divisor(mixed)
+    assert flags.dtype == bool and flags.sum() == 50
+    assert flags.tolist() == [is_zero_divisor(_element(mixed, i))
+                              for i in range(200)]
+    # numpy and Python complex division may round apart by an ulp, so the
+    # bound is 1e-15 of the magnitude (the inverses reach |c| ~ 10)
+    inv = inverse(q)
+    for i in range(200):
+        for a, b in zip(_element(inv, i).coefficients(),
+                        inverse(_element(q, i)).coefficients()):
+            assert abs(a - b) <= 1e-15*max(1.0, abs(b))
+    with pytest.raises(ValueError, match="no inverse"):
+        inverse(mixed)
+    assert not is_zero_divisor(Biquaternion(np.zeros(3))).any()

@@ -73,6 +73,31 @@ def test_energy_partial_failure_still_succeeds(capsys):
     assert code == 0  # the |k| = 2 rows survive
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_energy_row_where_E_rounds_to_one_is_an_error_row(capsys, fmt):
+    # from n = 399,853 (Z = 1, k = -1) the Sommerfeld E rounds to 1.0
+    flag = ["--csv"] if fmt == "csv" else []
+    code, out = _run(capsys, "energy", "--n", "1", "1000000", "--k", "-1",
+                     *flag)
+    assert code == 0
+    _, one = _run(capsys, "energy", "--n", "1", "--k", "-1", *flag)
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows[0] == next(csv.DictReader(io.StringIO(one)))
+    else:
+        rows = json.loads(out)["rows"]
+        assert rows[0] == json.loads(one)["rows"][0]
+    assert str(rows[1]["n"]) == "1000000"
+    assert "bound state requires 0 < E < mc^2" in rows[1]["error"]
+
+
+def test_energy_only_row_where_E_rounds_to_one(capsys):
+    code = cli.main(["energy", "--n", "1000000", "--k", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no valid (n, k) rows" in err
+
+
 def test_density_grid(capsys):
     code, rec = _run_json(capsys, "density", "--grid", "24:12")
     assert code == 0

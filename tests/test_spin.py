@@ -49,7 +49,7 @@ def test_six_eigen_equations():
     ]
     for axis, state, want in cases:
         got = apply(spin_operator(axis), state)
-        assert allclose(got, want, tol=1e-14), (axis, state.label)
+        assert allclose(got, want, tol=1e-14), axis
 
 
 def test_pauli_products_match_matrices():
@@ -158,7 +158,7 @@ def test_rotation_conjugation_against_matrices():
                 D = rotation(rot_axis, float(phi))
                 got = rotate_operator(D, S)
                 md = to_matrix_linear(D.value)
-                ms = to_matrix_linear(S.value)*_H2
+                ms = to_matrix_linear(S)
                 want = from_matrix(md.conj().T @ ms @ md)
                 assert allclose(got, want, tol=1e-12)
                 closed = rotated_pauli(rot_axis, op_axis, float(phi))*_H2
@@ -169,7 +169,7 @@ def test_rotation_about_own_axis_is_identity():
     for axis in "xyz":
         S = spin_operator(axis)
         got = rotate_operator(rotation(axis, 1.234), S)
-        assert allclose(got, S.value*_H2, tol=1e-14)
+        assert allclose(got, S, tol=1e-14)
 
 
 def test_quarter_turn_swaps_axes():
@@ -198,3 +198,95 @@ def test_ladder_operators():
                                [[0, 1], [0, 0]], atol=1e-15)
     with pytest.raises(ValueError):
         ladder("0")
+
+
+def test_spin_operator_is_a_biquaternion():
+    assert spin_operator("z") == pauli_quaternion("z")*_H2
+    assert repr(spin_operator("z").coefficients()) == "(0j, -0.5j, 0j, 0j)"
+    assert repr(apply(spin_operator("y"), spin_up()).coefficients()) == (
+        "(0j, 0j, -0.3535533905932738j, (0.3535533905932738+0j))")
+
+
+def test_scalar_results_are_pinned():
+    # the scalar spin path is bitwise what it was when S carried a scale
+    pins = [
+        (rotate_operator(rotation("y", 0.7), spin_operator("z")),
+         "(0j, -0.3824210936422442j, 0j, 0.3221088436188455j)"),
+        (rotate_operator(rotation((0.6, 0.0, 0.8), -2.5), spin_operator("x")),
+         "(0j, -0.4322744677312641j, -0.2393888576415826j, "
+         "0.0763659569750188j)"),
+        (rotation((0.6, 0.0, 0.8), 1.1).value,
+         "((0.8525245220595057+0j), (-0.4181497831445274+0j), (-0+0j), "
+         "(-0.3136123373583955+0j))"),
+        (rotated_pauli("x", "y", 0.9),
+         "(0j, 0.7833269096274834j, -0.6216099682706644j, 0j)"),
+        (rotated_pauli("z", "y", 7.0),
+         "(0j, 0j, -0.7539022543433046j, -0.6569865987187891j)"),
+    ]
+    for got, want in pins:
+        assert repr(got.coefficients()) == want
+
+
+def test_constructors_reject_nan_and_infinity():
+    with pytest.raises(ValueError, match="not normalized"):
+        SpinState(Biquaternion(math.nan))
+    with pytest.raises(ValueError, match="unit vector"):
+        rotation((math.nan, 0.0, 0.0), 1.0)
+    for bad in (math.nan, math.inf, complex(0.0, math.nan), -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            superposition(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            superposition(0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            superposition(np.array([1.0, bad]), np.array([0.0, 1.0]))
+    up = spin_up().value
+    with pytest.raises(ValueError, match="not normalized"):
+        SpinState(Biquaternion(np.array([up.q0, math.nan]), up.q1))
+
+
+def test_superposition_of_huge_amplitudes():
+    s = superposition(1e200, 1e200)
+    assert allclose(s.value, superposition(1, 1).value, tol=1e-16)
+    s = superposition(np.array([1e200, 3.0]), np.array([1e200, 4j]))
+    assert allclose(s.value, superposition(np.array([1.0, 0.6]),
+                                           np.array([1.0, 0.8j])).value,
+                    tol=1e-15)
+
+
+def _coefficient_dev(batch, i, scalar):
+    return max(abs(np.broadcast_to(b, (200,))[i] - s) for b, s in
+               zip(batch.coefficients(), scalar.coefficients()))
+
+
+def test_batches_agree_with_scalar_calls():
+    rng = np.random.default_rng(97)
+    c = rng.standard_normal((200, 4))
+    c_up, c_down = c[:, 0] + 1j*c[:, 1], c[:, 2] + 1j*c[:, 3]
+    v = rng.standard_normal((200, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    angles = rng.uniform(-7, 7, 200)
+    states = superposition(c_up, c_down).value
+    rots = rotation(v.T, angles).value
+    closed = {(a, b): rotated_pauli(a, b, angles) for a in "xyz" for b in "xy"}
+    dev = 0.0
+    for i in range(200):
+        one = superposition(complex(c_up[i]), complex(c_down[i]))
+        dev = max(dev, _coefficient_dev(states, i, one.value))
+        dev = max(dev, _coefficient_dev(
+            rots, i, rotation(tuple(v[i]), float(angles[i])).value))
+        for (a, b), batch in closed.items():
+            dev = max(dev, _coefficient_dev(
+                batch, i, rotated_pauli(a, b, float(angles[i]))))
+    assert dev <= 1e-15
+
+
+def test_one_bad_element_fails_the_batch():
+    axes = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])   # second |n| = 1.41
+    with pytest.raises(ValueError, match="unit vector"):
+        rotation(axes, np.array([0.3, 0.4]))
+    with pytest.raises(ValueError, match="zero state"):
+        superposition(np.array([1.0, 0.0, 2.0]), np.array([1j, 0.0, 0.0]))
+    up = spin_up().value
+    with pytest.raises(ValueError, match="not normalized"):
+        SpinState(up*np.array([1.0, 1.0, 1.1]))
+    assert norm_sq(SpinState(up*np.array([1.0, -1.0, 1j])).value).shape == (3,)

@@ -58,3 +58,16 @@ def test_wrong_energy_residual_at_the_eigenvalue():
     # e^{-rho} split off the radial prefactor: rounding at rho = 600 no
     # longer doubles the residual at the eigenvalue
     assert verify.run_check("ode-wrong-energy").max_dev <= 7e-6
+
+
+_BATCHED = ("inverse-roundtrip", "zero-divisor-detection", "orthonormality",
+            "rotation-conjugation", "rotation-double-cover",
+            "rotation-composition", "rotation-own-axis",
+            "spinor-completeness", "spinor-vector-consistency")
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_batched_checks_pass_across_seeds(seed):
+    for name in _BATCHED:
+        res = verify.run_check(name, seed=seed)
+        assert res.passed, (name, seed, res.max_dev, res.tol)
