@@ -30,7 +30,7 @@ an array without filling zero arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 __all__ = [
     "Biquaternion", "E0", "E1", "E2", "E3",
@@ -67,26 +67,25 @@ def _scaled(c, x):
     return x if type(x) is complex and not x else c*x
 
 
-@dataclass(frozen=True, eq=False)
-class Biquaternion:
+class Biquaternion(Record):
     """Immutable biquaternion with coefficients q0..q3 on e0..e3.
 
     Each coefficient is a complex scalar or a broadcastable complex array.
     == and hash are for scalar coefficients only.
     """
 
-    q0: complex = 0j
-    q1: complex = 0j
-    q2: complex = 0j
-    q3: complex = 0j
+    q0: complex
+    q1: complex
+    q2: complex
+    q3: complex
 
     # numpy defers to __rmul__: array * q scales q, not an object array
     __array_ufunc__ = None
 
-    def __post_init__(self):
+    def __init__(self, q0=0j, q1=0j, q2=0j, q3=0j):
         d = self.__dict__
         d["q0"], d["q1"], d["q2"], d["q3"] = (
-            _coef(self.q0), _coef(self.q1), _coef(self.q2), _coef(self.q3))
+            _coef(q0), _coef(q1), _coef(q2), _coef(q3))
 
     def coefficients(self) -> tuple[complex, complex, complex, complex]:
         return (self.q0, self.q1, self.q2, self.q3)
@@ -217,21 +216,31 @@ def inverse(q: Biquaternion) -> Biquaternion:
     any element is one).
     """
     form = quadratic_form(q)
-    f, n = abs(form), norm_sq(q)
-    if _any((f <= TOL*n) | (f <= TOL*1e-300)):     # f <= TOL*max(n, 1e-300)
+    if _any(_singular(form, norm_sq(q))):
         raise ValueError("no inverse")
     return conj_vec(q)/form
 
 
 def is_zero_divisor(q: Biquaternion):
-    """True iff q != 0 and its complex quadratic form vanishes (tol 1e-12).
+    """True iff q != 0 and its complex quadratic form vanishes: |form| <=
+    1e-12 norm_sq(q), the criterion inverse refuses on.
 
     Such elements annihilate their conjugates, q * conj_vec(q) = 0, and have
-    no inverse even though their Euclidean norm_sq is positive.  A bool for
-    scalar q, a bool array for a batch.
+    no inverse even though their Euclidean norm_sq is positive.  Scaling q
+    by c leaves the answer as it is (up to rounding at the threshold)
+    while |c|^2 norm_sq(q) >= 1e-300.  A bool for scalar q, a bool array
+    for a batch.
     """
-    f, n = abs(quadratic_form(q)), norm_sq(q)
-    return (n != 0) & ((f <= TOL*n) | (f <= TOL))   # f <= TOL*max(n, 1)
+    n = norm_sq(q)
+    return (n != 0) & _singular(quadratic_form(q), n)
+
+
+def _singular(form, n):
+    """|form| <= TOL*max(n, 1e-300): the form vanishes relative to the
+    norm, so that scaling q scales both sides alike.  Below the floor the
+    squares are subnormal and keep too few digits to tell."""
+    f = abs(form)
+    return (f <= TOL*n) | (f <= TOL*1e-300)
 
 
 def allclose(a: Biquaternion, b: Biquaternion, tol: float = TOL) -> bool:

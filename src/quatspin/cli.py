@@ -17,7 +17,6 @@ exits quietly), 2 domain error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -56,6 +55,7 @@ def _emit_json(record: dict) -> None:
 
 
 def _emit_csv(rows: list[dict], fields: list[str]) -> None:
+    import csv
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .biquaternion import Biquaternion, mul, conj_both, norm_sq
 from .levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, _Level, l_of_k,
@@ -297,8 +297,7 @@ def clear_shooting_cache():
     _shoot_default.cache_clear()
 
 
-@dataclass(frozen=True)
-class WaveFunction:
+class WaveFunction(Record):
     """Assembled bound-state wavefunction Psi = (A/r)(F y_up + i G y_low)."""
 
     qn: QuantumNumbers
@@ -306,6 +305,12 @@ class WaveFunction:
     A: float
     spinor_upper: SpinorFunction
     spinor_lower: SpinorFunction
+
+    def __init__(self, qn: QuantumNumbers, level: _Level, A: float,
+                 spinor_upper: SpinorFunction, spinor_lower: SpinorFunction):
+        d = self.__dict__
+        d["qn"], d["level"], d["A"] = qn, level, A
+        d["spinor_upper"], d["spinor_lower"] = spinor_upper, spinor_lower
 
     @property
     def energy(self) -> float:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "ALPHA_FS", "MC2_EV", "QuantumNumbers", "l_of_k",
@@ -40,16 +41,17 @@ def _is_int(x) -> bool:
             and math.isfinite(x) and x == int(x))
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(Record):
     """Bound-state labels (n, k, m_j, Z) with Dirac validity constraints."""
 
     n: int
     k: int
-    m_j: float = 0.5
-    Z: int = 1
+    m_j: float
+    Z: int
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, m_j: float = 0.5, Z: int = 1):
+        d = self.__dict__
+        d["n"], d["k"], d["m_j"], d["Z"] = n, k, m_j, Z
         if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not _is_int(self.k) or self.k == 0:

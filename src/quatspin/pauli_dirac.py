@@ -19,10 +19,9 @@ gamma^1, gamma(3) is gamma^2, and gamma(1) is gamma^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .biquaternion import Biquaternion, E0, mul
 from .matrices import to_matrix_linear, SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2
 
@@ -43,18 +42,23 @@ _BASIS_MATRICES = (
 )
 
 
-@dataclass(frozen=True)
-class PauliAlgebraElement:
+class PauliAlgebraElement(Record):
     """Real coefficients q0..q7 on {I, sz, sy, sx, sysx, sxsz, szsy, sxsysz}."""
 
-    q0: float = 0.0
-    q1: float = 0.0
-    q2: float = 0.0
-    q3: float = 0.0
-    q4: float = 0.0
-    q5: float = 0.0
-    q6: float = 0.0
-    q7: float = 0.0
+    q0: float
+    q1: float
+    q2: float
+    q3: float
+    q4: float
+    q5: float
+    q6: float
+    q7: float
+
+    def __init__(self, q0=0.0, q1=0.0, q2=0.0, q3=0.0, q4=0.0, q5=0.0,
+                 q6=0.0, q7=0.0):
+        d = self.__dict__
+        d["q0"], d["q1"], d["q2"], d["q3"] = q0, q1, q2, q3
+        d["q4"], d["q5"], d["q6"], d["q7"] = q4, q5, q6, q7
 
     def coefficients(self):
         return (self.q0, self.q1, self.q2, self.q3,
@@ -86,12 +90,14 @@ def hodge() -> Biquaternion:
     return Biquaternion(-1j, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class DiracMatrix:
+class DiracMatrix(Record):
     """2x2 block matrix of biquaternions (a 4x4 complex matrix in disguise)."""
 
     blocks: tuple[tuple[Biquaternion, Biquaternion],
                   tuple[Biquaternion, Biquaternion]]
+
+    def __init__(self, blocks):
+        self.__dict__["blocks"] = blocks
 
     def to_matrix4(self) -> np.ndarray:
         """Expand each block through the linear representation; blocks with

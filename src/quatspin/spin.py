@@ -18,8 +18,8 @@ Python scalars stay on Python floats and load no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .biquaternion import (
     Biquaternion, E0, mul, conj_both, norm_sq, _any, _peak,
 )
@@ -52,20 +52,19 @@ def _lib(*xs):
     return np
 
 
-@dataclass(frozen=True)
-class SpinState:
+class SpinState(Record):
     """Unit-norm biquaternion (or batch of them) playing the role of a ket."""
 
     value: Biquaternion
 
-    def __post_init__(self):
-        n = norm_sq(self.value)
+    def __init__(self, value: Biquaternion):
+        self.__dict__["value"] = value
+        n = norm_sq(value)
         if not _peak(n - 1.0) <= 1e-9:
             raise ValueError(f"state not normalized: norm_sq = {n!r}")
 
 
-@dataclass(frozen=True)
-class RotationOperator:
+class RotationOperator(Record):
     """Half-angle rotation quaternion about a unit axis.
 
     value = e0 cos(phi/2) - (nx e3 + ny e2 + nz e1) sin(phi/2); unit norm for
@@ -74,18 +73,19 @@ class RotationOperator:
 
     axis: tuple
     angle: float
-    value: Biquaternion = field(init=False)
+    value: Biquaternion
 
-    def __post_init__(self):
-        nx, ny, nz = self.axis
-        lib = _lib(nx, ny, nz, self.angle)
+    def __init__(self, axis: tuple, angle: float):
+        nx, ny, nz = axis
+        lib = _lib(nx, ny, nz, angle)
         r = lib.sqrt(nx*nx + ny*ny + nz*nz)
         if not _peak(r - 1.0) <= 1e-12:
             raise ValueError(f"axis must be a unit vector, |n| = {r!r}")
-        c = lib.cos(self.angle/2)
-        s = lib.sin(self.angle/2)
-        object.__setattr__(self, "value",
-                           Biquaternion(c, -nz*s, -ny*s, -nx*s))
+        c = lib.cos(angle/2)
+        s = lib.sin(angle/2)
+        d = self.__dict__
+        d["axis"], d["angle"] = axis, angle
+        d["value"] = Biquaternion(c, -nz*s, -ny*s, -nx*s)
 
 
 def pauli_quaternion(axis: str) -> Biquaternion:
@@ -118,9 +118,18 @@ def spin_down() -> SpinState:
 def superposition(c_up, c_down) -> SpinState:
     """Normalized c_up |+> + c_down |-> (a batch for array amplitudes);
     ValueError for a zero pair or a NaN or infinite amplitude."""
-    n = _lib(c_up, c_down).hypot(abs(c_up), abs(c_down))
-    if not _peak(n) < math.inf:
+    lib = _lib(c_up, c_down)
+    # size, a quarter of 1 + |re| + |im| summed over both amplitudes, is
+    # finite iff they are; dividing the pair by the power of two t <= size
+    # < 2t first is exact, so the digits stay those of c/|c|, while every
+    # |re| and |im| falls below 8 and hypot cannot overflow
+    size = sum([0.25] + [abs(x)/4 for c in (c_up, c_down)
+                         for x in (c.real, c.imag)])
+    if not _peak(size) < math.inf:
         raise ValueError("amplitudes must be finite")
+    t = lib.ldexp(1.0, lib.frexp(size)[1] - 1)
+    c_up, c_down = c_up/t, c_down/t
+    n = lib.hypot(abs(c_up), abs(c_down))
     if _any(n == 0.0):
         raise ValueError("zero state")
     return SpinState(_Q_UP*(c_up/n) + _Q_DOWN*(c_down/n))

@@ -16,8 +16,8 @@ carries the minus sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .biquaternion import Biquaternion
 from .special import spherical_harmonics
 from .spin import _Q_UP, _Q_DOWN, inner
@@ -64,20 +64,19 @@ def clebsch_coefficients(l: int, j: float, m_j: float) -> tuple[float, float]:
     return c1, c2
 
 
-@dataclass(frozen=True)
-class SpinorFunction:
+class SpinorFunction(Record):
     """Angular eigenfunction of (J^2, J_z, L^2) for given (l, j, m_j)."""
 
     l: int
     j: float
     m_j: float
-    c1: float = field(init=False)
-    c2: float = field(init=False)
+    c1: float
+    c2: float
 
-    def __post_init__(self):
-        c1, c2 = clebsch_coefficients(self.l, self.j, self.m_j)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+    def __init__(self, l: int, j: float, m_j: float):
+        d = self.__dict__
+        d["l"], d["j"], d["m_j"] = l, j, m_j
+        d["c1"], d["c2"] = clebsch_coefficients(l, j, m_j)
 
     def harmonic(self, which: str, theta, phi):
         """Y_l^{m_j -+ 1/2} for which in {'up','down'}; zero if |m| > l."""

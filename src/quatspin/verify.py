@@ -19,10 +19,10 @@ functions; scipy is imported only in the checks whose second route needs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .biquaternion import (
     Biquaternion, E0, E1, E2, E3, mul, decompose, conj_vec, conj_complex,
     conj_both, norm_sq, quadratic_form, inverse, is_zero_divisor, max_dev,
@@ -47,14 +47,19 @@ __all__ = ["CheckResult", "run_check", "run_suite", "suite_names",
            "density_oracle", "probability_oracle"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     suite: str
     max_dev: float
     tol: float
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, suite: str, max_dev: float, tol: float,
+                 passed: bool, detail: str = ""):
+        d = self.__dict__
+        d["name"], d["suite"], d["max_dev"] = name, suite, max_dev
+        d["tol"], d["passed"], d["detail"] = tol, passed, detail
 
 
 _REGISTRY: dict[str, tuple[str, float, object]] = {}

@@ -201,8 +201,29 @@ def test_scalar_inverse_and_zero_divisor_are_pinned():
         Biquaternion(0.5, 0.5j), Biquaternion(1, 1j*(1 + 1e-13)),
         Biquaternion(1e-7, 1e-7j*(1 + 1e-5)), Biquaternion(3, 0, 4j, 0),
         Biquaternion(1e-200, 1e-200j))]
-    assert flags == [True, True, True, False, False]
+    assert flags == [True, True, False, False, False]
     assert all(type(f) is bool for f in flags)
+
+
+def test_zero_divisor_test_is_scale_invariant():
+    # |form| <= 1e-12 norm_sq on both sides: small elements are neither
+    # flagged nor refused by that alone, and scaling keeps every verdict
+    assert not is_zero_divisor(Biquaternion(1e-7))
+    assert allclose(inverse(Biquaternion(1e-7)), Biquaternion(1e7), tol=1e-8)
+    c = np.logspace(-150, 150, 61)
+    for q in (Biquaternion(0.5, 0.5j), Biquaternion(1, 1j*(1 + 1e-13)),
+              Biquaternion(1, 1j*(1 + 1e-5)), Biquaternion(3, 0, 4j, 0),
+              Biquaternion(1 + 2j, 3, -0.5j, 4), E2):
+        flag = is_zero_divisor(q)
+        for scale in (c, c*(0.6 - 0.8j)):
+            assert (is_zero_divisor(q*scale) == flag).all()
+            for s in scale[::12]:
+                if flag:
+                    with pytest.raises(ValueError, match="no inverse"):
+                        inverse(q*complex(s))
+                else:       # (1, 1.00001i) has |form| ~ 1e-5 |q|^2
+                    assert allclose(mul(q*complex(s), inverse(q*complex(s))),
+                                    E0, tol=1e-10)
 
 
 def _element(q, i):

@@ -1,6 +1,8 @@
 """The package namespace: every public name resolves on first access."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -35,3 +37,21 @@ def test_star_import_binds_every_public_name():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         quatspin.no_such_name
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, which
+    # the scalar subcommands would pay for on every call
+    src = pathlib.Path(quatspin.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses"
+                           for n in names), path.name

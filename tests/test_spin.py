@@ -253,6 +253,24 @@ def test_superposition_of_huge_amplitudes():
                     tol=1e-15)
 
 
+def test_superposition_of_amplitudes_whose_modulus_overflows():
+    big = complex(1.5e308, 1.5e308)     # finite, but |big| is not
+    want = superposition(1 + 1j, 0).value
+    assert allclose(superposition(big, 0).value, want, tol=1e-15)
+    assert allclose(superposition(big, -big).value,
+                    superposition(1 + 1j, -1 - 1j).value, tol=1e-15)
+    batch = superposition(np.array([big, 3.0]), np.array([0j, 4j])).value
+    assert allclose(batch, Biquaternion(*(
+        np.array([a, b]) for a, b in zip(
+            want.coefficients(),
+            superposition(3.0, 4j).value.coefficients()))), tol=1e-15)
+    for bad in (math.nan, math.inf, complex(1.5e308, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            superposition(big, bad)
+        with pytest.raises(ValueError, match="finite"):
+            superposition(np.array([big, big]), np.array([0.0, bad]))
+
+
 def _coefficient_dev(batch, i, scalar):
     return max(abs(np.broadcast_to(b, (200,))[i] - s) for b, s in
                zip(batch.coefficients(), scalar.coefficients()))
