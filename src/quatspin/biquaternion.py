@@ -196,7 +196,11 @@ def norm_sq(q: Biquaternion) -> float:
     Positive-definite: this is the squared Euclidean norm of q viewed as an
     8-real-component vector, zero iff q = 0.  Elementwise for array q.
     """
-    return sum(c.real*c.real + c.imag*c.imag for c in q.coefficients())
+    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
+    return ((q0.real*q0.real + q0.imag*q0.imag)
+            + (q1.real*q1.real + q1.imag*q1.imag)
+            + (q2.real*q2.real + q2.imag*q2.imag)
+            + (q3.real*q3.real + q3.imag*q3.imag))
 
 
 def quadratic_form(q: Biquaternion) -> complex:

@@ -44,13 +44,15 @@ import math
 import numpy as np
 
 from ._record import Record
-from .biquaternion import Biquaternion, mul, conj_both, norm_sq
+from .biquaternion import Biquaternion, _bq, mul, conj_both, norm_sq
 from .levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, _Level, l_of_k,
     sommerfeld_energy, energy, energy_ev, binding_energy_ev,
     radial_parameters,
 )
-from .special import gauss_laguerre_nodes, gauss_legendre_nodes, laguerre
+from .special import (
+    _laguerre_pair, gauss_laguerre_nodes, gauss_legendre_nodes,
+)
 from .spinor import SpinorFunction, spinor_biquaternions
 
 __all__ = [
@@ -62,27 +64,18 @@ __all__ = [
 ]
 
 
-def _lag(n: int, a: float, x):
-    """Laguerre with the degree -1 convention: L_{-1} == 0."""
-    if n < 0:
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return z if z.ndim else 0.0
-    return laguerre(n, a, x)
-
-
 def _brackets(lv: _Level, x):
     """Laguerre brackets (P, Q) at x = 2 rho, so that F = rho^s e^{-rho} P
-    and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x."""
-    nr = lv.n - abs(lv.k)
-    L1 = _lag(nr - 1, 2*lv.s + 1, x)
-    L2 = _lag(nr, 2*lv.s - 1, x)
+    and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x, from one
+    recurrence pass for L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)}."""
+    L1, L2 = _laguerre_pair(lv.n - abs(lv.k), 2*lv.s + 1, 2*lv.s - 1, x)
     return lv.za*x*L1 + lv.sk*lv.W*L2, lv.sk*x*L1 + lv.za*lv.W*L2
 
 
 def _radial_FG(lv: _Level, rho, A: float = 1.0):
     """Closed-form (F, G) at dimensionless rho (vectorized), times the
-    normalization A (1: unnormalized).  A 0-d rho whose prefactor splits
-    (below) runs on Python floats and gives floats.
+    normalization A (1: unnormalized).  A float or 0-d rho runs on Python
+    floats and gives floats.
 
     The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
     so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
@@ -93,17 +86,24 @@ def _radial_FG(lv: _Level, rho, A: float = 1.0):
     """
     s = lv.s
     log_a = math.log(A)
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 0:
-        rho = lo = hi = float(rho)      # one point runs on Python floats
+    if type(rho) is not float:
+        rho = np.asarray(rho, dtype=float)
+        if rho.ndim == 0:
+            rho = float(rho)
+    # e^{-rho} beats every power of rho: the limit at rho = inf is 0
+    if type(rho) is float:              # one point runs on Python floats
+        if rho == math.inf:
+            return 0.0, 0.0
+        lo = hi = rho
         exp = math.exp
     else:
         lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
         exp = np.exp
-    if hi == math.inf:      # e^{-rho} beats every power of rho: the limit is 0
-        finite = rho < hi
-        F, G = _radial_FG(lv, np.where(finite, rho, 0.0), A)
-        return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
+        if hi == math.inf:
+            finite = rho < hi
+            F, G = _radial_FG(lv, np.where(finite, rho, 0.0), A)
+            return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
+    P, Q = _brackets(lv, 2*rho)
     # each condition of _split_ok is monotone or concave in rho, so it holds
     # on every node when it holds at both ends
     if lo > 0 and all(_split_ok(log_a, s*math.log(x), x) for x in {lo, hi}):
@@ -116,7 +116,8 @@ def _radial_FG(lv: _Level, rho, A: float = 1.0):
             pref = np.where(_split_ok(log_a, log_rs, rho),
                             A*rho**s*np.exp(-rho),
                             np.exp(log_a + log_rs - rho))
-    P, Q = _brackets(lv, 2*rho)
+        if not pref.ndim:               # a point stays on Python floats
+            pref = float(pref)
     return pref*P, -pref*Q
 
 
@@ -334,19 +335,24 @@ class WaveFunction(Record):
 
         r (Bohr, > 0), theta and phi broadcast; array arguments give a
         biquaternion with fresh array coefficients of the broadcast shape,
-        and one point gives Python complex coefficients.  Each argument is
-        first cut to length 1 along every axis on which it is constant (a
-        meshgrid R varies along one axis only), so F and G are evaluated
-        once per distinct radius and the spinors once per distinct angle;
-        only the final combination is formed at full size.
+        and one point gives Python complex coefficients.  Three Python
+        floats stay Python floats throughout (no numpy call); ints, numpy
+        scalars and 0-d arrays are converted to them first.  Each array
+        argument is first cut to length 1 along every axis on which it is
+        constant (a meshgrid R varies along one axis only), so F and G are
+        evaluated once per distinct radius and the spinors once per
+        distinct angle; only the final combination is formed at full size.
         """
-        r_au = np.asarray(r_au, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        point = r_au.ndim == theta.ndim == phi.ndim == 0
+        point = type(r_au) is type(theta) is type(phi) is float
+        if not point:
+            r_au = np.asarray(r_au, dtype=float)
+            theta = np.asarray(theta, dtype=float)
+            phi = np.asarray(phi, dtype=float)
+            point = r_au.ndim == theta.ndim == phi.ndim == 0
+            if point:
+                r_au, theta, phi = float(r_au), float(theta), float(phi)
         if point:
-            r, theta, phi = float(r_au), float(theta), float(phi)
-            r_min = r
+            r = r_min = r_au
         else:
             shape = np.broadcast_shapes(r_au.shape, theta.shape, phi.shape)
             r, theta, phi = _trim(r_au), _trim(theta), _trim(phi)
@@ -356,15 +362,15 @@ class WaveFunction(Record):
         F, G = _radial_FG(self.level, self.C*r/ALPHA_FS, self.A)
         pref = ALPHA_FS/r
         f, g = pref*F, 1j*pref*G
-        y_up, y_lo = spinor_biquaternions(
+        u, v = spinor_biquaternions(
             (self.spinor_upper, self.spinor_lower), theta, phi)
-        # Psi = f y_up + g y_lo as one expression per coefficient: numpy
-        # then reuses the full-size product temporaries for the sums
-        p = Biquaternion(*(f*u + g*v for u, v in zip(y_up.coefficients(),
-                                                      y_lo.coefficients())))
+        # Psi = f u + g v as one expression per coefficient: numpy then
+        # reuses the full-size product temporaries for the sums
+        p = _bq(f*u.q0 + g*v.q0, f*u.q1 + g*v.q1, f*u.q2 + g*v.q2,
+                f*u.q3 + g*v.q3)
         if not point and any(c.shape != shape for c in p.coefficients()):
-            p = Biquaternion(*(np.broadcast_to(c, shape).copy()
-                               for c in p.coefficients()))
+            p = _bq(*(np.broadcast_to(c, shape).copy()
+                      for c in p.coefficients()))
         return p
 
     def density_product(self, r_au, theta, phi) -> Biquaternion:
@@ -408,6 +414,20 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _shell_rules(nodes: int):
+    """The Gauss-Legendre rules of nodes and nodes + nodes//4 points on
+    [0, 1] for probability_in_region: their nodes concatenated (both rules
+    in one evaluation) and the two weight vectors, read-only, memoized per
+    node count."""
+    t_c, w_c = gauss_legendre_nodes(nodes, 0.0, 1.0)
+    t_f, w_f = gauss_legendre_nodes(nodes + nodes//4, 0.0, 1.0)
+    t = np.concatenate((t_c, t_f))
+    for a in (t, w_c, w_f):
+        a.flags.writeable = False
+    return t, w_c, w_f
+
+
 def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
                           return_error: bool = False):
     """Probability of finding the electron in the radial shell [r_lo, r_hi].
@@ -429,9 +449,7 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     lo, hi = min(r_lo/ALPHA_FS, cap), min(r_hi/ALPHA_FS, cap)
     if hi <= lo:
         return (0.0, 0.0) if return_error else 0.0
-    t_c, w_c = gauss_legendre_nodes(nodes, 0.0, 1.0)
-    t_f, w_f = gauss_legendre_nodes(nodes + nodes//4, 0.0, 1.0)
-    t = np.concatenate((t_c, t_f))      # both rules in one evaluation
+    t, w_c, w_f = _shell_rules(nodes)
     F, G = _radial_FG(w.level, w.C*(lo + (hi - lo)*t*t), w.A)
     terms = 2.0*(hi - lo)*t*(F*F + G*G)       # dr = 2 (hi - lo) t dt
     coarse = float(np.dot(w_c, terms[:nodes]))

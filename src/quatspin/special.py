@@ -49,6 +49,30 @@ def laguerre(n: int, alpha: float, x):
     return L1
 
 
+def _laguerre_pair(n: int, a: float, b: float, x):
+    """(L_{n-1}^(a)(x), L_n^(b)(x)), with L_{-1} = 0, from one loop that
+    runs the recurrence of laguerre for both (unchecked: integer n >= 0,
+    a, b > -1).
+
+    Each value goes through the operations of laguerre in the same order,
+    so both are bit-identical to separate calls; a degree below 1 gives
+    the scalar 0.0 or 1.0.  A float or 0-d x runs on Python floats.
+    """
+    if type(x) is not float:
+        import numpy as np
+        x = np.asarray(x)
+        if not x.ndim:
+            x = x.item()
+    if n == 0:
+        return 0.0, 1.0
+    L0, L1, M0, M1 = 1.0, 1 + a - x, 1.0, 1 + b - x
+    for k in range(1, n):
+        if k < n - 1:                   # L stops at degree n - 1
+            L0, L1 = L1, ((2*k + 1 + a - x)*L1 - (k + a)*L0)/(k + 1)
+        M0, M1 = M1, ((2*k + 1 + b - x)*M1 - (k + b)*M0)/(k + 1)
+    return (L1 if n > 1 else L0), M1
+
+
 @functools.lru_cache(maxsize=1024)
 def _legendre_column(l: int, ma: int):
     """Coefficients of the normalized column recurrence of order ma up to
@@ -103,17 +127,17 @@ def spherical_harmonics(degrees, m: int, theta, phi) -> list:
         zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
                         dtype=complex)
     p, table = _legendre_column(max(degrees), ma)
-    column = {ma: p}                      # Pbar_l^m / u^m by degree l
+    column = [p]                    # Pbar_l^m / u^m for l = ma, ma + 1, ...
     p0 = 0.0
-    for d, (a, b) in enumerate(table, ma + 1):
+    for a, b in table:
         p0, p = p, a*(x*p - b*p0)
-        column[d] = p
+        column.append(p)
     out = []
     for l in degrees:
         if l < ma:
             out.append(zero)
             continue
-        y = column[l]*u**ma*e
+        y = column[l - ma]*u**ma*e
         if m < 0:
             y = (-1)**ma*y.conjugate()
         out.append(y)

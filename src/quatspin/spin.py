@@ -122,12 +122,15 @@ def superposition(c_up, c_down) -> SpinState:
     # size, a quarter of 1 + |re| + |im| summed over both amplitudes, is
     # finite iff they are; dividing the pair by the power of two t <= size
     # < 2t first is exact, so the digits stay those of c/|c|, while every
-    # |re| and |im| falls below 8 and hypot cannot overflow
+    # |re| and |im| falls below 8 and hypot cannot overflow.  Where size
+    # rounds to 1/4 every part is below 2^-53, and t = 2^-602 lifts them
+    # all (subnormals too) into the normal range, so that |c| and 1/|c|
+    # are normal floats
     size = sum([0.25] + [abs(x)/4 for c in (c_up, c_down)
                          for x in (c.real, c.imag)])
     if not _peak(size) < math.inf:
         raise ValueError("amplitudes must be finite")
-    t = lib.ldexp(1.0, lib.frexp(size)[1] - 1)
+    t = lib.ldexp(1.0, lib.frexp(size)[1] - 1)/2.0**(600*(size == 0.25))
     c_up, c_down = c_up/t, c_down/t
     n = lib.hypot(abs(c_up), abs(c_down))
     if _any(n == 0.0):

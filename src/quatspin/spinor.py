@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .biquaternion import Biquaternion
+from .biquaternion import Biquaternion, _bq
 from .special import spherical_harmonics
 from .spin import _Q_UP, _Q_DOWN, inner
 
@@ -113,8 +113,14 @@ def spinor_biquaternions(spinors, theta, phi) -> list[Biquaternion]:
     ls = [s.l for s in spinors]
     y1 = spherical_harmonics(ls, int(round(m_j - 0.5)), theta, phi)
     y2 = spherical_harmonics(ls, int(round(m_j + 0.5)), theta, phi)
-    return [_Q_UP*(s.c1*a) + _Q_DOWN*(s.c2*b)
-            for s, a, b in zip(spinors, y1, y2)]
+    out = []
+    for s, a, b in zip(spinors, y1, y2):
+        c, d = s.c1*a, s.c2*b
+        # q+ c + q- d: each 0j is the other term's structural zero, which
+        # also fixes the sign of zero parts
+        out.append(_bq(c*_Q_UP.q0 + 0j, c*_Q_UP.q1 + 0j,
+                       0j + d*_Q_DOWN.q2, 0j + d*_Q_DOWN.q3))
+    return out
 
 
 def spinor_as_biquaternion(s: SpinorFunction, theta,

@@ -302,6 +302,38 @@ def test_spinor_worked_example(capsys):
     assert rec["p_up"] == pytest.approx(abs(up)**2)
 
 
+_C9 = {"c1": -0.9176629354822471, "c2": 0.39735970711951313}
+
+
+@pytest.mark.parametrize("params, l, j, coefficients, up, down, q, p", [
+    ({"k": 9, "mj": -6.5, "theta": 1.90254703490314, "phi": 0.0}, 9, 8.5,
+     _C9, [-0.19184149754012833, 0.0], [0.09843902912807923, 0.0],
+     [[-0.13565242382360712, 0.0], [0.0, 0.13565242382360712],
+      [-0.0696069050298849, 0.0], [0.0, -0.0696069050298849]],
+     [0.036803160178439064, 0.00969024245567883, 0.04649340263411789]),
+    ({"k": -3, "mj": 1.5, "theta": 0.0, "phi": 1.0}, 2, 2.5,
+     {"c1": 0.8944271909999159, "c2": 0.4472135954999579},
+     [-0.0, 0.0], [-0.0, 0.0], [[0.0, 0.0]]*4, [0.0, 0.0, 0.0]),
+    ({"k": 9, "mj": -6.5, "theta": math.pi, "phi": 0.0}, 9, 8.5, _C9,
+     [-2.3371431531829628e-111, 0.0], [-1.6698694353824308e-95, -0.0],
+     [[-1.6526097722193832e-111, 0.0], [0.0, 1.6526097722193832e-111],
+      [1.1807760014550682e-95, 0.0], [0.0, 1.1807760014550682e-95]],
+     [5.462238118470002e-222, 2.788463931224438e-190,
+      2.788463931224438e-190]),
+])
+def test_spinor_stdout_keeps_its_signed_zeros(capsys, params, l, j,
+                                              coefficients, up, down, q, p):
+    # the components may carry -0.0; each biquaternion zero part is +0.0
+    code, out = _run(capsys, "spinor", *(x for key, v in params.items()
+                                         for x in (f"--{key}", repr(v))))
+    assert code == 0
+    want = {"command": "spinor", "params": params, "l": l, "j": j,
+            "coefficients": coefficients, "component_up": up,
+            "component_down": down, "biquaternion": q,
+            "p_up": p[0], "p_down": p[1], "density": p[2]}
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
 def test_spinor_k_encodes_l(capsys):
     code, rec = _run_json(capsys, "spinor", "--k", "1", "--mj", "0.5")
     assert code == 0

@@ -310,6 +310,30 @@ def test_density_rejects_nonpositive_radius():
             w.density(r, 0.3, 0.0)
 
 
+@pytest.mark.parametrize("qn", [QuantumNumbers(20, -7, 2.5, 50),
+                                QuantumNumbers(150, -150, -3.5, 92)])
+def test_point_density_for_every_scalar_type(qn):
+    # Python floats take the float path; ints, numpy scalars and 0-d arrays
+    # are converted to it and give the same values (r = 1000 Bohr takes the
+    # one-exponential prefactor)
+    w = assemble_wavefunction(qn)
+    for r, th, ph in ((1.0, 0.5, 2.0), (3.0, 0.0, 0.0), (1000.0, 3.0, 5.0)):
+        psi = w.psi(r, th, ph)
+        dens = w.density(r, th, ph)
+        assert all(type(c) is complex for c in psi.coefficients())
+        assert type(dens) is float and dens >= 0
+        for cast in (int, np.float64, np.array):
+            args = [cast(x) if cast is not int or x == int(x) else x
+                    for x in (r, th, ph)]
+            assert w.psi(*args) == psi
+            assert w.density(*args) == dens
+    for r in (0.0, -1.0, math.nan, 0, np.float64(-2.0), np.array(math.nan)):
+        with pytest.raises(ValueError, match="r must be > 0"):
+            w.density(r, 0.3, 0.0)
+    for r in (math.inf, np.float64(math.inf), np.array(math.inf)):
+        assert w.density(r, 0.3, 0.0) == 0.0
+
+
 @pytest.mark.parametrize("n, k, mj, Z", [(1, -1, 0.5, 1), (7, 3, -1.5, 50),
                                          (40, -12, 2.5, 92)])
 def test_density_at_infinite_radius_is_the_limit_zero(n, k, mj, Z):
@@ -393,14 +417,14 @@ def test_density_separable_inputs_match_points():
 def test_laguerre_sees_each_radius_once(monkeypatch):
     # on an Nr x Ntheta meshgrid the radial recurrences run on Nr nodes
     import quatspin.hydrogen as hy
-    plain, seen = hy.laguerre, []
+    plain, seen = hy._laguerre_pair, []
 
-    def counting(n, a, x):
+    def counting(n, a, b, x):
         seen.append(np.size(x))
-        return plain(n, a, x)
+        return plain(n, a, b, x)
 
     w = assemble_wavefunction(QuantumNumbers(12, -3, 0.5, 20))
-    monkeypatch.setattr(hy, "laguerre", counting)
+    monkeypatch.setattr(hy, "_laguerre_pair", counting)
     R, TH = np.meshgrid(np.linspace(0.1, 20.0, 40),
                         np.linspace(0.0, math.pi, 30), indexing="ij")
     w.density_grid(R, TH)

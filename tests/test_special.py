@@ -8,7 +8,8 @@ from scipy.special import eval_genlaguerre, sph_harm_y
 
 from quatspin import laguerre, spherical_harmonic, quadrature_sphere
 from quatspin.special import (
-    gauss_laguerre_nodes, gauss_legendre_nodes, spherical_harmonics,
+    _laguerre_pair, gauss_laguerre_nodes, gauss_legendre_nodes,
+    spherical_harmonics,
 )
 
 
@@ -29,6 +30,27 @@ def test_laguerre_low_orders():
     assert laguerre(2, 0.0, 0.0) == pytest.approx(1.0)
     # scalar in, scalar out
     assert np.isscalar(laguerre(3, 1.5, 2.0))
+
+
+def _bits(x, shape=()):
+    return np.broadcast_to(np.asarray(x, dtype=float), shape).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
+def test_laguerre_pair_is_two_laguerre_calls(n):
+    # one loop for (L_{n-1}^(a), L_n^(b)) gives the bits of two calls
+    a, b = 2*0.9987 + 1, 2*0.9987 - 1
+    xs = np.array([0.0, 1e-3, 0.7, 3.5, 41.0, 250.0])
+    for x in (xs, xs.reshape(2, 3), np.array(2.5)):
+        lo, hi = _laguerre_pair(n, a, b, x)
+        want_lo = laguerre(n - 1, a, x) if n else 0.0
+        assert _bits(lo, x.shape) == _bits(want_lo, x.shape)
+        assert _bits(hi, x.shape) == _bits(laguerre(n, b, x), x.shape)
+    for x in xs.tolist():
+        lo, hi = _laguerre_pair(n, a, b, x)
+        assert type(lo) is type(hi) is float
+        assert lo == (laguerre(n - 1, a, x) if n else 0.0)
+        assert _bits(hi) == _bits(laguerre(n, b, x))
 
 
 def test_laguerre_rejects_bad_arguments():

@@ -271,6 +271,30 @@ def test_superposition_of_amplitudes_whose_modulus_overflows():
             superposition(np.array([big, big]), np.array([0.0, bad]))
 
 
+def test_superposition_of_subnormal_amplitudes():
+    # a subnormal modulus |c| is lifted to the normal range before c/|c|
+    pairs = [(1e-310j, 0j), (5e-324, 0j), (1e-320, 3e-321j),
+             (1e-20, 1e-320), (0j, -2e-315 + 1e-316j)]
+    batch = superposition(np.array([a for a, _ in pairs]),
+                          np.array([b for _, b in pairs])).value
+    for i, (a, b) in enumerate(pairs):
+        one = superposition(a, b).value
+        assert allclose(Biquaternion(*(c[i] for c in batch.coefficients())),
+                        one, tol=1e-15)
+    assert allclose(superposition(1e-310j, 0).value,
+                    superposition(1j, 0).value, tol=1e-16)
+    assert allclose(superposition(1e-320, 3e-321j).value,
+                    superposition(1e-320*2.0**1000, 3e-321j*2.0**1000).value,
+                    tol=1e-15)
+    with pytest.raises(ValueError, match="zero state"):
+        superposition(np.array([1e-310j, 0j]), np.array([0j, 0j]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            superposition(1e-310, bad)
+        with pytest.raises(ValueError, match="finite"):
+            superposition(np.array([1e-310, 1e-310]), np.array([0.0, bad]))
+
+
 def _coefficient_dev(batch, i, scalar):
     return max(abs(np.broadcast_to(b, (200,))[i] - s) for b, s in
                zip(batch.coefficients(), scalar.coefficients()))
