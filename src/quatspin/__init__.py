@@ -33,10 +33,9 @@ _EXPORTS = {
         "spinor_as_biquaternion", "measure_probability"),
     "levels": (
         "ALPHA_FS", "MC2_EV", "QuantumNumbers", "sommerfeld_energy",
-        "energy", "energy_ev", "binding_energy_ev", "radial_parameters"),
+        "energy", "binding_energy_ev", "radial_parameters"),
     "hydrogen": (
-        "WaveFunction", "radial_F", "radial_G", "ode_residual",
-        "system_residual", "shoot_eigenvalue", "assemble_wavefunction",
+        "WaveFunction", "shoot_eigenvalue", "assemble_wavefunction",
         "probability_in_region"),
     "pauli_dirac": (
         "PauliAlgebraElement", "DiracMatrix", "embed",

@@ -189,6 +189,7 @@ def _emit_density(record: dict, r, theta, dens, cell, as_csv: bool) -> None:
 def _cmd_density(args, parser) -> int:
     import numpy as np
     from . import hydrogen as hy
+    from .levels import ALPHA_FS
     from .special import _leggauss, gauss_legendre_nodes
     grid = _parse_grid(args.grid, parser) if args.grid is not None else None
     qn = _state_or_usage(args, parser)
@@ -197,7 +198,7 @@ def _cmd_density(args, parser) -> int:
     # rho = 2n, and theta needs n + 2 nodes for the degree-2l harmonics
     n_r, n_theta = grid or (max(128, 48 + 6*qn.n), max(32, qn.n + 2))
     r_max = args.r_max if args.r_max is not None \
-        else (2*qn.n + 40.0)/w.C*hy.ALPHA_FS
+        else (2*qn.n + 40.0)/w.C*ALPHA_FS
     if r_max <= 0:
         parser.error("--r-max must be positive")
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
@@ -318,8 +319,12 @@ def _parse_axis(text: str, parser):
         v = np.array([_finite_float(p) for p in parts])
     except argparse.ArgumentTypeError:
         parser.error(f"--axis components must be finite numbers, got {text!r}")
+    # scaled by a power of two so that the squares cannot overflow; the
+    # scaling is exact, so the normalized digits do not change
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    v = np.ldexp(v, -e)
     norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
+    if math.ldexp(norm, min(e, 0)) < 1e-12:
         parser.error("--axis must be a nonzero vector")
     v = v/norm
     return (float(v[0]), float(v[1]), float(v[2]))

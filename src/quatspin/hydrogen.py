@@ -23,9 +23,9 @@ coupled first-order system
     F' + (k/r) F - (1 + E + za/r) G = 0
     G' - (k/r) G + (E - 1 + za/r) F = 0
 
-verified here both by high-order finite-difference residuals and by an
-independent two-sided shooting eigensolver.  The full wavefunction attaches
-total-angular-momentum spinors to the two components,
+Its finite-difference residual check lives in verify (ode_residual); the
+independent two-sided shooting eigensolver is here.  The full wavefunction
+attaches total-angular-momentum spinors to the two components,
 
     Psi = (A/r) (F y_{l_up} + i G y_{l_low}),   l_up = l(k), l_low = l(-k),
 
@@ -44,23 +44,18 @@ import math
 import numpy as np
 
 from ._record import Record
-from .biquaternion import Biquaternion, _bq, mul, conj_both, norm_sq
-from .levels import (
-    ALPHA_FS, MC2_EV, QuantumNumbers, _level, _Level, l_of_k,
-    sommerfeld_energy, energy, energy_ev, binding_energy_ev,
-    radial_parameters,
-)
+from .biquaternion import Biquaternion, _bq, norm_sq
+from .levels import ALPHA_FS, QuantumNumbers, _level, _Level, sommerfeld_energy
+# unused here: perfbench/workloads.py and perfbench/probes.py read them as hy.*
+from .levels import energy, radial_parameters  # noqa: F401
 from .special import (
     _laguerre_pair, gauss_laguerre_nodes, gauss_legendre_nodes,
 )
 from .spinor import SpinorFunction, spinor_biquaternions
 
 __all__ = [
-    "ALPHA_FS", "MC2_EV", "QuantumNumbers", "WaveFunction", "l_of_k",
-    "sommerfeld_energy", "energy", "energy_ev", "binding_energy_ev",
-    "radial_parameters", "radial_F", "radial_G",
-    "ode_residual", "system_residual", "shoot_eigenvalue",
-    "assemble_wavefunction", "probability_in_region",
+    "WaveFunction", "shoot_eigenvalue", "assemble_wavefunction",
+    "probability_in_region",
 ]
 
 
@@ -155,78 +150,17 @@ def _log_radial_norm_sq(lv: _Level) -> float:
     large, and for large |k| the integral itself exceeds the float range.
     """
     s = lv.s
-    x, log_w = gauss_laguerre_nodes(lv.n - abs(lv.k) + 2, 2*s)
-    P, Q = _brackets(lv, x)
-    with np.errstate(divide="ignore"):  # a bracket zero at a node adds 0
+    # a bracket zero at a node adds 0; from n = 359 (k = -1, Z = 1) the
+    # weights and brackets leave the float range and the result is NaN,
+    # which assemble_wavefunction refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, log_w = gauss_laguerre_nodes(lv.n - abs(lv.k) + 2, 2*s)
+        P, Q = _brackets(lv, x)
         log_terms = log_w + 2*np.log(np.hypot(P, Q))
-    top = float(np.max(log_terms))
-    return (top + math.log(float(np.sum(np.exp(log_terms - top))))
+        top = float(np.max(log_terms))
+        total = float(np.sum(np.exp(log_terms - top)))
+    return (top + math.log(total)
             - (2*s + 1)*math.log(2.0) - 0.5*math.log(1.0 - lv.E*lv.E))
-
-
-def radial_F(qn: QuantumNumbers, rho):
-    """Large radial component F(rho), unnormalized closed form."""
-    F, _ = _radial_FG(_level(qn), rho)
-    return F
-
-
-def radial_G(qn: QuantumNumbers, rho):
-    """Small radial component G(rho), unnormalized closed form."""
-    _, G = _radial_FG(_level(qn), rho)
-    return G
-
-
-def system_residual(qn: QuantumNumbers, E: float, F_fn, G_fn, r_grid):
-    """Normalized residuals of the coupled radial system for given callables.
-
-    F_fn and G_fn take radii in natural units and must accept arrays.  The
-    grid is in Bohr radii, strictly positive ascending.  Derivatives come
-    from a 5-point (4th-order) finite-difference stencil with step
-    h = min(8e-4/C, 0.01 r).  Each equation's residual is divided pointwise
-    by the sum of its term magnitudes; points where the solution has decayed
-    below 1e-200 of the grid maximum report zero.
-    """
-    r_au = np.asarray(r_grid, dtype=float)
-    if r_au.ndim != 1 or len(r_au) < 1:
-        raise ValueError("grid must be a 1-d array")
-    if not (np.all(r_au > 0) and np.all(np.diff(r_au) > 0)):
-        raise ValueError("grid must be strictly positive and ascending")
-    lv = _level(qn, E)
-    za, k = lv.za, lv.k
-    r = r_au/ALPHA_FS
-    h = np.minimum(8e-4/lv.C, 0.01*r)
-    F_st = [F_fn(r + m*h) for m in (-2, -1, 1, 2)]
-    G_st = [G_fn(r + m*h) for m in (-2, -1, 1, 2)]
-    dF = (-F_st[3] + 8*F_st[2] - 8*F_st[1] + F_st[0])/(12*h)
-    dG = (-G_st[3] + 8*G_st[2] - 8*G_st[1] + G_st[0])/(12*h)
-    Fv, Gv = F_fn(r), G_fn(r)
-    t1 = dF + (k/r)*Fv - (1 + E + za/r)*Gv
-    n1 = np.abs(dF) + np.abs((k/r)*Fv) + np.abs((1 + E + za/r)*Gv)
-    t2 = dG - (k/r)*Gv + (-lv.eps + za/r)*Fv
-    n2 = np.abs(dG) + np.abs((k/r)*Gv) + np.abs((-lv.eps + za/r)*Fv)
-    # keep the floor strictly positive even for identically-zero inputs
-    floor = max(1e-200*max(float(n1.max()), float(n2.max())), 2.3e-308)
-    res1 = np.where(n1 > floor, np.abs(t1)/np.maximum(n1, floor), 0.0)
-    res2 = np.where(n2 > floor, np.abs(t2)/np.maximum(n2, floor), 0.0)
-    return res1, res2
-
-
-def ode_residual(qn: QuantumNumbers, E: float, r_grid):
-    """Residuals of the closed-form (F, G) on a Bohr-radius grid.
-
-    Evaluates the closed forms at the supplied energy (which need not be the
-    eigenvalue: the residual then grows by orders of magnitude, which is the
-    eigenvalue-sensitivity probe).
-    """
-    lv = _level(qn, E)
-
-    def F_fn(r):
-        return _radial_FG(lv, lv.C*r)[0]
-
-    def G_fn(r):
-        return _radial_FG(lv, lv.C*r)[1]
-
-    return system_residual(qn, E, F_fn, G_fn, r_grid)
 
 
 def _shoot_mismatch(E: float, k: int, Z: int) -> float:
@@ -325,11 +259,6 @@ class WaveFunction(Record):
     def C(self) -> float:
         return self.level.C
 
-    def radial(self, r_au):
-        """Unnormalized closed-form (F, G) at radii in Bohr."""
-        rho = self.C*np.asarray(r_au, dtype=float)/ALPHA_FS
-        return _radial_FG(self.level, rho)
-
     def psi(self, r_au, theta, phi) -> Biquaternion:
         """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
 
@@ -373,11 +302,6 @@ class WaveFunction(Record):
                       for c in p.coefficients()))
         return p
 
-    def density_product(self, r_au, theta, phi) -> Biquaternion:
-        """conj_both(Psi) Psi; equals density (e0 - i e1), per natural volume."""
-        p = self.psi(r_au, theta, phi)
-        return mul(conj_both(p), p)
-
     def density(self, r_au, theta, phi):
         """Probability density per Bohr radius cubed, Sc(Psi conj_both(Psi)).
 
@@ -403,7 +327,7 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
     """
     lv = _level(qn)
     A = math.exp(-0.5*_log_radial_norm_sq(lv))
-    if A == 0.0:
+    if not 0.0 < A < math.inf:          # also refuses NaN
         raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
                          f"the float range")
     j = qn.j

@@ -22,7 +22,7 @@ from ._record import Record
 
 __all__ = [
     "ALPHA_FS", "MC2_EV", "QuantumNumbers", "l_of_k",
-    "sommerfeld_energy", "energy", "energy_ev", "binding_energy_ev",
+    "sommerfeld_energy", "energy", "binding_energy_ev",
     "radial_parameters",
 ]
 
@@ -117,10 +117,6 @@ def energy(qn: QuantumNumbers) -> float:
     return sommerfeld_energy(qn.n, qn.k, qn.Z)
 
 
-def energy_ev(qn: QuantumNumbers) -> float:
-    return energy(qn)*MC2_EV
-
-
 def binding_energy_ev(qn: QuantumNumbers) -> float:
     """E - mc^2 in eV (negative for bound states)."""
     return -_level(qn).eps*MC2_EV
@@ -140,8 +136,8 @@ _Level = namedtuple("_Level", "n k za s E eps C sk W")
 
 def _level(qn: QuantumNumbers, E: float | None = None) -> _Level:
     """The radial parameters of qn at its Sommerfeld energy, or at an
-    explicit E (the off-shell probe of ode_residual).  Raises ValueError
-    unless 0 < E < 1."""
+    explicit E (the off-shell probe of verify.ode_residual).  Raises
+    ValueError unless 0 < E < 1."""
     if E is None:
         E = energy(qn)
     if not 0.0 < E < 1.0:

@@ -12,8 +12,10 @@ Checks report (max_dev, tol); multi-assertion checks with mixed natural
 tolerances report the maximum of dev_i/tol_i against tol 1.0 and say so in
 their detail string.  Sampled checks draw each array once and evaluate it as
 one batch; they loop only over fixed sets (axes, basis states, labels).
-Second routes that no production path uses live here as the *_oracle
-functions; scipy is imported only in the checks whose second route needs it.
+Second routes that no production path uses live here: the *_oracle
+functions and the finite-difference residual probes system_residual and
+ode_residual.  scipy is imported only in the checks whose second route
+needs it.
 """
 
 from __future__ import annotations
@@ -34,17 +36,23 @@ from .matrices import (
 from . import spin as sp
 from .special import (
     quadrature_sphere, gauss_legendre_nodes, spherical_harmonic,
+    spherical_harmonics,
 )
 from .spinor import (
     SpinorFunction, clebsch_coefficients, spinor_as_vector,
     spinor_as_biquaternion, measure_probability,
+)
+from .levels import (
+    ALPHA_FS, MC2_EV, QuantumNumbers, _level, binding_energy_ev, energy,
+    radial_parameters, sommerfeld_energy,
 )
 from . import hydrogen as hy
 from . import pauli_dirac as pd
 
 __all__ = ["CheckResult", "run_check", "run_suite", "suite_names",
            "check_names", "clebsch_oracle", "amplitude_oracle", "psi_oracle",
-           "density_oracle", "probability_oracle"]
+           "density_oracle", "probability_oracle", "system_residual",
+           "ode_residual"]
 
 
 class CheckResult(Record):
@@ -560,7 +568,10 @@ def _chk_harmonic(rng):
     th = np.concatenate([th, [0.0, math.pi]])       # both poles
     ph = np.concatenate([ph, [0.5, 2.0]])
     lm = np.array([(l, m) for l in range(41) for m in range(-l, l + 1)])
-    got = np.array([spherical_harmonic(l, m, th, ph) for l, m in lm])
+    # one column recurrence per order: table[m + 40][l] = Y_l^m (0 if l < |m|)
+    table = np.array([spherical_harmonics(range(41), m, th, ph)
+                      for m in range(-40, 41)])
+    got = table[lm[:, 1] + 40, lm[:, 0]]
     want = sph_harm_y(lm[:, :1], lm[:, 1:], th, ph)
     return _mdev(got, want), (f"normalized Legendre recurrence vs scipy "
                               f"sph_harm_y, l <= 40, |m| <= l, {n} points "
@@ -648,12 +659,59 @@ _STATES = ((1, -1), (2, -1), (2, 1), (2, -2), (3, -1), (3, -2))
 _ZS = (1, 20, 50)
 
 
-def _normalized_radial(w: hy.WaveFunction, r_au):
-    """(A F, A G) at radii in Bohr, with A rho^s e^{-rho} formed in range:
-    the unnormalized F overflows for large |k| (n = k = 150) where A F
-    does not."""
-    rho = w.C*np.asarray(r_au, dtype=float)/hy.ALPHA_FS
-    return hy._radial_FG(w.level, rho, w.A)
+def _radial_at(w: hy.WaveFunction, r_au, A: float):
+    """(A F, A G) of w's level at radii in Bohr, with A rho^s e^{-rho}
+    formed in range: the unnormalized F (A = 1) overflows for large |k|
+    (n = k = 150) where A F with w.A does not."""
+    rho = w.C*np.asarray(r_au, dtype=float)/ALPHA_FS
+    return hy._radial_FG(w.level, rho, A)
+
+
+def system_residual(qn: QuantumNumbers, E: float, FG_fn, r_grid):
+    """Normalized residuals of the coupled radial system for a given
+    callable.
+
+    FG_fn takes radii in natural units, must accept arrays and returns the
+    pair (F, G).  The grid is in Bohr radii, strictly positive ascending.
+    Derivatives come from a 5-point (4th-order) finite-difference stencil
+    with step h = min(8e-4/C, 0.01 r).  Each equation's residual is divided
+    pointwise by the sum of its term magnitudes; points where the solution
+    has decayed below 1e-200 of the grid maximum report zero.
+    """
+    r_au = np.asarray(r_grid, dtype=float)
+    if r_au.ndim != 1 or len(r_au) < 1:
+        raise ValueError("grid must be a 1-d array")
+    if not (np.all(r_au > 0) and np.all(np.diff(r_au) > 0)):
+        raise ValueError("grid must be strictly positive and ascending")
+    lv = _level(qn, E)
+    za, k = lv.za, lv.k
+    r = r_au/ALPHA_FS
+    h = np.minimum(8e-4/lv.C, 0.01*r)
+    F_st, G_st = zip(*(FG_fn(r + m*h) for m in (-2, -1, 1, 2)))
+    dF = (-F_st[3] + 8*F_st[2] - 8*F_st[1] + F_st[0])/(12*h)
+    dG = (-G_st[3] + 8*G_st[2] - 8*G_st[1] + G_st[0])/(12*h)
+    Fv, Gv = FG_fn(r)
+    t1 = dF + (k/r)*Fv - (1 + E + za/r)*Gv
+    n1 = np.abs(dF) + np.abs((k/r)*Fv) + np.abs((1 + E + za/r)*Gv)
+    t2 = dG - (k/r)*Gv + (-lv.eps + za/r)*Fv
+    n2 = np.abs(dG) + np.abs((k/r)*Gv) + np.abs((-lv.eps + za/r)*Fv)
+    # keep the floor strictly positive even for identically-zero inputs
+    floor = max(1e-200*max(float(n1.max()), float(n2.max())), 2.3e-308)
+    res1 = np.where(n1 > floor, np.abs(t1)/np.maximum(n1, floor), 0.0)
+    res2 = np.where(n2 > floor, np.abs(t2)/np.maximum(n2, floor), 0.0)
+    return res1, res2
+
+
+def ode_residual(qn: QuantumNumbers, E: float, r_grid):
+    """Residuals of the closed-form (F, G) on a Bohr-radius grid.
+
+    Evaluates the closed forms at the supplied energy (which need not be the
+    eigenvalue: the residual then grows by orders of magnitude, which is the
+    eigenvalue-sensitivity probe).
+    """
+    lv = _level(qn, E)
+    return system_residual(qn, E, lambda r: hy._radial_FG(lv, lv.C*r),
+                           r_grid)
 
 
 def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
@@ -663,9 +721,9 @@ def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
     through the spinor biquaternions that WaveFunction.psi uses.  Arguments
     broadcast.
     """
-    F, G = _normalized_radial(w, r_au)
+    F, G = _radial_at(w, r_au, w.A)
     up, lo = w.spinor_upper, w.spinor_lower
-    pref = hy.ALPHA_FS/np.asarray(r_au, dtype=float)
+    pref = ALPHA_FS/np.asarray(r_au, dtype=float)
     a = pref*(F*up.c1*up.harmonic("up", theta, phi)
               + 1j*G*lo.c1*lo.harmonic("up", theta, phi))
     b = pref*(F*up.c2*up.harmonic("down", theta, phi)
@@ -688,15 +746,15 @@ def density_oracle(w: hy.WaveFunction, r_au, theta):
     + C4^2 |Yd|^2)]; the F G cross terms vanish pointwise because paired
     harmonics share the same order m, so the value is independent of phi.
     """
-    r_nat = np.asarray(r_au, dtype=float)/hy.ALPHA_FS
+    r_nat = np.asarray(r_au, dtype=float)/ALPHA_FS
     theta = np.asarray(theta, dtype=float)
-    F, G = _normalized_radial(w, r_au)
+    F, G = _radial_at(w, r_au, w.A)
     up, lo = w.spinor_upper, w.spinor_lower
     ang_F = (up.c1**2*np.abs(up.harmonic("up", theta, 0.0))**2
              + up.c2**2*np.abs(up.harmonic("down", theta, 0.0))**2)
     ang_G = (lo.c1**2*np.abs(lo.harmonic("up", theta, 0.0))**2
              + lo.c2**2*np.abs(lo.harmonic("down", theta, 0.0))**2)
-    return (F*F*ang_F + G*G*ang_G)/r_nat**2/hy.ALPHA_FS**3
+    return (F*F*ang_F + G*G*ang_G)/r_nat**2/ALPHA_FS**3
 
 
 def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):
@@ -711,7 +769,7 @@ def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):
     """
     from scipy.integrate import quad
     cap = max(100.0, 4.0*w.qn.n + 60.0)/w.C
-    lo, hi = min(r_lo/hy.ALPHA_FS, cap), min(r_hi/hy.ALPHA_FS, cap)
+    lo, hi = min(r_lo/ALPHA_FS, cap), min(r_hi/ALPHA_FS, cap)
     if hi <= lo:
         return 0.0
     n_r, lv = w.qn.n_r, w.level
@@ -738,29 +796,29 @@ def _chk_degeneracy(rng):
     dev = 0.0
     for Z in _ZS:
         for n, k in ((2, 1), (3, 1), (3, 2)):
-            ep = hy.sommerfeld_energy(n, k, Z)
-            em = hy.sommerfeld_energy(n, -k, Z)
+            ep = sommerfeld_energy(n, k, Z)
+            em = sommerfeld_energy(n, -k, Z)
             dev = max(dev, abs(ep - em))
-        seq = [hy.sommerfeld_energy(n, -1, Z) for n in (1, 2, 3, 4)]
+        seq = [sommerfeld_energy(n, -1, Z) for n in (1, 2, 3, 4)]
         if not all(a < b < 1.0 for a, b in zip(seq, seq[1:])):
             dev = max(dev, 1.0)
-    dev = max(dev, abs(hy.sommerfeld_energy(1, -1, 0.0) - 1.0))
+    dev = max(dev, abs(sommerfeld_energy(1, -1, 0.0) - 1.0))
     return dev, "E(n,k) = E(n,-k); monotone toward mc^2; Z->0 limit"
 
 
 @_register("energy-reference-values", "hydrogen", 1.0)
 def _chk_energy_refs(rng):
-    qn = hy.QuantumNumbers(1, -1, 0.5, 1)
-    binding = hy.binding_energy_ev(qn)
+    qn = QuantumNumbers(1, -1, 0.5, 1)
+    binding = binding_energy_ev(qn)
     d1 = abs(binding - (-13.6059))/0.001
-    taylor = -0.5*hy.ALPHA_FS**2*hy.MC2_EV
+    taylor = -0.5*ALPHA_FS**2*MC2_EV
     d2 = abs(binding/taylor - 1.0)/2e-4
-    e_half = hy.sommerfeld_energy(2, 1, 1)
-    e_three_half = hy.sommerfeld_energy(2, -2, 1)
-    split = (e_three_half - e_half)*hy.MC2_EV
+    e_half = sommerfeld_energy(2, 1, 1)
+    e_three_half = sommerfeld_energy(2, -2, 1)
+    split = (e_three_half - e_half)*MC2_EV
     d3 = abs(split/4.53e-5 - 1.0)/0.02
-    exact = hy.sommerfeld_energy(1, -1, 1)
-    d4 = abs(exact - math.sqrt(1 - hy.ALPHA_FS**2))/1e-15
+    exact = sommerfeld_energy(1, -1, 1)
+    d4 = abs(exact - math.sqrt(1 - ALPHA_FS**2))/1e-15
     detail = (f"binding {binding:.6f} eV (ref -13.6059 +- 0.001); "
               f"splitting {split:.6e} eV (ref 4.53e-5 +- 2%); ratio-of-tol")
     return max(d1, d2, d3, d4), detail
@@ -771,8 +829,8 @@ def _chk_shooting(rng):
     dev = 0.0
     for Z in _ZS:
         for n, k in _STATES:
-            qn = hy.QuantumNumbers(n, k, 0.5, Z)
-            e_formula = hy.energy(qn)
+            qn = QuantumNumbers(n, k, 0.5, Z)
+            e_formula = energy(qn)
             e_shoot = hy.shoot_eigenvalue(qn)
             dev = max(dev, abs(e_shoot - e_formula)/(1.0 - e_formula))
     return dev, "18 states, shooting vs formula, relative to binding"
@@ -784,21 +842,21 @@ def _chk_residual(rng):
     dev = 0.0
     for Z in _ZS:
         for n, k in _STATES:
-            qn = hy.QuantumNumbers(n, k, 0.5, Z)
-            r1, r2 = hy.ode_residual(qn, hy.energy(qn), grid)
+            qn = QuantumNumbers(n, k, 0.5, Z)
+            r1, r2 = ode_residual(qn, energy(qn), grid)
             dev = max(dev, float(r1.max()), float(r2.max()))
     return dev, "closed forms on r in [0.05, 30] Bohr, 18 states"
 
 
 @_register("ode-wrong-energy", "hydrogen", 1.0)
 def _chk_wrong_energy(rng):
-    qn = hy.QuantumNumbers(1, -1, 0.5, 20)
+    qn = QuantumNumbers(1, -1, 0.5, 20)
     grid = np.linspace(0.05, 30.0, 400)
-    E = hy.energy(qn)
-    right = max(float(r.max()) for r in hy.ode_residual(qn, E, grid))
-    wrong = max(float(r.max()) for r in hy.ode_residual(qn, E + 1e-3, grid))
-    zero1, zero2 = hy.system_residual(
-        qn, E, lambda r: np.zeros_like(r), lambda r: np.zeros_like(r), grid)
+    E = energy(qn)
+    right = max(float(r.max()) for r in ode_residual(qn, E, grid))
+    wrong = max(float(r.max()) for r in ode_residual(qn, E + 1e-3, grid))
+    zero1, zero2 = system_residual(
+        qn, E, lambda r: (np.zeros_like(r), np.zeros_like(r)), grid)
     dev = max(1e4*right/wrong, float(zero1.max()), float(zero2.max()))
     return dev, (f"residual grows {wrong/right:.1e}x at E + 1e-3 "
                  f"(need >= 1e4); zero function reports 0")
@@ -807,21 +865,22 @@ def _chk_wrong_energy(rng):
 @_register("radial-shape", "hydrogen", 1e-10)
 def _chk_radial_shape(rng):
     dev = 0.0
-    qn = hy.QuantumNumbers(1, -1, 0.5, 1)
-    s, _, _ = hy.radial_parameters(qn)
-    za = hy.ALPHA_FS
+    qn = QuantumNumbers(1, -1, 0.5, 1)
+    s, _, _ = radial_parameters(qn)
+    za = ALPHA_FS
     expect = -(1 - s)/za
+    lv = _level(qn)
     for rho in (0.1, 0.5, 1.0, 3.0, 8.0):
-        ratio = hy.radial_G(qn, rho)/hy.radial_F(qn, rho)
-        dev = max(dev, abs(ratio - expect)/abs(expect))
-    dev = max(dev, abs(hy.radial_F(qn, 0.0)), abs(hy.radial_G(qn, 0.0)))
+        F, G = hy._radial_FG(lv, rho)
+        dev = max(dev, abs(G/F - expect)/abs(expect))
+    dev = max(dev, *map(abs, hy._radial_FG(lv, 0.0)))
     expected_nodes = {(1, -1): 0, (2, -1): 1, (2, 1): 0,
                       (2, -2): 0, (3, -1): 2, (3, -2): 1}
     for (n, k), want in expected_nodes.items():
-        state = hy.QuantumNumbers(n, k, 0.5, 1)
-        _, C, _ = hy.radial_parameters(state)
+        state = QuantumNumbers(n, k, 0.5, 1)
+        _, C, _ = radial_parameters(state)
         rho = np.linspace(1e-3, 35.0, 20000)
-        F = hy.radial_F(state, rho)
+        F, _ = hy._radial_FG(_level(state), rho)
         mask = np.abs(F) > 1e-12*np.abs(F).max()
         sgn = np.sign(F[mask])
         nodes = int(np.sum(sgn[1:] != sgn[:-1]))
@@ -834,9 +893,9 @@ def _chk_norm3d(rng):
     dev = 0.0
     for Z in _ZS:
         for n, k in _STATES:
-            qn = hy.QuantumNumbers(n, k, 0.5, Z)
+            qn = QuantumNumbers(n, k, 0.5, Z)
             w = hy.assemble_wavefunction(qn)
-            rmax_au = 40.0/w.C*hy.ALPHA_FS
+            rmax_au = 40.0/w.C*ALPHA_FS
             r, wr = gauss_legendre_nodes(96, 0.0, rmax_au)
             x, wx = np.polynomial.legendre.leggauss(64)
             theta = np.arccos(x)
@@ -854,7 +913,7 @@ def _chk_norm_oracle(rng):
     for Z in (1, 92):
         for n in (1, 2, 3, 8, 16, 33, 40):
             for k in sorted({-1, -n}):
-                w = hy.assemble_wavefunction(hy.QuantumNumbers(n, k, 0.5, Z))
+                w = hy.assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
                 dev = max(dev, abs(probability_oracle(w, 0.0, math.inf)
                                    - 1.0))
     return dev, ("A from Gauss-Laguerre: adaptive quadrature to "
@@ -868,9 +927,9 @@ def _chk_shell_oracle(rng):
     for Z in (1, 92):
         for n in (1, 2, 3, 8, 16, 33, 40, 60):
             for k in sorted({-1, n//2, -n} - {0}):
-                w = hy.assemble_wavefunction(hy.QuantumNumbers(n, k, 0.5, Z))
+                w = hy.assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
                 # shell edges drawn uniformly in rho on [0, 2n + 30]
-                a, b = np.sort(rng.random(2))*(2.0*n + 30.0)/w.C*hy.ALPHA_FS
+                a, b = np.sort(rng.random(2))*(2.0*n + 30.0)/w.C*ALPHA_FS
                 for lo, hi in ((0.0, a), (a, b), (a, math.inf)):
                     dev = max(dev, abs(hy.probability_in_region(w, lo, hi)
                                        - probability_oracle(w, lo, hi)))
@@ -882,7 +941,7 @@ def _chk_shell_oracle(rng):
 
 @_register("density-assembly", "hydrogen", 1e-12)
 def _chk_density_assembly(rng):
-    states = [hy.QuantumNumbers(n, k, mj, 1) for (n, k), mj in
+    states = [QuantumNumbers(n, k, mj, 1) for (n, k), mj in
               zip(_STATES, (0.5, 0.5, -0.5, 1.5, 0.5, -1.5))]
     u = rng.random((100, 3))
     r_all = 0.1 + (6.0 - 0.1)*u[:, 0]
@@ -893,7 +952,8 @@ def _chk_density_assembly(rng):
         w = hy.assemble_wavefunction(qn)
         pick = slice(i, None, len(states))
         r, th, ph = r_all[pick], th_all[pick], ph_all[pick]
-        prod = w.density_product(r, th, ph)
+        p = w.psi(r, th, ph)
+        prod = mul(conj_both(p), p)
         dens_nat = prod.q0.real
         dens = w.density(r, th, ph)
         a, b = amplitude_oracle(w, r, th, ph)
@@ -904,9 +964,9 @@ def _chk_density_assembly(rng):
             abs(prod.q1 - (-1j*dens_nat)),
             abs(dens_nat - (abs(a)**2 + abs(b)**2)),
             abs(dens - density_oracle(w, r, th))/scale,
-            abs(dens - dens_nat/hy.ALPHA_FS**3)/scale,
+            abs(dens - dens_nat/ALPHA_FS**3)/scale,
             -dens),
-            max_dev(w.psi(r, th, ph), psi_oracle(w, r, th, ph)))
+            max_dev(p, psi_oracle(w, r, th, ph)))
     return dev, ("product = density (e0 - i e1); componentwise formula; "
                  "two assembly routes; nonnegativity")
 
@@ -914,10 +974,10 @@ def _chk_density_assembly(rng):
 @_register("probability-shells", "hydrogen", 1e-6)
 def _chk_prob_shells(rng):
     from scipy.special import gammainc
-    qn = hy.QuantumNumbers(1, -1, 0.5, 1)
+    qn = QuantumNumbers(1, -1, 0.5, 1)
     w = hy.assemble_wavefunction(qn)
     dev = abs(hy.probability_in_region(w, 0.0, math.inf) - 1.0)
-    s, _, scale = hy.radial_parameters(qn)
+    s, _, scale = radial_parameters(qn)
     # ground-state density is rho^{2s} e^{-2 rho}: the shell integral is a
     # regularized incomplete gamma, an independent closed-form oracle
     p_inner = hy.probability_in_region(w, 0.0, 1.0)
@@ -934,14 +994,14 @@ def _chk_nonrel(rng):
     from scipy.integrate import quad as _quad
     dev = 0.0
     for Z in (1, 5, 10):
-        qn = hy.QuantumNumbers(1, -1, 0.5, Z)
+        qn = QuantumNumbers(1, -1, 0.5, Z)
         w = hy.assemble_wavefunction(qn)
-        num = _quad(lambda r: float(w.radial(r)[1])**2, 0, 60/w.C*hy.ALPHA_FS,
-                    epsabs=1e-15, epsrel=1e-10, limit=200)[0]
-        den = _quad(lambda r: float(w.radial(r)[0])**2, 0, 60/w.C*hy.ALPHA_FS,
-                    epsabs=1e-15, epsrel=1e-10, limit=200)[0]
+        num = _quad(lambda r: float(_radial_at(w, r, 1.0)[1])**2, 0,
+                    60/w.C*ALPHA_FS, epsabs=1e-15, epsrel=1e-10, limit=200)[0]
+        den = _quad(lambda r: float(_radial_at(w, r, 1.0)[0])**2, 0,
+                    60/w.C*ALPHA_FS, epsabs=1e-15, epsrel=1e-10, limit=200)[0]
         ratio = math.sqrt(num/den)
-        za = Z*hy.ALPHA_FS
+        za = Z*ALPHA_FS
         s = math.sqrt(1 - za*za)
         dev = max(dev, abs(ratio - (1 - s)/za)/((1 - s)/za)/1e-6)
         dev = max(dev, abs(ratio/(za/2) - 1.0)/2e-2)

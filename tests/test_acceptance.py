@@ -16,19 +16,20 @@ import numpy as np
 
 import quatspin
 from quatspin import (
-    ALPHA_FS, MC2_EV, Biquaternion, allclose, mul,
+    ALPHA_FS, MC2_EV, Biquaternion, allclose, conj_both, mul,
     spin_operator, spin_up, spin_down, apply, outer_reconstruct,
     pauli_quaternion, rotation, rotate_operator, rotated_pauli, HBAR,
     to_matrix_linear, from_matrix,
     SpinorFunction, measure_probability, spinor_as_vector,
     spherical_harmonic, quadrature_sphere,
     QuantumNumbers, energy, binding_energy_ev, sommerfeld_energy,
-    shoot_eigenvalue, ode_residual, assemble_wavefunction,
+    shoot_eigenvalue, assemble_wavefunction,
     probability_in_region,
     PauliAlgebraElement, embed, pauli_element_matrix, verify_clifford,
 )
 from quatspin.hydrogen import clear_shooting_cache
 from quatspin.special import gauss_legendre_nodes
+from quatspin.verify import ode_residual
 
 _E0 = Biquaternion(1, 0, 0, 0)
 _STATES = ((1, -1), (2, -1), (2, 1), (2, -2), (3, -1), (3, -2))
@@ -202,7 +203,8 @@ def test_criterion_08_wavefunction_normalization():
         for _ in range(20):
             pt = (rng.uniform(0.1, 8.0), math.acos(rng.uniform(-1, 1)),
                   rng.uniform(0, 2*math.pi))
-            prod = w.density_product(*pt)
+            psi = w.psi(*pt)
+            prod = mul(conj_both(psi), psi)
             assembly_dev = max(assembly_dev, abs(prod.q0.imag),
                                abs(prod.q2), abs(prod.q3))
     ok = norm_dev < 1e-6 and min_density >= 0 and assembly_dev < 1e-12

@@ -381,6 +381,27 @@ def test_rotate_vector_axis(capsys):
     assert exc.value.code == 1
 
 
+def test_rotate_axis_whose_squared_norm_overflows():
+    proc = subprocess.run([sys.executable, "-m", "quatspin", "rotate",
+                           "--axis", "1e300,1e300,0", "--angle", "1"],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0 and proc.stderr == b""
+    axis = json.loads(proc.stdout)["params"]["axis"]
+    assert np.max(np.abs(np.subtract(axis, [math.sqrt(0.5),
+                                            math.sqrt(0.5), 0.0]))) <= 1e-15
+
+
+def test_density_past_the_normalization_range_is_one_error_line():
+    # A is NaN from n = 359 at k = -1, Z = 1
+    proc = subprocess.run([sys.executable, "-m", "quatspin", "density",
+                           "--n", "400", "--k", "-1"],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err
+
+
 def test_verify_suite_report(capsys):
     code, rec = _run_json(capsys, "verify", "--suite", "spin")
     assert code == 0

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from quatspin import hydrogen as hy
+from quatspin import hydrogen as hy, verify
 from quatspin.levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, binding_energy_ev, energy,
     radial_parameters, sommerfeld_energy,
@@ -72,6 +72,6 @@ def test_energy_outside_the_bound_range_raises(E):
     with pytest.raises(ValueError, match=msg):
         _level(qn, E)
     with pytest.raises(ValueError, match=msg):
-        hy.ode_residual(qn, E, [1.0, 2.0])
+        verify.ode_residual(qn, E, [1.0, 2.0])
     with pytest.raises(ValueError, match=msg):
-        hy.system_residual(qn, E, abs, abs, [1.0, 2.0])
+        verify.system_residual(qn, E, lambda r: (abs(r), abs(r)), [1.0, 2.0])

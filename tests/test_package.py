@@ -55,3 +55,29 @@ def test_no_module_imports_dataclasses():
                 continue
             assert not any(n.split(".")[0] == "dataclasses"
                            for n in names), path.name
+
+
+
+def test_second_routes_live_in_verify():
+    # scipy serves the second routes: verify's checks and oracles, and the
+    # shooting eigensolver in hydrogen; the residual probes live in verify
+    src = pathlib.Path(quatspin.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        # each node's innermost enclosing function (ast.walk goes outer first)
+        owner = {id(n): f.name for f in funcs for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if path.name != "verify.py" and any(
+                    n.split(".")[0] == "scipy" for n in names):
+                assert path.name == "hydrogen.py", path.name
+                assert owner.get(id(node), "").startswith("_shoot_")
+        if path.name == "hydrogen.py":
+            assert not {f.name for f in funcs} & {"system_residual",
+                                                  "ode_residual"}
