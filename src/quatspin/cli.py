@@ -2,13 +2,14 @@
 
 Subcommands: energy (level tables), density ((r, theta) grids), probability
 (shell integrals), spinor (angular-state evaluation), rotate (operator
-conjugation), verify (the identity-check suites).  Output is JSON by default,
-CSV with --csv; floats are emitted as shortest-round-trip decimal strings, so
-identical invocations produce byte-identical output; a NaN or infinite
-result is refused by both writers (exit 2, empty stdout).  Timing goes to
-stderr only.  Building the parser imports nothing numeric; each subcommand
-imports the modules it runs, so energy, spinor and rotate about a named
-axis never load numpy.
+conjugation), verify (the identity-check suites).  Every subcommand writes
+through _emit (density through its row-template twin, _emit_density): JSON
+by default, CSV with --csv; floats are emitted as shortest-round-trip
+decimal strings, so identical invocations produce byte-identical output; a
+NaN or infinite result is refused by both writers (exit 2, empty stdout).
+Timing goes to stderr only.  Building the parser imports nothing numeric;
+each subcommand imports the modules it runs, so energy, spinor and rotate
+about a named axis never load numpy.
 
 Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
 exits quietly), 2 domain error, 3 verification failure.
@@ -49,13 +50,16 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _emit_json(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, indent=2, allow_nan=False))
-    sys.stdout.write("\n")
-
-
-def _emit_csv(rows: list[dict], fields: list[str]) -> None:
+def _emit(args, record: dict, rows: list[dict], fields=None) -> None:
+    """Write record as JSON, or with --csv the rows as CSV: the columns are
+    fields (default: the first row's keys), and a row's other keys are
+    left out."""
+    if not args.csv:
+        sys.stdout.write(json.dumps(record, indent=2, allow_nan=False))
+        sys.stdout.write("\n")
+        return
     import csv
+    fields = fields or list(rows[0])
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
@@ -90,8 +94,8 @@ def _cmd_energy(args, parser) -> int:
     from .levels import MC2_EV, QuantumNumbers, _level
     if args.z < 1:
         parser.error("--z must be a positive integer")
+    scale = MC2_EV if args.units == "ev" else 1.0
     rows = []
-    n_valid = 0
     for n in args.n:
         for k in args.k:
             row = {"n": n, "k": k}
@@ -102,24 +106,19 @@ def _cmd_energy(args, parser) -> int:
                 row["error"] = str(exc)
                 rows.append(row)
                 continue
-            scale = MC2_EV if args.units == "ev" else 1.0
             row.update({"j": float(qn.j), "energy": float(lv.E*scale),
                         "binding": float(-lv.eps*scale),
                         "s": float(lv.s), "C": float(lv.C)})
             rows.append(row)
-            n_valid += 1
     record = {
         "command": "energy",
         "params": {"z": args.z, "n": list(args.n), "k": list(args.k)},
         "units": "eV" if args.units == "ev" else "mc2",
         "rows": rows,
     }
-    if args.csv:
-        fields = ["n", "k", "j", "energy", "binding", "s", "C", "error"]
-        _emit_csv(rows, fields)
-    else:
-        _emit_json(record)
-    if n_valid == 0:
+    _emit(args, record, rows,
+          ["n", "k", "j", "energy", "binding", "s", "C", "error"])
+    if all("error" in row for row in rows):
         print("error: no valid (n, k) rows", file=sys.stderr)
         return 2
     return 0
@@ -153,7 +152,7 @@ _DENSITY_JSON_ROW = ('    {\n      "r": %s,\n      "theta": %s,\n'
 def _emit_density(record: dict, r, theta, dens, cell, as_csv: bool) -> None:
     """Write the density record with one row per (r, theta) node, r outer:
     the bytes of json.dumps(record + rows, indent=2) + "\n", or of
-    _emit_csv(rows).  Each r, each theta and each density and cell weight is
+    _emit's CSV.  Each r, each theta and each density and cell weight is
     formatted once with repr, the shortest round-trip digits both encoders
     emit, into a fixed row template; nothing is written before every value
     has passed the finiteness check."""
@@ -190,7 +189,7 @@ def _cmd_density(args, parser) -> int:
     import numpy as np
     from . import hydrogen as hy
     from .levels import ALPHA_FS
-    from .special import _leggauss, gauss_legendre_nodes
+    from .special import gauss_legendre_nodes, leggauss
     grid = _parse_grid(args.grid, parser) if args.grid is not None else None
     qn = _state_or_usage(args, parser)
     w = hy.assemble_wavefunction(qn)
@@ -202,13 +201,14 @@ def _cmd_density(args, parser) -> int:
     if r_max <= 0:
         parser.error("--r-max must be positive")
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
-    x, wx = _leggauss(n_theta)
+    x, wx = leggauss(n_theta)
     order = np.argsort(-x)                  # theta ascending
     theta, wx = np.arccos(x[order]), wx[order]
     R, TH = np.meshgrid(r, theta, indexing="ij")
-    dens = w.density_grid(R, TH)
-    # a huge --r-max overflows here; the writer refuses it with one line
+    # past the float range (a huge --r-max, or n >= 335 at k = -1, Z = 1)
+    # these overflow; the writer refuses the result with one line
     with np.errstate(over="ignore", invalid="ignore"):
+        dens = w.density_grid(R, TH)
         cell = 2.0*math.pi*R*R*np.outer(wr, wx)
         total = float(np.sum(dens*cell))
     record = {
@@ -246,14 +246,8 @@ def _cmd_probability(args, parser) -> int:
         "probability": float(p),
         "quadrature_error": float(err),
     }
-    if args.csv:
-        _emit_csv([{"r_lo": record["params"]["r_lo"],
-                    "r_hi": record["params"]["r_hi"],
-                    "probability": record["probability"],
-                    "quadrature_error": record["quadrature_error"]}],
-                  ["r_lo", "r_hi", "probability", "quadrature_error"])
-    else:
-        _emit_json(record)
+    _emit(args, record, [{**record["params"], **record}],
+          ["r_lo", "r_hi", "probability", "quadrature_error"])
     return 0
 
 
@@ -276,6 +270,7 @@ def _cmd_spinor(args, parser) -> int:
     up, down = spinor_components(s, th, ph)
     q = spinor_as_biquaternion(s, th, ph)
     p_up, p_dn = abs(up)**2, abs(down)**2
+    up, down = _cpair(up), _cpair(down)
     record = {
         "command": "spinor",
         "params": {"k": k, "mj": float(args.mj),
@@ -283,25 +278,19 @@ def _cmd_spinor(args, parser) -> int:
         "l": l,
         "j": float(j),
         "coefficients": {"c1": float(s.c1), "c2": float(s.c2)},
-        "component_up": _cpair(up),
-        "component_down": _cpair(down),
+        "component_up": up,
+        "component_down": down,
         "biquaternion": _coeff_pairs(q),
         "p_up": float(p_up),
         "p_down": float(p_dn),
         "density": float(p_up + p_dn),
     }
-    if args.csv:
-        row = {"l": l, "j": float(j), "mj": float(args.mj), "theta": float(th),
-               "phi": float(ph), "c1": float(s.c1), "c2": float(s.c2),
-               "up_re": record["component_up"][0],
-               "up_im": record["component_up"][1],
-               "down_re": record["component_down"][0],
-               "down_im": record["component_down"][1],
-               "p_up": float(p_up), "p_down": float(p_dn),
-               "density": float(p_up + p_dn)}
-        _emit_csv([row], list(row))
-    else:
-        _emit_json(record)
+    row = {**record, **record["params"], **record["coefficients"],
+           "up_re": up[0], "up_im": up[1], "down_re": down[0],
+           "down_im": down[1]}
+    _emit(args, record, [row],
+          ["l", "j", "mj", "theta", "phi", "c1", "c2", "up_re", "up_im",
+           "down_re", "down_im", "p_up", "p_down", "density"])
     return 0
 
 
@@ -353,19 +342,11 @@ def _cmd_rotate(args, parser) -> int:
         closed = sp.rotated_pauli(axis, target, args.angle)*(sp.HBAR/2)
         record["closed_form"] = _coeff_pairs(closed)
         record["closed_form_deviation"] = float(max_dev(rotated, closed))
-    if args.csv:
-        rows = []
-        labels = ("e0", "e1", "e2", "e3")
-        for i, lab in enumerate(labels):
-            rows.append({"coefficient": lab,
-                         "rotation_re": record["rotation"][i][0],
-                         "rotation_im": record["rotation"][i][1],
-                         "rotated_re": record["rotated_operator"][i][0],
-                         "rotated_im": record["rotated_operator"][i][1]})
-        _emit_csv(rows, ["coefficient", "rotation_re", "rotation_im",
-                         "rotated_re", "rotated_im"])
-    else:
-        _emit_json(record)
+    _emit(args, record, [
+        {"coefficient": f"e{i}", "rotation_re": a[0], "rotation_im": a[1],
+         "rotated_re": b[0], "rotated_im": b[1]}
+        for i, (a, b) in enumerate(zip(record["rotation"],
+                                       record["rotated_operator"]))])
     return 0
 
 
@@ -392,11 +373,7 @@ def _cmd_verify(args, parser) -> int:
         "summary": {"total": len(results), "passed": len(results) - n_fail,
                     "failed": n_fail},
     }
-    if args.csv:
-        _emit_csv(checks, ["name", "suite", "max_dev", "tol", "passed",
-                           "detail"])
-    else:
-        _emit_json(record)
+    _emit(args, record, checks)
     print(f"verify: {len(results) - n_fail}/{len(results)} checks passed "
           f"in {elapsed:.2f} s", file=sys.stderr)
     if args.suite == "all" and elapsed > 60.0:
@@ -406,14 +383,13 @@ def _cmd_verify(args, parser) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_state_flags(p, with_mj=True):
+def _add_state_flags(p):
     p.add_argument("--z", type=int, default=1, help="nuclear charge (int >= 1)")
     p.add_argument("--n", type=int, default=1, help="principal quantum number")
     p.add_argument("--k", type=int, default=-1,
                    help="Dirac quantum number (nonzero int)")
-    if with_mj:
-        p.add_argument("--mj", type=_finite_float, default=0.5,
-                       help="total angular momentum projection (half-odd)")
+    p.add_argument("--mj", type=_finite_float, default=0.5,
+                   help="total angular momentum projection (half-odd)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--units", type=str.lower, choices=["mc2", "ev"],
                    default="mc2", help="energy units (fraction of rest "
                                        "energy, or electron-volts)")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("density", help="probability density on an "
@@ -446,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_finite_float, default=None,
                    help="radial extent in Bohr (default (2n + 40)/C in "
                         "natural units, scaled to the state)")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("probability", help="probability in a radial shell")
@@ -456,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     # inf is allowed; NaN fails the 0 <= r_lo < r_hi check
     p.add_argument("--r-hi", type=float, default=math.inf,
                    help="outer radius in Bohr (inf allowed)")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_probability)
 
     p = sub.add_parser("spinor", help="evaluate a spin spherical harmonic")
@@ -468,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="polar angle in radians")
     p.add_argument("--phi", type=_finite_float, default=0.0,
                    help="azimuthal angle in radians")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_spinor)
 
     p = sub.add_parser("rotate", help="conjugate a spin operator by a "
@@ -479,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotation angle in radians")
     p.add_argument("--target", default="Sz",
                    help="operator to rotate: Sx, Sy, or Sz")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_rotate)
 
     p = sub.add_parser("verify", help="run the identity-check suites")
@@ -491,9 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "byte-identical reports)")
     p.add_argument("--tol", type=_finite_float, default=1.0,
                    help="tolerance multiplier applied to every check")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_verify)
 
+    # added last, so that --csv ends each usage line and help listing
+    for p in sub.choices.values():
+        p.add_argument("--csv", action="store_true",
+                       help="CSV instead of JSON")
     return parser
 
 

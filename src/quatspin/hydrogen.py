@@ -362,7 +362,9 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     clusters the nodes at the lower end (the r^{2s} start at the origin,
     the decaying tail of an outer shell).  The rule has
     N = max(100, 4n + 60) nodes; the error estimate is its difference from
-    the rule with N + N/4 nodes, whose value is returned.
+    the rule with N + N/4 nodes, whose value is returned.  Where either
+    leaves the float range (from n = 235 at k = -1, Z = 1, where the
+    brackets overflow at the cap) this raises ValueError.
     """
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
@@ -374,8 +376,13 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     if hi <= lo:
         return (0.0, 0.0) if return_error else 0.0
     t, w_c, w_f = _shell_rules(nodes)
-    F, G = _radial_FG(w.level, w.C*(lo + (hi - lo)*t*t), w.A)
-    terms = 2.0*(hi - lo)*t*(F*F + G*G)       # dr = 2 (hi - lo) t dt
-    coarse = float(np.dot(w_c, terms[:nodes]))
-    val = float(np.dot(w_f, terms[nodes:]))
-    return (val, abs(val - coarse)) if return_error else val
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, G = _radial_FG(w.level, w.C*(lo + (hi - lo)*t*t), w.A)
+        terms = 2.0*(hi - lo)*t*(F*F + G*G)       # dr = 2 (hi - lo) t dt
+        coarse = float(np.dot(w_c, terms[:nodes]))
+        val = float(np.dot(w_f, terms[nodes:]))
+    err = abs(val - coarse)
+    if not math.isfinite(err):          # also refuses a NaN val
+        raise ValueError(f"shell probability of n={w.qn.n}, k={w.qn.k} is "
+                         f"out of the float range")
+    return (val, err) if return_error else val

@@ -18,7 +18,7 @@ import math
 __all__ = [
     "laguerre", "spherical_harmonic", "spherical_harmonics",
     "quadrature_sphere",
-    "gauss_legendre_nodes", "gauss_laguerre_nodes",
+    "leggauss", "gauss_legendre_nodes", "gauss_laguerre_nodes",
 ]
 
 
@@ -165,7 +165,7 @@ def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
     to degree n_phi - 1).  f must broadcast over meshgrid arrays.
     """
     import numpy as np
-    x, w = _leggauss(n_theta)
+    x, w = leggauss(n_theta)
     theta = np.arccos(x)
     phi = 2*np.pi*np.arange(n_phi)/n_phi
     TH, PH = np.meshgrid(theta, phi, indexing="ij")
@@ -174,7 +174,7 @@ def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
 
 
 @functools.lru_cache(maxsize=128)
-def _leggauss(n: int):
+def leggauss(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], memoized per node count
     (read-only arrays: callers share them)."""
     import numpy as np
@@ -185,7 +185,7 @@ def _leggauss(n: int):
 
 def gauss_legendre_nodes(n: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    x, w = _leggauss(n)
+    x, w = leggauss(n)
     half = 0.5*(hi - lo)
     return lo + half*(x + 1), half*w
 

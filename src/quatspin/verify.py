@@ -35,7 +35,7 @@ from .matrices import (
 )
 from . import spin as sp
 from .special import (
-    quadrature_sphere, gauss_legendre_nodes, spherical_harmonic,
+    quadrature_sphere, gauss_legendre_nodes, leggauss, spherical_harmonic,
     spherical_harmonics,
 )
 from .spinor import (
@@ -99,8 +99,7 @@ def run_check(name: str, seed: int = 12345,
         raise KeyError(f"unknown check {name!r}; known: {', '.join(_REGISTRY)}")
     suite, tol, fn = _REGISTRY[name]
     rng = np.random.default_rng(seed)
-    out = fn(rng)
-    dev, detail = out if isinstance(out, tuple) else (out, "")
+    dev, detail = fn(rng)
     tol = tol*tol_scale
     return CheckResult(name, suite, float(dev), tol, bool(dev <= tol), detail)
 
@@ -897,7 +896,7 @@ def _chk_norm3d(rng):
             w = hy.assemble_wavefunction(qn)
             rmax_au = 40.0/w.C*ALPHA_FS
             r, wr = gauss_legendre_nodes(96, 0.0, rmax_au)
-            x, wx = np.polynomial.legendre.leggauss(64)
+            x, wx = leggauss(64)
             theta = np.arccos(x)
             R, TH = np.meshgrid(r, theta, indexing="ij")
             cell = 2*math.pi*R*R*np.outer(wr, wx)

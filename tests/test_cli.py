@@ -402,6 +402,18 @@ def test_density_past_the_normalization_range_is_one_error_line():
     assert "float range" in err
 
 
+@pytest.mark.parametrize("argv", [["probability", "--n", "250", "--k", "-1"],
+                                  ["density", "--n", "335", "--k", "-1"]])
+def test_state_past_the_float_range_is_one_error_line(argv):
+    # the shell rule's brackets overflow from n = 235 and the default
+    # density grid's from n = 335 (k = -1, Z = 1): no numpy warning leaks
+    proc = subprocess.run([sys.executable, "-m", "quatspin", *argv],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_suite_report(capsys):
     code, rec = _run_json(capsys, "verify", "--suite", "spin")
     assert code == 0
@@ -462,6 +474,100 @@ def test_probability_at_large_k(capsys, argv):
     assert code == 0
     assert abs(rec["probability"] - 1.0) < 1e-12
     assert 0.0 <= rec["quadrature_error"] < 1e-12
+
+
+_CSV_PINNED = {
+    ("spinor", "--k", "-3", "--mj", "1.5", "--theta", "0.8", "--phi", "0.3"):
+        "l,j,mj,theta,phi,c1,c2,up_re,up_im,down_re,down_im,p_up,p_down,"
+        "density\n"
+        "2,2.5,1.5,0.8,0.3,0.8944271909999159,0.4472135954999579,"
+        "-0.32992242983853487,-0.10205696710834644,0.07336870749362426,"
+        "0.050194233376843304,0.11926443424591708,0.007902428303574007,"
+        "0.12716686254949108\n",
+    ("rotate", "--axis", "y", "--angle", "1.5707963267948966",
+     "--target", "Sz"):
+        "coefficient,rotation_re,rotation_im,rotated_re,rotated_im\n"
+        "e0,0.7071067811865476,0.0,0.0,0.0\n"
+        "e1,-0.0,0.0,0.0,-1.1102230246251565e-16\n"
+        "e2,-0.7071067811865475,0.0,0.0,0.0\n"
+        "e3,-0.0,0.0,0.0,0.5\n",
+    ("rotate", "--axis", "1,2,2", "--angle", "0.3"):
+        "coefficient,rotation_re,rotation_im,rotated_re,rotated_im\n"
+        "e0,0.9887710779360422,0.0,0.0,0.0\n"
+        "e1,-0.09962542164906614,0.0,0.0,-0.48759346920155716\n"
+        "e2,-0.09962542164906614,0.0,0.0,-0.05917859241564413\n"
+        "e3,-0.04981271082453307,0.0,0.0,0.09354412323440273\n",
+    ("probability", "--r-hi", "1"):
+        "r_lo,r_hi,probability,quadrature_error\n"
+        "0.0,1.0,0.32333593037585645,6.106226635438361e-16\n",
+    ("probability",):
+        "r_lo,r_hi,probability,quadrature_error\n"
+        "0.0,inf,1.0000000000000027,4.884981308350689e-15\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(_CSV_PINNED))
+def test_csv_stdout_is_pinned(capsys, argv):
+    code, out = _run(capsys, *argv, "--csv")
+    assert code == 0
+    assert out == _CSV_PINNED[argv]
+
+
+def _csv_rows_of(rec):
+    """The CSV rows a subcommand's JSON record stands for, as dicts in
+    column order."""
+    cmd = rec["command"]
+    if cmd == "energy":
+        fields = ["n", "k", "j", "energy", "binding", "s", "C", "error"]
+        return [{f: row.get(f) for f in fields} for row in rec["rows"]]
+    if cmd == "density":
+        return rec["rows"]
+    if cmd == "probability":
+        return [{"r_lo": rec["params"]["r_lo"], "r_hi": rec["params"]["r_hi"],
+                 "probability": rec["probability"],
+                 "quadrature_error": rec["quadrature_error"]}]
+    if cmd == "spinor":
+        p, up, down = rec["params"], rec["component_up"], rec["component_down"]
+        return [{"l": rec["l"], "j": rec["j"], "mj": p["mj"],
+                 "theta": p["theta"], "phi": p["phi"], **rec["coefficients"],
+                 "up_re": up[0], "up_im": up[1],
+                 "down_re": down[0], "down_im": down[1],
+                 "p_up": rec["p_up"], "p_down": rec["p_down"],
+                 "density": rec["density"]}]
+    if cmd == "rotate":
+        return [{"coefficient": f"e{i}", "rotation_re": a[0],
+                 "rotation_im": a[1], "rotated_re": b[0], "rotated_im": b[1]}
+                for i, (a, b) in enumerate(zip(rec["rotation"],
+                                               rec["rotated_operator"]))]
+    assert cmd == "verify"
+    return rec["checks"]
+
+
+def _csv_text(v):
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return repr(v)
+    return "" if v is None else str(v)
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--units", "ev"],
+    ["density", "--n", "2", "--k", "1", "--mj", "-0.5", "--grid", "8:4"],
+    ["probability", "--n", "3", "--k", "-2", "--r-lo", "0.5", "--r-hi", "4"],
+    ["spinor", "--k", "2", "--mj", "-0.5", "--theta", "2.1", "--phi", "0.4"],
+    ["rotate", "--axis", "x", "--angle", "0.7", "--target", "Sy"],
+    ["verify", "--suite", "rotation"],
+])
+def test_every_subcommand_writes_its_record_as_csv(capsys, argv):
+    code, rec = _run_json(capsys, *argv)
+    assert code == 0
+    code, out = _run(capsys, *argv, "--csv")
+    assert code == 0
+    rows = _csv_rows_of(rec)
+    assert out.split("\n", 1)[0] == ",".join(rows[0])
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {k: _csv_text(v) for k, v in row.items()} for row in rows]
 
 
 _IMPORT_PROBE = """

@@ -286,6 +286,24 @@ def test_normalization_that_turns_nan_raises():
             assemble_wavefunction(QuantumNumbers(359, -1))
 
 
+def test_shell_probability_past_the_float_range_raises():
+    # from n = 235 (k = -1, Z = 1) the Laguerre brackets overflow at the
+    # rule's cap; n = 234 is still in range, and neither call warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = assemble_wavefunction(QuantumNumbers(234, -1))
+        p, err = probability_in_region(w, 0.0, math.inf, return_error=True)
+        assert abs(p - 1.0) < 1e-12 and 0.0 <= err < 1e-12
+        w = assemble_wavefunction(QuantumNumbers(250, -1))
+        with pytest.raises(ValueError, match="float range"):
+            probability_in_region(w, 0.0, math.inf)
+        with pytest.raises(ValueError, match="float range"):
+            probability_in_region(w, 1000.0, math.inf, return_error=True)
+        # a shell that stays clear of the overflow keeps its value
+        p, err = probability_in_region(w, 0.0, 1.0, return_error=True)
+        assert 0.0 < p < 1e-7 and 0.0 <= err < 1e-20
+
+
 def test_density_assembly_structure():
     rng = np.random.default_rng(77)
     w = assemble_wavefunction(QuantumNumbers(2, -2, 1.5))
