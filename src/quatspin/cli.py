@@ -464,18 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tolerance multiplier applied to every check")
     p.set_defaults(func=_cmd_verify)
 
-    # added last, so that --csv ends each usage line and help listing
+    # added last, so that --csv ends each usage line and help listing; a
+    # handler reports usage errors through its own subcommand's parser
     for p in sub.choices.values():
         p.add_argument("--csv", action="store_true",
                        help="CSV instead of JSON")
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args, parser)
+        code = args.func(args, args.parser)
         sys.stdout.flush()      # a failing stdout fails here, not at exit
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

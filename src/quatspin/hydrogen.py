@@ -44,13 +44,15 @@ import math
 import numpy as np
 
 from ._record import Record
-from .biquaternion import Biquaternion, _bq, norm_sq
+from .biquaternion import Biquaternion, _bq, _norm_sq, _polar_im, norm_sq
 from .levels import ALPHA_FS, QuantumNumbers, _level, _Level, sommerfeld_energy
 # unused here: perfbench/workloads.py and perfbench/probes.py read them as hy.*
 from .levels import energy, radial_parameters  # noqa: F401
 from .special import (
-    _laguerre_pair, gauss_laguerre_nodes, gauss_legendre_nodes,
+    _harmonics, _laguerre_pair, _laguerre_tables, _legendre_column, _phase,
+    gauss_laguerre_nodes, gauss_legendre_nodes,
 )
+from .spin import _Q_DOWN, _Q_UP
 from .spinor import SpinorFunction, spinor_biquaternions
 
 __all__ = [
@@ -59,28 +61,26 @@ __all__ = [
 ]
 
 
-def _brackets(lv: _Level, x):
+def _laguerre_args(lv: _Level) -> tuple:
+    """(n_r, 2s + 1, 2s - 1): the degree and superscripts of the radial
+    Laguerre pair L_{n_r-1}^{(2s+1)}, L_{n_r}^{(2s-1)}."""
+    return lv.n - abs(lv.k), 2*lv.s + 1, 2*lv.s - 1
+
+
+def _brackets(lv: _Level, x, tables=None):
     """Laguerre brackets (P, Q) at x = 2 rho, so that F = rho^s e^{-rho} P
     and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x, from one
-    recurrence pass for L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)}."""
-    L1, L2 = _laguerre_pair(lv.n - abs(lv.k), 2*lv.s + 1, 2*lv.s - 1, x)
+    recurrence pass for L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)}; tables,
+    if given, is _laguerre_tables(*_laguerre_args(lv))."""
+    L1, L2 = _laguerre_pair(*_laguerre_args(lv), x, tables)
     return lv.za*x*L1 + lv.sk*lv.W*L2, lv.sk*x*L1 + lv.za*lv.W*L2
 
 
 def _radial_FG(lv: _Level, rho, A: float = 1.0):
     """Closed-form (F, G) at dimensionless rho (vectorized), times the
     normalization A (1: unnormalized).  A float or 0-d rho runs on Python
-    floats and gives floats.
-
-    The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
-    so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
-    are normal floats.  Elsewhere (large |k|, far tails) it is the single
-    exponential exp(log A + s log rho - rho), which stays finite where
-    rho^s alone leaves the float range.  At rho = inf (F, G) is the limit
-    0.
+    floats and gives floats.  At rho = inf (F, G) is the limit 0.
     """
-    s = lv.s
-    log_a = math.log(A)
     if type(rho) is not float:
         rho = np.asarray(rho, dtype=float)
         if rho.ndim == 0:
@@ -89,19 +89,33 @@ def _radial_FG(lv: _Level, rho, A: float = 1.0):
     if type(rho) is float:              # one point runs on Python floats
         if rho == math.inf:
             return 0.0, 0.0
-        lo = hi = rho
-        exp = math.exp
-    else:
-        lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
-        exp = np.exp
-        if hi == math.inf:
-            finite = rho < hi
-            F, G = _radial_FG(lv, np.where(finite, rho, 0.0), A)
-            return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
-    P, Q = _brackets(lv, 2*rho)
+        return _radial_kernel(lv, A, math.log(A), rho, rho, rho, math.exp)
+    lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
+    if hi == math.inf:
+        finite = rho < hi
+        F, G = _radial_FG(lv, np.where(finite, rho, 0.0), A)
+        return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
+    return _radial_kernel(lv, A, math.log(A), rho, lo, hi, np.exp)
+
+
+def _radial_kernel(lv: _Level, A: float, log_a: float, rho, lo, hi, exp,
+                   tables=None):
+    """(F, G) times A, log_a = log A, at finite rho: a Python float (lo =
+    hi = rho, exp = math.exp) or an array with extremes lo <= hi (exp =
+    np.exp); tables as for _brackets.
+
+    The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
+    so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
+    are normal floats.  Elsewhere (large |k|, far tails) it is the single
+    exponential exp(log A + s log rho - rho), which stays finite where
+    rho^s alone leaves the float range.
+    """
+    s = lv.s
+    P, Q = _brackets(lv, 2*rho, tables)
     # each condition of _split_ok is monotone or concave in rho, so it holds
     # on every node when it holds at both ends
-    if lo > 0 and all(_split_ok(log_a, s*math.log(x), x) for x in {lo, hi}):
+    if (lo > 0 and _split_ok(log_a, s*math.log(lo), lo)
+            and (hi == lo or _split_ok(log_a, s*math.log(hi), hi))):
         pref = A*rho**s*exp(-rho)
     else:
         rho = np.asarray(rho)
@@ -232,6 +246,74 @@ def clear_shooting_cache():
     _shoot_default.cache_clear()
 
 
+def _arguments(r_au, theta, phi):
+    """(shape, r, theta, phi) of psi and density: for one point shape is
+    None and the three are Python floats (ints, numpy scalars and 0-d
+    arrays are converted); otherwise shape is the broadcast shape and each
+    argument is a float array cut by _trim.  Raises ValueError unless r > 0
+    everywhere (NaN included)."""
+    shape = None
+    if not type(r_au) is type(theta) is type(phi) is float:
+        r_au = np.asarray(r_au, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        if r_au.ndim == theta.ndim == phi.ndim == 0:
+            r_au, theta, phi = float(r_au), float(theta), float(phi)
+        else:
+            shape = np.broadcast_shapes(r_au.shape, theta.shape, phi.shape)
+            r_au, theta, phi = _trim(r_au), _trim(theta), _trim(phi)
+    if not (r_au > 0 if shape is None else r_au.min() > 0):
+        raise ValueError("r must be > 0")
+    return shape, r_au, theta, phi
+
+
+def _full(a, shape):
+    """a as a fresh array of the broadcast shape."""
+    return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+
+
+def _point_route(w: "WaveFunction"):
+    """Psi's four coefficients at one point, as a function of Python
+    floats r (Bohr, > 0), theta and phi: the point route of psi and
+    density, built once per state.
+
+    It holds log A, the Laguerre step tables of the superscripts 2s -+ 1
+    and, for the orders m_j -+ 1/2, the Legendre column tables up to
+    max(l_up, l_low) with the Clebsch weights.  It runs the kernels of the
+    array route (_radial_kernel, _harmonics) on Python floats, with no type
+    dispatch and no Biquaternion record, and forms the spinor biquaternions
+    and Psi = f u + g v as spinor_biquaternions and the array psi do, 0j
+    terms included: every value, down to the sign of a zero, is the
+    composition of _radial_FG and spinor_biquaternions at that point.
+    """
+    lv, A, up, lo = w.level, w.A, w.spinor_upper, w.spinor_lower
+    C, log_a = lv.C, math.log(A)
+    tables = _laguerre_tables(*_laguerre_args(lv))
+    ls = (up.l, lo.l)
+    m1, m2 = int(round(up.m_j - 0.5)), int(round(up.m_j + 0.5))
+    ma1, ma2 = abs(m1), abs(m2)
+    col1, col2 = _legendre_column(max(ls), ma1), _legendre_column(max(ls), ma2)
+    c1u, c2u, c1l, c2l = up.c1, up.c2, lo.c1, lo.c2
+    q0, q1, q2, q3 = _Q_UP.q0, _Q_UP.q1, _Q_DOWN.q2, _Q_DOWN.q3
+
+    def psi(r: float, theta: float, phi: float) -> tuple:
+        rho = C*r/ALPHA_FS
+        F, G = ((0.0, 0.0) if rho == math.inf else
+                _radial_kernel(lv, A, log_a, rho, rho, rho, math.exp, tables))
+        pref = ALPHA_FS/r
+        f, g = pref*F, 1j*pref*G
+        x, u = math.cos(theta), abs(math.sin(theta))
+        y1u, y1l = _harmonics(ls, m1, col1, x, u, _phase(ma1, phi), 0j)
+        y2u, y2l = _harmonics(ls, m2, col2, x, u, _phase(ma2, phi), 0j)
+        cu, du, cl, dl = c1u*y1u, c2u*y2u, c1l*y1l, c2l*y2l
+        return (f*(cu*q0 + 0j) + g*(cl*q0 + 0j),
+                f*(cu*q1 + 0j) + g*(cl*q1 + 0j),
+                f*(0j + du*q2) + g*(0j + dl*q2),
+                f*(0j + du*q3) + g*(0j + dl*q3))
+
+    return psi
+
+
 class WaveFunction(Record):
     """Assembled bound-state wavefunction Psi = (A/r)(F y_up + i G y_low)."""
 
@@ -241,11 +323,19 @@ class WaveFunction(Record):
     spinor_upper: SpinorFunction
     spinor_lower: SpinorFunction
 
+    # the point route, built on first use; not a field, so no part of ==,
+    # hash or repr
+    __slots__ = ("_route",)
+
     def __init__(self, qn: QuantumNumbers, level: _Level, A: float,
                  spinor_upper: SpinorFunction, spinor_lower: SpinorFunction):
         d = self.__dict__
         d["qn"], d["level"], d["A"] = qn, level, A
         d["spinor_upper"], d["spinor_lower"] = spinor_upper, spinor_lower
+
+    def __reduce__(self):
+        # copies and pickles carry the fields only
+        return type(self), self._key()
 
     @property
     def energy(self) -> float:
@@ -258,6 +348,24 @@ class WaveFunction(Record):
     @property
     def C(self) -> float:
         return self.level.C
+
+    def _point(self, r: float, theta: float, phi: float) -> tuple:
+        """Psi's four coefficients at one point (see _point_route)."""
+        try:
+            route = self._route
+        except AttributeError:
+            route = _point_route(self)
+            object.__setattr__(self, "_route", route)
+        return route(r, theta, phi)
+
+    def _parts(self, r, theta, phi):
+        """(alpha/r, F, G, u, v) at trimmed array arguments: (F, G) times A
+        on r's axes and the spinor biquaternions u, v on the axes of the
+        angles."""
+        F, G = _radial_FG(self.level, self.C*r/ALPHA_FS, self.A)
+        u, v = spinor_biquaternions(
+            (self.spinor_upper, self.spinor_lower), theta, phi)
+        return ALPHA_FS/r, F, G, u, v
 
     def psi(self, r_au, theta, phi) -> Biquaternion:
         """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
@@ -272,35 +380,17 @@ class WaveFunction(Record):
         evaluated once per distinct radius and the spinors once per
         distinct angle; only the final combination is formed at full size.
         """
-        point = type(r_au) is type(theta) is type(phi) is float
-        if not point:
-            r_au = np.asarray(r_au, dtype=float)
-            theta = np.asarray(theta, dtype=float)
-            phi = np.asarray(phi, dtype=float)
-            point = r_au.ndim == theta.ndim == phi.ndim == 0
-            if point:
-                r_au, theta, phi = float(r_au), float(theta), float(phi)
-        if point:
-            r = r_min = r_au
-        else:
-            shape = np.broadcast_shapes(r_au.shape, theta.shape, phi.shape)
-            r, theta, phi = _trim(r_au), _trim(theta), _trim(phi)
-            r_min = r.min()
-        if not r_min > 0:               # also rejects NaN
-            raise ValueError("r must be > 0")
-        F, G = _radial_FG(self.level, self.C*r/ALPHA_FS, self.A)
-        pref = ALPHA_FS/r
+        shape, r, theta, phi = _arguments(r_au, theta, phi)
+        if shape is None:
+            return _bq(*self._point(r, theta, phi))
+        pref, F, G, u, v = self._parts(r, theta, phi)
         f, g = pref*F, 1j*pref*G
-        u, v = spinor_biquaternions(
-            (self.spinor_upper, self.spinor_lower), theta, phi)
         # Psi = f u + g v as one expression per coefficient: numpy then
         # reuses the full-size product temporaries for the sums
-        p = _bq(f*u.q0 + g*v.q0, f*u.q1 + g*v.q1, f*u.q2 + g*v.q2,
-                f*u.q3 + g*v.q3)
-        if not point and any(c.shape != shape for c in p.coefficients()):
-            p = _bq(*(np.broadcast_to(c, shape).copy()
-                      for c in p.coefficients()))
-        return p
+        return _bq(_full(f*u.q0 + g*v.q0, shape),
+                   _full(f*u.q1 + g*v.q1, shape),
+                   _full(f*u.q2 + g*v.q2, shape),
+                   _full(f*u.q3 + g*v.q3, shape))
 
     def density(self, r_au, theta, phi):
         """Probability density per Bohr radius cubed, Sc(Psi conj_both(Psi)).
@@ -308,8 +398,23 @@ class WaveFunction(Record):
         r (Bohr, > 0), theta and phi broadcast.  The limit at r -> 0 is
         +inf for |k| = 1 and 0 otherwise, and r = inf gives the limit 0;
         r <= 0 and NaN r raise ValueError.
+
+        One point is bit-identical to norm_sq(psi)/alpha^3.  Arrays never
+        form Psi at full size: with f = (alpha/r) A F and h = (alpha/r) A G
+        on r's axes and the spinor biquaternions u, v on the axes of the
+        angles, the norm's polarization identity gives
+        norm_sq(f u + i h v) = f^2 norm_sq(u) + h^2 norm_sq(v)
+        + 2 f h sum_i Im(u_i conj v_i), three products and two sums at full
+        size, within a few eps of the point values.
         """
-        return norm_sq(self.psi(r_au, theta, phi))/ALPHA_FS**3
+        shape, r, theta, phi = _arguments(r_au, theta, phi)
+        if shape is None:
+            return _norm_sq(*self._point(r, theta, phi))/ALPHA_FS**3
+        pref, F, G, u, v = self._parts(r, theta, phi)
+        f, h = pref*F, pref*G
+        a3 = ALPHA_FS**3
+        return _full((f*f/a3)*norm_sq(u) + (h*h/a3)*norm_sq(v)
+                     + (2*f*h/a3)*_polar_im(u, v), shape)
 
     def density_grid(self, r_au, theta):
         """density() on broadcastable (r, theta) arrays; it does not depend

@@ -43,20 +43,37 @@ def laguerre(n: int, alpha: float, x):
     # a 0-d array becomes a Python number, and so does the result: scalar
     # steps (single density points) then skip numpy's per-operation overhead
     x = x if x.ndim else x.item()
-    L0, L1 = 1.0, 1 + alpha - x
-    for k in range(1, n):
-        L0, L1 = L1, ((2*k + 1 + alpha - x)*L1 - (k + alpha)*L0)/(k + 1)
+    return _laguerre_run(_laguerre_steps(n, alpha), alpha, x)
+
+
+def _laguerre_steps(n: int, a: float):
+    """Coefficients (2k + 1 + a, k + a, k + 1) of the steps k = 1 .. n - 1
+    of the recurrence of laguerre, one at a time."""
+    return ((2*k + 1 + a, k + a, k + 1) for k in range(1, n))
+
+
+def _laguerre_run(steps, a: float, x):
+    """L_n^(a)(x) for n >= 1 (unchecked) from steps = _laguerre_steps(n, a)
+    or a tuple of it: the one loop of the recurrence.  Each step rounds as
+    the written-out recurrence does, so a held table gives the same bits."""
+    L0, L1 = 1.0, 1 + a - x
+    for p, q, d in steps:
+        L0, L1 = L1, ((p - x)*L1 - q*L0)/d
     return L1
 
 
-def _laguerre_pair(n: int, a: float, b: float, x):
-    """(L_{n-1}^(a)(x), L_n^(b)(x)), with L_{-1} = 0, from one loop that
-    runs the recurrence of laguerre for both (unchecked: integer n >= 0,
-    a, b > -1).
+def _laguerre_tables(n: int, a: float, b: float) -> tuple:
+    """The steps of _laguerre_pair(n, a, b, x) held as two tuples, for a
+    caller that evaluates the same pair at many single points."""
+    return tuple(_laguerre_steps(n - 1, a)), tuple(_laguerre_steps(n, b))
 
-    Each value goes through the operations of laguerre in the same order,
-    so both are bit-identical to separate calls; a degree below 1 gives
-    the scalar 0.0 or 1.0.  A float or 0-d x runs on Python floats.
+
+def _laguerre_pair(n: int, a: float, b: float, x, tables=None):
+    """(L_{n-1}^(a)(x), L_n^(b)(x)), with L_{-1} = 0 (unchecked: integer
+    n >= 0, a, b > -1), bit-identical to separate laguerre calls; a degree
+    below 1 gives the scalar 0.0 or 1.0.  A float or 0-d x runs on Python
+    floats.  tables = _laguerre_tables(n, a, b) saves deriving the step
+    coefficients.
     """
     if type(x) is not float:
         import numpy as np
@@ -65,12 +82,10 @@ def _laguerre_pair(n: int, a: float, b: float, x):
             x = x.item()
     if n == 0:
         return 0.0, 1.0
-    L0, L1, M0, M1 = 1.0, 1 + a - x, 1.0, 1 + b - x
-    for k in range(1, n):
-        if k < n - 1:                   # L stops at degree n - 1
-            L0, L1 = L1, ((2*k + 1 + a - x)*L1 - (k + a)*L0)/(k + 1)
-        M0, M1 = M1, ((2*k + 1 + b - x)*M1 - (k + b)*M0)/(k + 1)
-    return (L1 if n > 1 else L0), M1
+    steps_a, steps_b = tables or (_laguerre_steps(n - 1, a),
+                                  _laguerre_steps(n, b))
+    return ((_laguerre_run(steps_a, a, x) if n > 1 else 1.0),
+            _laguerre_run(steps_b, b, x))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -84,6 +99,35 @@ def _legendre_column(l: int, ma: int):
     return p, tuple((math.sqrt((4*d*d - 1)/(d*d - ma*ma)),
                      math.sqrt(((d - 1)**2 - ma*ma)/(4*(d - 1)**2 - 1)))
                     for d in range(ma + 1, l + 1))
+
+
+def _phase(ma: int, phi: float) -> complex:
+    """e^{i ma phi} at a Python-float phi, with no -0.0 (as 1j*ma*phi)."""
+    t = 0.0 + ma*phi
+    return complex(math.cos(t), math.sin(t))
+
+
+def _harmonics(degrees, m: int, column, x, u, e, zero) -> list:
+    """[Y_l^m for l in degrees] from column = _legendre_column(max(degrees),
+    |m|), at x = cos theta, u = |sin theta| and e = e^{i|m|phi}; zero where
+    l < |m|.  This is the one loop of the column recurrence."""
+    ma = abs(m)
+    p, table = column
+    values = [p]                    # Pbar_l^m / u^m for l = ma, ma + 1, ...
+    p0 = 0.0
+    for a, b in table:
+        p0, p = p, a*(x*p - b*p0)
+        values.append(p)
+    out = []
+    for l in degrees:
+        if l < ma:
+            out.append(zero)
+            continue
+        y = values[l - ma]*u**ma*e
+        if m < 0:
+            y = (-1)**ma*y.conjugate()
+        out.append(y)
+    return out
 
 
 def spherical_harmonics(degrees, m: int, theta, phi) -> list:
@@ -118,30 +162,15 @@ def spherical_harmonics(degrees, m: int, theta, phi) -> list:
     if point:
         theta, phi = float(theta), float(phi)
         x, u = math.cos(theta), abs(math.sin(theta))
-        t = 0.0 + ma*phi                # as in 1j*m*phi: no -0.0
-        e = complex(math.cos(t), math.sin(t))
+        e = _phase(ma, phi)
         zero = 0j
     else:
         x, u = np.cos(theta), np.abs(np.sin(theta))
         e = np.exp(1j*ma*phi)
         zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
                         dtype=complex)
-    p, table = _legendre_column(max(degrees), ma)
-    column = [p]                    # Pbar_l^m / u^m for l = ma, ma + 1, ...
-    p0 = 0.0
-    for a, b in table:
-        p0, p = p, a*(x*p - b*p0)
-        column.append(p)
-    out = []
-    for l in degrees:
-        if l < ma:
-            out.append(zero)
-            continue
-        y = column[l - ma]*u**ma*e
-        if m < 0:
-            y = (-1)**ma*y.conjugate()
-        out.append(y)
-    return out
+    return _harmonics(degrees, m, _legendre_column(max(degrees), ma), x, u, e,
+                      zero)
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):
@@ -190,6 +219,7 @@ def gauss_legendre_nodes(n: int, lo: float, hi: float):
     return lo + half*(x + 1), half*w
 
 
+@functools.lru_cache(maxsize=512)
 def gauss_laguerre_nodes(n: int, alpha: float):
     """Generalized Gauss-Laguerre nodes and log weights for the weight
     x^alpha e^{-x} on [0, inf); exact for polynomials of degree <= 2n - 1.
@@ -198,7 +228,8 @@ def gauss_laguerre_nodes(n: int, alpha: float):
     (diagonal 2i + alpha + 1, off-diagonal sqrt(i (i + alpha))).  The weights
     are Gamma(n+alpha+1) x_j / (n! (n+1)^2 L_{n+1}^{(alpha)}(x_j)^2), returned
     as logs: they underflow at the far nodes for large n, and eigenvector-
-    based weights lose their relative accuracy there.
+    based weights lose their relative accuracy there.  Memoized per
+    (n, alpha), as read-only arrays: every m_j of one level shares them.
     """
     if n != int(n) or n < 1:
         raise ValueError(f"node count must be a positive integer, got {n!r}")
@@ -214,4 +245,5 @@ def gauss_laguerre_nodes(n: int, alpha: float):
     log_w = (math.lgamma(n + alpha + 1) - math.lgamma(n + 1)
              - 2*math.log(n + 1) + np.log(x)
              - 2*np.log(np.abs(laguerre(n + 1, alpha, x))))
+    x.flags.writeable = log_w.flags.writeable = False
     return x, log_w

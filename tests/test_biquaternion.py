@@ -129,6 +129,27 @@ def test_norm_sq_is_eight_vector_norm():
     assert norm_sq(Biquaternion(1 + 1j, 0, 2, 0)) == pytest.approx(6.0)
 
 
+def test_polarization_identity_of_the_norm():
+    # the cross term of the array density route, on elements where it is
+    # far from zero; scalars and a batch
+    from quatspin.biquaternion import _polar_im
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        a, b = _rand(rng), _rand(rng)
+        f, h = rng.standard_normal(2)
+        want = norm_sq(a*f + b*(1j*h))
+        got = f*f*norm_sq(a) + h*h*norm_sq(b) + 2*f*h*_polar_im(a, b)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert _polar_im(a, b) == pytest.approx(
+            mul(a, conj_both(b)).scalar.imag, rel=1e-13, abs=1e-14)
+    c = rng.standard_normal((2, 4, 5)) + 1j*rng.standard_normal((2, 4, 5))
+    a, b = Biquaternion(*c[0]), Biquaternion(*c[1])
+    np.testing.assert_allclose(
+        _polar_im(a, b),
+        [_polar_im(Biquaternion(*c[0, :, j]), Biquaternion(*c[1, :, j]))
+         for j in range(5)], rtol=1e-14, atol=1e-14)
+
+
 def test_quadratic_form_multiplicative():
     rng = np.random.default_rng(23)
     for _ in range(100):

@@ -456,6 +456,37 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["energy", "--z", "0"], "--z must be a positive integer"),
+    (["density", "--grid", "banana"], "--grid expects R:THETA counts"),
+    (["density", "--grid", "0:4"], "--grid counts must be at least 4"),
+    (["density", "--k", "0"], "k must be a nonzero integer"),
+    (["density", "--r-max", "-1"], "--r-max must be positive"),
+    (["probability", "--r-hi", "nan"], "need 0 <= --r-lo < --r-hi"),
+    (["probability", "--k", "2", "--n", "1"], "|k| must not exceed n"),
+    (["spinor", "--k", "0"], "--k must be a nonzero integer"),
+    (["spinor", "--mj", "5.5"], "|m_j| must not exceed j"),
+    (["rotate", "--angle", "1", "--axis", "1,2"], "--axis expects x, y, z"),
+    (["rotate", "--angle", "1", "--axis", "1,x,2"],
+     "--axis components must be finite"),
+    (["rotate", "--angle", "1", "--axis", "0,0,0"],
+     "--axis must be a nonzero vector"),
+    (["rotate", "--angle", "1", "--target", "Sw"], "--target expects Sx"),
+    (["verify", "--suite", "nope"], "nope"),
+])
+def test_usage_errors_after_parsing_name_the_subcommand(capsys, argv,
+                                                        message):
+    # as argparse's own errors do: the subcommand's usage line and prefix
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    sub = argv[0]
+    assert out == ""
+    assert err.startswith(f"usage: quatspin {sub} ")
+    assert f"\nquatspin {sub}: error: " in err and message in err
+
+
 def test_json_round_trip(capsys):
     code, out = _run(capsys, "probability", "--r-hi", "2.5")
     rec = json.loads(out)

@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from quatspin import (
-    conj_both, mul, shoot_eigenvalue, assemble_wavefunction,
+    conj_both, mul, norm_sq, shoot_eigenvalue, assemble_wavefunction,
     probability_in_region, allclose, verify,
 )
-from quatspin.hydrogen import _radial_FG, clear_shooting_cache
+from quatspin.hydrogen import _radial_FG, _split_ok, clear_shooting_cache
 from quatspin.levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, sommerfeld_energy, energy,
     binding_energy_ev, radial_parameters,
 )
 from quatspin.special import gauss_legendre_nodes
+from quatspin.spinor import spinor_biquaternions
 from quatspin.verify import ode_residual, system_residual
 
 # frozen reference values, computed once from the closed formula and checked
@@ -366,6 +367,40 @@ def test_point_density_for_every_scalar_type(qn):
         assert w.density(r, 0.3, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("n, k, mj, Z", [(1, -1, 0.5, 1), (3, 2, -1.5, 20),
+                                         (20, -7, 2.5, 50),
+                                         (32, 31, 30.5, 92),
+                                         (150, -150, -3.5, 92)])
+def test_point_density_is_norm_sq_of_psi_bit_for_bit(n, k, mj, Z):
+    # the per-state point route gives psi's four coefficients as the
+    # composition of _radial_FG and spinor_biquaternions, signed zeros
+    # included, and density is their norm; at n = |k| = 150, r = 1000 Bohr
+    # takes the one-exponential prefactor, and r = inf gives the limit 0
+    w = assemble_wavefunction(QuantumNumbers(n, k, mj, Z))
+    rng = np.random.default_rng(n)
+    pts = [(1000.0, 3.0, 5.0), (1e-3, 0.0, 0.0), (2.0, math.pi, 1.0),
+           (math.inf, 1.0, 0.0)]
+    pts += [(float(rng.uniform(0.02, 3.0))*n*n/Z,
+             float(np.arccos(rng.uniform(-1.0, 1.0))),
+             float(rng.uniform(0.0, 2*math.pi))) for _ in range(50)]
+    for r, th, ph in pts:
+        F, G = _radial_FG(w.level, w.C*r/ALPHA_FS, w.A)
+        u, v = spinor_biquaternions((w.spinor_upper, w.spinor_lower), th, ph)
+        f, g = ALPHA_FS/r*F, 1j*(ALPHA_FS/r)*G
+        psi = w.psi(r, th, ph)
+        for got, a, b in zip(psi.coefficients(), u.coefficients(),
+                             v.coefficients()):
+            want = f*a + g*b
+            assert (got.real.hex(), got.imag.hex()) == (
+                want.real.hex(), want.imag.hex()), (r, th, ph)
+        want = norm_sq(psi)/ALPHA_FS**3
+        assert w.density(r, th, ph).hex() == want.hex(), (r, th, ph)
+    assert w.density(math.inf, 1.0, 0.0) == 0.0
+    if n == 150:
+        rho = w.C*1000.0/ALPHA_FS
+        assert not _split_ok(math.log(w.A), w.s*math.log(rho), rho)
+
+
 @pytest.mark.parametrize("n, k, mj, Z", [(1, -1, 0.5, 1), (7, 3, -1.5, 50),
                                          (40, -12, 2.5, 92)])
 def test_density_at_infinite_radius_is_the_limit_zero(n, k, mj, Z):
@@ -451,9 +486,9 @@ def test_laguerre_sees_each_radius_once(monkeypatch):
     import quatspin.hydrogen as hy
     plain, seen = hy._laguerre_pair, []
 
-    def counting(n, a, b, x):
+    def counting(n, a, b, x, tables=None):
         seen.append(np.size(x))
-        return plain(n, a, b, x)
+        return plain(n, a, b, x, tables)
 
     w = assemble_wavefunction(QuantumNumbers(12, -3, 0.5, 20))
     monkeypatch.setattr(hy, "_laguerre_pair", counting)
@@ -487,18 +522,34 @@ def _valid_state(n, k_pick, mj_pick, Z):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(n=st.integers(1, 20), k_pick=st.integers(0, 39),
-       mj_pick=st.integers(0, 39), Z=st.integers(1, 92),
-       u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
-def test_density_routes_agree_property(n, k_pick, mj_pick, Z, u):
+@given(n=st.integers(1, 60), k_pick=st.integers(0, 119),
+       mj_pick=st.integers(0, 119), Z=st.integers(1, 92),
+       u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       form=st.sampled_from(["vectors", "meshgrid", "axes"]))
+def test_density_routes_agree_property(n, k_pick, mj_pick, Z, u, form):
+    # same-length vectors, a meshgrid and broadcast axes: the separable
+    # array route against the point route, psi and the oracle
     qn = _valid_state(n, k_pick, mj_pick, Z)
     w = assemble_wavefunction(qn)
     r = (0.02 + 2.0*u[0])*n*n/Z*np.array([0.5, 1.0, 1.7])
     th = math.pi*np.array([u[1], 0.5, 1.0 - u[1]/3])
     ph = 2*math.pi*u[2]
+    if form == "meshgrid":
+        r, th = np.meshgrid(r, th, indexing="ij")
+    elif form == "axes":
+        r, th = r[:, None], th[None, :]
     grid = w.density(r, th, ph)
-    points = np.array([w.density(a, b, ph) for a, b in zip(r, th)])
+    R, TH = np.broadcast_arrays(r, th)
+    assert grid.shape == R.shape
+    points = np.array([w.density(a, b, ph)
+                       for a, b in zip(R.ravel().tolist(), TH.ravel().tolist())
+                       ]).reshape(R.shape)
+    # below the normal range (theta = 0 or pi, where sin^|m| underflows) no
+    # route keeps relative digits
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(grid - points) <= 1e-14*points + tiny)
+    psi = norm_sq(w.psi(r, th, ph))/ALPHA_FS**3
+    assert np.all(np.abs(grid - psi) <= 1e-13*psi + tiny)
     oracle = verify.density_oracle(w, r, th)
     scale = max(float(np.max(oracle)), 1e-300)
-    assert np.max(np.abs(grid - points)) <= 1e-13*scale
     assert np.max(np.abs(grid - oracle)) <= 1e-12*scale

@@ -8,7 +8,7 @@ from scipy.special import eval_genlaguerre, sph_harm_y
 
 from quatspin import laguerre, spherical_harmonic, quadrature_sphere
 from quatspin.special import (
-    _laguerre_pair, gauss_laguerre_nodes, gauss_legendre_nodes,
+    _laguerre_pair, _laguerre_tables, gauss_laguerre_nodes, gauss_legendre_nodes,
     spherical_harmonics,
 )
 
@@ -51,6 +51,26 @@ def test_laguerre_pair_is_two_laguerre_calls(n):
         assert type(lo) is type(hi) is float
         assert lo == (laguerre(n - 1, a, x) if n else 0.0)
         assert _bits(hi) == _bits(laguerre(n, b, x))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
+def test_laguerre_pair_from_held_tables(n):
+    # step tables held by a caller give the bits of the lazy steps
+    a, b = 2*0.9987 + 1, 2*0.9987 - 1
+    tables = _laguerre_tables(n, a, b)
+    xs = np.array([0.0, 1e-3, 0.7, 3.5, 41.0, 250.0])
+    for x in [xs] + xs.tolist():
+        got = _laguerre_pair(n, a, b, x, tables)
+        want = _laguerre_pair(n, a, b, x)
+        for g, w in zip(got, want):
+            assert _bits(g, np.shape(x)) == _bits(w, np.shape(x))
+
+
+def test_laguerre_accepts_a_0d_superscript():
+    alpha = np.array(0.7)
+    for x in (2.5, np.array([0.0, 1.0, 4.0])):
+        np.testing.assert_array_equal(laguerre(5, alpha, x),
+                                      laguerre(5, 0.7, x))
 
 
 def test_laguerre_rejects_bad_arguments():
