@@ -44,16 +44,15 @@ import math
 import numpy as np
 
 from ._record import Record
-from .biquaternion import Biquaternion, _bq, _norm_sq, _polar_im, norm_sq
+from .biquaternion import Biquaternion, _bq, _norm_sq, _polar_im
 from .levels import ALPHA_FS, QuantumNumbers, _level, _Level, sommerfeld_energy
 # unused here: perfbench/workloads.py and perfbench/probes.py read them as hy.*
 from .levels import energy, radial_parameters  # noqa: F401
 from .special import (
-    _harmonics, _laguerre_pair, _laguerre_tables, _legendre_column, _phase,
+    _harmonics, _laguerre_run, _laguerre_steps, _legendre_column,
     gauss_laguerre_nodes, gauss_legendre_nodes,
 )
-from .spin import _Q_DOWN, _Q_UP
-from .spinor import SpinorFunction, spinor_biquaternions
+from .spinor import SpinorFunction, _spin_basis
 
 __all__ = [
     "WaveFunction", "shoot_eigenvalue", "assemble_wavefunction",
@@ -61,18 +60,23 @@ __all__ = [
 ]
 
 
-def _laguerre_args(lv: _Level) -> tuple:
-    """(n_r, 2s + 1, 2s - 1): the degree and superscripts of the radial
-    Laguerre pair L_{n_r-1}^{(2s+1)}, L_{n_r}^{(2s-1)}."""
-    return lv.n - abs(lv.k), 2*lv.s + 1, 2*lv.s - 1
+def _steps(lv: _Level) -> tuple:
+    """The steps of the radial Laguerre pair L_{n_r-1}^{(2s+1)} and
+    L_{n_r}^{(2s-1)}, lazily (see special._laguerre_steps)."""
+    n_r = lv.n - abs(lv.k)
+    return (_laguerre_steps(n_r - 1, 2*lv.s + 1),
+            _laguerre_steps(n_r, 2*lv.s - 1))
 
 
-def _brackets(lv: _Level, x, tables=None):
+def _brackets(lv: _Level, x, steps):
     """Laguerre brackets (P, Q) at x = 2 rho, so that F = rho^s e^{-rho} P
-    and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x, from one
-    recurrence pass for L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)}; tables,
-    if given, is _laguerre_tables(*_laguerre_args(lv))."""
-    L1, L2 = _laguerre_pair(*_laguerre_args(lv), x, tables)
+    and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x, from
+    L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)} run on steps = _steps(lv), lazy
+    or held as tuples.  Degrees below 1 need no run: L_{-1} = 0, L_0 = 1."""
+    n_r = lv.n - abs(lv.k)
+    L1 = (_laguerre_run(steps[0], 2*lv.s + 1, x) if n_r > 1
+          else 1.0 if n_r else 0.0)
+    L2 = _laguerre_run(steps[1], 2*lv.s - 1, x) if n_r else 1.0
     return lv.za*x*L1 + lv.sk*lv.W*L2, lv.sk*x*L1 + lv.za*lv.W*L2
 
 
@@ -85,24 +89,13 @@ def _radial_FG(lv: _Level, rho, A: float = 1.0):
         rho = np.asarray(rho, dtype=float)
         if rho.ndim == 0:
             rho = float(rho)
-    # e^{-rho} beats every power of rho: the limit at rho = inf is 0
-    if type(rho) is float:              # one point runs on Python floats
-        if rho == math.inf:
-            return 0.0, 0.0
-        return _radial_kernel(lv, A, math.log(A), rho, rho, rho, math.exp)
-    lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
-    if hi == math.inf:
-        finite = rho < hi
-        F, G = _radial_FG(lv, np.where(finite, rho, 0.0), A)
-        return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
-    return _radial_kernel(lv, A, math.log(A), rho, lo, hi, np.exp)
+    return _radial_kernel(lv, A, math.log(A), rho, _steps(lv))
 
 
-def _radial_kernel(lv: _Level, A: float, log_a: float, rho, lo, hi, exp,
-                   tables=None):
-    """(F, G) times A, log_a = log A, at finite rho: a Python float (lo =
-    hi = rho, exp = math.exp) or an array with extremes lo <= hi (exp =
-    np.exp); tables as for _brackets.
+def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps):
+    """(F, G) times A, log_a = log A, at rho >= 0: a Python float gives
+    Python floats, a float array arrays; steps as for _brackets.  At
+    rho = inf (F, G) is the limit 0: e^{-rho} beats every power of rho.
 
     The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
     so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
@@ -110,8 +103,21 @@ def _radial_kernel(lv: _Level, A: float, log_a: float, rho, lo, hi, exp,
     exponential exp(log A + s log rho - rho), which stays finite where
     rho^s alone leaves the float range.
     """
+    if type(rho) is float:              # one point runs on Python floats
+        if rho == math.inf:
+            return 0.0, 0.0
+        lo = hi = rho
+        exp = math.exp
+    else:
+        lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
+        if hi == math.inf:
+            finite = rho < hi
+            F, G = _radial_kernel(lv, A, log_a, np.where(finite, rho, 0.0),
+                                  steps)
+            return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
+        exp = np.exp
     s = lv.s
-    P, Q = _brackets(lv, 2*rho, tables)
+    P, Q = _brackets(lv, 2*rho, steps)
     # each condition of _split_ok is monotone or concave in rho, so it holds
     # on every node when it holds at both ends
     if (lo > 0 and _split_ok(log_a, s*math.log(lo), lo)
@@ -169,7 +175,7 @@ def _log_radial_norm_sq(lv: _Level) -> float:
     # which assemble_wavefunction refuses
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x, log_w = gauss_laguerre_nodes(lv.n - abs(lv.k) + 2, 2*s)
-        P, Q = _brackets(lv, x)
+        P, Q = _brackets(lv, x, _steps(lv))
         log_terms = log_w + 2*np.log(np.hypot(P, Q))
         top = float(np.max(log_terms))
         total = float(np.sum(np.exp(log_terms - top)))
@@ -247,22 +253,25 @@ def clear_shooting_cache():
 
 
 def _arguments(r_au, theta, phi):
-    """(shape, r, theta, phi) of psi and density: for one point shape is
+    """(shape, r, theta, phi) of psi and density.  For one point shape is
     None and the three are Python floats (ints, numpy scalars and 0-d
-    arrays are converted); otherwise shape is the broadcast shape and each
-    argument is a float array cut by _trim.  Raises ValueError unless r > 0
-    everywhere (NaN included)."""
+    arrays are converted).  Otherwise shape is the broadcast shape and each
+    argument is a float array cut by _trim, except that a 0-d r, and 0-d
+    theta and phi together, run as Python floats.  Raises ValueError unless
+    r > 0 everywhere (NaN included; an empty r passes)."""
     shape = None
     if not type(r_au) is type(theta) is type(phi) is float:
         r_au = np.asarray(r_au, dtype=float)
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        if r_au.ndim == theta.ndim == phi.ndim == 0:
-            r_au, theta, phi = float(r_au), float(theta), float(phi)
-        else:
+        if r_au.ndim or theta.ndim or phi.ndim:
             shape = np.broadcast_shapes(r_au.shape, theta.shape, phi.shape)
             r_au, theta, phi = _trim(r_au), _trim(theta), _trim(phi)
-    if not (r_au > 0 if shape is None else r_au.min() > 0):
+        if not r_au.ndim:
+            r_au = float(r_au)
+        if not (theta.ndim or phi.ndim):
+            theta, phi = float(theta), float(phi)
+    if not (r_au > 0 if type(r_au) is float else (r_au > 0).all()):
         raise ValueError("r must be > 0")
     return shape, r_au, theta, phi
 
@@ -270,48 +279,6 @@ def _arguments(r_au, theta, phi):
 def _full(a, shape):
     """a as a fresh array of the broadcast shape."""
     return a if a.shape == shape else np.broadcast_to(a, shape).copy()
-
-
-def _point_route(w: "WaveFunction"):
-    """Psi's four coefficients at one point, as a function of Python
-    floats r (Bohr, > 0), theta and phi: the point route of psi and
-    density, built once per state.
-
-    It holds log A, the Laguerre step tables of the superscripts 2s -+ 1
-    and, for the orders m_j -+ 1/2, the Legendre column tables up to
-    max(l_up, l_low) with the Clebsch weights.  It runs the kernels of the
-    array route (_radial_kernel, _harmonics) on Python floats, with no type
-    dispatch and no Biquaternion record, and forms the spinor biquaternions
-    and Psi = f u + g v as spinor_biquaternions and the array psi do, 0j
-    terms included: every value, down to the sign of a zero, is the
-    composition of _radial_FG and spinor_biquaternions at that point.
-    """
-    lv, A, up, lo = w.level, w.A, w.spinor_upper, w.spinor_lower
-    C, log_a = lv.C, math.log(A)
-    tables = _laguerre_tables(*_laguerre_args(lv))
-    ls = (up.l, lo.l)
-    m1, m2 = int(round(up.m_j - 0.5)), int(round(up.m_j + 0.5))
-    ma1, ma2 = abs(m1), abs(m2)
-    col1, col2 = _legendre_column(max(ls), ma1), _legendre_column(max(ls), ma2)
-    c1u, c2u, c1l, c2l = up.c1, up.c2, lo.c1, lo.c2
-    q0, q1, q2, q3 = _Q_UP.q0, _Q_UP.q1, _Q_DOWN.q2, _Q_DOWN.q3
-
-    def psi(r: float, theta: float, phi: float) -> tuple:
-        rho = C*r/ALPHA_FS
-        F, G = ((0.0, 0.0) if rho == math.inf else
-                _radial_kernel(lv, A, log_a, rho, rho, rho, math.exp, tables))
-        pref = ALPHA_FS/r
-        f, g = pref*F, 1j*pref*G
-        x, u = math.cos(theta), abs(math.sin(theta))
-        y1u, y1l = _harmonics(ls, m1, col1, x, u, _phase(ma1, phi), 0j)
-        y2u, y2l = _harmonics(ls, m2, col2, x, u, _phase(ma2, phi), 0j)
-        cu, du, cl, dl = c1u*y1u, c2u*y2u, c1l*y1l, c2l*y2l
-        return (f*(cu*q0 + 0j) + g*(cl*q0 + 0j),
-                f*(cu*q1 + 0j) + g*(cl*q1 + 0j),
-                f*(0j + du*q2) + g*(0j + dl*q2),
-                f*(0j + du*q3) + g*(0j + dl*q3))
-
-    return psi
 
 
 class WaveFunction(Record):
@@ -323,18 +290,33 @@ class WaveFunction(Record):
     spinor_upper: SpinorFunction
     spinor_lower: SpinorFunction
 
-    # the point route, built on first use; not a field, so no part of ==,
-    # hash or repr
-    __slots__ = ("_route",)
+    # the per-state tables of _parts, built by __init__; not a field, so no
+    # part of ==, hash or repr
+    __slots__ = ("_tables",)
 
     def __init__(self, qn: QuantumNumbers, level: _Level, A: float,
                  spinor_upper: SpinorFunction, spinor_lower: SpinorFunction):
         d = self.__dict__
         d["qn"], d["level"], d["A"] = qn, level, A
         d["spinor_upper"], d["spinor_lower"] = spinor_upper, spinor_lower
+        if not 0.0 < A < math.inf:          # also refuses NaN
+            raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
+                             f"the float range")
+        # log A, the Laguerre steps of the radial pair, the degrees l_up and
+        # l_low, the orders m_j -+ 1/2 with their Legendre columns up to
+        # max(l_up, l_low), and the Clebsch weights
+        ls = (spinor_upper.l, spinor_lower.l)
+        m1 = int(round(spinor_upper.m_j - 0.5))
+        object.__setattr__(self, "_tables", (
+            math.log(A), tuple(map(tuple, _steps(level))), ls,
+            m1, _legendre_column(max(ls), abs(m1)),
+            m1 + 1, _legendre_column(max(ls), abs(m1 + 1)),
+            (spinor_upper.c1, spinor_upper.c2,
+             spinor_lower.c1, spinor_lower.c2)))
 
     def __reduce__(self):
-        # copies and pickles carry the fields only
+        # copies and pickles carry the fields only; __init__ rebuilds the
+        # tables
         return type(self), self._key()
 
     @property
@@ -349,23 +331,27 @@ class WaveFunction(Record):
     def C(self) -> float:
         return self.level.C
 
-    def _point(self, r: float, theta: float, phi: float) -> tuple:
-        """Psi's four coefficients at one point (see _point_route)."""
-        try:
-            route = self._route
-        except AttributeError:
-            route = _point_route(self)
-            object.__setattr__(self, "_route", route)
-        return route(r, theta, phi)
+    def _parts(self, r, theta, phi) -> tuple:
+        """(f, h, u, v) at _arguments' r, theta and phi: f = (alpha/r) A F
+        and h = (alpha/r) A G on r's axes, and the coefficients u, v of the
+        biquaternion forms of the upper and lower spinors on the axes of
+        the angles.  Python floats give Python scalars, arrays arrays."""
+        lv = self.level
+        log_a, steps, ls, m1, col1, m2, col2, c = self._tables
+        F, G = _radial_kernel(lv, self.A, log_a, lv.C*r/ALPHA_FS, steps)
+        pref = ALPHA_FS/r
+        y1u, y1l = _harmonics(ls, m1, col1, theta, phi)
+        y2u, y2l = _harmonics(ls, m2, col2, theta, phi)
+        return (pref*F, pref*G, _spin_basis(c[0]*y1u, c[1]*y2u),
+                _spin_basis(c[2]*y1l, c[3]*y2l))
 
-    def _parts(self, r, theta, phi):
-        """(alpha/r, F, G, u, v) at trimmed array arguments: (F, G) times A
-        on r's axes and the spinor biquaternions u, v on the axes of the
-        angles."""
-        F, G = _radial_FG(self.level, self.C*r/ALPHA_FS, self.A)
-        u, v = spinor_biquaternions(
-            (self.spinor_upper, self.spinor_lower), theta, phi)
-        return ALPHA_FS/r, F, G, u, v
+    def _psi(self, r, theta, phi) -> tuple:
+        """Psi's four coefficients f u_i + i h v_i (see _parts): the one
+        combination, one expression per coefficient, so that numpy reuses
+        the full-size product temporaries for the sums."""
+        f, h, (u0, u1, u2, u3), (v0, v1, v2, v3) = self._parts(r, theta, phi)
+        g = 1j*h
+        return f*u0 + g*v0, f*u1 + g*v1, f*u2 + g*v2, f*u3 + g*v3
 
     def psi(self, r_au, theta, phi) -> Biquaternion:
         """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
@@ -381,16 +367,8 @@ class WaveFunction(Record):
         distinct angle; only the final combination is formed at full size.
         """
         shape, r, theta, phi = _arguments(r_au, theta, phi)
-        if shape is None:
-            return _bq(*self._point(r, theta, phi))
-        pref, F, G, u, v = self._parts(r, theta, phi)
-        f, g = pref*F, 1j*pref*G
-        # Psi = f u + g v as one expression per coefficient: numpy then
-        # reuses the full-size product temporaries for the sums
-        return _bq(_full(f*u.q0 + g*v.q0, shape),
-                   _full(f*u.q1 + g*v.q1, shape),
-                   _full(f*u.q2 + g*v.q2, shape),
-                   _full(f*u.q3 + g*v.q3, shape))
+        q = self._psi(r, theta, phi)
+        return _bq(*q) if shape is None else _bq(*[_full(c, shape) for c in q])
 
     def density(self, r_au, theta, phi):
         """Probability density per Bohr radius cubed, Sc(Psi conj_both(Psi)).
@@ -399,22 +377,19 @@ class WaveFunction(Record):
         +inf for |k| = 1 and 0 otherwise, and r = inf gives the limit 0;
         r <= 0 and NaN r raise ValueError.
 
-        One point is bit-identical to norm_sq(psi)/alpha^3.  Arrays never
-        form Psi at full size: with f = (alpha/r) A F and h = (alpha/r) A G
-        on r's axes and the spinor biquaternions u, v on the axes of the
-        angles, the norm's polarization identity gives
-        norm_sq(f u + i h v) = f^2 norm_sq(u) + h^2 norm_sq(v)
+        One point is norm_sq(psi)/alpha^3.  Arrays never form Psi at full
+        size: with f, h, u and v from _parts, the norm's polarization
+        identity gives norm_sq(f u + i h v) = f^2 norm_sq(u) + h^2 norm_sq(v)
         + 2 f h sum_i Im(u_i conj v_i), three products and two sums at full
         size, within a few eps of the point values.
         """
         shape, r, theta, phi = _arguments(r_au, theta, phi)
         if shape is None:
-            return _norm_sq(*self._point(r, theta, phi))/ALPHA_FS**3
-        pref, F, G, u, v = self._parts(r, theta, phi)
-        f, h = pref*F, pref*G
+            return _norm_sq(*self._psi(r, theta, phi))/ALPHA_FS**3
+        f, h, u, v = self._parts(r, theta, phi)
         a3 = ALPHA_FS**3
-        return _full((f*f/a3)*norm_sq(u) + (h*h/a3)*norm_sq(v)
-                     + (2*f*h/a3)*_polar_im(u, v), shape)
+        return _full((f*f/a3)*_norm_sq(*u) + (h*h/a3)*_norm_sq(*v)
+                     + (2*f*h/a3)*_polar_im(_bq(*u), _bq(*v)), shape)
 
     def density_grid(self, r_au, theta):
         """density() on broadcastable (r, theta) arrays; it does not depend
@@ -428,16 +403,12 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
     The normalization constant A comes from the full-domain integral:
     A^2 integral (F^2 + G^2) dr = 1 in natural units (the angular spinors are
     sphere-normalized, so this is the whole Born integral), evaluated
-    exactly by Gauss-Laguerre quadrature.
+    exactly by Gauss-Laguerre quadrature.  Raises ValueError where A leaves
+    the float range.
     """
-    lv = _level(qn)
-    A = math.exp(-0.5*_log_radial_norm_sq(lv))
-    if not 0.0 < A < math.inf:          # also refuses NaN
-        raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
-                         f"the float range")
-    j = qn.j
+    lv, j = _level(qn), qn.j
     return WaveFunction(
-        qn=qn, level=lv, A=A,
+        qn=qn, level=lv, A=math.exp(-0.5*_log_radial_norm_sq(lv)),
         spinor_upper=SpinorFunction(qn.l_upper, j, qn.m_j),
         spinor_lower=SpinorFunction(qn.l_lower, j, qn.m_j),
     )

@@ -41,6 +41,12 @@ def _is_int(x) -> bool:
             and math.isfinite(x) and x == int(x))
 
 
+def _is_half_odd(x) -> bool:
+    """True for exact half-odd integers (0.5, -1.5, ...): 2x is then an odd
+    integer, exactly; False for NaN and inf."""
+    return (2*x) % 2 == 1
+
+
 class QuantumNumbers(Record):
     """Bound-state labels (n, k, m_j, Z) with Dirac validity constraints."""
 
@@ -68,11 +74,9 @@ class QuantumNumbers(Record):
                 f"s imaginary: Z alpha = {self.Z*ALPHA_FS:.6f} >= |k| = "
                 f"{abs(self.k)}")
         j = abs(self.k) - 0.5
-        if not (math.isfinite(self.m_j)
-                and abs(2*self.m_j - round(2*self.m_j)) <= 1e-9
-                and round(2*self.m_j) % 2 == 1):
+        if not _is_half_odd(self.m_j):
             raise ValueError(f"m_j must be half-odd-integer, got {self.m_j!r}")
-        if abs(self.m_j) > j + 1e-9:
+        if abs(self.m_j) > j:
             raise ValueError(f"|m_j| must not exceed j = {j}, got {self.m_j!r}")
 
     @property

@@ -55,37 +55,11 @@ def _laguerre_steps(n: int, a: float):
 def _laguerre_run(steps, a: float, x):
     """L_n^(a)(x) for n >= 1 (unchecked) from steps = _laguerre_steps(n, a)
     or a tuple of it: the one loop of the recurrence.  Each step rounds as
-    the written-out recurrence does, so a held table gives the same bits."""
+    the written-out recurrence does, so held steps give the same bits."""
     L0, L1 = 1.0, 1 + a - x
     for p, q, d in steps:
         L0, L1 = L1, ((p - x)*L1 - q*L0)/d
     return L1
-
-
-def _laguerre_tables(n: int, a: float, b: float) -> tuple:
-    """The steps of _laguerre_pair(n, a, b, x) held as two tuples, for a
-    caller that evaluates the same pair at many single points."""
-    return tuple(_laguerre_steps(n - 1, a)), tuple(_laguerre_steps(n, b))
-
-
-def _laguerre_pair(n: int, a: float, b: float, x, tables=None):
-    """(L_{n-1}^(a)(x), L_n^(b)(x)), with L_{-1} = 0 (unchecked: integer
-    n >= 0, a, b > -1), bit-identical to separate laguerre calls; a degree
-    below 1 gives the scalar 0.0 or 1.0.  A float or 0-d x runs on Python
-    floats.  tables = _laguerre_tables(n, a, b) saves deriving the step
-    coefficients.
-    """
-    if type(x) is not float:
-        import numpy as np
-        x = np.asarray(x)
-        if not x.ndim:
-            x = x.item()
-    if n == 0:
-        return 0.0, 1.0
-    steps_a, steps_b = tables or (_laguerre_steps(n - 1, a),
-                                  _laguerre_steps(n, b))
-    return ((_laguerre_run(steps_a, a, x) if n > 1 else 1.0),
-            _laguerre_run(steps_b, b, x))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -101,17 +75,23 @@ def _legendre_column(l: int, ma: int):
                     for d in range(ma + 1, l + 1))
 
 
-def _phase(ma: int, phi: float) -> complex:
-    """e^{i ma phi} at a Python-float phi, with no -0.0 (as 1j*ma*phi)."""
-    t = 0.0 + ma*phi
-    return complex(math.cos(t), math.sin(t))
-
-
-def _harmonics(degrees, m: int, column, x, u, e, zero) -> list:
-    """[Y_l^m for l in degrees] from column = _legendre_column(max(degrees),
-    |m|), at x = cos theta, u = |sin theta| and e = e^{i|m|phi}; zero where
-    l < |m|.  This is the one loop of the column recurrence."""
+def _harmonics(degrees, m: int, column, theta, phi) -> list:
+    """[Y_l^m(theta, phi) for l in degrees] from column =
+    _legendre_column(max(degrees), |m|); zero where l < |m|.  A Python-float
+    theta (phi one too) runs on Python floats and gives Python complex
+    values, float arrays give arrays.  This is the one loop of the column
+    recurrence."""
     ma = abs(m)
+    if type(theta) is float:
+        x, u = math.cos(theta), abs(math.sin(theta))
+        t = 0.0 + ma*phi                # e^{i ma phi} with no -0.0
+        e, zero = complex(math.cos(t), math.sin(t)), 0j
+    else:
+        import numpy as np
+        x, u = np.cos(theta), np.abs(np.sin(theta))
+        e = np.exp(1j*ma*phi)
+        zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
+                        dtype=complex)
     p, table = column
     values = [p]                    # Pbar_l^m / u^m for l = ma, ma + 1, ...
     p0 = 0.0
@@ -152,7 +132,6 @@ def spherical_harmonics(degrees, m: int, theta, phi) -> list:
     broadcast; when both are 0-d the recurrence runs on Python floats and
     each value is a Python complex.
     """
-    ma = abs(m)
     point = isinstance(theta, (int, float)) and isinstance(phi, (int, float))
     if not point:
         import numpy as np
@@ -161,16 +140,8 @@ def spherical_harmonics(degrees, m: int, theta, phi) -> list:
         point = theta.ndim == phi.ndim == 0
     if point:
         theta, phi = float(theta), float(phi)
-        x, u = math.cos(theta), abs(math.sin(theta))
-        e = _phase(ma, phi)
-        zero = 0j
-    else:
-        x, u = np.cos(theta), np.abs(np.sin(theta))
-        e = np.exp(1j*ma*phi)
-        zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
-                        dtype=complex)
-    return _harmonics(degrees, m, _legendre_column(max(degrees), ma), x, u, e,
-                      zero)
+    return _harmonics(degrees, m, _legendre_column(max(degrees), abs(m)),
+                      theta, phi)
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):

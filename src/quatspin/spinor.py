@@ -19,18 +19,17 @@ import math
 
 from ._record import Record
 from .biquaternion import Biquaternion, _bq
+from .levels import _is_half_odd
 from .special import spherical_harmonics
 from .spin import _Q_UP, _Q_DOWN, inner
 
 __all__ = [
     "SpinorFunction", "clebsch_coefficients", "spinor_components",
-    "spinor_as_vector", "spinor_as_biquaternion", "spinor_biquaternions",
-    "measure_probability",
+    "spinor_as_vector", "spinor_as_biquaternion", "measure_probability",
 ]
 
-
-def _is_half_odd(x: float) -> bool:
-    return abs(2*x - round(2*x)) < 1e-9 and round(2*x) % 2 != 0
+# the nonzero coefficients of the spin-state quaternions q+ and q-
+_UP0, _UP1, _DOWN2, _DOWN3 = _Q_UP.q0, _Q_UP.q1, _Q_DOWN.q2, _Q_DOWN.q3
 
 
 def clebsch_coefficients(l: int, j: float, m_j: float) -> tuple[float, float]:
@@ -51,12 +50,12 @@ def clebsch_coefficients(l: int, j: float, m_j: float) -> tuple[float, float]:
     l = int(l)
     if not _is_half_odd(j) or not _is_half_odd(m_j):
         raise ValueError(f"j and m_j must be half-odd-integers, got {j}, {m_j}")
-    if abs(m_j) > j + 1e-9:
+    if abs(m_j) > j:
         raise ValueError(f"|m_j| must not exceed j, got m_j={m_j}, j={j}")
-    if abs(j - (l + 0.5)) < 1e-9:
+    if j == l + 0.5:
         c1 = math.sqrt((l + m_j + 0.5)/(2*l + 1))
         c2 = math.sqrt((l - m_j + 0.5)/(2*l + 1))
-    elif abs(j - (l - 0.5)) < 1e-9 and j > 0:
+    elif j == l - 0.5 and j > 0:
         c1 = -math.sqrt((l - m_j + 0.5)/(2*l + 1))
         c2 = math.sqrt((l + m_j + 0.5)/(2*l + 1))
     else:
@@ -80,6 +79,8 @@ class SpinorFunction(Record):
 
     def harmonic(self, which: str, theta, phi):
         """Y_l^{m_j -+ 1/2} for which in {'up','down'}; zero if |m| > l."""
+        if which not in ("up", "down"):
+            raise ValueError(f"which must be 'up' or 'down', got {which!r}")
         m = self.m_j - 0.5 if which == "up" else self.m_j + 0.5
         return spherical_harmonics((self.l,), int(round(m)), theta, phi)[0]
 
@@ -97,36 +98,20 @@ def spinor_as_vector(s: SpinorFunction, theta, phi):
     return np.array(spinor_components(s, theta, phi))
 
 
-def spinor_biquaternions(spinors, theta, phi) -> list[Biquaternion]:
-    """Biquaternion forms C1 Y1 q+ + C2 Y2 q- of spinors that share m_j,
-    Y1 = Y_l^{m_j-1/2}, Y2 = Y_l^{m_j+1/2}, on the spin-state quaternions
-    q+ and q-.
-
-    The Y1 of every spinor come from one column pass of the Legendre
-    recurrence and the Y2 from another, so the two spinors of a Dirac state
-    (l and l +- 1) cost two passes, not four.  theta and phi broadcast;
-    array angles give array coefficients.
-    """
-    m_j = spinors[0].m_j
-    if any(s.m_j != m_j for s in spinors):
-        raise ValueError("spinors must share m_j")
-    ls = [s.l for s in spinors]
-    y1 = spherical_harmonics(ls, int(round(m_j - 0.5)), theta, phi)
-    y2 = spherical_harmonics(ls, int(round(m_j + 0.5)), theta, phi)
-    out = []
-    for s, a, b in zip(spinors, y1, y2):
-        c, d = s.c1*a, s.c2*b
-        # q+ c + q- d: each 0j is the other term's structural zero, which
-        # also fixes the sign of zero parts
-        out.append(_bq(c*_Q_UP.q0 + 0j, c*_Q_UP.q1 + 0j,
-                       0j + d*_Q_DOWN.q2, 0j + d*_Q_DOWN.q3))
-    return out
+def _spin_basis(c, d) -> tuple:
+    """Coefficients of c q+ + d q- on the spin-state quaternions q+ and q-:
+    the one assembly of a spinor's biquaternion form, for scalars and
+    arrays alike.  Each 0j is the other term's structural zero, which also
+    fixes the sign of zero parts."""
+    return c*_UP0 + 0j, c*_UP1 + 0j, 0j + d*_DOWN2, 0j + d*_DOWN3
 
 
 def spinor_as_biquaternion(s: SpinorFunction, theta,
                            phi) -> Biquaternion:
-    """Biquaternion form of one spinor (see spinor_biquaternions)."""
-    return spinor_biquaternions((s,), theta, phi)[0]
+    """Biquaternion form C1 Y_l^{m_j-1/2} q+ + C2 Y_l^{m_j+1/2} q- of a
+    spinor, on the spin-state quaternions q+ and q-.  theta and phi
+    broadcast; array angles give array coefficients."""
+    return _bq(*_spin_basis(*spinor_components(s, theta, phi)))
 
 
 def measure_probability(state: str, s: SpinorFunction, theta, phi):

@@ -473,6 +473,13 @@ def test_usage_errors_exit_one():
      "--axis must be a nonzero vector"),
     (["rotate", "--angle", "1", "--target", "Sw"], "--target expects Sx"),
     (["verify", "--suite", "nope"], "nope"),
+    (["spinor", "--k", "-1", "--mj", "0.5000000001"],
+     "j and m_j must be half-odd-integers"),
+    (["spinor", "--k", "-1", "--mj", "0.4999999999"],
+     "j and m_j must be half-odd-integers"),
+    (["density", "--n", "1", "--mj", "0.5000000001", "--grid", "4:4"],
+     "m_j must be half-odd-integer"),
+    (["probability", "--mj", "0.4999999999"], "m_j must be half-odd-integer"),
 ])
 def test_usage_errors_after_parsing_name_the_subcommand(capsys, argv,
                                                         message):

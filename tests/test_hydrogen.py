@@ -1,6 +1,8 @@
 """Relativistic Coulomb bound states: energies, radial forms, densities."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -12,13 +14,15 @@ from quatspin import (
     conj_both, mul, norm_sq, shoot_eigenvalue, assemble_wavefunction,
     probability_in_region, allclose, verify,
 )
-from quatspin.hydrogen import _radial_FG, _split_ok, clear_shooting_cache
+from quatspin.hydrogen import (
+    WaveFunction, _radial_FG, _split_ok, clear_shooting_cache,
+)
 from quatspin.levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, sommerfeld_energy, energy,
     binding_energy_ev, radial_parameters,
 )
 from quatspin.special import gauss_legendre_nodes
-from quatspin.spinor import spinor_biquaternions
+from quatspin.spinor import spinor_as_biquaternion
 from quatspin.verify import ode_residual, system_residual
 
 # frozen reference values, computed once from the closed formula and checked
@@ -82,6 +86,9 @@ def test_quantum_number_validation():
         QuantumNumbers(True, -1)             # bool is not an integer here
     with pytest.raises(ValueError, match="m_j"):
         QuantumNumbers(1, -1, math.nan)
+    for mj in (0.5000000001, 0.4999999999, -0.5 - 1e-12, 1.5 + 2**-51):
+        with pytest.raises(ValueError, match="m_j must be half-odd-integer"):
+            QuantumNumbers(2, -2, mj)        # near half-odd is not half-odd
     with pytest.raises(ValueError, match="must not exceed n"):
         sommerfeld_energy(1, -2, 1)          # n < |k|
 
@@ -372,10 +379,10 @@ def test_point_density_for_every_scalar_type(qn):
                                          (32, 31, 30.5, 92),
                                          (150, -150, -3.5, 92)])
 def test_point_density_is_norm_sq_of_psi_bit_for_bit(n, k, mj, Z):
-    # the per-state point route gives psi's four coefficients as the
-    # composition of _radial_FG and spinor_biquaternions, signed zeros
-    # included, and density is their norm; at n = |k| = 150, r = 1000 Bohr
-    # takes the one-exponential prefactor, and r = inf gives the limit 0
+    # at one point psi's four coefficients are the composition of
+    # _radial_FG and spinor_as_biquaternion, signed zeros included, and
+    # density is their norm; at n = |k| = 150, r = 1000 Bohr takes the
+    # one-exponential prefactor, and r = inf gives the limit 0
     w = assemble_wavefunction(QuantumNumbers(n, k, mj, Z))
     rng = np.random.default_rng(n)
     pts = [(1000.0, 3.0, 5.0), (1e-3, 0.0, 0.0), (2.0, math.pi, 1.0),
@@ -385,7 +392,8 @@ def test_point_density_is_norm_sq_of_psi_bit_for_bit(n, k, mj, Z):
              float(rng.uniform(0.0, 2*math.pi))) for _ in range(50)]
     for r, th, ph in pts:
         F, G = _radial_FG(w.level, w.C*r/ALPHA_FS, w.A)
-        u, v = spinor_biquaternions((w.spinor_upper, w.spinor_lower), th, ph)
+        u = spinor_as_biquaternion(w.spinor_upper, th, ph)
+        v = spinor_as_biquaternion(w.spinor_lower, th, ph)
         f, g = ALPHA_FS/r*F, 1j*(ALPHA_FS/r)*G
         psi = w.psi(r, th, ph)
         for got, a, b in zip(psi.coefficients(), u.coefficients(),
@@ -484,18 +492,62 @@ def test_density_separable_inputs_match_points():
 def test_laguerre_sees_each_radius_once(monkeypatch):
     # on an Nr x Ntheta meshgrid the radial recurrences run on Nr nodes
     import quatspin.hydrogen as hy
-    plain, seen = hy._laguerre_pair, []
+    plain, seen = hy._laguerre_run, []
 
-    def counting(n, a, b, x, tables=None):
+    def counting(steps, a, x):
         seen.append(np.size(x))
-        return plain(n, a, b, x, tables)
+        return plain(steps, a, x)
 
     w = assemble_wavefunction(QuantumNumbers(12, -3, 0.5, 20))
-    monkeypatch.setattr(hy, "_laguerre_pair", counting)
+    monkeypatch.setattr(hy, "_laguerre_run", counting)
     R, TH = np.meshgrid(np.linspace(0.1, 20.0, 40),
                         np.linspace(0.0, math.pi, 30), indexing="ij")
     w.density_grid(R, TH)
     assert seen and max(seen) <= 40
+
+
+def _bits(x, shape=()):
+    return np.broadcast_to(np.asarray(x, dtype=float), shape).tobytes()
+
+
+def test_copies_and_pickles_rebuild_the_tables():
+    # the per-state tables are not fields: a copy, a deep copy and a pickle
+    # rebuild them and give the bits of the original
+    w = assemble_wavefunction(QuantumNumbers(20, 7, -2.5, 50))
+    r, th, ph = np.array([0.5, 3.0, 40.0]), np.array([0.2, 1.9]), 0.7
+    R, TH = np.meshgrid(r, th, indexing="ij")
+    for twin in (copy.copy(w), copy.deepcopy(w),
+                 pickle.loads(pickle.dumps(w))):
+        assert twin == w and twin._tables is not w._tables
+        for pt in ((3.0, 1.1, 0.4), (40.0, 0.0, 2.0)):
+            assert twin.psi(*pt) == w.psi(*pt)
+            assert twin.density(*pt).hex() == w.density(*pt).hex()
+        assert _bits(twin.density(R, TH, ph), R.shape) == _bits(
+            w.density(R, TH, ph), R.shape)
+        for a, b in zip(twin.psi(R, TH, ph).coefficients(),
+                        w.psi(R, TH, ph).coefficients()):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_hand_built_wavefunction_with_a_bad_normalization_raises():
+    w = assemble_wavefunction(QuantumNumbers(3, -2, 0.5, 20))
+    for A in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n=3, k=-2 is out of the float"):
+            WaveFunction(w.qn, w.level, A, w.spinor_upper, w.spinor_lower)
+
+
+def test_empty_arrays_give_empty_results():
+    # r > 0 holds vacuously on no radius; the result has the broadcast shape
+    w = assemble_wavefunction(QuantumNumbers(2, 1, -0.5))
+    assert w.density(np.array([]), 0.3, 0.0).shape == (0,)
+    assert w.density(np.array([]), np.array([0.3]), 0.0).shape == (0,)
+    assert w.density_grid(np.empty((0, 4)), np.linspace(0.1, 3.0, 4)
+                          ).shape == (0, 4)
+    assert w.density(1.0, np.empty((3, 0)), 0.0).shape == (3, 0)
+    assert all(c.shape == (0,) and c.dtype == complex
+               for c in w.psi(np.array([]), 0.3, 0.0).coefficients())
+    with pytest.raises(ValueError, match="r must be > 0"):
+        w.density(np.array([[1.0], [math.nan]]), np.empty((2, 0)), 0.0)
 
 
 @pytest.mark.parametrize("Z", [1, 92])

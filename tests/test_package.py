@@ -81,3 +81,32 @@ def test_second_routes_live_in_verify():
         if path.name == "hydrogen.py":
             assert not {f.name for f in funcs} & {"system_residual",
                                                   "ode_residual"}
+
+
+def test_one_formula_each():
+    # the spin basis q+, q- is read in spin and spinor alone; the Laguerre
+    # step loop is special._laguerre_run; hydrogen writes the i of
+    # Psi = f u + i h v once, in WaveFunction._psi
+    src = pathlib.Path(quatspin.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        owner = {id(n): f.name for f in funcs for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("_Q_UP", "_Q_DOWN")
+                    and node.attr in ("q0", "q1", "q2", "q3",
+                                      "coefficients")):
+                assert path.name in ("spin.py", "spinor.py"), path.name
+            if isinstance(node, (ast.For, ast.comprehension)):
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.iter)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if any("step" in n.lower() for n in names):
+                    assert (path.name, owner.get(id(node))) == (
+                        "special.py", "_laguerre_run"), path.name
+        if path.name == "hydrogen.py":
+            unit = [n for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                    and isinstance(n.value, complex)]
+            assert [owner.get(id(n)) for n in unit] == ["_psi"]

@@ -7,9 +7,10 @@ import pytest
 from scipy.special import eval_genlaguerre, sph_harm_y
 
 from quatspin import laguerre, spherical_harmonic, quadrature_sphere
+from quatspin.hydrogen import _brackets, _steps
+from quatspin.levels import QuantumNumbers, _level
 from quatspin.special import (
-    _laguerre_pair, _laguerre_tables, gauss_laguerre_nodes, gauss_legendre_nodes,
-    spherical_harmonics,
+    gauss_laguerre_nodes, gauss_legendre_nodes, spherical_harmonics,
 )
 
 
@@ -36,32 +37,39 @@ def _bits(x, shape=()):
     return np.broadcast_to(np.asarray(x, dtype=float), shape).tobytes()
 
 
+def _pair_cases(n):
+    """The level whose radial brackets run the Laguerre pair
+    L_{n-1}^(2s+1), L_n^(2s-1), and the arguments x: arrays and floats."""
+    lv = _level(QuantumNumbers(n + 2, -2, 0.5, 50))
+    xs = np.array([0.0, 1e-3, 0.7, 3.5, 41.0, 250.0])
+    return lv, [xs, xs.reshape(2, 3)] + xs.tolist()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
 def test_laguerre_pair_is_two_laguerre_calls(n):
-    # one loop for (L_{n-1}^(a), L_n^(b)) gives the bits of two calls
-    a, b = 2*0.9987 + 1, 2*0.9987 - 1
-    xs = np.array([0.0, 1e-3, 0.7, 3.5, 41.0, 250.0])
-    for x in (xs, xs.reshape(2, 3), np.array(2.5)):
-        lo, hi = _laguerre_pair(n, a, b, x)
-        want_lo = laguerre(n - 1, a, x) if n else 0.0
-        assert _bits(lo, x.shape) == _bits(want_lo, x.shape)
-        assert _bits(hi, x.shape) == _bits(laguerre(n, b, x), x.shape)
-    for x in xs.tolist():
-        lo, hi = _laguerre_pair(n, a, b, x)
-        assert type(lo) is type(hi) is float
-        assert lo == (laguerre(n - 1, a, x) if n else 0.0)
-        assert _bits(hi) == _bits(laguerre(n, b, x))
+    # one loop each for L_{n-1}^(2s+1) and L_n^(2s-1) on generated steps
+    # gives the radial brackets of two laguerre calls bit for bit, with
+    # L_{-1} = 0; floats stay floats
+    lv, xs = _pair_cases(n)
+    za, sk, W, s = lv.za, lv.sk, lv.W, lv.s
+    for x in xs:
+        L1 = laguerre(n - 1, 2*s + 1, x) if n else 0.0
+        L2 = laguerre(n, 2*s - 1, x)
+        want = za*x*L1 + sk*W*L2, sk*x*L1 + za*W*L2
+        for got, w in zip(_brackets(lv, x, _steps(lv)), want):
+            assert type(got) is type(w)
+            assert _bits(got, np.shape(x)) == _bits(w, np.shape(x))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
 def test_laguerre_pair_from_held_tables(n):
-    # step tables held by a caller give the bits of the lazy steps
-    a, b = 2*0.9987 + 1, 2*0.9987 - 1
-    tables = _laguerre_tables(n, a, b)
-    xs = np.array([0.0, 1e-3, 0.7, 3.5, 41.0, 250.0])
-    for x in [xs] + xs.tolist():
-        got = _laguerre_pair(n, a, b, x, tables)
-        want = _laguerre_pair(n, a, b, x)
+    # steps held as tuples, as a WaveFunction holds them, give the bits of
+    # the generated steps
+    lv, xs = _pair_cases(n)
+    held = tuple(map(tuple, _steps(lv)))
+    for x in xs:
+        got = _brackets(lv, x, held)
+        want = _brackets(lv, x, _steps(lv))
         for g, w in zip(got, want):
             assert _bits(g, np.shape(x)) == _bits(w, np.shape(x))
 

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from quatspin import (
-    SpinorFunction, clebsch_coefficients, spinor_as_vector,
+    QuantumNumbers, SpinorFunction, assemble_wavefunction,
+    clebsch_coefficients, spinor_as_vector,
     spinor_as_biquaternion, measure_probability,
     ket_to_vector, norm_sq, spherical_harmonic, quadrature_sphere,
 )
-from quatspin.biquaternion import max_dev
-from quatspin.spinor import spinor_biquaternions
 from quatspin.verify import clebsch_oracle
 
 
@@ -65,6 +64,18 @@ def test_clebsch_rejects_bad_labels():
         clebsch_coefficients(2, 2.5, 3.5)   # |m_j| > j
     with pytest.raises(ValueError):
         clebsch_coefficients(2, 2.5, 1.0)   # m_j not half-odd
+
+
+@pytest.mark.parametrize("j, mj", [(0.5, 0.5000000001), (0.5, 0.4999999999),
+                                   (0.5000000001, 0.5), (2.5, 2.5 + 1e-12),
+                                   (2.5, -2.5 - 1e-12), (2.5, 1.5 + 2**-50)])
+def test_clebsch_half_odd_test_is_exact(j, mj):
+    # near a half-odd integer is not one: no weight is taken from a
+    # negative square root, and nothing off the lattice is accepted
+    with pytest.raises(ValueError, match="must be half-odd-integers"):
+        clebsch_coefficients(int(round(j - 0.5)), j, mj)
+    with pytest.raises(ValueError, match="must be half-odd-integers"):
+        SpinorFunction(int(round(j - 0.5)), j, mj)
 
 
 def test_worked_example_down_probability():
@@ -134,13 +145,25 @@ def test_measure_probability_rejects_bad_label():
         measure_probability("sideways", s, 0.5, 0.5)
 
 
+def test_harmonic_rejects_bad_label():
+    s = SpinorFunction(1, 1.5, 0.5)
+    assert s.harmonic("up", 0.5, 0.5) == spherical_harmonic(1, 0, 0.5, 0.5)
+    assert s.harmonic("down", 0.5, 0.5) == spherical_harmonic(1, 1, 0.5, 0.5)
+    with pytest.raises(ValueError, match="'sideways'"):
+        s.harmonic("sideways", 0.5, 0.5)
+
+
 def test_spinor_pair_shares_column_passes():
-    # the two spinors of a Dirac state, l and l + 1, from one call
-    up, lo = SpinorFunction(3, 3.5, -1.5), SpinorFunction(4, 3.5, -1.5)
+    # the two spinors of a Dirac state, l and l + 1, from one
+    # WaveFunction._parts call: one column pass per order serves both, and
+    # each is spinor_as_biquaternion bit for bit
+    w = assemble_wavefunction(QuantumNumbers(6, -4, -1.5, 20))
+    up, lo = w.spinor_upper, w.spinor_lower
+    assert (up.l, lo.l) == (3, 4)
     th = np.array([0.4, 1.9])
     ph = np.array([2.2, 0.1])
-    pair = spinor_biquaternions((up, lo), th, ph)
-    for s, q in zip((up, lo), pair):
-        assert max_dev(q, spinor_as_biquaternion(s, th, ph)) == 0.0
-    with pytest.raises(ValueError, match="share m_j"):
-        spinor_biquaternions((up, SpinorFunction(4, 3.5, 0.5)), th, ph)
+    _, _, u, v = w._parts(np.array([1.0]), th, ph)
+    for s, coeffs in ((up, u), (lo, v)):
+        want = spinor_as_biquaternion(s, th, ph).coefficients()
+        for a, b in zip(coeffs, want):
+            assert a.tobytes() == b.tobytes()
