@@ -23,7 +23,10 @@ coupled first-order system
     F' + (k/r) F - (1 + E + za/r) G = 0
     G' - (k/r) G + (E - 1 + za/r) F = 0
 
-Its finite-difference residual check lives in verify (ode_residual); the
+One run of the Laguerre recurrence gives both polynomials of the pair, and
+the normalization A has a closed form (Laguerre orthogonality).  Their
+second routes live in verify: the finite-difference residual check
+(ode_residual) and the exact Gauss-Laguerre sum of the norm; the
 independent two-sided shooting eigensolver is here.  The full wavefunction
 attaches total-angular-momentum spinors to the two components,
 
@@ -50,7 +53,7 @@ from .levels import ALPHA_FS, QuantumNumbers, _level, _Level, sommerfeld_energy
 from .levels import energy, radial_parameters  # noqa: F401
 from .special import (
     _harmonics, _laguerre_run, _laguerre_steps, _legendre_column,
-    gauss_laguerre_nodes, gauss_legendre_nodes,
+    gauss_legendre_nodes,
 )
 from .spinor import SpinorFunction, _spin_basis
 
@@ -60,23 +63,20 @@ __all__ = [
 ]
 
 
-def _steps(lv: _Level) -> tuple:
-    """The steps of the radial Laguerre pair L_{n_r-1}^{(2s+1)} and
-    L_{n_r}^{(2s-1)}, lazily (see special._laguerre_steps)."""
-    n_r = lv.n - abs(lv.k)
-    return (_laguerre_steps(n_r - 1, 2*lv.s + 1),
-            _laguerre_steps(n_r, 2*lv.s - 1))
+def _steps(lv: _Level):
+    """The steps of L_{n_r}^{(2s-1)}, lazily (see special._laguerre_steps);
+    the same run gives L_{n_r-1}^{(2s+1)} (special._laguerre_run)."""
+    return _laguerre_steps(lv.n - abs(lv.k), 2*lv.s - 1)
 
 
 def _brackets(lv: _Level, x, steps):
     """Laguerre brackets (P, Q) at x = 2 rho, so that F = rho^s e^{-rho} P
     and G = -rho^s e^{-rho} Q; polynomials of degree n_r in x, from
-    L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)} run on steps = _steps(lv), lazy
-    or held as tuples.  Degrees below 1 need no run: L_{-1} = 0, L_0 = 1."""
-    n_r = lv.n - abs(lv.k)
-    L1 = (_laguerre_run(steps[0], 2*lv.s + 1, x) if n_r > 1
-          else 1.0 if n_r else 0.0)
-    L2 = _laguerre_run(steps[1], 2*lv.s - 1, x) if n_r else 1.0
+    L_{n_r-1}^{(2s+1)} and L_{n_r}^{(2s-1)}, both from one run of
+    steps = _steps(lv), lazy or held as a tuple.  Degree 0 needs no run:
+    L_{-1} = 0, L_0 = 1."""
+    L2, L1 = (_laguerre_run(steps, 2*lv.s - 1, x) if lv.n - abs(lv.k)
+              else (1.0, 0.0))
     return lv.za*x*L1 + lv.sk*lv.W*L2, lv.sk*x*L1 + lv.za*lv.W*L2
 
 
@@ -159,28 +159,27 @@ def _trim(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _log_radial_norm_sq(lv: _Level) -> float:
-    """Log of the integral of F^2 + G^2 over r in natural units, exact up
-    to rounding.
+def _log_norm_sq(lv: _Level) -> float:
+    """Log of the integral of F^2 + G^2 over r in natural units, in closed
+    form.
 
     With x = 2 rho = 2 C r the integrand is 2^{-2s} x^{2s} e^{-x} (P^2 + Q^2)
-    and dr = dx/(2C); P^2 + Q^2 has degree 2 n_r, so n_r + 2 generalized
-    Gauss-Laguerre nodes with alpha = 2s integrate it exactly.  The sum is
-    taken in log form: the far weights underflow where the brackets are
-    large, and for large |k| the integral itself exceeds the float range.
+    and dr = dx/(2C).  Laguerre orthogonality, int x^{a+1} e^{-x}
+    [L_n^(a)]^2 dx = Gamma(n + a + 1)(2n + a + 1)/n!, and the cross term
+    from L_n^(2s-1) = L_n^(2s+1) - 2 L_{n-1}^(2s+1) + L_{n-2}^(2s+1)
+    (Abramowitz & Stegun, ch. 22) give, with g = n_r (n_r + 2s),
+
+        2^{-2s-1}/C Gamma(n_r + 2s)/n_r!
+            [(za^2 + (s - k)^2)(2 n_r + 2s)(g + W^2) - 8 za (s - k) W g],
+
+    taken in logs: for large |k| the integral leaves the float range.
     """
-    s = lv.s
-    # a bracket zero at a node adds 0; from n = 359 (k = -1, Z = 1) the
-    # weights and brackets leave the float range and the result is NaN,
-    # which assemble_wavefunction refuses
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, log_w = gauss_laguerre_nodes(lv.n - abs(lv.k) + 2, 2*s)
-        P, Q = _brackets(lv, x, _steps(lv))
-        log_terms = log_w + 2*np.log(np.hypot(P, Q))
-        top = float(np.max(log_terms))
-        total = float(np.sum(np.exp(log_terms - top)))
-    return (top + math.log(total)
-            - (2*s + 1)*math.log(2.0) - 0.5*math.log(1.0 - lv.E*lv.E))
+    n_r, s = lv.n - abs(lv.k), lv.s
+    g = n_r*(n_r + 2*s)
+    bracket = ((lv.za*lv.za + lv.sk*lv.sk)*(2*n_r + 2*s)*(g + lv.W*lv.W)
+               - 8*lv.za*lv.sk*lv.W*g)
+    return (math.lgamma(n_r + 2*s) - math.lgamma(n_r + 1) + math.log(bracket)
+            - (2*s + 1)*math.log(2.0) - math.log(lv.C))
 
 
 def _shoot_mismatch(E: float, k: int, Z: int) -> float:
@@ -308,7 +307,7 @@ class WaveFunction(Record):
         ls = (spinor_upper.l, spinor_lower.l)
         m1 = int(round(spinor_upper.m_j - 0.5))
         object.__setattr__(self, "_tables", (
-            math.log(A), tuple(map(tuple, _steps(level))), ls,
+            math.log(A), tuple(_steps(level)), ls,
             m1, _legendre_column(max(ls), abs(m1)),
             m1 + 1, _legendre_column(max(ls), abs(m1 + 1)),
             (spinor_upper.c1, spinor_upper.c2,
@@ -402,13 +401,14 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
 
     The normalization constant A comes from the full-domain integral:
     A^2 integral (F^2 + G^2) dr = 1 in natural units (the angular spinors are
-    sphere-normalized, so this is the whole Born integral), evaluated
-    exactly by Gauss-Laguerre quadrature.  Raises ValueError where A leaves
-    the float range.
+    sphere-normalized, so this is the whole Born integral), in the closed
+    form of _log_norm_sq (Laguerre orthogonality, Abramowitz & Stegun,
+    ch. 22); its oracle is the exact Gauss-Laguerre sum in verify.  Raises
+    ValueError where A leaves the float range.
     """
     lv, j = _level(qn), qn.j
     return WaveFunction(
-        qn=qn, level=lv, A=math.exp(-0.5*_log_radial_norm_sq(lv)),
+        qn=qn, level=lv, A=math.exp(-0.5*_log_norm_sq(lv)),
         spinor_upper=SpinorFunction(qn.l_upper, j, qn.m_j),
         spinor_lower=SpinorFunction(qn.l_lower, j, qn.m_j),
     )

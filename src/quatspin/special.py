@@ -2,11 +2,13 @@
 
 Generalized Laguerre polynomials come from the stable three-term recurrence
 (the superscript must accept non-integer real values, since the radial
-solutions use 2s +- 1 with irrational s).  Spherical harmonics come from the
-fully normalized associated-Legendre recurrence with the Condon-Shortley
-phase; negative orders go through the conjugation symmetry.  Sphere
+solutions use 2s +- 1 with irrational s); one run also gives L_{n-1} of the
+superscript two above.  Spherical harmonics come from the fully normalized
+associated-Legendre recurrence with the Condon-Shortley phase; negative
+orders go through the conjugation symmetry.  Sphere
 integrals use a Gauss-Legendre x uniform product rule; radial integrals of
-x^alpha e^{-x} times a polynomial use generalized Gauss-Laguerre nodes.
+x^alpha e^{-x} times a polynomial use generalized Gauss-Laguerre nodes
+(verify's normalization oracle).
 Nothing here imports scipy; numpy is imported by the calls that use arrays.
 """
 
@@ -43,7 +45,7 @@ def laguerre(n: int, alpha: float, x):
     # a 0-d array becomes a Python number, and so does the result: scalar
     # steps (single density points) then skip numpy's per-operation overhead
     x = x if x.ndim else x.item()
-    return _laguerre_run(_laguerre_steps(n, alpha), alpha, x)
+    return _laguerre_run(_laguerre_steps(n, alpha), alpha, x)[0]
 
 
 def _laguerre_steps(n: int, a: float):
@@ -53,13 +55,22 @@ def _laguerre_steps(n: int, a: float):
 
 
 def _laguerre_run(steps, a: float, x):
-    """L_n^(a)(x) for n >= 1 (unchecked) from steps = _laguerre_steps(n, a)
-    or a tuple of it: the one loop of the recurrence.  Each step rounds as
-    the written-out recurrence does, so held steps give the same bits."""
+    """(L_n^(a)(x), L_{n-1}^(a+2)(x)) for n >= 1 (unchecked) from
+    steps = _laguerre_steps(n, a) or a tuple of it: the one loop of the
+    recurrence.  Each step rounds as the written-out recurrence does, so
+    held steps give the same bits.
+
+    The second value comes from the sum identity L_m^(a+1) = sum_{j<=m}
+    L_j^(a) (Abramowitz & Stegun, ch. 22) applied twice:
+    L_{n-1}^(a+2) = sum_{j<n} (n - j) L_j^(a), kept as two running sums.
+    """
     L0, L1 = 1.0, 1 + a - x
+    S1 = S2 = 1.0                       # sums of L_0 and of S1 so far
     for p, q, d in steps:
+        S1 += L1
+        S2 += S1
         L0, L1 = L1, ((p - x)*L1 - q*L0)/d
-    return L1
+    return L1, S2
 
 
 @functools.lru_cache(maxsize=1024)
@@ -190,7 +201,6 @@ def gauss_legendre_nodes(n: int, lo: float, hi: float):
     return lo + half*(x + 1), half*w
 
 
-@functools.lru_cache(maxsize=512)
 def gauss_laguerre_nodes(n: int, alpha: float):
     """Generalized Gauss-Laguerre nodes and log weights for the weight
     x^alpha e^{-x} on [0, inf); exact for polynomials of degree <= 2n - 1.
@@ -199,8 +209,9 @@ def gauss_laguerre_nodes(n: int, alpha: float):
     (diagonal 2i + alpha + 1, off-diagonal sqrt(i (i + alpha))).  The weights
     are Gamma(n+alpha+1) x_j / (n! (n+1)^2 L_{n+1}^{(alpha)}(x_j)^2), returned
     as logs: they underflow at the far nodes for large n, and eigenvector-
-    based weights lose their relative accuracy there.  Memoized per
-    (n, alpha), as read-only arrays: every m_j of one level shares them.
+    based weights lose their relative accuracy there.  The dense
+    eigen-solve costs O(n^3), so no production path calls this: it is the
+    exact rule of verify's normalization oracle.
     """
     if n != int(n) or n < 1:
         raise ValueError(f"node count must be a positive integer, got {n!r}")
@@ -216,5 +227,4 @@ def gauss_laguerre_nodes(n: int, alpha: float):
     log_w = (math.lgamma(n + alpha + 1) - math.lgamma(n + 1)
              - 2*math.log(n + 1) + np.log(x)
              - 2*np.log(np.abs(laguerre(n + 1, alpha, x))))
-    x.flags.writeable = log_w.flags.writeable = False
     return x, log_w

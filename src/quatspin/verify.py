@@ -13,9 +13,10 @@ tolerances report the maximum of dev_i/tol_i against tol 1.0 and say so in
 their detail string.  Sampled checks draw each array once and evaluate it as
 one batch; they loop only over fixed sets (axes, basis states, labels).
 Second routes that no production path uses live here: the *_oracle
-functions and the finite-difference residual probes system_residual and
-ode_residual.  scipy is imported only in the checks whose second route
-needs it.
+functions, the exact Gauss-Laguerre sum of the radial norm
+(_log_radial_norm_sq) and the finite-difference residual probes
+system_residual and ode_residual.  scipy is imported only in the checks
+whose second route needs it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .matrices import (
 )
 from . import spin as sp
 from .special import (
-    quadrature_sphere, gauss_legendre_nodes, leggauss, spherical_harmonic,
-    spherical_harmonics,
+    quadrature_sphere, gauss_laguerre_nodes, gauss_legendre_nodes, leggauss,
+    spherical_harmonic, spherical_harmonics,
 )
 from .spinor import (
     SpinorFunction, clebsch_coefficients, spinor_as_vector,
@@ -666,6 +667,30 @@ def _radial_at(w: hy.WaveFunction, r_au, A: float):
     return hy._radial_FG(w.level, rho, A)
 
 
+def _log_radial_norm_sq(lv) -> float:
+    """Gauss-Laguerre route of hydrogen._log_norm_sq: the log of the
+    integral of F^2 + G^2 over r in natural units, exact up to rounding.
+
+    With x = 2 rho = 2 C r the integrand is 2^{-2s} x^{2s} e^{-x} (P^2 + Q^2)
+    and dr = dx/(2C); P^2 + Q^2 has degree 2 n_r, so n_r + 2 generalized
+    Gauss-Laguerre nodes with alpha = 2s integrate it exactly.  The sum is
+    taken in log form: the far weights underflow where the brackets are
+    large, and for large |k| the integral itself exceeds the float range.
+    From n = 359 (k = -1, Z = 1) the weights and brackets leave the float
+    range and the result is NaN.
+    """
+    s = lv.s
+    # a bracket zero at a node adds 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, log_w = gauss_laguerre_nodes(lv.n - abs(lv.k) + 2, 2*s)
+        P, Q = hy._brackets(lv, x, hy._steps(lv))
+        log_terms = log_w + 2*np.log(np.hypot(P, Q))
+        top = float(np.max(log_terms))
+        total = float(np.sum(np.exp(log_terms - top)))
+    return (top + math.log(total)
+            - (2*s + 1)*math.log(2.0) - 0.5*math.log(1.0 - lv.E*lv.E))
+
+
 def system_residual(qn: QuantumNumbers, E: float, FG_fn, r_grid):
     """Normalized residuals of the coupled radial system for a given
     callable.
@@ -915,9 +940,32 @@ def _chk_norm_oracle(rng):
                 w = hy.assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
                 dev = max(dev, abs(probability_oracle(w, 0.0, math.inf)
                                    - 1.0))
-    return dev, ("A from Gauss-Laguerre: adaptive quadrature to "
+    return dev, ("closed-form A: adaptive quadrature to "
                  "max(100, 4n + 60)/C gives P(0, inf) = 1; n <= 40, "
                  "k = -1 and -n, Z = 1 and 92")
+
+
+@_register("normalization-closed-form", "hydrogen", 1e-13)
+def _chk_norm_closed_form(rng):
+    levels = [(n, k) for n in range(1, 61) for k in range(-n, n) if k]
+    strata = ([(n, k) for n, k in levels if k == -n],       # n_r = 0
+              [(n, k) for n, k in levels if -n < k < 0],
+              [(n, k) for n, k in levels if k > 0])
+    dev, worst, count = 0.0, None, 0
+    for Z in (1, 20, 50, 92):
+        for levels in strata:
+            for i in rng.choice(len(levels), 40, replace=False):
+                n, k = levels[i]
+                lv = _level(QuantumNumbers(n, k, 0.5, Z))
+                want = _log_radial_norm_sq(lv)
+                d = abs(hy._log_norm_sq(lv) - want)/max(1.0, abs(want))
+                if d >= dev:
+                    dev, worst = d, (n, k, Z)
+                count += 1
+    return dev, (f"log of the radial norm, closed form vs exact "
+                 f"Gauss-Laguerre sum, relative to max(1, |log|); {count} "
+                 f"seeded levels, n <= 60, k = -n, other k < 0, k > 0, "
+                 f"Z = 1, 20, 50, 92; worst at (n, k, Z) = {worst}")
 
 
 @_register("shell-oracle", "hydrogen", 1e-12)

@@ -392,9 +392,9 @@ def test_rotate_axis_whose_squared_norm_overflows():
 
 
 def test_density_past_the_normalization_range_is_one_error_line():
-    # A is NaN from n = 359 at k = -1, Z = 1
+    # A underflows at n = 200, k = -200 (Z = 1)
     proc = subprocess.run([sys.executable, "-m", "quatspin", "density",
-                           "--n", "400", "--k", "-1"],
+                           "--n", "200", "--k", "-200"],
                           capture_output=True, env=_child_env(), timeout=300)
     assert proc.returncode == 2 and proc.stdout == b""
     err = proc.stderr.decode()

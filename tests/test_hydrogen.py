@@ -15,7 +15,7 @@ from quatspin import (
     probability_in_region, allclose, verify,
 )
 from quatspin.hydrogen import (
-    WaveFunction, _radial_FG, _split_ok, clear_shooting_cache,
+    WaveFunction, _log_norm_sq, _radial_FG, _split_ok, clear_shooting_cache,
 )
 from quatspin.levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, sommerfeld_energy, energy,
@@ -283,15 +283,39 @@ def test_normalization_out_of_float_range_raises():
         assemble_wavefunction(QuantumNumbers(200, -200))
 
 
-def test_normalization_that_turns_nan_raises():
-    # from n = 359 (k = -1, Z = 1) the quadrature of the norm is NaN; n = 358
-    # is the last state in range, and neither warns
+def test_normalization_from_n_359_assembles(exact):
+    # the closed-form A is finite where the Gauss-Laguerre sum of the norm
+    # turned NaN (from n = 359 at k = -1, Z = 1), and no step warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = assemble_wavefunction(QuantumNumbers(358, -1))
-        assert 0.0 < w.A < math.inf
-        with pytest.raises(ValueError, match="float range"):
-            assemble_wavefunction(QuantumNumbers(359, -1))
+        for Z in (1, 92):
+            for n in (359, 1000, 2000):
+                w = assemble_wavefunction(QuantumNumbers(n, -1, 0.5, Z))
+                want = math.exp(-0.5*float(exact.log_norm_sq(w.level)))
+                assert w.A == pytest.approx(want, rel=1e-12), (n, Z)
+
+
+def test_closed_form_normalization_against_both_routes(exact):
+    # every level with n <= 60 against the exact Gauss-Laguerre sum, and
+    # levels up to n = 2000 against the closed form at 50 digits; the
+    # deviation is that of the normalization-closed-form check
+    def dev(got, want):
+        return abs(got - want)/max(1.0, abs(want))
+
+    worst = 0.0
+    for Z in (1, 20, 50, 92):
+        for n in range(1, 61):
+            for k in range(-n, n):
+                if k:
+                    lv = _level(QuantumNumbers(n, k, 0.5, Z))
+                    worst = max(worst, dev(_log_norm_sq(lv),
+                                           verify._log_radial_norm_sq(lv)))
+    assert worst <= 1e-13
+    for n, k, Z in ((359, -1, 1), (500, 250, 20), (1000, -1000, 92),
+                    (2000, 1, 50), (2000, -1999, 1), (2000, 1000, 92)):
+        lv = _level(QuantumNumbers(n, k, 0.5, Z))
+        assert dev(_log_norm_sq(lv),
+                   float(exact.log_norm_sq(lv))) <= 1e-13, (n, k, Z)
 
 
 def test_shell_probability_past_the_float_range_raises():
@@ -490,7 +514,8 @@ def test_density_separable_inputs_match_points():
 
 
 def test_laguerre_sees_each_radius_once(monkeypatch):
-    # on an Nr x Ntheta meshgrid the radial recurrences run on Nr nodes
+    # on an Nr x Ntheta meshgrid one run of the radial recurrence gives
+    # both polynomials of the pair on the Nr radii
     import quatspin.hydrogen as hy
     plain, seen = hy._laguerre_run, []
 
@@ -503,7 +528,7 @@ def test_laguerre_sees_each_radius_once(monkeypatch):
     R, TH = np.meshgrid(np.linspace(0.1, 20.0, 40),
                         np.linspace(0.0, math.pi, 30), indexing="ij")
     w.density_grid(R, TH)
-    assert seen and max(seen) <= 40
+    assert seen == [40]
 
 
 def _bits(x, shape=()):

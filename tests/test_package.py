@@ -85,8 +85,10 @@ def test_second_routes_live_in_verify():
 
 def test_one_formula_each():
     # the spin basis q+, q- is read in spin and spinor alone; the Laguerre
-    # step loop is special._laguerre_run; hydrogen writes the i of
-    # Psi = f u + i h v once, in WaveFunction._psi
+    # step loop is special._laguerre_run, and hydrogen._brackets runs it
+    # once for the radial pair; hydrogen writes the i of Psi = f u + i h v
+    # once, in WaveFunction._psi, and takes A from its closed form, with no
+    # Gauss-Laguerre rule or eigen-solve
     src = pathlib.Path(quatspin.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -110,3 +112,10 @@ def test_one_formula_each():
             unit = [n for n in ast.walk(tree) if isinstance(n, ast.Constant)
                     and isinstance(n.value, complex)]
             assert [owner.get(id(n)) for n in unit] == ["_psi"]
+            called = [(owner.get(id(n)),
+                       getattr(n.func, "id", getattr(n.func, "attr", None)))
+                      for n in ast.walk(tree) if isinstance(n, ast.Call)]
+            assert called.count(("_brackets", "_laguerre_run")) == 1
+            assert not {name for _, name in called} & {
+                "gauss_laguerre_nodes", "eigvalsh"}
+            assert "_log_radial_norm_sq" not in {f.name for f in funcs}

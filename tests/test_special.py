@@ -10,7 +10,8 @@ from quatspin import laguerre, spherical_harmonic, quadrature_sphere
 from quatspin.hydrogen import _brackets, _steps
 from quatspin.levels import QuantumNumbers, _level
 from quatspin.special import (
-    gauss_laguerre_nodes, gauss_legendre_nodes, spherical_harmonics,
+    _laguerre_run, gauss_laguerre_nodes, gauss_legendre_nodes,
+    spherical_harmonics,
 )
 
 
@@ -45,20 +46,57 @@ def _pair_cases(n):
     return lv, [xs, xs.reshape(2, 3)] + xs.tolist()
 
 
+def _weighted_dev(lv, x, got, want):
+    """max |P - P'|, |Q - Q'| over x, each weighted by x^s e^{-x/2} (the
+    prefactor of F and G at rho = x/2), relative to the weighted maximum
+    of |P|, |Q|."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        w = np.exp(lv.s*np.log(x) - x/2)
+    err = max(np.max(w*np.abs(np.asarray(g, dtype=float) - v))
+              for g, v in zip(got, want))
+    return err/max(np.max(w*np.abs(v)) for v in want)
+
+
+def _exact_brackets(exact, lv, x):
+    return [np.array([float(v) for v in vs])
+            for vs in zip(*(exact.brackets(lv, xi) for xi in np.ravel(x)))]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
-def test_laguerre_pair_is_two_laguerre_calls(n):
-    # one loop each for L_{n-1}^(2s+1) and L_n^(2s-1) on generated steps
-    # gives the radial brackets of two laguerre calls bit for bit, with
-    # L_{-1} = 0; floats stay floats
+def test_laguerre_pair_is_two_laguerre_calls(n, exact):
+    # one run of the recurrence of L_n^(2s-1) gives it with the bits of
+    # laguerre, and L_{n-1}^(2s+1) from its running sums; the brackets are
+    # their one combination, and floats stay floats
     lv, xs = _pair_cases(n)
     za, sk, W, s = lv.za, lv.sk, lv.W, lv.s
     for x in xs:
-        L1 = laguerre(n - 1, 2*s + 1, x) if n else 0.0
-        L2 = laguerre(n, 2*s - 1, x)
+        L2, L1 = _laguerre_run(_steps(lv), 2*s - 1, x) if n else (1.0, 0.0)
+        assert _bits(L2, np.shape(x)) == _bits(laguerre(n, 2*s - 1, x),
+                                               np.shape(x))
         want = za*x*L1 + sk*W*L2, sk*x*L1 + za*W*L2
-        for got, w in zip(_brackets(lv, x, _steps(lv)), want):
-            assert type(got) is type(w)
-            assert _bits(got, np.shape(x)) == _bits(w, np.shape(x))
+        got = _brackets(lv, x, _steps(lv))
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert _bits(g, np.shape(x)) == _bits(w, np.shape(x))
+    # the L_{n-1}^(2s+1) term: the two-run route of the same recurrence
+    # meets this bound too
+    x = xs[0]
+    assert _weighted_dev(lv, x, _brackets(lv, x, _steps(lv)),
+                         _exact_brackets(exact, lv, x)) < 1e-13
+
+
+@pytest.mark.parametrize("Z", [1, 92])
+def test_radial_brackets_against_mpmath(Z, exact):
+    # the running sums stay within a bound the two-run route also meets
+    # (worst 4.4e-14 at n = 200, k = 1 against 1.4e-14)
+    for n in (40, 200):
+        for k in sorted({-1, 1, -(n//3), n//2}):
+            lv = _level(QuantumNumbers(n, k, 0.5, Z))
+            x = np.linspace(0.0, 4*(n - abs(k)) + 4*lv.s + 40, 33)
+            got = _brackets(lv, x, _steps(lv))
+            assert _weighted_dev(lv, x, got,
+                                 _exact_brackets(exact, lv, x)) < 1e-13, (n, k)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
