@@ -30,6 +30,8 @@ an array without filling zero arrays.
 
 from __future__ import annotations
 
+import math
+
 from ._record import Record
 
 __all__ = [
@@ -282,6 +284,9 @@ def _peak(x) -> float:
 
 
 def max_dev(a: Biquaternion, b: Biquaternion) -> float:
-    """Largest absolute componentwise deviation, over every array element."""
-    return max(_peak(x - y) for x, y in zip(a.coefficients(), b.coefficients()))
+    """Largest absolute componentwise deviation, over every array element;
+    NaN if any deviation is NaN (the builtin max keeps a NaN only when it
+    comes first)."""
+    peaks = [_peak(x - y) for x, y in zip(a.coefficients(), b.coefficients())]
+    return math.nan if any(map(math.isnan, peaks)) else max(peaks)
 

@@ -361,7 +361,10 @@ def _cmd_verify(args, parser) -> int:
     except KeyError as exc:
         parser.error(str(exc.args[0]))
     elapsed = time.monotonic() - t0
-    checks = [{"name": r.name, "suite": r.suite, "max_dev": float(r.max_dev),
+    # a NaN or infinite max_dev has failed its check; it is written as null
+    # (an empty CSV cell)
+    checks = [{"name": r.name, "suite": r.suite,
+               "max_dev": r.max_dev if math.isfinite(r.max_dev) else None,
                "tol": float(r.tol), "passed": r.passed, "detail": r.detail}
               for r in results]
     n_fail = sum(not r.passed for r in results)

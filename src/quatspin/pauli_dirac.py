@@ -158,13 +158,13 @@ def verify_clifford() -> dict:
     mats = [gamma(i).to_matrix4() for i in range(4)]
     eye4 = np.eye(4)
     pairs = {}
-    worst = 0.0
     for mu in range(4):
         for nu in range(mu, 4):
             anti = mats[mu] @ mats[nu] + mats[nu] @ mats[mu]
             dev = float(np.max(np.abs(anti - 2*_ETA[mu, nu]*eye4)))
             pairs[f"{mu}{nu}"] = dev
-            worst = max(worst, dev)
     squares = {f"{mu}{mu}": float(np.max(np.abs(
         mats[mu] @ mats[mu] - _ETA[mu, mu]*eye4))) for mu in range(4)}
-    return {"pairs": pairs, "squares": squares, "max_deviation": worst}
+    # np.max keeps a NaN, where the builtin max keeps whichever comes first
+    return {"pairs": pairs, "squares": squares,
+            "max_deviation": float(np.max(list(pairs.values())))}

@@ -8,10 +8,16 @@ everything in registration order.  Randomized checks draw from a fresh
 seeded generator per check, so a fixed seed gives byte-identical reports
 regardless of which subset runs.
 
-Checks report (max_dev, tol); multi-assertion checks with mixed natural
-tolerances report the maximum of dev_i/tol_i against tol 1.0 and say so in
-their detail string.  Sampled checks draw each array once and evaluate it as
-one batch; they loop only over fixed sets (axes, basis states, labels).
+A check receives a collector c and calls it once per comparison,
+c(got, want=0.0, scale=1.0, at=None), then returns its detail string.  The
+collector takes max |got - want|/scale over every element (Biquaternion
+pairs through max_dev) and keeps the running worst, the number of calls and
+the at of the worst call; a NaN anywhere keeps the worst at NaN, so the
+check fails.  run_check reports the worst as max_dev against the check's
+tolerance.  Checks whose assertions have different natural tolerances pass
+each one as scale=, run against tol 1.0 and say so in their detail string.
+Sampled checks draw each array once and evaluate it as one batch; they loop
+only over fixed sets (axes, basis states, labels).
 Second routes that no production path uses live here: the *_oracle
 functions, the exact Gauss-Laguerre sum of the radial norm
 (_log_radial_norm_sq) and the finite-difference residual probes
@@ -71,6 +77,27 @@ class CheckResult(Record):
         d["tol"], d["passed"], d["detail"] = tol, passed, detail
 
 
+class _Collector:
+    """The running worst deviation of one check's comparisons."""
+
+    def __init__(self):
+        self.dev, self.count, self.at = 0.0, 0, None
+
+    def __call__(self, got, want=0.0, scale=1.0, at=None) -> None:
+        """Compare got with want: max |got - want|/scale over every element.
+        The larger deviation wins, a tie goes to this later call, and a NaN,
+        once seen, stays."""
+        if isinstance(got, Biquaternion):
+            d = max_dev(got, want)/scale
+        else:
+            # builtin abs: a complex scalar rounds as a Python complex
+            # does (np.abs can differ in the last bit)
+            d = float(np.max(abs(np.subtract(got, want))/scale))
+        self.count += 1
+        if not (d < self.dev or math.isnan(self.dev)):
+            self.dev, self.at = d, at
+
+
 _REGISTRY: dict[str, tuple[str, float, object]] = {}
 
 
@@ -99,10 +126,11 @@ def run_check(name: str, seed: int = 12345,
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(_REGISTRY)}")
     suite, tol, fn = _REGISTRY[name]
-    rng = np.random.default_rng(seed)
-    dev, detail = fn(rng)
+    c = _Collector()
+    detail = fn(np.random.default_rng(seed), c)
     tol = tol*tol_scale
-    return CheckResult(name, suite, float(dev), tol, bool(dev <= tol), detail)
+    return CheckResult(name, suite, float(c.dev), tol, bool(c.dev <= tol),
+                       detail)
 
 
 def run_suite(suite: str = "all", seed: int = 12345,
@@ -133,14 +161,6 @@ def _prepend(fixed, batch: Biquaternion) -> Biquaternion:
 def _real_quat(c) -> Biquaternion:
     """Real quaternion from 4 reals on the last axis."""
     return Biquaternion(c[..., 0], c[..., 1], c[..., 2], c[..., 3])
-
-
-def _mdev(m1, m2) -> float:
-    return float(np.max(np.abs(np.asarray(m1) - np.asarray(m2))))
-
-
-def _amax(*values) -> float:
-    return max(float(np.max(v)) for v in values)
 
 
 def _sphere_points(u):
@@ -188,292 +208,276 @@ def clebsch_oracle(l: int, j: float, m_j: float) -> tuple[float, float]:
 # ---------------------------------------------------------------- algebra
 
 @_register("hamilton-table", "algebra", 1e-15)
-def _chk_hamilton(rng):
+def _chk_hamilton(rng, c):
     """All 16 unit products against the matrix representation."""
-    dev = 0.0
     for a in _UNITS:
         for b in _UNITS:
-            lhs = mul(a, b)
-            rhs = from_matrix(to_matrix_linear(a) @ to_matrix_linear(b))
-            dev = max(dev, max_dev(lhs, rhs))
-    dev = max(dev, max_dev(mul(E1, E2), E3))
-    dev = max(dev, max_dev(mul(E2, E3), E1))
-    dev = max(dev, max_dev(mul(E3, E1), E2))
-    return dev, "16 unit products + cyclic rules vs matrix oracle"
+            c(mul(a, b),
+              from_matrix(to_matrix_linear(a) @ to_matrix_linear(b)))
+    c(mul(E1, E2), E3)
+    c(mul(E2, E3), E1)
+    c(mul(E3, E1), E2)
+    return "16 unit products + cyclic rules vs matrix oracle"
 
 
 @_register("product-associativity", "algebra", 1e-12)
-def _chk_assoc(rng):
+def _chk_assoc(rng, c):
     n = 1000
     x = rng.standard_normal((n, 3, 8))
-    a, b, c = _bq(x[:, 0]), _bq(x[:, 1]), _bq(x[:, 2])
-    return max_dev(mul(mul(a, b), c), mul(a, mul(b, c))), f"{n} random triples"
+    p, q, r = _bq(x[:, 0]), _bq(x[:, 1]), _bq(x[:, 2])
+    c(mul(mul(p, q), r), mul(p, mul(q, r)))
+    return f"{n} random triples"
 
 
 @_register("noncommutativity", "algebra", 1e-15)
-def _chk_noncomm(rng):
-    return max_dev(mul(E1, E2), -mul(E2, E1)), "e1 e2 = -e2 e1"
+def _chk_noncomm(rng, c):
+    c(mul(E1, E2), -mul(E2, E1))
+    return "e1 e2 = -e2 e1"
 
 
 @_register("decompose-recombine", "algebra", 1e-13)
-def _chk_decompose(rng):
-    c = rng.standard_normal((300, 2, 8))
-    a, b = _bq(c[:, 0]), _bq(c[:, 1])
+def _chk_decompose(rng, c):
+    x = rng.standard_normal((300, 2, 8))
+    a, b = _bq(x[:, 0]), _bq(x[:, 1])
     sc, vec = decompose(a, b)
-    dot = a.q1*b.q1 + a.q2*b.q2 + a.q3*b.q3
-    dev = max(max_dev(Biquaternion(sc) + vec, mul(a, b)),
-              _amax(abs(sc - (a.q0*b.q0 - dot))))
+    c(Biquaternion(sc) + vec, mul(a, b))
+    c(sc, a.q0*b.q0 - (a.q1*b.q1 + a.q2*b.q2 + a.q3*b.q3))
     s0, v0 = decompose(E1, E1)
-    dev = max(dev, abs(s0 + 1.0), norm_sq(v0))
+    c(s0, -1.0)
+    c(norm_sq(v0))
     s1, v1 = decompose(E1, E2)
-    dev = max(dev, abs(s1), max_dev(v1, E3))
-    return dev, "Sc+Vec reassembly and scalar dot-product rule"
+    c(s1)
+    c(v1, E3)
+    return "Sc+Vec reassembly and scalar dot-product rule"
 
 
 @_register("conjugation-involutions", "algebra", 1e-15)
-def _chk_conj_inv(rng):
+def _chk_conj_inv(rng, c):
     q = _bq(rng.standard_normal((200, 8)))
-    dev = max(max_dev(conj_vec(conj_vec(q)), q),
-              max_dev(conj_complex(conj_complex(q)), q),
-              max_dev(conj_both(q), conj_vec(conj_complex(q))))
-    dev = max(dev, max_dev(conj_vec(E0 + E1), E0 - E1))
-    return dev, "involutions and composition"
+    c(conj_vec(conj_vec(q)), q)
+    c(conj_complex(conj_complex(q)), q)
+    c(conj_both(q), conj_vec(conj_complex(q)))
+    c(conj_vec(E0 + E1), E0 - E1)
+    return "involutions and composition"
 
 
 @_register("conjugation-anti-automorphism", "algebra", 1e-12)
-def _chk_conj_anti(rng):
-    c = rng.standard_normal((300, 2, 8))
-    a, b = _bq(c[:, 0]), _bq(c[:, 1])
-    dev = max(max_dev(conj_vec(mul(a, b)), mul(conj_vec(b), conj_vec(a))),
-              max_dev(conj_both(mul(a, b)), mul(conj_both(b), conj_both(a))))
-    return dev, "conj(ab) = conj(b) conj(a), both involutions"
+def _chk_conj_anti(rng, c):
+    x = rng.standard_normal((300, 2, 8))
+    a, b = _bq(x[:, 0]), _bq(x[:, 1])
+    c(conj_vec(mul(a, b)), mul(conj_vec(b), conj_vec(a)))
+    c(conj_both(mul(a, b)), mul(conj_both(b), conj_both(a)))
+    return "conj(ab) = conj(b) conj(a), both involutions"
 
 
 @_register("norm-eight-vector", "algebra", 1e-14)
-def _chk_norm8(rng):
-    c = rng.standard_normal((300, 8))
-    q = _bq(c)
-    eight = np.sum(c*c, axis=-1)
+def _chk_norm8(rng, c):
+    x = rng.standard_normal((300, 8))
+    q = _bq(x)
+    eight = np.sum(x*x, axis=-1)
     scale = np.maximum(eight, 1.0)
-    p = mul(q, conj_both(q))
-    dev = _amax(abs(norm_sq(q) - eight)/scale, abs(p.q0 - norm_sq(q))/scale)
-    dev = max(dev, abs(norm_sq(Biquaternion(1 + 1j)) - 2.0))
-    return dev, "Sc(q conj_both(q)) = squared 8-vector norm (relative)"
+    c(norm_sq(q), eight, scale)
+    c(mul(q, conj_both(q)).q0, norm_sq(q), scale)
+    c(norm_sq(Biquaternion(1 + 1j)), 2.0)
+    return "Sc(q conj_both(q)) = squared 8-vector norm (relative)"
 
 
 @_register("real-norm-multiplicativity", "algebra", 1e-12)
-def _chk_norm_mult(rng):
-    c = rng.standard_normal((300, 2, 4))
-    a, b = _real_quat(c[:, 0]), _real_quat(c[:, 1])
-    lhs = norm_sq(mul(a, b))
+def _chk_norm_mult(rng, c):
+    x = rng.standard_normal((300, 2, 4))
+    a, b = _real_quat(x[:, 0]), _real_quat(x[:, 1])
     rhs = norm_sq(a)*norm_sq(b)
-    dev = _amax(abs(lhs - rhs)/np.maximum(rhs, 1.0))
-    return dev, "real quaternions only (fails for general biquaternions)"
+    c(norm_sq(mul(a, b)), rhs, np.maximum(rhs, 1.0))
+    return "real quaternions only (fails for general biquaternions)"
 
 
 @_register("inverse-roundtrip", "algebra", 1e-12)
-def _chk_inverse(rng):
+def _chk_inverse(rng, c):
     x = rng.standard_normal((200, 12))         # (real q, biquaternion p)
     q, p = _real_quat(x[:, :4]), _bq(x[:, 4:])
     p = _bq(x[abs(quadratic_form(p)) > 1e-3, 4:])
-    dev = max(max_dev(mul(q, inverse(q)), E0), max_dev(mul(inverse(p), p), E0))
-    q = Biquaternion(3, 0, 4, 0)
-    dev = max(dev, max_dev(inverse(q), Biquaternion(3/25, 0, -4/25, 0)))
+    c(mul(q, inverse(q)), E0)
+    c(mul(inverse(p), p), E0)
+    c(inverse(Biquaternion(3, 0, 4, 0)), Biquaternion(3/25, 0, -4/25, 0))
     try:
         inverse(Biquaternion())
-        return 1.0, "zero inverse did not raise"
     except ValueError:
-        pass
-    return dev, "q q^-1 = e0; 3e0+4e2 example; zero rejected"
+        return "q q^-1 = e0; 3e0+4e2 example; zero rejected"
+    c(1.0)
+    return "zero inverse did not raise"
 
 
 @_register("zero-divisor-detection", "algebra", 1e-15)
-def _chk_zero_div(rng):
+def _chk_zero_div(rng, c):
+    # each flag is 1 where the rule fails; a NaN value fails its rule
     idem = Biquaternion(0.5, 0.5j, 0, 0)       # (1/2)(e0 + i e1)
     q_up = sp.spin_up().value                   # (1/sqrt2)(e0 - i e1)
-    bad = 0
-    bad += not is_zero_divisor(idem)
-    bad += is_zero_divisor(E0)
-    bad += not is_zero_divisor(q_up)            # quadratic form is exactly 0
-    bad += abs(quadratic_form(q_up)) > 1e-15
-    bad += norm_sq(mul(q_up, conj_vec(q_up))) > 1e-28
+    c(not is_zero_divisor(idem))
+    c(is_zero_divisor(E0))
+    c(not is_zero_divisor(q_up))                # quadratic form is exactly 0
+    c(not abs(quadratic_form(q_up)) <= 1e-15)
+    c(not norm_sq(mul(q_up, conj_vec(q_up))) <= 1e-28)
     x = rng.standard_normal((200, 12))         # (r, real quaternion)
     prod, inv = mul(idem, _bq(x[:, :8])), _real_quat(x[:, 8:])
     # the form is multiplicative, so idem r is a zero divisor unless zero
-    bad += np.count_nonzero((norm_sq(prod) > 1e-12) & ~is_zero_divisor(prod))
-    bad += np.count_nonzero((norm_sq(inv) > 1e-12) & is_zero_divisor(inv))
-    return float(bad), "vanishing quadratic form iff no inverse"
+    c(~(norm_sq(prod) <= 1e-12) & ~is_zero_divisor(prod))
+    c(~(norm_sq(inv) <= 1e-12) & is_zero_divisor(inv))
+    return "vanishing quadratic form iff no inverse"
 
 
 @_register("homomorphism", "algebra", 1e-12)
-def _chk_homomorphism(rng):
+def _chk_homomorphism(rng, c):
     n = 1000
-    c = rng.standard_normal((n, 2, 8))
-    a, b = _bq(c[:, 0]), _bq(c[:, 1])
-    dev = _mdev(to_matrix_linear(mul(a, b)),
-                to_matrix_linear(a) @ to_matrix_linear(b))
-    return dev, f"M(ab) = M(a) M(b), {n} random pairs"
+    x = rng.standard_normal((n, 2, 8))
+    a, b = _bq(x[:, 0]), _bq(x[:, 1])
+    c(to_matrix_linear(mul(a, b)), to_matrix_linear(a) @ to_matrix_linear(b))
+    return f"M(ab) = M(a) M(b), {n} random pairs"
 
 
 @_register("matrix-roundtrip", "algebra", 1e-14)
-def _chk_roundtrip(rng):
+def _chk_roundtrip(rng, c):
     n = 300
-    c = rng.standard_normal((n, 16))
-    q = _bq(c[:, :8])
-    m = c[:, 8:12].reshape(n, 2, 2) + 1j*c[:, 12:].reshape(n, 2, 2)
-    dev = max(max_dev(from_matrix(to_matrix_linear(q)), q),
-              _mdev(to_matrix_linear(from_matrix(m)), m))
-    return dev, "bijectivity both directions"
+    x = rng.standard_normal((n, 16))
+    q = _bq(x[:, :8])
+    m = x[:, 8:12].reshape(n, 2, 2) + 1j*x[:, 12:].reshape(n, 2, 2)
+    c(from_matrix(to_matrix_linear(q)), q)
+    c(to_matrix_linear(from_matrix(m)), m)
+    return "bijectivity both directions"
 
 
 @_register("paper-map-subspace", "algebra", 1e-14)
-def _chk_paper_map(rng):
-    c = rng.standard_normal((300, 5)).T
-    q = Biquaternion(c[0] + 1j*c[1], 1j*c[2], 1j*c[3], 1j*c[4])
-    dev = _mdev(to_matrix_paper(q), to_matrix_linear(q))
+def _chk_paper_map(rng, c):
+    x = rng.standard_normal((300, 5)).T
+    q = Biquaternion(x[0] + 1j*x[1], 1j*x[2], 1j*x[3], 1j*x[4])
+    c(to_matrix_paper(q), to_matrix_linear(q))
     for axis in ("x", "y", "z", "identity"):
         q = sp.pauli_quaternion(axis)
-        dev = max(dev, _mdev(to_matrix_paper(q), to_matrix_linear(q)))
-        dev = max(dev, _mdev(to_matrix_paper(q),
-                             _PAULI.get(axis, IDENTITY2)))
-    return dev, "agrees with linear map where q1,q2,q3 purely imaginary"
+        c(to_matrix_paper(q), to_matrix_linear(q))
+        c(to_matrix_paper(q), _PAULI.get(axis, IDENTITY2))
+    return "agrees with linear map where q1,q2,q3 purely imaginary"
 
 
 @_register("ks-form", "algebra", 1e-14)
-def _chk_ks(rng):
-    dev = _mdev(to_matrix_ks(E2), np.array([[0, 1], [-1, 0]]))
-    sample = Biquaternion(1, 2, 3, 4)
-    dev = max(dev, _mdev(to_matrix_ks(sample),
-                         np.array([[1 + 2j, 3 + 4j], [-3 + 4j, 1 - 2j]])))
-    dev = max(dev, _mdev(to_matrix_ks(E0), IDENTITY2))
+def _chk_ks(rng, c):
+    c(to_matrix_ks(E2), [[0, 1], [-1, 0]])
+    c(to_matrix_ks(Biquaternion(1, 2, 3, 4)),
+      [[1 + 2j, 3 + 4j], [-3 + 4j, 1 - 2j]])
+    c(to_matrix_ks(E0), IDENTITY2)
     q = _real_quat(rng.standard_normal((300, 4)))
-    det = np.linalg.det(to_matrix_ks(q))
-    dev = max(dev, _amax(abs(det - norm_sq(q))/np.maximum(norm_sq(q), 1.0)))
-    return dev, "z/w block form and det = |q|^2 on real quaternions"
+    c(np.linalg.det(to_matrix_ks(q)), norm_sq(q), np.maximum(norm_sq(q), 1.0))
+    return "z/w block form and det = |q|^2 on real quaternions"
 
 
 # ------------------------------------------------------------------- spin
 
-def _eigen_dev(axis: str, targets) -> float:
+def _eigen_equations(c, axis: str, targets) -> None:
     """One eigen-equation family vs both exact targets and the matrix route."""
     S = sp.spin_operator(axis)
-    dev = 0.0
     for state, target in targets:
         got = sp.apply(S, state)
-        dev = max(dev, max_dev(got, target))
-        lhs = ket_to_vector(got)
-        rhs = to_matrix_linear(S) @ ket_to_vector(state.value)
-        dev = max(dev, _mdev(lhs, rhs))
-    return dev
+        c(got, target)
+        c(ket_to_vector(got), to_matrix_linear(S) @ ket_to_vector(state.value))
 
 
 @_register("eigen-x", "spin", 1e-14)
-def _chk_eigen_x(rng):
+def _chk_eigen_x(rng, c):
     up, dn = sp.spin_up(), sp.spin_down()
     h2 = sp.HBAR/2
-    return _eigen_dev("x", [(up, dn.value*h2), (dn, up.value*h2)]), \
-        "Sx q+- = (hbar/2) q-+"
+    _eigen_equations(c, "x", [(up, dn.value*h2), (dn, up.value*h2)])
+    return "Sx q+- = (hbar/2) q-+"
 
 
 @_register("eigen-y", "spin", 1e-14)
-def _chk_eigen_y(rng):
+def _chk_eigen_y(rng, c):
     up, dn = sp.spin_up(), sp.spin_down()
     h2 = sp.HBAR/2
-    return _eigen_dev("y", [(up, dn.value*(1j*h2)), (dn, up.value*(-1j*h2))]), \
-        "Sy q+- = +-i (hbar/2) q-+"
+    _eigen_equations(c, "y", [(up, dn.value*(1j*h2)), (dn, up.value*(-1j*h2))])
+    return "Sy q+- = +-i (hbar/2) q-+"
 
 
 @_register("eigen-z", "spin", 1e-14)
-def _chk_eigen_z(rng):
+def _chk_eigen_z(rng, c):
     up, dn = sp.spin_up(), sp.spin_down()
     h2 = sp.HBAR/2
-    return _eigen_dev("z", [(up, up.value*h2), (dn, dn.value*(-h2))]), \
-        "Sz q+- = +-(hbar/2) q+-"
+    _eigen_equations(c, "z", [(up, up.value*h2), (dn, dn.value*(-h2))])
+    return "Sz q+- = +-(hbar/2) q+-"
 
 
 @_register("pauli-products", "spin", 1e-14)
-def _chk_pauli_products(rng):
-    dev = 0.0
+def _chk_pauli_products(rng, c):
     for a in "xyz":
         for b in "xyz":
-            lhs = mul(sp.pauli_quaternion(a), sp.pauli_quaternion(b))
-            rhs = from_matrix(_PAULI[a] @ _PAULI[b])
-            dev = max(dev, max_dev(lhs, rhs))
+            c(mul(sp.pauli_quaternion(a), sp.pauli_quaternion(b)),
+              from_matrix(_PAULI[a] @ _PAULI[b]))
     for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
-        anti = mul(sp.pauli_quaternion(a), sp.pauli_quaternion(b)) + \
-            mul(sp.pauli_quaternion(b), sp.pauli_quaternion(a))
-        dev = max(dev, norm_sq(anti))
-    return dev, "all 9 products + anticommutators vs matrix algebra"
+        c(norm_sq(mul(sp.pauli_quaternion(a), sp.pauli_quaternion(b))
+                  + mul(sp.pauli_quaternion(b), sp.pauli_quaternion(a))))
+    return "all 9 products + anticommutators vs matrix algebra"
 
 
 @_register("orthonormality", "spin", 1e-14)
-def _chk_orthonormality(rng):
+def _chk_orthonormality(rng, c):
     up, dn = sp.spin_up(), sp.spin_down()
-    dev = abs(sp.inner(up, up) - 1)
-    dev = max(dev, abs(sp.inner(dn, dn) - 1))
-    dev = max(dev, abs(sp.inner(up, dn)), abs(sp.inner(dn, up)))
-    both = sp.superposition(1, 1)
-    dev = max(dev, abs(sp.inner(both, up) - math.sqrt(0.5)))
-    c = rng.standard_normal((100, 2, 4))       # (a, b) x (up, down) re, im
-    amp = c[..., 0::2] + 1j*c[..., 1::2]
+    c(sp.inner(up, up), 1)
+    c(sp.inner(dn, dn), 1)
+    c(sp.inner(up, dn))
+    c(sp.inner(dn, up))
+    c(sp.inner(sp.superposition(1, 1), up), math.sqrt(0.5))
+    x = rng.standard_normal((100, 2, 4))       # (a, b) x (up, down) re, im
+    amp = x[..., 0::2] + 1j*x[..., 1::2]
     a, b = (sp.superposition(*amp[:, i].T) for i in (0, 1))
     lhs = sp.inner(a, b)
     ket_a, ket_b = ket_to_vector(a.value), ket_to_vector(b.value)
-    dev = max(dev, _amax(abs(lhs - np.sum(ket_a.conj()*ket_b, axis=-1)),
-                         abs(lhs - np.sum(bra_to_vector(sp.bra(a))*ket_b,
-                                          axis=-1))))
-    return dev, "basis orthonormality + random states vs C^2 dot product"
+    c(lhs, np.sum(ket_a.conj()*ket_b, axis=-1))
+    c(lhs, np.sum(bra_to_vector(sp.bra(a))*ket_b, axis=-1))
+    return "basis orthonormality + random states vs C^2 dot product"
 
 
 @_register("outer-products", "spin", 1e-14)
-def _chk_outer(rng):
+def _chk_outer(rng, c):
     up, dn = sp.spin_up(), sp.spin_down()
-    dev = max_dev(sp.outer_reconstruct("Sz"), sp.pauli_quaternion("z"))
-    dev = max(dev, max_dev(sp.outer_reconstruct("Sx"), sp.pauli_quaternion("x")))
-    dev = max(dev, max_dev(sp.outer_reconstruct("Sy"), sp.pauli_quaternion("y")))
+    for axis in "zxy":
+        c(sp.outer_reconstruct("S" + axis), sp.pauli_quaternion(axis))
     for a in (up, dn):
         for b in (up, dn):
-            m_lhs = to_matrix_linear(sp.outer(a, b))
-            m_rhs = np.outer(ket_to_vector(a.value),
-                             np.conj(ket_to_vector(b.value)))
-            dev = max(dev, _mdev(m_lhs, m_rhs))
-    comp = sp.outer(up, up) + sp.outer(dn, dn)
-    dev = max(dev, max_dev(comp, E0))
-    return dev, "operator rebuilds + |a><b| vs ket outer products + completeness"
+            c(to_matrix_linear(sp.outer(a, b)),
+              np.outer(ket_to_vector(a.value),
+                       np.conj(ket_to_vector(b.value))))
+    c(sp.outer(up, up) + sp.outer(dn, dn), E0)
+    return "operator rebuilds + |a><b| vs ket outer products + completeness"
 
 
 @_register("ket-map-compatibility", "spin", 1e-14)
-def _chk_ket_compat(rng):
+def _chk_ket_compat(rng, c):
     # 20 states (the basis kets, then 18 draws) against 20 operators (the
     # Pauli quaternions, then 17 draws): all 400 pairs in one batch
-    c = rng.standard_normal((18, 2, 8))      # (state, operator) per draw
-    q = _prepend((sp.spin_up().value, sp.spin_down().value), _bq(c[:, 0]))
-    S = _prepend([sp.pauli_quaternion(a) for a in "xyz"], _bq(c[:17, 1]))
+    x = rng.standard_normal((18, 2, 8))      # (state, operator) per draw
+    q = _prepend((sp.spin_up().value, sp.spin_down().value), _bq(x[:, 0]))
+    S = _prepend([sp.pauli_quaternion(a) for a in "xyz"], _bq(x[:17, 1]))
     kets = ket_to_vector(q)                             # (20, 2)
-    S_col = Biquaternion(*(x[:, None] for x in S.coefficients()))
-    lhs = ket_to_vector(mul(S_col, q))                  # (20, 20, 2)
-    rhs = (to_matrix_linear(S)[:, None] @ kets[..., None])[..., 0]
-    dev = max(_mdev(lhs, rhs), _mdev(kets[:2], IDENTITY2),
-              _mdev(ket_to_vector(Biquaternion()), [0, 0]))
-    return dev, "ket(S q) = M(S) ket(q); basis kets map to (1,0), (0,1)"
+    S_col = Biquaternion(*(y[:, None] for y in S.coefficients()))
+    c(ket_to_vector(mul(S_col, q)),                     # (20, 20, 2)
+      (to_matrix_linear(S)[:, None] @ kets[..., None])[..., 0])
+    c(kets[:2], IDENTITY2)
+    c(ket_to_vector(Biquaternion()), [0, 0])
+    return "ket(S q) = M(S) ket(q); basis kets map to (1,0), (0,1)"
 
 
 @_register("ladder-algebra", "spin", 1e-14)
-def _chk_ladder(rng):
+def _chk_ladder(rng, c):
     up, dn = sp.spin_up().value, sp.spin_down().value
     lp, lm = sp.ladder("+"), sp.ladder("-")
-    dev = max_dev(lp, Biquaternion(0, 0, 0.5, -0.5j))
-    dev = max(dev, max_dev(lm, conj_both(lp)))
+    c(lp, Biquaternion(0, 0, 0.5, -0.5j))
+    c(lm, conj_both(lp))
     qx, qy = sp.pauli_quaternion("x"), sp.pauli_quaternion("y")
-    dev = max(dev, max_dev(lp, (qx + qy*1j)*0.5))
-    dev = max(dev, max_dev(lm, (qx - qy*1j)*0.5))
-    dev = max(dev, max_dev(mul(lp, dn), up))        # raising
-    dev = max(dev, max_dev(mul(lm, up), dn))        # lowering
-    dev = max(dev, norm_sq(mul(lp, up)), norm_sq(mul(lm, dn)))
-    dev = max(dev, norm_sq(mul(lp, lp)), norm_sq(mul(lm, lm)))  # nilpotent
-    m_lp = to_matrix_linear(lp)
-    dev = max(dev, _mdev(m_lp, 0.5*(SIGMA_X + 1j*SIGMA_Y)))
-    return dev, "transitions, annihilation, nilpotency, Sx +- i Sy build"
+    c(lp, (qx + qy*1j)*0.5)
+    c(lm, (qx - qy*1j)*0.5)
+    c(mul(lp, dn), up)                          # raising
+    c(mul(lm, up), dn)                          # lowering
+    for a, b in ((lp, up), (lm, dn), (lp, lp), (lm, lm)):  # then nilpotency
+        c(norm_sq(mul(a, b)))
+    c(to_matrix_linear(lp), 0.5*(SIGMA_X + 1j*SIGMA_Y))
+    return "transitions, annihilation, nilpotency, Sx +- i Sy build"
 
 
 # --------------------------------------------------------------- rotation
@@ -485,53 +489,49 @@ def _rand_axes(rng, n: int):
 
 
 @_register("rotation-conjugation", "rotation", 1e-12)
-def _chk_rot_conj(rng):
+def _chk_rot_conj(rng, c):
     phi = np.linspace(0, 2*math.pi, 32, endpoint=False)
-    dev = 0.0
     for rot_axis in "xyz":
         D = sp.rotation(rot_axis, phi)
         md = to_matrix_linear(D.value)
         for op_axis in "xyz":
             S = sp.spin_operator(op_axis)
             got = sp.rotate_operator(D, S)
-            closed = sp.rotated_pauli(rot_axis, op_axis, phi)*(sp.HBAR/2)
-            oracle = from_matrix(md.conj().swapaxes(-1, -2)
-                                 @ to_matrix_linear(S) @ md)
-            dev = max(dev, max_dev(got, closed), max_dev(got, oracle))
-    return dev, "9 (axis, operator) pairs x 32 angles, closed form + oracle"
+            c(got, sp.rotated_pauli(rot_axis, op_axis, phi)*(sp.HBAR/2))
+            c(got, from_matrix(md.conj().swapaxes(-1, -2)
+                               @ to_matrix_linear(S) @ md))
+    return "9 (axis, operator) pairs x 32 angles, closed form + oracle"
 
 
 @_register("rotation-double-cover", "rotation", 1e-13)
-def _chk_double_cover(rng):
+def _chk_double_cover(rng, c):
     D = sp.rotation(_rand_axes(rng, 50), 2*math.pi)
     up, dn = sp.spin_up().value, sp.spin_down().value
     state = Biquaternion(*np.where(rng.random((50, 1)) < 0.5,
                                    up.coefficients(), dn.coefficients()).T)
-    dev = max(max_dev(D.value, -E0), max_dev(mul(D.value, state), -state),
-              max_dev(sp.rotation("z", 0.0).value, E0))
-    return dev, "D(n, 2 pi) = -e0 on operators and states"
+    c(D.value, -E0)
+    c(mul(D.value, state), -state)
+    c(sp.rotation("z", 0.0).value, E0)
+    return "D(n, 2 pi) = -e0 on operators and states"
 
 
 @_register("rotation-composition", "rotation", 1e-12)
-def _chk_rot_compose(rng):
+def _chk_rot_compose(rng, c):
     axis = _rand_axes(rng, 100)
     p1, p2 = rng.uniform(-2*math.pi, 2*math.pi, (100, 2)).T
     D1 = sp.rotation(axis, p1).value
-    lhs = mul(D1, sp.rotation(axis, p2).value)
-    rhs = sp.rotation(axis, p1 + p2).value
-    return max(max_dev(lhs, rhs), _amax(abs(norm_sq(D1) - 1.0))), \
-        "same-axis angle additivity and unit norm"
+    c(mul(D1, sp.rotation(axis, p2).value), sp.rotation(axis, p1 + p2).value)
+    c(norm_sq(D1), 1.0)
+    return "same-axis angle additivity and unit norm"
 
 
 @_register("rotation-own-axis", "rotation", 1e-14)
-def _chk_rot_own(rng):
+def _chk_rot_own(rng, c):
     phi = np.linspace(0, 2*math.pi, 32)
-    dev = 0.0
     for axis in "xyz":
         S = sp.spin_operator(axis)
-        dev = max(dev, max_dev(sp.rotate_operator(sp.rotation(axis, phi), S),
-                               S))
-    return dev, "rotation about an operator's own axis leaves it fixed"
+        c(sp.rotate_operator(sp.rotation(axis, phi), S), S)
+    return "rotation about an operator's own axis leaves it fixed"
 
 
 # ----------------------------------------------------------------- spinor
@@ -548,20 +548,17 @@ def _all_spinor_labels(l_max=4):
 
 
 @_register("clebsch-oracle", "spinor", 1e-12)
-def _chk_clebsch(rng):
-    dev = 0.0
+def _chk_clebsch(rng, c):
     for l, j, mj in _all_spinor_labels():
         c1, c2 = clebsch_coefficients(l, j, mj)
-        o1, o2 = clebsch_oracle(l, j, mj)
-        dev = max(dev, abs(c1 - o1), abs(c2 - o2))
-        dev = max(dev, abs(c1*c1 + c2*c2 - 1.0))
-    c1, c2 = clebsch_coefficients(2, 2.5, 1.5)
-    dev = max(dev, abs(c1 - 2/math.sqrt(5)), abs(c2 - 1/math.sqrt(5)))
-    return dev, "closed form vs J^2 eigendecomposition, l <= 4"
+        c((c1, c2), clebsch_oracle(l, j, mj))
+        c(c1*c1 + c2*c2, 1.0)
+    c(clebsch_coefficients(2, 2.5, 1.5), (2/math.sqrt(5), 1/math.sqrt(5)))
+    return "closed form vs J^2 eigendecomposition, l <= 4"
 
 
 @_register("harmonic-oracle", "spinor", 1e-12)
-def _chk_harmonic(rng):
+def _chk_harmonic(rng, c):
     from scipy.special import sph_harm_y
     n = 64
     th, ph = _sphere_points(rng.random((n, 2)))
@@ -571,47 +568,41 @@ def _chk_harmonic(rng):
     # one column recurrence per order: table[m + 40][l] = Y_l^m (0 if l < |m|)
     table = np.array([spherical_harmonics(range(41), m, th, ph)
                       for m in range(-40, 41)])
-    got = table[lm[:, 1] + 40, lm[:, 0]]
-    want = sph_harm_y(lm[:, :1], lm[:, 1:], th, ph)
-    return _mdev(got, want), (f"normalized Legendre recurrence vs scipy "
-                              f"sph_harm_y, l <= 40, |m| <= l, {n} points "
-                              f"and the poles")
+    c(table[lm[:, 1] + 40, lm[:, 0]], sph_harm_y(lm[:, :1], lm[:, 1:], th, ph))
+    return (f"normalized Legendre recurrence vs scipy sph_harm_y, l <= 40, "
+            f"|m| <= l, {n} points and the poles")
 
 
 @_register("spinor-worked-example", "spinor", 1.0)
-def _chk_spinor_example(rng):
+def _chk_spinor_example(rng, c):
     s = SpinorFunction(2, 2.5, 1.5)
     th, ph = _sphere_points(rng.random((100, 2)))
     y22 = spherical_harmonic(2, 2, th, ph)
-    y21 = spherical_harmonic(2, 1, th, ph)
     vec = spinor_as_vector(s, th, ph)
-    dev_pt = _amax(abs(measure_probability("down", s, th, ph) - abs(y22)**2/5),
-                   abs(vec[0] - 2/math.sqrt(5)*y21),
-                   abs(vec[1] - 1/math.sqrt(5)*y22))
-    integral = quadrature_sphere(
-        lambda th, ph: measure_probability("down", s, th, ph))
-    dev_int = abs(integral - 0.2)
-    return max(dev_pt/1e-12, dev_int/1e-8), \
-        "P_down = |Y_2^2|^2/5 pointwise (1e-12) and integral 1/5 (1e-8); ratio"
+    c(measure_probability("down", s, th, ph), abs(y22)**2/5, scale=1e-12)
+    c(vec[0], 2/math.sqrt(5)*spherical_harmonic(2, 1, th, ph), scale=1e-12)
+    c(vec[1], 1/math.sqrt(5)*y22, scale=1e-12)
+    c(quadrature_sphere(lambda th, ph: measure_probability("down", s, th, ph)),
+      0.2, scale=1e-8)
+    return ("P_down = |Y_2^2|^2/5 pointwise (1e-12) and integral 1/5 (1e-8); "
+            "ratio")
 
 
 @_register("spinor-completeness", "spinor", 1e-12)
-def _chk_spinor_complete(rng):
+def _chk_spinor_complete(rng, c):
     th, ph = _sphere_points(rng.random((100, 2)))
-    dev = 0.0
     for l, j, mj in _all_spinor_labels():
         s = SpinorFunction(l, j, mj)
-        p = sum(measure_probability(w, s, th, ph) for w in ("up", "down"))
         total = norm_sq(spinor_as_biquaternion(s, th, ph))
         vec = spinor_as_vector(s, th, ph)
-        dev = max(dev, _amax(abs(p - total),
-                             abs(total - (abs(vec[0])**2 + abs(vec[1])**2))))
-    return dev, "P_up + P_down = |spinor|^2 pointwise"
+        c(sum(measure_probability(w, s, th, ph) for w in ("up", "down")),
+          total)
+        c(total, abs(vec[0])**2 + abs(vec[1])**2)
+    return "P_up + P_down = |spinor|^2 pointwise"
 
 
 @_register("spinor-normalization", "spinor", 1e-8)
-def _chk_spinor_norm(rng):
-    dev = 0.0
+def _chk_spinor_norm(rng, c):
     for l, j, mj in _all_spinor_labels():
         s = SpinorFunction(l, j, mj)
 
@@ -619,24 +610,22 @@ def _chk_spinor_norm(rng):
             v = spinor_as_vector(s, th, ph)
             return np.abs(v[0])**2 + np.abs(v[1])**2
 
-        dev = max(dev, abs(quadrature_sphere(dens) - 1.0))
-    return dev, "sphere-integrated density = 1 for every l <= 4 state"
+        c(quadrature_sphere(dens), 1.0)
+    return "sphere-integrated density = 1 for every l <= 4 state"
 
 
 @_register("spinor-vector-consistency", "spinor", 1e-12)
-def _chk_spinor_vec(rng):
+def _chk_spinor_vec(rng, c):
     th, ph = _sphere_points(rng.random((200, 2)))
-    dev = 0.0
     for l, j, mj in _all_spinor_labels():
         s = SpinorFunction(l, j, mj)
-        lhs = ket_to_vector(spinor_as_biquaternion(s, th, ph))
-        dev = max(dev, _mdev(lhs, spinor_as_vector(s, th, ph).T))
-    return dev, "ket map of the biquaternion form equals the 2-vector form"
+        c(ket_to_vector(spinor_as_biquaternion(s, th, ph)),
+          spinor_as_vector(s, th, ph).T)
+    return "ket map of the biquaternion form equals the 2-vector form"
 
 
 @_register("spinor-orthogonality", "spinor", 1e-8)
-def _chk_spinor_orth(rng):
-    dev = 0.0
+def _chk_spinor_orth(rng, c):
     pairs = [((1, 0.5, 0.5), (1, 1.5, 0.5)),
              ((2, 1.5, -0.5), (2, 2.5, -0.5)),
              ((2, 2.5, 0.5), (2, 2.5, 1.5)),
@@ -649,14 +638,21 @@ def _chk_spinor_orth(rng):
             vb = spinor_as_vector(sb, th, ph)
             return np.conj(va[0])*vb[0] + np.conj(va[1])*vb[1]
 
-        dev = max(dev, abs(quadrature_sphere(integrand)))
-    return dev, "same-l, different (j, m_j) sphere inner products vanish"
+        c(quadrature_sphere(integrand))
+    return "same-l, different (j, m_j) sphere inner products vanish"
 
 
 # --------------------------------------------------------------- hydrogen
 
 _STATES = ((1, -1), (2, -1), (2, 1), (2, -2), (3, -1), (3, -2))
 _ZS = (1, 20, 50)
+
+
+def _hydrogen_states():
+    """The sampled levels at m_j = 1/2: each of _STATES at each Z in _ZS."""
+    for Z in _ZS:
+        for n, k in _STATES:
+            yield QuantumNumbers(n, k, 0.5, Z)
 
 
 def _radial_at(w: hy.WaveFunction, r_au, A: float):
@@ -700,7 +696,8 @@ def system_residual(qn: QuantumNumbers, E: float, FG_fn, r_grid):
     Derivatives come from a 5-point (4th-order) finite-difference stencil
     with step h = min(8e-4/C, 0.01 r).  Each equation's residual is divided
     pointwise by the sum of its term magnitudes; points where the solution
-    has decayed below 1e-200 of the grid maximum report zero.
+    has decayed below 1e-200 of the grid maximum report zero.  A NaN term
+    anywhere makes every residual NaN.
     """
     r_au = np.asarray(r_grid, dtype=float)
     if r_au.ndim != 1 or len(r_au) < 1:
@@ -719,10 +716,11 @@ def system_residual(qn: QuantumNumbers, E: float, FG_fn, r_grid):
     n1 = np.abs(dF) + np.abs((k/r)*Fv) + np.abs((1 + E + za/r)*Gv)
     t2 = dG - (k/r)*Gv + (-lv.eps + za/r)*Fv
     n2 = np.abs(dG) + np.abs((k/r)*Gv) + np.abs((-lv.eps + za/r)*Fv)
-    # keep the floor strictly positive even for identically-zero inputs
-    floor = max(1e-200*max(float(n1.max()), float(n2.max())), 2.3e-308)
-    res1 = np.where(n1 > floor, np.abs(t1)/np.maximum(n1, floor), 0.0)
-    res2 = np.where(n2 > floor, np.abs(t2)/np.maximum(n2, floor), 0.0)
+    # keep the floor strictly positive even for identically-zero inputs;
+    # np.max and np.maximum keep a NaN, which then reaches every residual
+    floor = np.maximum(1e-200*np.max((n1, n2)), 2.3e-308)
+    res1 = np.where(n1 <= floor, 0.0, np.abs(t1)/np.maximum(n1, floor))
+    res2 = np.where(n2 <= floor, 0.0, np.abs(t2)/np.maximum(n2, floor))
     return res1, res2
 
 
@@ -816,161 +814,124 @@ def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):
 
 
 @_register("energy-degeneracy", "hydrogen", 1e-15)
-def _chk_degeneracy(rng):
-    dev = 0.0
+def _chk_degeneracy(rng, c):
     for Z in _ZS:
         for n, k in ((2, 1), (3, 1), (3, 2)):
-            ep = sommerfeld_energy(n, k, Z)
-            em = sommerfeld_energy(n, -k, Z)
-            dev = max(dev, abs(ep - em))
+            c(sommerfeld_energy(n, k, Z), sommerfeld_energy(n, -k, Z))
         seq = [sommerfeld_energy(n, -1, Z) for n in (1, 2, 3, 4)]
-        if not all(a < b < 1.0 for a, b in zip(seq, seq[1:])):
-            dev = max(dev, 1.0)
-    dev = max(dev, abs(sommerfeld_energy(1, -1, 0.0) - 1.0))
-    return dev, "E(n,k) = E(n,-k); monotone toward mc^2; Z->0 limit"
+        c(not all(a < b < 1.0 for a, b in zip(seq, seq[1:])))
+    c(sommerfeld_energy(1, -1, 0.0), 1.0)
+    return "E(n,k) = E(n,-k); monotone toward mc^2; Z->0 limit"
 
 
 @_register("energy-reference-values", "hydrogen", 1.0)
-def _chk_energy_refs(rng):
-    qn = QuantumNumbers(1, -1, 0.5, 1)
-    binding = binding_energy_ev(qn)
-    d1 = abs(binding - (-13.6059))/0.001
-    taylor = -0.5*ALPHA_FS**2*MC2_EV
-    d2 = abs(binding/taylor - 1.0)/2e-4
-    e_half = sommerfeld_energy(2, 1, 1)
-    e_three_half = sommerfeld_energy(2, -2, 1)
-    split = (e_three_half - e_half)*MC2_EV
-    d3 = abs(split/4.53e-5 - 1.0)/0.02
-    exact = sommerfeld_energy(1, -1, 1)
-    d4 = abs(exact - math.sqrt(1 - ALPHA_FS**2))/1e-15
-    detail = (f"binding {binding:.6f} eV (ref -13.6059 +- 0.001); "
-              f"splitting {split:.6e} eV (ref 4.53e-5 +- 2%); ratio-of-tol")
-    return max(d1, d2, d3, d4), detail
+def _chk_energy_refs(rng, c):
+    binding = binding_energy_ev(QuantumNumbers(1, -1, 0.5, 1))
+    c(binding, -13.6059, scale=0.001)
+    c(binding/(-0.5*ALPHA_FS**2*MC2_EV), 1.0, scale=2e-4)     # Taylor term
+    split = (sommerfeld_energy(2, -2, 1) - sommerfeld_energy(2, 1, 1))*MC2_EV
+    c(split/4.53e-5, 1.0, scale=0.02)
+    c(sommerfeld_energy(1, -1, 1), math.sqrt(1 - ALPHA_FS**2), scale=1e-15)
+    return (f"binding {binding:.6f} eV (ref -13.6059 +- 0.001); "
+            f"splitting {split:.6e} eV (ref 4.53e-5 +- 2%); ratio-of-tol")
 
 
 @_register("eigenvalue-agreement", "hydrogen", 1e-8)
-def _chk_shooting(rng):
-    dev = 0.0
-    for Z in _ZS:
-        for n, k in _STATES:
-            qn = QuantumNumbers(n, k, 0.5, Z)
-            e_formula = energy(qn)
-            e_shoot = hy.shoot_eigenvalue(qn)
-            dev = max(dev, abs(e_shoot - e_formula)/(1.0 - e_formula))
-    return dev, "18 states, shooting vs formula, relative to binding"
+def _chk_shooting(rng, c):
+    for qn in _hydrogen_states():
+        e_formula = energy(qn)
+        c(hy.shoot_eigenvalue(qn), e_formula, scale=1.0 - e_formula)
+    return "18 states, shooting vs formula, relative to binding"
 
 
 @_register("ode-residual", "hydrogen", 1e-6)
-def _chk_residual(rng):
+def _chk_residual(rng, c):
     grid = np.linspace(0.05, 30.0, 400)
-    dev = 0.0
-    for Z in _ZS:
-        for n, k in _STATES:
-            qn = QuantumNumbers(n, k, 0.5, Z)
-            r1, r2 = ode_residual(qn, energy(qn), grid)
-            dev = max(dev, float(r1.max()), float(r2.max()))
-    return dev, "closed forms on r in [0.05, 30] Bohr, 18 states"
+    for qn in _hydrogen_states():
+        c(ode_residual(qn, energy(qn), grid))
+    return "closed forms on r in [0.05, 30] Bohr, 18 states"
 
 
 @_register("ode-wrong-energy", "hydrogen", 1.0)
-def _chk_wrong_energy(rng):
+def _chk_wrong_energy(rng, c):
     qn = QuantumNumbers(1, -1, 0.5, 20)
     grid = np.linspace(0.05, 30.0, 400)
     E = energy(qn)
-    right = max(float(r.max()) for r in ode_residual(qn, E, grid))
-    wrong = max(float(r.max()) for r in ode_residual(qn, E + 1e-3, grid))
-    zero1, zero2 = system_residual(
-        qn, E, lambda r: (np.zeros_like(r), np.zeros_like(r)), grid)
-    dev = max(1e4*right/wrong, float(zero1.max()), float(zero2.max()))
-    return dev, (f"residual grows {wrong/right:.1e}x at E + 1e-3 "
-                 f"(need >= 1e4); zero function reports 0")
+    right, wrong = (np.max(ode_residual(qn, e, grid)) for e in (E, E + 1e-3))
+    c(right, scale=1e-4*wrong)
+    c(system_residual(qn, E, lambda r: (np.zeros_like(r), np.zeros_like(r)),
+                      grid))
+    return (f"residual grows {wrong/right:.1e}x at E + 1e-3 "
+            f"(need >= 1e4); zero function reports 0")
 
 
 @_register("radial-shape", "hydrogen", 1e-10)
-def _chk_radial_shape(rng):
-    dev = 0.0
-    qn = QuantumNumbers(1, -1, 0.5, 1)
-    s, _, _ = radial_parameters(qn)
-    za = ALPHA_FS
-    expect = -(1 - s)/za
-    lv = _level(qn)
+def _chk_radial_shape(rng, c):
+    lv = _level(QuantumNumbers(1, -1, 0.5, 1))
+    expect = -(1 - lv.s)/ALPHA_FS
     for rho in (0.1, 0.5, 1.0, 3.0, 8.0):
         F, G = hy._radial_FG(lv, rho)
-        dev = max(dev, abs(G/F - expect)/abs(expect))
-    dev = max(dev, *map(abs, hy._radial_FG(lv, 0.0)))
+        c(G/F, expect, scale=abs(expect))
+    c(hy._radial_FG(lv, 0.0))
     expected_nodes = {(1, -1): 0, (2, -1): 1, (2, 1): 0,
                       (2, -2): 0, (3, -1): 2, (3, -2): 1}
+    rho = np.linspace(1e-3, 35.0, 20000)
     for (n, k), want in expected_nodes.items():
-        state = QuantumNumbers(n, k, 0.5, 1)
-        _, C, _ = radial_parameters(state)
-        rho = np.linspace(1e-3, 35.0, 20000)
-        F, _ = hy._radial_FG(_level(state), rho)
-        mask = np.abs(F) > 1e-12*np.abs(F).max()
-        sgn = np.sign(F[mask])
-        nodes = int(np.sum(sgn[1:] != sgn[:-1]))
-        dev = max(dev, float(abs(nodes - want)))
-    return dev, "ground G/F = -(1-s)/(Z alpha); origin zeros; node counts"
+        F, _ = hy._radial_FG(_level(QuantumNumbers(n, k, 0.5, 1)), rho)
+        sgn = np.sign(F[np.abs(F) > 1e-12*np.abs(F).max()])
+        c(np.count_nonzero(sgn[1:] != sgn[:-1]), want)
+    return "ground G/F = -(1-s)/(Z alpha); origin zeros; node counts"
 
 
 @_register("normalization-3d", "hydrogen", 1e-6)
-def _chk_norm3d(rng):
-    dev = 0.0
-    for Z in _ZS:
-        for n, k in _STATES:
-            qn = QuantumNumbers(n, k, 0.5, Z)
-            w = hy.assemble_wavefunction(qn)
-            rmax_au = 40.0/w.C*ALPHA_FS
-            r, wr = gauss_legendre_nodes(96, 0.0, rmax_au)
-            x, wx = leggauss(64)
-            theta = np.arccos(x)
-            R, TH = np.meshgrid(r, theta, indexing="ij")
-            cell = 2*math.pi*R*R*np.outer(wr, wx)
-            for dens in (w.density_grid(R, TH), density_oracle(w, R, TH)):
-                dev = max(dev, abs(float(np.sum(dens*cell)) - 1.0))
-    return dev, ("3-d quadrature of the density and of its hand-expanded "
-                 "oracle = 1, 18 states")
+def _chk_norm3d(rng, c):
+    x, wx = leggauss(64)
+    theta = np.arccos(x)
+    for qn in _hydrogen_states():
+        w = hy.assemble_wavefunction(qn)
+        r, wr = gauss_legendre_nodes(96, 0.0, 40.0/w.C*ALPHA_FS)
+        R, TH = np.meshgrid(r, theta, indexing="ij")
+        cell = 2*math.pi*R*R*np.outer(wr, wx)
+        for dens in (w.density_grid(R, TH), density_oracle(w, R, TH)):
+            c(np.sum(dens*cell), 1.0)
+    return ("3-d quadrature of the density and of its hand-expanded "
+            "oracle = 1, 18 states")
 
 
 @_register("normalization-oracle", "hydrogen", 1e-10)
-def _chk_norm_oracle(rng):
-    dev = 0.0
+def _chk_norm_oracle(rng, c):
     for Z in (1, 92):
         for n in (1, 2, 3, 8, 16, 33, 40):
             for k in sorted({-1, -n}):
                 w = hy.assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
-                dev = max(dev, abs(probability_oracle(w, 0.0, math.inf)
-                                   - 1.0))
-    return dev, ("closed-form A: adaptive quadrature to "
-                 "max(100, 4n + 60)/C gives P(0, inf) = 1; n <= 40, "
-                 "k = -1 and -n, Z = 1 and 92")
+                c(probability_oracle(w, 0.0, math.inf), 1.0)
+    return ("closed-form A: adaptive quadrature to "
+            "max(100, 4n + 60)/C gives P(0, inf) = 1; n <= 40, "
+            "k = -1 and -n, Z = 1 and 92")
 
 
 @_register("normalization-closed-form", "hydrogen", 1e-13)
-def _chk_norm_closed_form(rng):
+def _chk_norm_closed_form(rng, c):
     levels = [(n, k) for n in range(1, 61) for k in range(-n, n) if k]
     strata = ([(n, k) for n, k in levels if k == -n],       # n_r = 0
               [(n, k) for n, k in levels if -n < k < 0],
               [(n, k) for n, k in levels if k > 0])
-    dev, worst, count = 0.0, None, 0
     for Z in (1, 20, 50, 92):
         for levels in strata:
             for i in rng.choice(len(levels), 40, replace=False):
                 n, k = levels[i]
                 lv = _level(QuantumNumbers(n, k, 0.5, Z))
                 want = _log_radial_norm_sq(lv)
-                d = abs(hy._log_norm_sq(lv) - want)/max(1.0, abs(want))
-                if d >= dev:
-                    dev, worst = d, (n, k, Z)
-                count += 1
-    return dev, (f"log of the radial norm, closed form vs exact "
-                 f"Gauss-Laguerre sum, relative to max(1, |log|); {count} "
-                 f"seeded levels, n <= 60, k = -n, other k < 0, k > 0, "
-                 f"Z = 1, 20, 50, 92; worst at (n, k, Z) = {worst}")
+                c(hy._log_norm_sq(lv), want, scale=max(1.0, abs(want)),
+                  at=(n, k, Z))
+    return (f"log of the radial norm, closed form vs exact "
+            f"Gauss-Laguerre sum, relative to max(1, |log|); {c.count} "
+            f"seeded levels, n <= 60, k = -n, other k < 0, k > 0, "
+            f"Z = 1, 20, 50, 92; worst at (n, k, Z) = {c.at}")
 
 
 @_register("shell-oracle", "hydrogen", 1e-12)
-def _chk_shell_oracle(rng):
-    dev, count = 0.0, 0
+def _chk_shell_oracle(rng, c):
     for Z in (1, 92):
         for n in (1, 2, 3, 8, 16, 33, 40, 60):
             for k in sorted({-1, n//2, -n} - {0}):
@@ -978,22 +939,20 @@ def _chk_shell_oracle(rng):
                 # shell edges drawn uniformly in rho on [0, 2n + 30]
                 a, b = np.sort(rng.random(2))*(2.0*n + 30.0)/w.C*ALPHA_FS
                 for lo, hi in ((0.0, a), (a, b), (a, math.inf)):
-                    dev = max(dev, abs(hy.probability_in_region(w, lo, hi)
-                                       - probability_oracle(w, lo, hi)))
-                    count += 1
-    return dev, (f"Gauss-Legendre shells vs adaptive quadrature, {count} "
-                 f"seeded shells [0, a], [a, b], [a, inf); n <= 60, "
-                 f"k in {{-1, n/2, -n}}, Z = 1 and 92")
+                    c(hy.probability_in_region(w, lo, hi),
+                      probability_oracle(w, lo, hi))
+    return (f"Gauss-Legendre shells vs adaptive quadrature, {c.count} "
+            f"seeded shells [0, a], [a, b], [a, inf); n <= 60, "
+            f"k in {{-1, n/2, -n}}, Z = 1 and 92")
 
 
 @_register("density-assembly", "hydrogen", 1e-12)
-def _chk_density_assembly(rng):
+def _chk_density_assembly(rng, c):
     states = [QuantumNumbers(n, k, mj, 1) for (n, k), mj in
               zip(_STATES, (0.5, 0.5, -0.5, 1.5, 0.5, -1.5))]
     u = rng.random((100, 3))
     r_all = 0.1 + (6.0 - 0.1)*u[:, 0]
     th_all, ph_all = _sphere_points(u[:, 1:])
-    dev = 0.0
     for i, qn in enumerate(states):
         # point i goes to state i mod 6: one batch per state
         w = hy.assemble_wavefunction(qn)
@@ -1006,105 +965,100 @@ def _chk_density_assembly(rng):
         a, b = amplitude_oracle(w, r, th, ph)
         scale = np.maximum(dens, 1e-30)
         # scalar is real, e2/e3 vanish, e1 carries exactly -i * density
-        dev = max(dev, _amax(
-            abs(prod.q0.imag), abs(prod.q2), abs(prod.q3),
-            abs(prod.q1 - (-1j*dens_nat)),
-            abs(dens_nat - (abs(a)**2 + abs(b)**2)),
-            abs(dens - density_oracle(w, r, th))/scale,
-            abs(dens - dens_nat/ALPHA_FS**3)/scale,
-            -dens),
-            max_dev(p, psi_oracle(w, r, th, ph)))
-    return dev, ("product = density (e0 - i e1); componentwise formula; "
-                 "two assembly routes; nonnegativity")
+        for zero in (prod.q0.imag, prod.q2, prod.q3):
+            c(zero)
+        c(prod.q1, -1j*dens_nat)
+        c(dens_nat, abs(a)**2 + abs(b)**2)
+        c(dens, density_oracle(w, r, th), scale)
+        c(dens, dens_nat/ALPHA_FS**3, scale)
+        c(np.minimum(dens, 0.0))
+        c(p, psi_oracle(w, r, th, ph))
+    return ("product = density (e0 - i e1); componentwise formula; "
+            "two assembly routes; nonnegativity")
 
 
 @_register("probability-shells", "hydrogen", 1e-6)
-def _chk_prob_shells(rng):
+def _chk_prob_shells(rng, c):
     from scipy.special import gammainc
     qn = QuantumNumbers(1, -1, 0.5, 1)
     w = hy.assemble_wavefunction(qn)
-    dev = abs(hy.probability_in_region(w, 0.0, math.inf) - 1.0)
+    c(hy.probability_in_region(w, 0.0, math.inf), 1.0)
     s, _, scale = radial_parameters(qn)
     # ground-state density is rho^{2s} e^{-2 rho}: the shell integral is a
     # regularized incomplete gamma, an independent closed-form oracle
     p_inner = hy.probability_in_region(w, 0.0, 1.0)
-    oracle = float(gammainc(2*s + 1, 2*scale*1.0))
-    dev = max(dev, abs(p_inner - oracle))
+    c(p_inner, float(gammainc(2*s + 1, 2*scale*1.0)))
     a = 1.5
-    dev = max(dev, abs(hy.probability_in_region(w, 0.0, a)
-                       + hy.probability_in_region(w, a, math.inf) - 1.0))
-    return dev, f"P(r < 1 Bohr) = {p_inner:.10f} vs incomplete-gamma oracle"
+    c(hy.probability_in_region(w, 0.0, a)
+      + hy.probability_in_region(w, a, math.inf), 1.0)
+    return f"P(r < 1 Bohr) = {p_inner:.10f} vs incomplete-gamma oracle"
 
 
 @_register("nonrelativistic-limit", "hydrogen", 1.0)
-def _chk_nonrel(rng):
+def _chk_nonrel(rng, c):
     from scipy.integrate import quad as _quad
-    dev = 0.0
     for Z in (1, 5, 10):
-        qn = QuantumNumbers(1, -1, 0.5, Z)
-        w = hy.assemble_wavefunction(qn)
-        num = _quad(lambda r: float(_radial_at(w, r, 1.0)[1])**2, 0,
-                    60/w.C*ALPHA_FS, epsabs=1e-15, epsrel=1e-10, limit=200)[0]
-        den = _quad(lambda r: float(_radial_at(w, r, 1.0)[0])**2, 0,
-                    60/w.C*ALPHA_FS, epsabs=1e-15, epsrel=1e-10, limit=200)[0]
+        w = hy.assemble_wavefunction(QuantumNumbers(1, -1, 0.5, Z))
+        # integrated G^2 over integrated F^2
+        num, den = (_quad(lambda r: float(_radial_at(w, r, 1.0)[i])**2, 0,
+                          60/w.C*ALPHA_FS, epsabs=1e-15, epsrel=1e-10,
+                          limit=200)[0] for i in (1, 0))
         ratio = math.sqrt(num/den)
         za = Z*ALPHA_FS
-        s = math.sqrt(1 - za*za)
-        dev = max(dev, abs(ratio - (1 - s)/za)/((1 - s)/za)/1e-6)
-        dev = max(dev, abs(ratio/(za/2) - 1.0)/2e-2)
-    return dev, ("integrated |G|/|F| = (1-s)/(Z alpha) to 1e-6 relative, "
-                 "~ Z alpha/2 to 2e-2; ratio-of-tol")
+        want = (1 - math.sqrt(1 - za*za))/za
+        c((ratio - want)/want, scale=1e-6)
+        c(ratio/(za/2), 1.0, scale=2e-2)
+    return ("integrated |G|/|F| = (1-s)/(Z alpha) to 1e-6 relative, "
+            "~ Z alpha/2 to 2e-2; ratio-of-tol")
 
 
 # ------------------------------------------------------------------ dirac
 
 @_register("pauli-embedding", "dirac", 1e-14)
-def _chk_embed(rng):
+def _chk_embed(rng, c):
     e = pd.PauliAlgebraElement(*rng.standard_normal((1000, 8)).T)
-    dev = _mdev(to_matrix_linear(pd.embed(e)), pd.pauli_element_matrix(e))
-    dev = max(dev, max_dev(pd.embed(pd.PauliAlgebraElement(q0=1)), E0))
-    dev = max(dev, max_dev(pd.embed(pd.PauliAlgebraElement(q7=1)), E0*1j))
-    dev = max(dev, max_dev(pd.embed(pd.PauliAlgebraElement(q1=1)), E1*(-1j)))
-    return dev, "matrix sum = embedded image, 1000 random elements"
+    c(to_matrix_linear(pd.embed(e)), pd.pauli_element_matrix(e))
+    c(pd.embed(pd.PauliAlgebraElement(q0=1)), E0)
+    c(pd.embed(pd.PauliAlgebraElement(q7=1)), E0*1j)
+    c(pd.embed(pd.PauliAlgebraElement(q1=1)), E1*(-1j))
+    return "matrix sum = embedded image, 1000 random elements"
 
 
 @_register("pauli-embedding-product", "dirac", 1e-12)
-def _chk_embed_product(rng):
-    c = rng.standard_normal((300, 2, 8))
-    a = pd.PauliAlgebraElement(*c[:, 0].T)
-    b = pd.PauliAlgebraElement(*c[:, 1].T)
-    lhs = mul(pd.embed(a), pd.embed(b))
-    rhs = from_matrix(pd.pauli_element_matrix(a) @ pd.pauli_element_matrix(b))
-    return max_dev(lhs, rhs), \
-        "embedding respects products (algebra isomorphism)"
+def _chk_embed_product(rng, c):
+    x = rng.standard_normal((300, 2, 8))
+    a = pd.PauliAlgebraElement(*x[:, 0].T)
+    b = pd.PauliAlgebraElement(*x[:, 1].T)
+    c(mul(pd.embed(a), pd.embed(b)),
+      from_matrix(pd.pauli_element_matrix(a) @ pd.pauli_element_matrix(b)))
+    return "embedding respects products (algebra isomorphism)"
 
 
 @_register("printed-embedding-variant", "dirac", 1e-15)
-def _chk_embed_variant(rng):
-    c = rng.standard_normal((200, 8))
-    c[:, 6:] = 0.0
-    q = c.T
+def _chk_embed_variant(rng, c):
+    x = rng.standard_normal((200, 8))
+    x[:, 6:] = 0.0
+    q = x.T
     # the historical printed formula flips the sign of the q7 term in the
     # scalar and reuses q7 instead of q6 in the e3 coefficient
     printed = Biquaternion(q[0] - 1j*q[7], -(1j*q[1] + q[4]),
                            -(1j*q[2] + q[5]), -(1j*q[3] + q[7]))
-    dev = max_dev(pd.embed(pd.PauliAlgebraElement(*q)), printed)
-    return dev, "printed variant agrees on the q6 = q7 = 0 subspace"
+    c(pd.embed(pd.PauliAlgebraElement(*q)), printed)
+    return "printed variant agrees on the q6 = q7 = 0 subspace"
 
 
 @_register("hodge-element", "dirac", 1e-14)
-def _chk_hodge(rng):
+def _chk_hodge(rng, c):
     h = pd.hodge()
-    dev = max_dev(mul(h, E0), E0*(-1j))
-    dev = max(dev, max_dev(mul(h, h), -E0))
+    c(mul(h, E0), E0*(-1j))
+    c(mul(h, h), -E0)
     e = pd.PauliAlgebraElement(*rng.standard_normal((100, 8)).T)
-    dev = max(dev, _mdev(to_matrix_linear(mul(h, pd.embed(e))),
-                         -1j*pd.pauli_element_matrix(e)))
-    return dev, "-i e0 acts as -i I on every embedded element"
+    c(to_matrix_linear(mul(h, pd.embed(e))), -1j*pd.pauli_element_matrix(e))
+    return "-i e0 acts as -i I on every embedded element"
 
 
 @_register("gamma-matrices", "dirac", 1e-15)
-def _chk_gammas(rng):
+def _chk_gammas(rng, c):
     zero2 = np.zeros((2, 2))
     want = (
         np.diag([1, 1, -1, -1]).astype(complex),
@@ -1112,27 +1066,23 @@ def _chk_gammas(rng):
         np.block([[zero2, SIGMA_X], [-SIGMA_X, zero2]]),
         np.block([[zero2, SIGMA_Y], [-SIGMA_Y, zero2]]),
     )
-    dev = 0.0
     for i in range(4):
-        dev = max(dev, _mdev(pd.gamma(i).to_matrix4(), want[i]))
-    g2 = pd.gamma(2).to_matrix4().real
-    listed = np.array([[0, 0, 0, 1], [0, 0, 1, 0],
-                       [0, -1, 0, 0], [-1, 0, 0, 0]], dtype=float)
-    dev = max(dev, float(np.max(np.abs(g2 - listed))))
-    return dev, "block forms expand to the four 4x4 matrices"
+        c(pd.gamma(i).to_matrix4(), want[i])
+    c(pd.gamma(2).to_matrix4().real, [[0, 0, 0, 1], [0, 0, 1, 0],
+                                      [0, -1, 0, 0], [-1, 0, 0, 0]])
+    return "block forms expand to the four 4x4 matrices"
 
 
 @_register("clifford-relations", "dirac", 1e-14)
-def _chk_clifford(rng):
-    rep = pd.verify_clifford()
-    return rep["max_deviation"], \
-        "anticommutators {g_mu, g_nu} = 2 eta_mu_nu, eta = (+,-,-,-)"
+def _chk_clifford(rng, c):
+    c(pd.verify_clifford()["max_deviation"])
+    return "anticommutators {g_mu, g_nu} = 2 eta_mu_nu, eta = (+,-,-,-)"
 
 
 @_register("block-multiplication", "dirac", 1e-12)
-def _chk_blocks(rng):
+def _chk_blocks(rng, c):
     q = [_bq(x) for x in np.moveaxis(rng.standard_normal((20, 8, 8)), 1, 0)]
     a = pd.DiracMatrix(((q[0], q[1]), (q[2], q[3])))
     b = pd.DiracMatrix(((q[4], q[5]), (q[6], q[7])))
-    dev = _mdev((a @ b).to_matrix4(), a.to_matrix4() @ b.to_matrix4())
-    return dev, "quaternion block products match 4x4 multiplication"
+    c((a @ b).to_matrix4(), a.to_matrix4() @ b.to_matrix4())
+    return "quaternion block products match 4x4 multiplication"

@@ -275,3 +275,16 @@ def test_batches_agree_with_scalar_calls():
     with pytest.raises(ValueError, match="no inverse"):
         inverse(mixed)
     assert not is_zero_divisor(Biquaternion(np.zeros(3))).any()
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_a_nan_coefficient_is_never_close(i):
+    # the builtin max over the four coefficient peaks keeps a NaN only when
+    # it comes first
+    from quatspin.biquaternion import max_dev
+    coef = [0.0]*4
+    coef[i] = math.nan
+    for q in (Biquaternion(*coef),
+              Biquaternion(*(np.array([0.0, x]) for x in coef))):
+        assert math.isnan(max_dev(q, Biquaternion()))
+        assert not allclose(q, Biquaternion())

@@ -438,6 +438,32 @@ def test_verify_failure_exit_code(capsys):
     assert rec["summary"]["failed"] > 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_nan_deviation_is_a_failed_check(capsys, monkeypatch, fmt):
+    # a product route that gives NaN: every check is still written, the
+    # NaN max_dev as null (an empty CSV cell), and the run exits 3
+    from quatspin import verify
+    plain = verify.mul
+    monkeypatch.setattr(verify, "mul", lambda a, b: plain(a, b)
+                        + quatspin.Biquaternion(0, 0, math.nan, 0))
+    code, out = _run(capsys, "verify", "--suite", "algebra",
+                     *(["--csv"] if fmt == "csv" else []))
+    assert code == 3
+    if fmt == "json":
+        rec = json.loads(out)
+        rows = {c["name"]: c for c in rec["checks"]}
+        assert rec["summary"]["failed"] >= 1
+        nan_cell = None
+    else:
+        rows = {r["name"]: r for r in csv.DictReader(io.StringIO(out))}
+        nan_cell = ""
+    assert len(rows) == sum(suite == "algebra"
+                            for suite, _, _ in verify._REGISTRY.values())
+    row = rows["hamilton-table"]
+    assert row["max_dev"] == nan_cell
+    assert row["passed"] in (False, "false")
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nope"])

@@ -1,5 +1,7 @@
 """Pauli-algebra embedding and block-quaternion Dirac matrices."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,15 @@ def test_block_products_match_4x4():
         np.testing.assert_allclose((a + b).to_matrix4(),
                                    a.to_matrix4() + b.to_matrix4(),
                                    atol=1e-14)
+
+
+def test_clifford_report_keeps_a_nan(monkeypatch):
+    # a NaN in the last gamma poisons the last pairs, after finite ones
+    from quatspin import pauli_dirac as pd
+    rows = gamma(3).blocks
+    bad = DiracMatrix(((rows[0][0] + Biquaternion(0, 0, math.nan, 0),
+                        rows[0][1]), rows[1]))
+    monkeypatch.setattr(pd, "_GAMMAS", pd._GAMMAS[:3] + (bad,))
+    rep = verify_clifford()
+    assert math.isnan(rep["pairs"]["33"])
+    assert math.isnan(rep["max_deviation"])

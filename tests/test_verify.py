@@ -1,5 +1,7 @@
 """The identity-check registry: determinism, coverage, failure plumbing."""
 
+import math
+
 import pytest
 
 from quatspin import verify
@@ -90,3 +92,84 @@ def test_batched_checks_pass_across_seeds(seed):
     for name in _BATCHED:
         res = verify.run_check(name, seed=seed)
         assert res.passed, (name, seed, res.max_dev, res.tol)
+
+
+def test_collector_keeps_the_worst_comparison_and_a_nan():
+    from quatspin import E0, E1
+    c = verify._Collector()
+    c(1.0, at="a")
+    c([0.5, -2.0], at="b")
+    c(E1, E0, scale=4.0, at="c")
+    c(3.0, 1.0, at="d")                    # ties with "b": the later wins
+    assert (c.dev, c.count, c.at) == (2.0, 4, "d")
+    c(math.nan, at="e")
+    c(5.0, at="f")                          # larger, but the NaN stays
+    assert math.isnan(c.dev) and (c.count, c.at) == (6, "e")
+
+
+def _poison_first_comparison(monkeypatch):
+    plain = verify._Collector.__call__
+
+    def poisoned(self, got, want=0.0, scale=1.0, at=None):
+        if self.count == 0:
+            got, want, scale = math.nan, 0.0, 1.0
+        plain(self, got, want, scale, at)
+
+    monkeypatch.setattr(verify._Collector, "__call__", poisoned)
+
+
+# eigenvalue-agreement is left out for time: it shoots 18 states, 5 s
+@pytest.mark.parametrize("name", [n for n in verify.check_names()
+                                  if n != "eigenvalue-agreement"])
+def test_a_nan_comparison_fails_every_check(monkeypatch, name):
+    _poison_first_comparison(monkeypatch)
+    res = verify.run_check(name)
+    assert not res.passed and not math.isfinite(res.max_dev), res
+
+
+def _nan_product(monkeypatch):
+    # NaN in one coefficient, which max_dev must not skip either
+    from quatspin import Biquaternion
+    plain = verify.mul
+    monkeypatch.setattr(verify, "mul", lambda a, b: plain(a, b)
+                        + Biquaternion(0, 0, math.nan, 0))
+
+
+def _nan_shells(monkeypatch):
+    from quatspin import hydrogen as hy
+    monkeypatch.setattr(hy, "probability_in_region",
+                        lambda w, lo, hi: math.nan)
+
+
+def _nan_density_grid(monkeypatch):
+    import numpy as np
+    from quatspin import hydrogen as hy
+    monkeypatch.setattr(hy.WaveFunction, "density_grid",
+                        lambda self, r, theta: np.full(np.shape(r), math.nan))
+
+
+@pytest.mark.parametrize("name, poison", [
+    ("hamilton-table", _nan_product),
+    ("shell-oracle", _nan_shells),
+    ("normalization-3d", _nan_density_grid),
+])
+def test_a_nan_production_route_fails_its_check(monkeypatch, name, poison):
+    poison(monkeypatch)
+    res = verify.run_check(name)
+    assert not res.passed and math.isnan(res.max_dev), res
+
+
+def test_residual_probe_keeps_a_nan():
+    # a NaN in one component at one radius is not hidden by the decay floor
+    import numpy as np
+    from quatspin.levels import QuantumNumbers, energy
+    qn = QuantumNumbers(2, -1, 0.5, 1)
+    grid = np.linspace(0.05, 30.0, 50)
+
+    def fg(r):
+        F, G = np.exp(-r), np.exp(-r)
+        G[r == r[-1]] = np.nan
+        return F, G
+
+    for res in verify.system_residual(qn, energy(qn), fg, grid):
+        assert np.isnan(res).all()
