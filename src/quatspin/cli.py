@@ -50,6 +50,14 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take integers >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(args, record: dict, rows: list[dict], fields=None) -> None:
     """Write record as JSON, or with --csv the rows as CSV: the columns are
     fields (default: the first row's keys), and a row's other keys are
@@ -356,8 +364,7 @@ def _cmd_verify(args, parser) -> int:
     from . import verify as vf
     t0 = time.monotonic()
     try:
-        results = vf.run_suite(args.suite, seed=args.seed,
-                               tol_scale=args.tol)
+        results = vf.run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
         parser.error(str(exc.args[0]))
     elapsed = time.monotonic() - t0
@@ -370,8 +377,7 @@ def _cmd_verify(args, parser) -> int:
     n_fail = sum(not r.passed for r in results)
     record = {
         "command": "verify",
-        "params": {"suite": args.suite, "seed": args.seed,
-                   "tol": float(args.tol)},
+        "params": {"suite": args.suite, "seed": args.seed},
         "checks": checks,
         "summary": {"total": len(results), "passed": len(results) - n_fail,
                     "failed": n_fail},
@@ -460,11 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="algebra, spin, rotation, spinor, hydrogen, dirac, "
                         "or all")
-    p.add_argument("--seed", type=int, default=12345,
-                   help="seed for randomized checks (fixed seed gives "
-                        "byte-identical reports)")
-    p.add_argument("--tol", type=_finite_float, default=1.0,
-                   help="tolerance multiplier applied to every check")
+    p.add_argument("--seed", type=_seed, default=12345,
+                   help="seed for randomized checks, an integer >= 0 (fixed "
+                        "seed gives byte-identical reports)")
     p.set_defaults(func=_cmd_verify)
 
     # added last, so that --csv ends each usage line and help listing; a

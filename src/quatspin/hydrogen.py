@@ -27,8 +27,8 @@ One run of the Laguerre recurrence gives both polynomials of the pair, and
 the normalization A has a closed form (Laguerre orthogonality).  Their
 second routes live in verify: the finite-difference residual check
 (ode_residual) and the exact Gauss-Laguerre sum of the norm; the
-independent two-sided shooting eigensolver is here.  The full wavefunction
-attaches total-angular-momentum spinors to the two components,
+independent two-sided shooting eigensolver is here.  The wavefunction of
+a state qn attaches total-angular-momentum spinors to the two components,
 
     Psi = (A/r) (F y_{l_up} + i G y_{l_low}),   l_up = l(k), l_low = l(-k),
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from ._record import Record
 from .biquaternion import Biquaternion, _bq, _norm_sq, _polar_im
-from .levels import ALPHA_FS, QuantumNumbers, _level, _Level, sommerfeld_energy
+from .levels import ALPHA_FS, QuantumNumbers, _level, _Level
 # unused here: perfbench/workloads.py and perfbench/probes.py read them as hy.*
 from .levels import energy, radial_parameters  # noqa: F401
 from .special import (
@@ -182,73 +182,77 @@ def _log_norm_sq(lv: _Level) -> float:
             - (2*s + 1)*math.log(2.0) - math.log(lv.C))
 
 
-def _shoot_mismatch(E: float, k: int, Z: int) -> float:
-    """Normalized Wronskian mismatch of two-sided integration at energy E."""
+def _shoot_sides(qn: QuantumNumbers, E: float) -> tuple:
+    """(F, G) at the solver's steps at energy E, integrated outward from
+    the origin and inward from the far tail to the matching point."""
     from scipy.integrate import solve_ivp
-    za = Z*ALPHA_FS
-    s = math.sqrt(k*k - za*za)
-    C = math.sqrt(1.0 - E*E)
+    lv = _level(qn, E)
+    k, za, C = qn.k, lv.za, lv.C
 
     def rhs(r, y):
         F, G = y
         return [-(k/r)*F + (1 + E + za/r)*G,
-                (k/r)*G - (E - 1 + za/r)*F]
+                (k/r)*G - (-lv.eps + za/r)*F]
 
     r0 = 1e-4/C
     r_match = max(za*E/C, 1.0)/C
     r_out = 45.0/C
     # indicial behaviour at the origin: F, G ~ r^s with G/F = (s + k)/(Z alpha)
-    y0 = np.array([1.0, (s + k)/za])
+    y0 = np.array([1.0, (lv.s + k)/za])
     y0 /= np.linalg.norm(y0)
-    left = solve_ivp(rhs, (r0, r_match), y0, method="DOP853",
-                     rtol=1e-11, atol=1e-300)
     # exponential decay at infinity: G/F -> -C/(1 + E)
     y1 = np.array([1.0, -C/(1 + E)])
     y1 /= np.linalg.norm(y1)
-    right = solve_ivp(rhs, (r_out, r_match), y1, method="DOP853",
-                      rtol=1e-11, atol=1e-300)
-    Fi, Gi = left.y[0, -1], left.y[1, -1]
-    Fo, Go = right.y[0, -1], right.y[1, -1]
+    return tuple(solve_ivp(rhs, (start, r_match), y, method="DOP853",
+                           rtol=1e-11, atol=1e-300).y
+                 for start, y in ((r0, y0), (r_out, y1)))
+
+
+def _shoot_mismatch(E: float, qn: QuantumNumbers) -> float:
+    """Normalized Wronskian mismatch of the two sides at energy E."""
+    (Fi, Gi), (Fo, Go) = (side[:, -1] for side in _shoot_sides(qn, E))
     return (Fi*Go - Fo*Gi)/(math.hypot(Fi, Gi)*math.hypot(Fo, Go))
 
 
 @functools.lru_cache(maxsize=256)
-def _shoot_default(n: int, k: int, Z: int) -> float:
-    E = sommerfeld_energy(n, k, Z)
-    b = 1.0 - E
-    return _shoot_bracketed(k, Z, E - 0.35*b, min(E + 0.35*b, 1.0 - 1e-16))
-
-
-def _shoot_bracketed(k: int, Z: int, lo: float, hi: float) -> float:
+def _shoot_level(qn: QuantumNumbers) -> float:
     from scipy.optimize import brentq
-    f_lo = _shoot_mismatch(lo, k, Z)
-    f_hi = _shoot_mismatch(hi, k, Z)
+    lv = _level(qn)
+    lo, hi = lv.E - 0.35*lv.eps, min(lv.E + 0.35*lv.eps, 1.0 - 1e-16)
+    f_lo, f_hi = _shoot_mismatch(lo, qn), _shoot_mismatch(hi, qn)
     if f_lo*f_hi > 0:
         raise RuntimeError(
             f"no sign change in bracket [{lo}, {hi}]: "
             f"mismatch {f_lo!r} .. {f_hi!r}")
-    return brentq(_shoot_mismatch, lo, hi, args=(k, Z),
-                  xtol=5e-17, rtol=8.9e-16)
+    E = brentq(_shoot_mismatch, lo, hi, args=(qn,), xtol=5e-17, rtol=8.9e-16)
+    # F's sign changes, counted per side: each side has its own scale
+    nodes = sum(int(np.count_nonzero(np.diff(np.signbit(F))))
+                for F, _ in _shoot_sides(qn, E))
+    want = qn.n_r - (qn.k > 0)
+    if nodes != want:
+        raise RuntimeError(
+            f"the shooting root E = {E!r} has {nodes} radial nodes; "
+            f"n={qn.n}, k={qn.k} has {want}: it is a neighbouring level")
+    return E
 
 
-def shoot_eigenvalue(qn: QuantumNumbers, bracket=None) -> float:
+def shoot_eigenvalue(qn: QuantumNumbers) -> float:
     """Bound-state energy from two-sided shooting, independent of the formula.
 
     Integrates the radial system outward from the origin (indicial start) and
     inward from the far tail (asymptotic decay ratio), and root-finds the
     Wronskian-style mismatch at an interior matching point to machine
-    precision.  The default bracket spans +-35% of the binding energy around
-    the closed-form value; bracket placement does not bias the root.  Raises
-    RuntimeError when the bracket contains no sign change.
+    precision.  The bracket spans +-35% of the binding energy around the
+    closed-form value; bracket placement does not bias the root.  Raises
+    RuntimeError when the bracket contains no sign change, or when F at the
+    root has other than the level's n_r (k < 0) or n_r - 1 (k > 0) nodes:
+    the root of a neighbouring level.
     """
-    if bracket is None:
-        return _shoot_default(qn.n, qn.k, qn.Z)
-    lo, hi = bracket
-    return _shoot_bracketed(qn.k, qn.Z, lo, hi)
+    return _shoot_level(qn)
 
 
 def clear_shooting_cache():
-    _shoot_default.cache_clear()
+    _shoot_level.cache_clear()
 
 
 def _arguments(r_au, theta, phi):
@@ -281,7 +285,11 @@ def _full(a, shape):
 
 
 class WaveFunction(Record):
-    """Assembled bound-state wavefunction Psi = (A/r)(F y_up + i G y_low)."""
+    """Normalized bound-state wavefunction Psi = (A/r)(F y_up + i G y_low)
+    of a valid state qn.  Its level, A and both spinors are derived fields;
+    A^2 int (F^2 + G^2) dr = 1 (the spinors are sphere-normalized) in the
+    closed form of _log_norm_sq, whose oracle is the exact Gauss-Laguerre
+    sum in verify.  Raises ValueError where A leaves the float range."""
 
     qn: QuantumNumbers
     level: _Level
@@ -293,30 +301,31 @@ class WaveFunction(Record):
     # part of ==, hash or repr
     __slots__ = ("_tables",)
 
-    def __init__(self, qn: QuantumNumbers, level: _Level, A: float,
-                 spinor_upper: SpinorFunction, spinor_lower: SpinorFunction):
+    def __init__(self, qn: QuantumNumbers):
+        lv, j = _level(qn), qn.j
+        A = math.exp(-0.5*_log_norm_sq(lv))
+        upper = SpinorFunction(qn.l_upper, j, qn.m_j)
+        lower = SpinorFunction(qn.l_lower, j, qn.m_j)
         d = self.__dict__
-        d["qn"], d["level"], d["A"] = qn, level, A
-        d["spinor_upper"], d["spinor_lower"] = spinor_upper, spinor_lower
+        d["qn"], d["level"], d["A"] = qn, lv, A
+        d["spinor_upper"], d["spinor_lower"] = upper, lower
         if not 0.0 < A < math.inf:          # also refuses NaN
             raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
                              f"the float range")
         # log A, the Laguerre steps of the radial pair, the degrees l_up and
         # l_low, the orders m_j -+ 1/2 with their Legendre columns up to
         # max(l_up, l_low), and the Clebsch weights
-        ls = (spinor_upper.l, spinor_lower.l)
-        m1 = int(round(spinor_upper.m_j - 0.5))
+        ls = (upper.l, lower.l)
+        m1 = int(round(qn.m_j - 0.5))
         object.__setattr__(self, "_tables", (
-            math.log(A), tuple(_steps(level)), ls,
+            math.log(A), tuple(_steps(lv)), ls,
             m1, _legendre_column(max(ls), abs(m1)),
             m1 + 1, _legendre_column(max(ls), abs(m1 + 1)),
-            (spinor_upper.c1, spinor_upper.c2,
-             spinor_lower.c1, spinor_lower.c2)))
+            (upper.c1, upper.c2, lower.c1, lower.c2)))
 
     def __reduce__(self):
-        # copies and pickles carry the fields only; __init__ rebuilds the
-        # tables
-        return type(self), self._key()
+        # copies and pickles carry qn alone; __init__ derives the rest
+        return type(self), (self.qn,)
 
     @property
     def energy(self) -> float:
@@ -397,21 +406,8 @@ class WaveFunction(Record):
 
 
 def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
-    """Build the normalized wavefunction for a valid state.
-
-    The normalization constant A comes from the full-domain integral:
-    A^2 integral (F^2 + G^2) dr = 1 in natural units (the angular spinors are
-    sphere-normalized, so this is the whole Born integral), in the closed
-    form of _log_norm_sq (Laguerre orthogonality, Abramowitz & Stegun,
-    ch. 22); its oracle is the exact Gauss-Laguerre sum in verify.  Raises
-    ValueError where A leaves the float range.
-    """
-    lv, j = _level(qn), qn.j
-    return WaveFunction(
-        qn=qn, level=lv, A=math.exp(-0.5*_log_norm_sq(lv)),
-        spinor_upper=SpinorFunction(qn.l_upper, j, qn.m_j),
-        spinor_lower=SpinorFunction(qn.l_lower, j, qn.m_j),
-    )
+    """WaveFunction(qn), the normalized wavefunction of a valid state."""
+    return WaveFunction(qn)
 
 
 @functools.lru_cache(maxsize=64)

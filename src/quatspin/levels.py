@@ -140,8 +140,8 @@ _Level = namedtuple("_Level", "n k za s E eps C sk W")
 
 def _level(qn: QuantumNumbers, E: float | None = None) -> _Level:
     """The radial parameters of qn at its Sommerfeld energy, or at an
-    explicit E (the off-shell probe of verify.ode_residual).  Raises
-    ValueError unless 0 < E < 1."""
+    explicit E (the off-shell probes of verify.ode_residual and of
+    shooting).  Raises ValueError unless 0 < E < 1."""
     if E is None:
         E = energy(qn)
     if not 0.0 < E < 1.0:

@@ -168,20 +168,20 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     return spherical_harmonics((int(l),), int(m), theta, phi)[0]
 
 
-def quadrature_sphere(f, n_theta: int = 64, n_phi: int = 128):
+def quadrature_sphere(f):
     """Integrate f(theta, phi) over the unit sphere.
 
-    Product rule: Gauss-Legendre in cos(theta) (n_theta nodes) times the
-    uniform rule in phi (n_phi nodes, exact for trigonometric polynomials up
-    to degree n_phi - 1).  f must broadcast over meshgrid arrays.
+    Product rule: Gauss-Legendre in cos(theta) (64 nodes) times the
+    uniform rule in phi (128 nodes, exact for trigonometric polynomials up
+    to degree 127).  f must broadcast over meshgrid arrays.
     """
     import numpy as np
-    x, w = leggauss(n_theta)
+    x, w = leggauss(64)
     theta = np.arccos(x)
-    phi = 2*np.pi*np.arange(n_phi)/n_phi
+    phi = 2*np.pi*np.arange(128)/128
     TH, PH = np.meshgrid(theta, phi, indexing="ij")
     vals = f(TH, PH)
-    return (2*np.pi/n_phi)*np.sum(np.asarray(vals)*w[:, None])
+    return (2*np.pi/128)*np.sum(np.asarray(vals)*w[:, None])
 
 
 @functools.lru_cache(maxsize=128)

@@ -169,7 +169,6 @@ def test_probability_rejects_bad_interval():
     ["probability", "--r-lo", "nan"],
     ["probability", "--r-hi", "nan"],
     ["probability", "--mj", "inf"],
-    ["verify", "--tol", "nan"],
 ])
 def test_non_finite_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -431,11 +430,18 @@ def test_verify_csv(capsys):
     assert all(r["passed"] == "true" for r in rows)
 
 
-def test_verify_failure_exit_code(capsys):
-    code, rec = _run_json(capsys, "verify", "--suite", "algebra",
-                          "--tol", "1e-30")
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    # a product route off by 1e-6: finite deviations above tol exit 3
+    from quatspin import verify
+    plain = verify.mul
+    monkeypatch.setattr(verify, "mul", lambda a, b: plain(a, b)
+                        + quatspin.Biquaternion(1e-6))
+    code, rec = _run_json(capsys, "verify", "--suite", "algebra")
     assert code == 3
-    assert rec["summary"]["failed"] > 0
+    failed = [c for c in rec["checks"] if not c["passed"]]
+    assert len(failed) == rec["summary"]["failed"] > 0
+    assert all(c["max_dev"] is not None and c["max_dev"] > c["tol"]
+               for c in failed)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -506,6 +512,7 @@ def test_usage_errors_exit_one():
     (["density", "--n", "1", "--mj", "0.5000000001", "--grid", "4:4"],
      "m_j must be half-odd-integer"),
     (["probability", "--mj", "0.4999999999"], "m_j must be half-odd-integer"),
+    (["verify", "--seed", "-1"], "expected a non-negative integer"),
 ])
 def test_usage_errors_after_parsing_name_the_subcommand(capsys, argv,
                                                         message):

@@ -207,14 +207,18 @@ def test_shooting_matches_formula():
         assert abs(got - E)/(1 - E) < 1e-8
 
 
-def test_shooting_with_explicit_bracket():
-    qn = QuantumNumbers(1, -1, 0.5, 50)
-    E = energy(qn)
-    b = 1 - E
-    got = shoot_eigenvalue(qn, bracket=(E - 0.2*b, E + 0.2*b))
-    assert abs(got - E)/b < 1e-8
-    with pytest.raises(RuntimeError, match="sign change"):
-        shoot_eigenvalue(qn, bracket=(E + 0.05*b, E + 0.1*b))
+def test_shooting_raises_without_a_sign_change():
+    with pytest.raises(RuntimeError, match="no sign change"):
+        shoot_eigenvalue(QuantumNumbers(5, -1))
+
+
+@pytest.mark.parametrize("Z", [1, 92])
+def test_shooting_never_returns_a_neighbouring_level(Z):
+    # the +-35 % bracket around n = 8 holds the n = 7 root, whose F has
+    # 6 nodes where n = 8, k = -1 has 7
+    with pytest.raises(RuntimeError, match="has 6 radial nodes; n=8, k=-1 "
+                                           "has 7"):
+        shoot_eigenvalue(QuantumNumbers(8, -1, 0.5, Z))
 
 
 def test_wavefunction_normalization_and_shells():
@@ -555,10 +559,9 @@ def test_copies_and_pickles_rebuild_the_tables():
 
 
 def test_hand_built_wavefunction_with_a_bad_normalization_raises():
-    w = assemble_wavefunction(QuantumNumbers(3, -2, 0.5, 20))
-    for A in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="n=3, k=-2 is out of the float"):
-            WaveFunction(w.qn, w.level, A, w.spinor_upper, w.spinor_lower)
+    # A underflows to 0 at n = |k| = 200
+    with pytest.raises(ValueError, match="n=200, k=-200 is out of the float"):
+        WaveFunction(QuantumNumbers(200, -200))
 
 
 def test_empty_arrays_give_empty_results():

@@ -119,3 +119,26 @@ def test_one_formula_each():
             assert not {name for _, name in called} & {
                 "gauss_laguerre_nodes", "eigvalsh"}
             assert "_log_radial_norm_sq" not in {f.name for f in funcs}
+
+
+def test_values_derived_or_fixed_take_no_parameter():
+    # the level, A and spinors follow from qn, passed from max_dev and tol;
+    # the shooting bracket, the tolerance scale and the sphere rule's node
+    # counts are constants
+    import inspect
+    from quatspin import cli, hydrogen, special, verify
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(hydrogen.WaveFunction) == ["qn"]
+    assert params(hydrogen.shoot_eigenvalue) == ["qn"]
+    assert params(verify.CheckResult) == ["name", "suite", "max_dev", "tol",
+                                          "detail"]
+    assert params(verify.run_check) == ["name", "seed"]
+    assert params(verify.run_suite) == ["suite", "seed"]
+    assert params(special.quadrature_sphere) == ["f"]
+    assert params(verify._all_spinor_labels) == []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--tol", "1e6"])
+    assert exc.value.code == 1

@@ -4,6 +4,7 @@ derived fields, == and hash on the field tuple within one class, no
 assignment or deletion, and pickle/copy/deepcopy round-trips."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -44,7 +45,7 @@ CASES = {
         "Biquaternion((-0-0j), (-0-1j), (-0-0j), (-0-0j))), "
         "(Biquaternion(0j, 1j, 0j, 0j), Biquaternion(0j, 0j, 0j, 0j))))"),
     "CheckResult": (
-        lambda: CheckResult("hamilton-table", "algebra", 0.0, 1e-15, True),
+        lambda: CheckResult("hamilton-table", "algebra", 0.0, 1e-15),
         "CheckResult(name='hamilton-table', suite='algebra', max_dev=0.0, "
         "tol=1e-15, passed=True, detail='')"),
 }
@@ -138,12 +139,16 @@ def test_keyword_construction_and_defaults():
         "PauliAlgebraElement"][0]()
     d = DiracMatrix(blocks=gamma(1).blocks)
     assert d == gamma(1)
-    c = CheckResult(name="x", suite="s", max_dev=0.0, tol=1.0, passed=True)
-    assert c.detail == "" and c == CheckResult("x", "s", 0.0, 1.0, True, "")
+    c = CheckResult(name="x", suite="s", max_dev=0.0, tol=1.0)
+    assert c.detail == "" and c == CheckResult("x", "s", 0.0, 1.0, "")
+    # passed is derived from max_dev and tol; a NaN deviation fails
+    assert c.passed is True
+    assert CheckResult("x", "s", 2.0, 1.0).passed is False
+    assert CheckResult("x", "s", math.nan, 1.0).passed is False
     w = _wavefunction()
-    assert WaveFunction(qn=w.qn, level=w.level, A=w.A,
-                        spinor_upper=w.spinor_upper,
-                        spinor_lower=w.spinor_lower) == w
+    assert WaveFunction(qn=w.qn) == WaveFunction(w.qn) == w
+    for twin in (copy.copy(w), pickle.loads(pickle.dumps(w))):
+        assert WaveFunction(twin.qn) == twin == w
 
 
 def test_construction_errors():
@@ -157,6 +162,11 @@ def test_construction_errors():
         QuantumNumbers(2, -1, spin=0.5)         # no such field
     with pytest.raises(TypeError):              # derived fields are not
         SpinorFunction(1, 0.5, 0.5, c1=1.0)     # constructor arguments
+    with pytest.raises(TypeError):
+        CheckResult("x", "s", 0.0, 1.0, passed=True)
+    w = _wavefunction()
+    with pytest.raises(TypeError):
+        WaveFunction(w.qn, w.level)
     with pytest.raises(TypeError):
         RotationOperator((0.0, 0.0, 1.0), 0.5, Biquaternion(1))
     # validation runs on every construction path

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from quatspin import verify
+from quatspin.biquaternion import Biquaternion
 
 
 def test_registry_covers_all_suites():
@@ -43,10 +44,14 @@ def test_check_results_are_deterministic():
     assert c == d
 
 
-def test_tol_scale_can_force_failure():
-    res = verify.run_check("homomorphism", tol_scale=1e-30)
+def test_a_finite_deviation_above_tol_fails(monkeypatch):
+    # a product route off by 1e-6: the worst deviation is finite and fails
+    plain = verify.mul
+    monkeypatch.setattr(verify, "mul", lambda a, b: plain(a, b)
+                        + Biquaternion(1e-6))
+    res = verify.run_check("homomorphism")
     assert not res.passed
-    assert res.max_dev > res.tol
+    assert math.isfinite(res.max_dev) and res.max_dev > res.tol
 
 
 def test_selected_hydrogen_checks():
