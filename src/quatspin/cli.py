@@ -8,8 +8,11 @@ by default, CSV with --csv; floats are emitted as shortest-round-trip
 decimal strings, so identical invocations produce byte-identical output; a
 NaN or infinite result is refused by both writers (exit 2, empty stdout).
 Timing goes to stderr only.  Building the parser imports nothing numeric;
-each subcommand imports the modules it runs, so energy, spinor and rotate
-about a named axis never load numpy.
+each subcommand imports the modules it runs.  energy, spinor and rotate
+never load numpy; density and probability run node by node on Python
+floats unless numpy is loaded already or the call would cost more than
+importing it (hydrogen._on_floats), so of the subcommands only verify,
+and density or probability above that bound, load numpy.
 
 Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
 exits quietly), 2 domain error, 3 verification failure.
@@ -21,6 +24,7 @@ import argparse
 import io
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -157,14 +161,15 @@ _DENSITY_JSON_ROW = ('    {\n      "r": %s,\n      "theta": %s,\n'
                      '      "density": %s,\n      "cell_weight": %s\n    }')
 
 
-def _emit_density(record: dict, r, theta, dens, cell, as_csv: bool) -> None:
-    """Write the density record with one row per (r, theta) node, r outer:
-    the bytes of json.dumps(record + rows, indent=2) + "\n", or of
-    _emit's CSV.  Each r, each theta and each density and cell weight is
-    formatted once with repr, the shortest round-trip digits both encoders
-    emit, into a fixed row template; nothing is written before every value
-    has passed the finiteness check."""
-    import numpy as np
+def _emit_density(record: dict, r: list, theta: list, dens: list,
+                  cell: list, as_csv: bool) -> None:
+    """Write the density record with one row per (r, theta) node, r outer,
+    from lists of Python floats (dens and cell flat, r outer): the bytes of
+    json.dumps(record + rows, indent=2) + "\n", or of _emit's CSV.  Each r,
+    each theta and each density and cell weight is formatted once with
+    repr, the shortest round-trip digits both encoders emit, into a fixed
+    row template; nothing is written before every value has passed the
+    finiteness check."""
     if as_csv:
         head, row, sep, tail = ("r,theta,density,cell_weight\n",
                                 "%s,%s,%s,%s", "\n", "\n")
@@ -174,18 +179,17 @@ def _emit_density(record: dict, r, theta, dens, cell, as_csv: bool) -> None:
         head = (json.dumps(record, indent=2, allow_nan=False)[:-2]
                 + ',\n  "rows": [\n')
         row, sep, tail = _DENSITY_JSON_ROW, ",\n", "\n  ]\n}\n"
-    dens, cell = dens.ravel(), cell.ravel()
-    bad = ~(np.isfinite(dens) & np.isfinite(cell))
-    if bad.any():               # the first value either encoder would refuse
-        i = int(bad.argmax())
-        x = float(dens[i] if not np.isfinite(dens[i]) else cell[i])
+    finite = math.isfinite
+    if not (all(map(finite, dens)) and all(map(finite, cell))):
+        # the first value either encoder would refuse
+        x = next(x for pair in zip(dens, cell) for x in pair
+                 if not finite(x))
         raise ValueError("Out of range float values are not "
                          f"{'CSV' if as_csv else 'JSON'} compliant: {x!r}")
     n_theta = len(theta)
-    r_col = [s for x in r.tolist() for s in (repr(x),)*n_theta]
-    theta_col = list(map(repr, theta.tolist()))*len(r)
-    cols = zip(r_col, theta_col, map(repr, dens.tolist()),
-               map(repr, cell.tolist()))
+    r_col = [s for x in r for s in (repr(x),)*n_theta]
+    theta_col = list(map(repr, theta))*len(r)
+    cols = zip(r_col, theta_col, map(repr, dens), map(repr, cell))
     sys.stdout.write(head + sep.join(map(row.__mod__, cols)))
     # the closing bytes get a write of their own: an unbuffered stdout
     # (python -u) drops the rest of a write cut short by a reader that quit,
@@ -194,7 +198,6 @@ def _emit_density(record: dict, r, theta, dens, cell, as_csv: bool) -> None:
 
 
 def _cmd_density(args, parser) -> int:
-    import numpy as np
     from . import hydrogen as hy
     from .levels import ALPHA_FS
     from .special import gauss_legendre_nodes, leggauss
@@ -210,15 +213,12 @@ def _cmd_density(args, parser) -> int:
         parser.error("--r-max must be positive")
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
     x, wx = leggauss(n_theta)
-    order = np.argsort(-x)                  # theta ascending
-    theta, wx = np.arccos(x[order]), wx[order]
-    R, TH = np.meshgrid(r, theta, indexing="ij")
+    theta, wx = [math.acos(t) for t in reversed(x)], wx[::-1]  # ascending
     # past the float range (a huge --r-max, or n >= 335 at k = -1, Z = 1)
     # these overflow; the writer refuses the result with one line
-    with np.errstate(over="ignore", invalid="ignore"):
-        dens = w.density_grid(R, TH)
-        cell = 2.0*math.pi*R*R*np.outer(wr, wx)
-        total = float(np.sum(dens*cell))
+    dens = w._density_table(r, theta)
+    cell = [2.0*math.pi*a*a*(b*c) for a, b in zip(r, wr) for c in wx]
+    total = sum(map(operator.mul, dens, cell))
     record = {
         "command": "density",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,
@@ -311,20 +311,18 @@ def _parse_axis(text: str, parser):
     parts = text.split(",")
     if len(parts) != 3:
         parser.error(f"--axis expects x, y, z, or nx,ny,nz; got {text!r}")
-    import numpy as np              # np.linalg.norm: the axis keeps its digits
     try:
-        v = np.array([_finite_float(p) for p in parts])
+        v = [_finite_float(p) for p in parts]
     except argparse.ArgumentTypeError:
         parser.error(f"--axis components must be finite numbers, got {text!r}")
     # scaled by a power of two so that the squares cannot overflow; the
     # scaling is exact, so the normalized digits do not change
-    e = math.frexp(float(np.max(np.abs(v))))[1]
-    v = np.ldexp(v, -e)
-    norm = float(np.linalg.norm(v))
+    e = math.frexp(max(map(abs, v)))[1]
+    v = [math.ldexp(c, -e) for c in v]
+    norm = math.hypot(*v)
     if math.ldexp(norm, min(e, 0)) < 1e-12:
         parser.error("--axis must be a nonzero vector")
-    v = v/norm
-    return (float(v[0]), float(v[1]), float(v[2]))
+    return tuple(c/norm for c in v)
 
 
 def _cmd_rotate(args, parser) -> int:

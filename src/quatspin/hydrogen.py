@@ -37,14 +37,20 @@ a q_up + b q_down, and the probability density is the scalar part of
 Psi conj_both(Psi), i.e. norm_sq(Psi).  The reversed product conj_both(Psi)
 Psi has the same scalar part, its e2/e3 parts cancel identically, and it
 equals density times (e0 - i e1).
+
+numpy is imported by the calls that take arrays, and nothing else.  The
+shell probabilities and the density tables of the command line run the
+same kernels node by node on Python floats while numpy is not loaded and
+the call costs less than importing it (_on_floats), and as arrays
+otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+import operator
+import sys
 
 from ._record import Record
 from .biquaternion import Biquaternion, _bq, _norm_sq, _polar_im
@@ -86,6 +92,7 @@ def _radial_FG(lv: _Level, rho, A: float = 1.0):
     floats and gives floats.  At rho = inf (F, G) is the limit 0.
     """
     if type(rho) is not float:
+        import numpy as np
         rho = np.asarray(rho, dtype=float)
         if rho.ndim == 0:
             rho = float(rho)
@@ -96,6 +103,7 @@ def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps):
     """(F, G) times A, log_a = log A, at rho >= 0: a Python float gives
     Python floats, a float array arrays; steps as for _brackets.  At
     rho = inf (F, G) is the limit 0: e^{-rho} beats every power of rho.
+    A Python float never touches numpy.
 
     The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
     so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
@@ -109,6 +117,7 @@ def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps):
         lo = hi = rho
         exp = math.exp
     else:
+        import numpy as np
         lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
         if hi == math.inf:
             finite = rho < hi
@@ -123,16 +132,18 @@ def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps):
     if (lo > 0 and _split_ok(log_a, s*math.log(lo), lo)
             and (hi == lo or _split_ok(log_a, s*math.log(hi), hi))):
         pref = A*rho**s*exp(-rho)
+    elif type(rho) is float:            # the limit 0 at rho = 0
+        try:
+            pref = math.exp(log_a + s*math.log(rho) - rho) if rho else 0.0
+        except OverflowError:
+            pref = math.inf
     else:
-        rho = np.asarray(rho)
         with np.errstate(divide="ignore", over="ignore", under="ignore",
                          invalid="ignore"):  # rho = 0 gives exp(-inf) = 0
             log_rs = s*np.log(rho)
             pref = np.where(_split_ok(log_a, log_rs, rho),
                             A*rho**s*np.exp(-rho),
                             np.exp(log_a + log_rs - rho))
-        if not pref.ndim:               # a point stays on Python floats
-            pref = float(pref)
     return pref*P, -pref*Q
 
 
@@ -150,6 +161,7 @@ def _trim(a: np.ndarray) -> np.ndarray:
     Exact: the comparison is bitwise (signed zeros and NaNs count as
     values), and broadcasting against the other arguments restores the
     cut axes."""
+    import numpy as np
     bits = a.view(np.int64)
     for axis in range(a.ndim):
         if a.shape[axis] > 1:
@@ -185,6 +197,7 @@ def _log_norm_sq(lv: _Level) -> float:
 def _shoot_sides(qn: QuantumNumbers, E: float) -> tuple:
     """(F, G) at the solver's steps at energy E, integrated outward from
     the origin and inward from the far tail to the matching point."""
+    import numpy as np
     from scipy.integrate import solve_ivp
     lv = _level(qn, E)
     k, za, C = qn.k, lv.za, lv.C
@@ -216,6 +229,7 @@ def _shoot_mismatch(E: float, qn: QuantumNumbers) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _shoot_level(qn: QuantumNumbers) -> float:
+    import numpy as np
     from scipy.optimize import brentq
     lv = _level(qn)
     lo, hi = lv.E - 0.35*lv.eps, min(lv.E + 0.35*lv.eps, 1.0 - 1e-16)
@@ -264,6 +278,7 @@ def _arguments(r_au, theta, phi):
     r > 0 everywhere (NaN included; an empty r passes)."""
     shape = None
     if not type(r_au) is type(theta) is type(phi) is float:
+        import numpy as np
         r_au = np.asarray(r_au, dtype=float)
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
@@ -281,7 +296,10 @@ def _arguments(r_au, theta, phi):
 
 def _full(a, shape):
     """a as a fresh array of the broadcast shape."""
-    return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+    if a.shape == shape:
+        return a
+    import numpy as np
+    return np.broadcast_to(a, shape).copy()
 
 
 class WaveFunction(Record):
@@ -339,19 +357,30 @@ class WaveFunction(Record):
     def C(self) -> float:
         return self.level.C
 
-    def _parts(self, r, theta, phi) -> tuple:
-        """(f, h, u, v) at _arguments' r, theta and phi: f = (alpha/r) A F
-        and h = (alpha/r) A G on r's axes, and the coefficients u, v of the
-        biquaternion forms of the upper and lower spinors on the axes of
-        the angles.  Python floats give Python scalars, arrays arrays."""
+    def _radial(self, r) -> tuple:
+        """(f, h) at r (Bohr, > 0): f = (alpha/r) A F and h = (alpha/r) A G.
+        A Python float gives Python floats, an array arrays."""
         lv = self.level
-        log_a, steps, ls, m1, col1, m2, col2, c = self._tables
-        F, G = _radial_kernel(lv, self.A, log_a, lv.C*r/ALPHA_FS, steps)
+        F, G = _radial_kernel(lv, self.A, self._tables[0], lv.C*r/ALPHA_FS,
+                              self._tables[1])
         pref = ALPHA_FS/r
+        return pref*F, pref*G
+
+    def _angular(self, theta, phi) -> tuple:
+        """(u, v): the coefficients of the biquaternion forms of the upper
+        and lower spinors at theta and phi; Python floats give Python
+        complex values, arrays arrays."""
+        _, _, ls, m1, col1, m2, col2, c = self._tables
         y1u, y1l = _harmonics(ls, m1, col1, theta, phi)
         y2u, y2l = _harmonics(ls, m2, col2, theta, phi)
-        return (pref*F, pref*G, _spin_basis(c[0]*y1u, c[1]*y2u),
+        return (_spin_basis(c[0]*y1u, c[1]*y2u),
                 _spin_basis(c[2]*y1l, c[3]*y2l))
+
+    def _parts(self, r, theta, phi) -> tuple:
+        """(f, h, u, v) at _arguments' r, theta and phi (see _radial and
+        _angular): f and h on r's axes, u and v on the axes of the
+        angles."""
+        return (*self._radial(r), *self._angular(theta, phi))
 
     def _psi(self, r, theta, phi) -> tuple:
         """Psi's four coefficients f u_i + i h v_i (see _parts): the one
@@ -386,23 +415,83 @@ class WaveFunction(Record):
         r <= 0 and NaN r raise ValueError.
 
         One point is norm_sq(psi)/alpha^3.  Arrays never form Psi at full
-        size: with f, h, u and v from _parts, the norm's polarization
-        identity gives norm_sq(f u + i h v) = f^2 norm_sq(u) + h^2 norm_sq(v)
-        + 2 f h sum_i Im(u_i conj v_i), three products and two sums at full
-        size, within a few eps of the point values.
+        size: _polarized combines the radial factors of f and h from
+        _radial with the angular factors of u and v from _angular, three
+        products and two sums at full size, within a few eps of the point
+        values.
         """
         shape, r, theta, phi = _arguments(r_au, theta, phi)
         if shape is None:
             return _norm_sq(*self._psi(r, theta, phi))/ALPHA_FS**3
-        f, h, u, v = self._parts(r, theta, phi)
-        a3 = ALPHA_FS**3
-        return _full((f*f/a3)*_norm_sq(*u) + (h*h/a3)*_norm_sq(*v)
-                     + (2*f*h/a3)*_polar_im(_bq(*u), _bq(*v)), shape)
+        return _full(_polarized(_radial_factors(*self._radial(r)),
+                                _angular_factors(*self._angular(theta, phi))),
+                     shape)
 
     def density_grid(self, r_au, theta):
         """density() on broadcastable (r, theta) arrays; it does not depend
         on phi."""
         return self.density(r_au, theta, 0.0)
+
+    def _density_table(self, r_au: list, theta: list) -> list:
+        """density_grid on every pair of r_au (Bohr, > 0) and theta, two
+        lists of Python floats, r outer, as one flat list of Python floats.
+        It runs node by node on Python floats when _on_floats finds that
+        cheaper than importing numpy, else as one density_grid call; the
+        two agree to a few eps per node."""
+        n_r, n_theta = len(r_au), len(theta)
+        steps = (n_r*(self.qn.n_r + _NODE_STEPS)
+                 + n_theta*(max(self._tables[2]) + _ANGLE_STEPS)
+                 + n_r*n_theta)
+        if not _on_floats(steps):
+            import numpy as np
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.density_grid(np.array(r_au)[:, None],
+                                         np.array(theta)).ravel().tolist()
+        radial = [_radial_factors(*self._radial(r)) for r in r_au]
+        angular = [_angular_factors(*self._angular(t, 0.0)) for t in theta]
+        return [_polarized(a, b) for a in radial for b in angular]
+
+
+def _radial_factors(f, h) -> tuple:
+    """(f^2, h^2, 2 f h)/alpha^3 of f and h from WaveFunction._radial."""
+    a3 = ALPHA_FS**3
+    return f*f/a3, h*h/a3, 2*f*h/a3
+
+
+def _angular_factors(u, v) -> tuple:
+    """(norm_sq(u), norm_sq(v), Im sum_i u_i conj(v_i)) of u and v from
+    WaveFunction._angular."""
+    return _norm_sq(*u), _norm_sq(*v), _polar_im(_bq(*u), _bq(*v))
+
+
+def _polarized(a, b):
+    """The density norm_sq(f u + i h v)/alpha^3 from a = _radial_factors(f,
+    h) and b = _angular_factors(u, v), by the norm's polarization identity
+    norm_sq(f u + i h v) = f^2 norm_sq(u) + h^2 norm_sq(v)
+    + 2 f h Im sum_i u_i conj(v_i) for real f and h: the one combination of
+    the array densities and of the tables on Python floats."""
+    return a[0]*b[0] + a[1]*b[1] + a[2]*b[2]
+
+
+# Importing numpy takes about 110 ms in a fresh process, and one step of
+# special._laguerre_run about 0.15 us on Python floats (medians of 15
+# fresh interpreters and best of 7 loops; Python 3.11.7, numpy 2.4.6, a
+# shared 2-vCPU x86_64 host): a call that needs fewer than _FLOAT_STEPS
+# such steps is faster without numpy.  On the same host a radial node
+# costs its n_r recurrence steps plus about _NODE_STEPS more, an angular
+# node its l steps plus about _ANGLE_STEPS, and one node of a density
+# table (_polarized) about one step.  The Gauss-Legendre rules run on
+# Python floats on both routes, so they do not enter the choice.
+_FLOAT_STEPS = 750_000
+_NODE_STEPS = 20
+_ANGLE_STEPS = 60
+
+
+def _on_floats(steps: int) -> bool:
+    """True when a call of about steps Laguerre steps is cheaper node by
+    node on Python floats: numpy is not loaded yet, and the steps cost
+    less than its import.  Once numpy is loaded, arrays are cheaper."""
+    return steps < _FLOAT_STEPS and "numpy" not in sys.modules
 
 
 def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
@@ -410,18 +499,35 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
     return WaveFunction(qn)
 
 
-@functools.lru_cache(maxsize=64)
-def _shell_rules(nodes: int):
+def _shell_rules(nodes: int) -> tuple:
     """The Gauss-Legendre rules of nodes and nodes + nodes//4 points on
     [0, 1] for probability_in_region: their nodes concatenated (both rules
-    in one evaluation) and the two weight vectors, read-only, memoized per
-    node count."""
+    in one evaluation) and the two weight vectors, as lists of Python
+    floats (special.leggauss holds the rules themselves)."""
     t_c, w_c = gauss_legendre_nodes(nodes, 0.0, 1.0)
     t_f, w_f = gauss_legendre_nodes(nodes + nodes//4, 0.0, 1.0)
-    t = np.concatenate((t_c, t_f))
-    for a in (t, w_c, w_f):
+    return t_c + t_f, w_c, w_f
+
+
+@functools.lru_cache(maxsize=64)
+def _shell_arrays(nodes: int) -> tuple:
+    """_shell_rules(nodes) as read-only numpy arrays, memoized per node
+    count."""
+    import numpy as np
+    rules = tuple(map(np.array, _shell_rules(nodes)))
+    for a in rules:
         a.flags.writeable = False
-    return t, w_c, w_f
+    return rules
+
+
+def _shell_terms(w: WaveFunction, lo: float, hi: float, t):
+    """The integrand 2 (hi - lo) t (F^2 + G^2) of probability_in_region at
+    r = lo + (hi - lo) t^2 (natural units), dr = 2 (hi - lo) t dt; a Python
+    float t gives a Python float, an array an array."""
+    lv = w.level
+    F, G = _radial_kernel(lv, w.A, w._tables[0], lv.C*(lo + (hi - lo)*t*t),
+                          w._tables[1])
+    return 2.0*(hi - lo)*t*(F*F + G*G)
 
 
 def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
@@ -436,7 +542,9 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     N = max(100, 4n + 60) nodes; the error estimate is its difference from
     the rule with N + N/4 nodes, whose value is returned.  Where either
     leaves the float range (from n = 235 at k = -1, Z = 1, where the
-    brackets overflow at the cap) this raises ValueError.
+    brackets overflow at the cap) this raises ValueError.  The nodes run
+    one by one on Python floats when _on_floats finds that cheaper than
+    importing numpy, else as arrays; the two agree to a few eps.
     """
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
@@ -444,15 +552,21 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     # the cap at rho = N lies past the outermost Laguerre node (~4n); the
     # tail beyond it is < 1e-50 of the total (checked for n <= 60)
     cap = nodes/w.C
-    lo, hi = min(r_lo/ALPHA_FS, cap), min(r_hi/ALPHA_FS, cap)
+    lo, hi = float(min(r_lo/ALPHA_FS, cap)), float(min(r_hi/ALPHA_FS, cap))
     if hi <= lo:
         return (0.0, 0.0) if return_error else 0.0
-    t, w_c, w_f = _shell_rules(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        F, G = _radial_FG(w.level, w.C*(lo + (hi - lo)*t*t), w.A)
-        terms = 2.0*(hi - lo)*t*(F*F + G*G)       # dr = 2 (hi - lo) t dt
-        coarse = float(np.dot(w_c, terms[:nodes]))
-        val = float(np.dot(w_f, terms[nodes:]))
+    if _on_floats((2*nodes + nodes//4)*(w.qn.n_r + _NODE_STEPS)):
+        t, w_c, w_f = _shell_rules(nodes)
+        terms = [_shell_terms(w, lo, hi, x) for x in t]
+        coarse = sum(map(operator.mul, w_c, terms))
+        val = sum(map(operator.mul, w_f, terms[nodes:]))
+    else:
+        import numpy as np
+        t, w_c, w_f = _shell_arrays(nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _shell_terms(w, lo, hi, t)
+            coarse = float(np.dot(w_c, terms[:nodes]))
+            val = float(np.dot(w_f, terms[nodes:]))
     err = abs(val - coarse)
     if not math.isfinite(err):          # also refuses a NaN val
         raise ValueError(f"shell probability of n={w.qn.n}, k={w.qn.k} is "

@@ -20,7 +20,8 @@ Sampled checks draw each array once and evaluate it as one batch; they loop
 only over fixed sets (axes, basis states, labels).
 Second routes that no production path uses live here: the *_oracle
 functions, the exact Gauss-Laguerre sum of the radial norm
-(_log_radial_norm_sq) and the finite-difference residual probes
+(_log_radial_norm_sq), numpy's eigen-solve Gauss-Legendre rule
+(legendre-rule) and the finite-difference residual probes
 system_residual and ode_residual.  scipy is imported only in the checks
 whose second route needs it.
 """
@@ -880,6 +881,23 @@ def _chk_radial_shape(rng, c):
         sgn = np.sign(F[np.abs(F) > 1e-12*np.abs(F).max()])
         c(np.count_nonzero(sgn[1:] != sgn[:-1]), want)
     return "ground G/F = -(1-s)/(Z alpha); origin zeros; node counts"
+
+
+_LEGENDRE_COUNTS = (1, 2, 3, 4, 5, 8, 33, 64, 100, 125, 128, 240, 1000)
+
+
+@_register("legendre-rule", "hydrogen", 1.0)
+def _chk_legendre_rule(rng, c):
+    for n in _LEGENDRE_COUNTS:
+        x, w = map(np.array, leggauss(n))
+        j = np.arange(n)
+        # exact for degree <= 2n - 1: x^(2j) integrates to 2/(2j + 1)
+        c((w @ x[:, None]**(2*j))*(2*j + 1)/2, 1.0, scale=1e-14, at=n)
+        c(x, np.polynomial.legendre.leggauss(n)[0], scale=4e-16, at=n)
+    return (f"Gauss-Legendre rules of n = "
+            f"{', '.join(map(str, _LEGENDRE_COUNTS))}: x^(2j), 2j <= 2n - 2, "
+            f"relative to 1e-14, and numpy's leggauss nodes to 4e-16; "
+            f"ratio-of-tol; worst at n = {c.at}")
 
 
 @_register("normalization-3d", "hydrogen", 1e-6)

@@ -206,14 +206,13 @@ def _density_dict_rows(params):
     dict-per-row writer built them: the oracle of the row writer."""
     from quatspin import hydrogen as hy
     from quatspin.levels import QuantumNumbers
-    from quatspin.special import gauss_legendre_nodes
+    from quatspin.special import gauss_legendre_nodes, leggauss
     n_r, n_theta = map(int, params["grid"].split(":"))
     w = hy.assemble_wavefunction(QuantumNumbers(
         params["n"], params["k"], params["mj"], params["z"]))
     r, wr = gauss_legendre_nodes(n_r, 0.0, params["r_max"])
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    order = np.argsort(-x)
-    theta, wx = np.arccos(x[order]), wx[order]
+    x, wx = leggauss(n_theta)
+    theta, wx = [math.acos(t) for t in reversed(x)], wx[::-1]
     R, TH = np.meshgrid(r, theta, indexing="ij")
     dens = w.density_grid(R, TH)
     cell = 2.0*math.pi*R*R*np.outer(wr, wx)
@@ -402,15 +401,24 @@ def test_density_past_the_normalization_range_is_one_error_line():
 
 
 @pytest.mark.parametrize("argv", [["probability", "--n", "250", "--k", "-1"],
-                                  ["density", "--n", "335", "--k", "-1"]])
-def test_state_past_the_float_range_is_one_error_line(argv):
+                                  ["density", "--n", "335", "--k", "-1"],
+                                  ["probability", "--n", "300", "--k", "-1"],
+                                  ["density", "--r-max", "1e300", "--grid",
+                                   "4:4", "--csv"],
+                                  ["density", "--r-max", "1e300", "--grid",
+                                   "4:4"]])
+def test_state_past_the_float_range_is_one_error_line(capsys, argv):
     # the shell rule's brackets overflow from n = 235 and the default
-    # density grid's from n = 335 (k = -1, Z = 1): no numpy warning leaks
+    # density grid's from n = 335 (k = -1, Z = 1): no numpy warning leaks.
+    # A fresh interpreter runs the calls below hydrogen's cost bound on
+    # Python floats, this one (numpy loaded) runs arrays: the same refusal
     proc = subprocess.run([sys.executable, "-m", "quatspin", *argv],
                           capture_output=True, env=_child_env(), timeout=300)
     assert proc.returncode == 2 and proc.stdout == b""
     err = proc.stderr.decode()
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_verify_suite_report(capsys):
@@ -570,10 +578,10 @@ _CSV_PINNED = {
         "e3,-0.04981271082453307,0.0,0.0,0.09354412323440273\n",
     ("probability", "--r-hi", "1"):
         "r_lo,r_hi,probability,quadrature_error\n"
-        "0.0,1.0,0.32333593037585645,6.106226635438361e-16\n",
+        "0.0,1.0,0.32333593037585734,5.551115123125783e-17\n",
     ("probability",):
         "r_lo,r_hi,probability,quadrature_error\n"
-        "0.0,inf,1.0000000000000027,4.884981308350689e-15\n",
+        "0.0,inf,0.9999999999999976,8.881784197001252e-16\n",
 }
 
 
@@ -686,26 +694,27 @@ def test_scipy_loaded_only_on_first_use():
 
 
 def test_numpy_loaded_only_where_arrays_appear():
-    # the scalar subcommands load neither numpy nor dataclasses nor inspect;
-    # numpy itself imports inspect, so the array rows leave the last two open
+    # no subcommand but verify loads numpy, dataclasses or inspect at these
+    # sizes: density and probability run node by node on Python floats
     none = [0, False, False, False, False, False]
-    numpy = [0, True, False, False]
     report = _import_probe(["energy", "--units", "ev"],
                            ["spinor", "--k", "-3", "--mj", "1.5"],
                            *(["rotate", "--axis", axis, "--angle", "0.7",
                               "--target", "Sx"] for axis in "xyz"),
                            ["density", "--grid", "16:8"],
-                           ["probability", "--r-hi", "1"])
-    assert report[:6] == [["import quatspin", 0, *none], ["energy", 0, *none],
-                          ["spinor", 0, *none], ["rotate", 0, *none],
-                          ["rotate", 0, *none], ["rotate", 0, *none]]
-    assert [row[:6] for row in report[6:]] == [["density", 0, *numpy],
-                                               ["probability", 0, *numpy]]
-    [_, row] = _import_probe(["probability"])
-    assert row[:6] == ["probability", 0, *numpy]
-    # a generic axis is normalized with numpy, so that its digits stay put
-    [_, row] = _import_probe(["rotate", "--axis", "1,2,2", "--angle", "0.7"])
-    assert row[:6] == ["rotate", 0, *numpy]
+                           ["probability", "--r-hi", "1"],
+                           ["rotate", "--axis", "1,2,2", "--angle", "0.7"])
+    assert report == [["import quatspin", 0, *none], ["energy", 0, *none],
+                      ["spinor", 0, *none], ["rotate", 0, *none],
+                      ["rotate", 0, *none], ["rotate", 0, *none],
+                      ["density", 0, *none], ["probability", 0, *none],
+                      ["rotate", 0, *none]]
+    # the defaults, and the largest state and grid of the benchmark's mix
+    for argv in (["probability"], ["density"],
+                 ["probability", "--n", "32", "--k", "-1", "--z", "92"],
+                 ["density", "--n", "32", "--k", "-1", "--z", "92",
+                  "--grid", "240:34"]):
+        assert _import_probe(argv)[1] == [argv[0], 0, *none]
 
 
 @pytest.mark.parametrize("n, k, z", [(20, -1, 1), (1, -1, 92), (40, -1, 1),

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -633,3 +634,104 @@ def test_density_routes_agree_property(n, k_pick, mj_pick, Z, u, form):
     oracle = verify.density_oracle(w, r, th)
     scale = max(float(np.max(oracle)), 1e-300)
     assert np.max(np.abs(grid - oracle)) <= 1e-12*scale
+
+
+def _both_routes(monkeypatch, call):
+    """call() node by node on Python floats and then as arrays, with
+    hydrogen._on_floats forced each way; also the a-priori cost in steps
+    that the call put to _on_floats."""
+    from quatspin import hydrogen as hy
+    asked, out = [], []
+    for floats in (True, False):
+        monkeypatch.setattr(hy, "_on_floats",
+                            lambda steps: asked.append(steps) or floats)
+        out.append(call())
+    assert asked[0] == asked[1]
+    return out[0], out[1], asked[0]
+
+
+def _route_states(seed, per_stratum):
+    """Seeded valid states with n <= 60: per_stratum of each k stratum
+    (k = -n, other k < 0, k > 0) at each Z in {1, 20, 50, 92}."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for Z in (1, 20, 50, 92):
+        for stratum in ("-n", "k<0", "k>0"):
+            for _ in range(per_stratum):
+                n = int(rng.integers(1 if stratum == "-n" else 2, 61))
+                k = (-n if stratum == "-n" else
+                     int(rng.integers(1, n))*(-1 if stratum == "k<0" else 1))
+                two_j = 2*abs(k) - 1
+                mj = int(rng.integers(0, two_j + 1)) - two_j/2
+                states.append(QuantumNumbers(n, k, mj, Z))
+    return states
+
+
+def test_shell_probability_routes_agree(monkeypatch):
+    # every state in the float range costs less than _FLOAT_STEPS here (it
+    # takes n ~ 300 to cross it, where the brackets overflow): the value
+    # side of the bound; the error side is the test below
+    from quatspin import hydrogen as hy
+    rng = np.random.default_rng(19)
+    for qn in _route_states(19, 3):
+        w = assemble_wavefunction(qn)
+        a, b = np.sort(rng.random(2))*(2.0*qn.n + 30.0)/w.C*ALPHA_FS
+        for lo, hi in ((0.0, a), (a, b), (a, math.inf), (0.0, math.inf),
+                       (a, a*(1 + 1e-9)), (b, b + 1e-12)):   # tiny shells
+            (pf, ef), (pa, ea), steps = _both_routes(
+                monkeypatch, lambda: probability_in_region(w, lo, hi, True))
+            assert type(pf) is type(pa) is float
+            assert abs(pf - pa) <= 1e-13*abs(pa), (qn, lo, hi, pf, pa)
+            assert abs(ef - ea) <= 1e-13*abs(pa), (qn, lo, hi, ef, ea)
+            assert steps < hy._FLOAT_STEPS
+
+
+@pytest.mark.parametrize("n, k", [(250, -1), (300, -1), (400, -100)])
+def test_shell_probability_routes_refuse_alike(monkeypatch, n, k):
+    # below the bound (n = 250) and above it: the same ValueError, no warning
+    from quatspin import hydrogen as hy
+    w = assemble_wavefunction(QuantumNumbers(n, k))
+    nodes = 4*n + 60
+    above = (2*nodes + nodes//4)*(n - abs(k) + hy._NODE_STEPS) \
+        >= hy._FLOAT_STEPS
+    assert above == (n > 250)
+
+    def refused():
+        with pytest.raises(ValueError) as exc:
+            probability_in_region(w, 0.0, math.inf)
+        return str(exc.value)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats, arrays, _ = _both_routes(monkeypatch, refused)
+    assert floats == arrays == (f"shell probability of n={n}, k={k} is out "
+                                f"of the float range")
+
+
+def _cli_grid(w, n_r, n_theta):
+    """The (r, theta) lists of quatspin density's grid of n_r x n_theta
+    nodes on its default r_max."""
+    from quatspin.special import leggauss
+    r, _ = gauss_legendre_nodes(n_r, 0.0, (2*w.qn.n + 40.0)/w.C*ALPHA_FS)
+    return r, [math.acos(t) for t in reversed(leggauss(n_theta)[0])]
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_density_table_routes_agree(monkeypatch, big):
+    # the default grid of quatspin density lies below the bound, a
+    # 1100 x 700 grid above it
+    from quatspin import hydrogen as hy
+    states = _route_states(23, 1)[::6] if big else _route_states(23, 3)
+    for qn in states:
+        w = assemble_wavefunction(qn)
+        r, theta = _cli_grid(w, *((1100, 700) if big else
+                                  (max(128, 48 + 6*qn.n), max(32, qn.n + 2))))
+        floats, arrays, steps = _both_routes(
+            monkeypatch, lambda: w._density_table(r, theta))
+        assert (steps >= hy._FLOAT_STEPS) == big
+        assert len(floats) == len(arrays) == len(r)*len(theta)
+        assert all(type(d) is float for d in floats)
+        # below the normal range (far tails) no route keeps relative digits
+        tiny = sys.float_info.min
+        assert all(abs(f - a) <= 1e-14*a + tiny
+                   for f, a in zip(floats, arrays)), qn

@@ -10,7 +10,7 @@ from quatspin import laguerre, spherical_harmonic, quadrature_sphere
 from quatspin.hydrogen import _brackets, _steps
 from quatspin.levels import QuantumNumbers, _level
 from quatspin.special import (
-    _laguerre_run, gauss_laguerre_nodes, gauss_legendre_nodes,
+    _laguerre_run, gauss_laguerre_nodes, gauss_legendre_nodes, leggauss,
     spherical_harmonics,
 )
 
@@ -195,10 +195,53 @@ def test_sphere_quadrature_constant():
 
 def test_gauss_legendre_nodes():
     # exact for polynomials up to degree 2n-1
-    x, w = gauss_legendre_nodes(6, 0.0, 2.0)
+    x, w = map(np.array, gauss_legendre_nodes(6, 0.0, 2.0))
     assert len(x) == 6
     np.testing.assert_allclose(np.sum(w*x**7), 2.0**8/8, rtol=1e-13)
     assert np.all(x > 0) and np.all(x < 2)
+
+
+def _mp_legendre_rule(n: int):
+    """The n-point Gauss-Legendre rule to 40 digits, the nodes x >= 0 only,
+    largest first: Newton's method on the three-term recurrence from
+    x = cos(pi (i - 1/4)/(n + 1/2)), with w = 2/((1 - x^2) P_n'(x)^2)."""
+    import mpmath
+    with mpmath.workdps(40):
+        rule = []
+        for i in range(1, (n + 1)//2 + 1):
+            x = mpmath.cos(mpmath.pi*(i - mpmath.mpf(1)/4)/(n + 0.5))
+            for _ in range(50):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(1, n):
+                    p0, p1 = p1, ((2*k + 1)*x*p1 - k*p0)/(k + 1)
+                dp = n*(p0 - x*p1)/(1 - x*x)
+                x -= p1/dp
+                if abs(p1/dp) < mpmath.mpf(10)**-36:
+                    break
+            rule.append((x, 2/((1 - x*x)*dp*dp)))
+    return rule
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 33, 100, 125, 240])
+def test_legendre_rule_against_mpmath(n):
+    # every node within half an ulp of 1 of the 40-digit root, and every
+    # weight, the edge ones included, within 1e-14 relative
+    x, w = leggauss(n)
+    assert len(x) == len(w) == n
+    assert all(a < b for a, b in zip(x, x[1:]))
+    assert x == tuple(0.0 - t for t in reversed(x))
+    assert w == w[::-1]
+    if n % 2:
+        assert x[n//2] == 0.0 and math.copysign(1.0, x[n//2]) == 1.0
+    for (xm, wm), xi, wi in zip(_mp_legendre_rule(n), x[::-1], w[::-1]):
+        assert abs(float(xi - xm)) <= 2.0**-53
+        assert abs(float((wi - wm)/wm)) <= 1e-14
+
+
+def test_legendre_rule_refuses_a_bad_count():
+    for n in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            leggauss(n)
 
 
 @pytest.mark.parametrize("n, alpha", [(1, 0.0), (3, 0.5), (12, 1.99),

@@ -54,6 +54,22 @@ def test_a_finite_deviation_above_tol_fails(monkeypatch):
     assert math.isfinite(res.max_dev) and res.max_dev > res.tol
 
 
+def test_legendre_rule_check_sees_one_moved_node(monkeypatch):
+    assert verify.run_check("legendre-rule").passed
+    plain = verify.leggauss
+
+    def moved(n):
+        x, w = plain(n)
+        if n == 100:            # one interior node, 1e-12 off
+            x = x[:40] + (x[40] + 1e-12,) + x[41:]
+        return x, w
+
+    monkeypatch.setattr(verify, "leggauss", moved)
+    res = verify.run_check("legendre-rule")
+    assert not res.passed and "worst at n = 100" in res.detail
+    assert res.max_dev >= 1e-12/4e-16/2
+
+
 def test_selected_hydrogen_checks():
     for name in ("energy-degeneracy", "energy-reference-values",
                  "radial-shape", "probability-shells"):
