@@ -198,27 +198,11 @@ def norm_sq(q: Biquaternion) -> float:
     Positive-definite: this is the squared Euclidean norm of q viewed as an
     8-real-component vector, zero iff q = 0.  Elementwise for array q.
     """
-    return _norm_sq(q.q0, q.q1, q.q2, q.q3)
-
-
-def _norm_sq(q0, q1, q2, q3):
-    """norm_sq of the biquaternion with coefficients q0..q3."""
+    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
     return ((q0.real*q0.real + q0.imag*q0.imag)
             + (q1.real*q1.real + q1.imag*q1.imag)
             + (q2.real*q2.real + q2.imag*q2.imag)
             + (q3.real*q3.real + q3.imag*q3.imag))
-
-
-def _polar_im(a: Biquaternion, b: Biquaternion):
-    """Im Sc(a conj_both(b)) = Im sum_i a_i conj(b_i): the cross term of
-    the norm's polarization identity, for real f and h
-
-        norm_sq(f a + i h b) = f^2 norm_sq(a) + h^2 norm_sq(b)
-                               + 2 f h _polar_im(a, b).
-
-    Elementwise for array coefficients."""
-    return (a.q0*b.q0.conjugate() + a.q1*b.q1.conjugate()
-            + a.q2*b.q2.conjugate() + a.q3*b.q3.conjugate()).imag
 
 
 def quadratic_form(q: Biquaternion) -> complex:

@@ -214,8 +214,9 @@ def _cmd_density(args, parser) -> int:
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
     x, wx = leggauss(n_theta)
     theta, wx = [math.acos(t) for t in reversed(x)], wx[::-1]  # ascending
+    # the point density's real kernel, which no phi enters, at every node;
     # past the float range (a huge --r-max, or n >= 335 at k = -1, Z = 1)
-    # these overflow; the writer refuses the result with one line
+    # these overflow, and the writer refuses the result with one line
     dens = w._density_table(r, theta)
     cell = [2.0*math.pi*a*a*(b*c) for a, b in zip(r, wr) for c in wx]
     total = sum(map(operator.mul, dens, cell))
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("density", help="probability density on an "
-                                       "(r, theta) grid, phi-averaged")
+                                       "(r, theta) grid (independent of phi)")
     _add_state_flags(p)
     p.add_argument("--grid", default=None,
                    help="R:THETA node counts (Gauss-Legendre), default "

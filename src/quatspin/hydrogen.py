@@ -36,7 +36,8 @@ with l(k) = k for k > 0 and -k - 1 otherwise; its biquaternion form is
 a q_up + b q_down, and the probability density is the scalar part of
 Psi conj_both(Psi), i.e. norm_sq(Psi).  The reversed product conj_both(Psi)
 Psi has the same scalar part, its e2/e3 parts cancel identically, and it
-equals density times (e0 - i e1).
+equals density times (e0 - i e1).  Paired harmonics share their order m, so
+the F G cross term vanishes: density = (A/r)^2 (F^2 |y_up|^2 + G^2 |y_low|^2).
 
 numpy is imported by the calls that take arrays, and nothing else.  The
 shell probabilities and the density tables of the command line run the
@@ -53,13 +54,13 @@ import operator
 import sys
 
 from ._record import Record
-from .biquaternion import Biquaternion, _bq, _norm_sq, _polar_im
+from .biquaternion import Biquaternion, _bq
 from .levels import ALPHA_FS, QuantumNumbers, _level, _Level
 # unused here: perfbench/workloads.py and perfbench/probes.py read them as hy.*
 from .levels import energy, radial_parameters  # noqa: F401
 from .special import (
-    _harmonics, _laguerre_run, _laguerre_steps, _legendre_column,
-    gauss_legendre_nodes,
+    _columns, _harmonics, _laguerre_run, _laguerre_steps, _legendre_column,
+    leggauss,
 )
 from .spinor import SpinorFunction, _spin_basis
 
@@ -275,7 +276,7 @@ def _arguments(r_au, theta, phi):
     arrays are converted).  Otherwise shape is the broadcast shape and each
     argument is a float array cut by _trim, except that a 0-d r, and 0-d
     theta and phi together, run as Python floats.  Raises ValueError unless
-    r > 0 everywhere (NaN included; an empty r passes)."""
+    r > 0 (NaN r included) and theta, phi are finite; empty arrays pass."""
     shape = None
     if not type(r_au) is type(theta) is type(phi) is float:
         import numpy as np
@@ -291,6 +292,9 @@ def _arguments(r_au, theta, phi):
             theta, phi = float(theta), float(phi)
     if not (r_au > 0 if type(r_au) is float else (r_au > 0).all()):
         raise ValueError("r must be > 0")
+    if not (math.isfinite(theta) and math.isfinite(phi) if type(theta) is float
+            else np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("theta and phi must be finite")
     return shape, r_au, theta, phi
 
 
@@ -315,8 +319,8 @@ class WaveFunction(Record):
     spinor_upper: SpinorFunction
     spinor_lower: SpinorFunction
 
-    # the per-state tables of _parts, built by __init__; not a field, so no
-    # part of ==, hash or repr
+    # the per-state tables of psi and density, built by __init__; not a
+    # field, so no part of ==, hash or repr
     __slots__ = ("_tables",)
 
     def __init__(self, qn: QuantumNumbers):
@@ -376,31 +380,36 @@ class WaveFunction(Record):
         return (_spin_basis(c[0]*y1u, c[1]*y2u),
                 _spin_basis(c[2]*y1l, c[3]*y2l))
 
-    def _parts(self, r, theta, phi) -> tuple:
-        """(f, h, u, v) at _arguments' r, theta and phi (see _radial and
-        _angular): f and h on r's axes, u and v on the axes of the
-        angles."""
-        return (*self._radial(r), *self._angular(theta, phi))
-
     def _psi(self, r, theta, phi) -> tuple:
-        """Psi's four coefficients f u_i + i h v_i (see _parts): the one
-        combination, one expression per coefficient, so that numpy reuses
-        the full-size product temporaries for the sums."""
-        f, h, (u0, u1, u2, u3), (v0, v1, v2, v3) = self._parts(r, theta, phi)
+        """Psi's four coefficients f u_i + i h v_i (_radial on r's axes,
+        _angular on those of the angles): one expression per coefficient,
+        so that numpy reuses the full-size product temporaries."""
+        f, h = self._radial(r)
+        (u0, u1, u2, u3), (v0, v1, v2, v3) = self._angular(theta, phi)
         g = 1j*h
         return f*u0 + g*v0, f*u1 + g*v1, f*u2 + g*v2, f*u3 + g*v3
+
+    def _angular_sq(self, theta) -> tuple:
+        """(|y_up|^2, |y_low|^2) at theta, c1^2 (Pbar_l^|m1| sin^|m1|)^2 +
+        c2^2 (Pbar_l^|m2| sin^|m2|)^2 each, from the real columns of the
+        orders m1, m2 = m_j -+ 1/2: no phi and no complex value."""
+        _, _, ls, m1, col1, m2, col2, c = self._tables
+        (p1u, p1l), (p2u, p2l) = _columns(
+            ls, ((abs(m1), col1), (abs(m2), col2)), theta)
+        return (c[0]*c[0]*(p1u*p1u) + c[1]*c[1]*(p2u*p2u),
+                c[2]*c[2]*(p1l*p1l) + c[3]*c[3]*(p2l*p2l))
 
     def psi(self, r_au, theta, phi) -> Biquaternion:
         """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
 
-        r (Bohr, > 0), theta and phi broadcast; array arguments give a
-        biquaternion with fresh array coefficients of the broadcast shape,
-        and one point gives Python complex coefficients.  Three Python
-        floats stay Python floats throughout (no numpy call); ints, numpy
-        scalars and 0-d arrays are converted to them first.  Each array
-        argument is first cut to length 1 along every axis on which it is
-        constant (a meshgrid R varies along one axis only), so F and G are
-        evaluated once per distinct radius and the spinors once per
+        r (Bohr, > 0), theta and phi (finite) broadcast; array arguments
+        give a biquaternion with fresh array coefficients of the broadcast
+        shape, and one point gives Python complex coefficients.  Three
+        Python floats stay Python floats throughout (no numpy call); ints,
+        numpy scalars and 0-d arrays are converted to them first.  Each
+        array argument is first cut to length 1 along every axis on which
+        it is constant (a meshgrid R varies along one axis only), so F and
+        G are evaluated once per distinct radius and the spinors once per
         distinct angle; only the final combination is formed at full size.
         """
         shape, r, theta, phi = _arguments(r_au, theta, phi)
@@ -410,22 +419,16 @@ class WaveFunction(Record):
     def density(self, r_au, theta, phi):
         """Probability density per Bohr radius cubed, Sc(Psi conj_both(Psi)).
 
-        r (Bohr, > 0), theta and phi broadcast.  The limit at r -> 0 is
-        +inf for |k| = 1 and 0 otherwise, and r = inf gives the limit 0;
-        r <= 0 and NaN r raise ValueError.
+        r (Bohr, > 0), theta and phi (finite) broadcast.  The limit at
+        r -> 0 is +inf for |k| = 1 and 0 otherwise, and r = inf gives the
+        limit 0; r <= 0, NaN r and a non-finite angle raise ValueError.
 
-        One point is norm_sq(psi)/alpha^3.  Arrays never form Psi at full
-        size: _polarized combines the radial factors of f and h from
-        _radial with the angular factors of u and v from _angular, three
-        products and two sums at full size, within a few eps of the point
-        values.
+        One real kernel, _density, for a point and for arrays (trimmed as
+        in psi), with no Psi and no complex value; it does not depend on phi.
         """
-        shape, r, theta, phi = _arguments(r_au, theta, phi)
-        if shape is None:
-            return _norm_sq(*self._psi(r, theta, phi))/ALPHA_FS**3
-        return _full(_polarized(_radial_factors(*self._radial(r)),
-                                _angular_factors(*self._angular(theta, phi))),
-                     shape)
+        shape, r, theta, _ = _arguments(r_au, theta, phi)
+        d = _density(self._radial(r), self._angular_sq(theta))
+        return d if shape is None else _full(d, shape)
 
     def density_grid(self, r_au, theta):
         """density() on broadcastable (r, theta) arrays; it does not depend
@@ -435,9 +438,9 @@ class WaveFunction(Record):
     def _density_table(self, r_au: list, theta: list) -> list:
         """density_grid on every pair of r_au (Bohr, > 0) and theta, two
         lists of Python floats, r outer, as one flat list of Python floats.
-        It runs node by node on Python floats when _on_floats finds that
-        cheaper than importing numpy, else as one density_grid call; the
-        two agree to a few eps per node."""
+        It runs node by node on Python floats, each entry the bits of the
+        point density, when _on_floats finds that cheaper than importing
+        numpy, else as one density_grid call."""
         n_r, n_theta = len(r_au), len(theta)
         steps = (n_r*(self.qn.n_r + _NODE_STEPS)
                  + n_theta*(max(self._tables[2]) + _ANGLE_STEPS)
@@ -447,30 +450,17 @@ class WaveFunction(Record):
             with np.errstate(over="ignore", invalid="ignore"):
                 return self.density_grid(np.array(r_au)[:, None],
                                          np.array(theta)).ravel().tolist()
-        radial = [_radial_factors(*self._radial(r)) for r in r_au]
-        angular = [_angular_factors(*self._angular(t, 0.0)) for t in theta]
-        return [_polarized(a, b) for a in radial for b in angular]
+        radial = [self._radial(r) for r in r_au]
+        angular = [self._angular_sq(t) for t in theta]
+        return [_density(a, b) for a in radial for b in angular]
 
 
-def _radial_factors(f, h) -> tuple:
-    """(f^2, h^2, 2 f h)/alpha^3 of f and h from WaveFunction._radial."""
-    a3 = ALPHA_FS**3
-    return f*f/a3, h*h/a3, 2*f*h/a3
-
-
-def _angular_factors(u, v) -> tuple:
-    """(norm_sq(u), norm_sq(v), Im sum_i u_i conj(v_i)) of u and v from
-    WaveFunction._angular."""
-    return _norm_sq(*u), _norm_sq(*v), _polar_im(_bq(*u), _bq(*v))
-
-
-def _polarized(a, b):
-    """The density norm_sq(f u + i h v)/alpha^3 from a = _radial_factors(f,
-    h) and b = _angular_factors(u, v), by the norm's polarization identity
-    norm_sq(f u + i h v) = f^2 norm_sq(u) + h^2 norm_sq(v)
-    + 2 f h Im sum_i u_i conj(v_i) for real f and h: the one combination of
-    the array densities and of the tables on Python floats."""
-    return a[0]*b[0] + a[1]*b[1] + a[2]*b[2]
+def _density(fh, b):
+    """(f^2 |y_up|^2 + h^2 |y_low|^2)/alpha^3 from fh = _radial(r) and
+    b = _angular_sq(theta), the one expression of every route; alpha^3
+    divides last, to underflow as norm_sq(psi)/alpha^3 does in far tails."""
+    f, h = fh
+    return (f*f*b[0] + h*h*b[1])/ALPHA_FS**3
 
 
 # Importing numpy takes about 110 ms in a fresh process, and one step of
@@ -480,7 +470,7 @@ def _polarized(a, b):
 # such steps is faster without numpy.  On the same host a radial node
 # costs its n_r recurrence steps plus about _NODE_STEPS more, an angular
 # node its l steps plus about _ANGLE_STEPS, and one node of a density
-# table (_polarized) about one step.  The Gauss-Legendre rules run on
+# table (_density) about one step.  The Gauss-Legendre rules run on
 # Python floats on both routes, so they do not enter the choice.
 _FLOAT_STEPS = 750_000
 _NODE_STEPS = 20
@@ -499,22 +489,22 @@ def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
     return WaveFunction(qn)
 
 
-def _shell_rules(nodes: int) -> tuple:
+def _shell_rules(nodes: int, rule=leggauss) -> tuple:
     """The Gauss-Legendre rules of nodes and nodes + nodes//4 points on
     [0, 1] for probability_in_region: their nodes concatenated (both rules
     in one evaluation) and the two weight vectors, as lists of Python
-    floats (special.leggauss holds the rules themselves)."""
-    t_c, w_c = gauss_legendre_nodes(nodes, 0.0, 1.0)
-    t_f, w_f = gauss_legendre_nodes(nodes + nodes//4, 0.0, 1.0)
-    return t_c + t_f, w_c, w_f
+    floats, from rule(n), the n-point rule on [-1, 1]."""
+    (x_c, w_c), (x_f, w_f) = rule(nodes), rule(nodes + nodes//4)
+    return ([0.5*(x + 1) for x in x_c + x_f], [0.5*v for v in w_c],
+            [0.5*v for v in w_f])
 
 
 @functools.lru_cache(maxsize=64)
 def _shell_arrays(nodes: int) -> tuple:
     """_shell_rules(nodes) as read-only numpy arrays, memoized per node
-    count."""
+    count, from leggauss unmemoized: its memo would hold them twice."""
     import numpy as np
-    rules = tuple(map(np.array, _shell_rules(nodes)))
+    rules = tuple(map(np.array, _shell_rules(nodes, leggauss.__wrapped__)))
     for a in rules:
         a.flags.writeable = False
     return rules
@@ -540,7 +530,8 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     clusters the nodes at the lower end (the r^{2s} start at the origin,
     the decaying tail of an outer shell).  The rule has
     N = max(100, 4n + 60) nodes; the error estimate is its difference from
-    the rule with N + N/4 nodes, whose value is returned.  Where either
+    the rule with N + N/4 nodes, whose value is returned, or (N + N/4) eps
+    times that value, the rounding bound of its sum, if larger.  Where either
     leaves the float range (from n = 235 at k = -1, Z = 1, where the
     brackets overflow at the cap) this raises ValueError.  The nodes run
     one by one on Python floats when _on_floats finds that cheaper than
@@ -567,7 +558,7 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
             terms = _shell_terms(w, lo, hi, t)
             coarse = float(np.dot(w_c, terms[:nodes]))
             val = float(np.dot(w_f, terms[nodes:]))
-    err = abs(val - coarse)
+    err = max(abs(val - coarse), (nodes + nodes//4)*2.0**-52*val)  # eps
     if not math.isfinite(err):          # also refuses a NaN val
         raise ValueError(f"shell probability of n={w.qn.n}, k={w.qn.k} is "
                          f"out of the float range")

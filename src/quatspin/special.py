@@ -5,8 +5,9 @@ Generalized Laguerre polynomials come from the stable three-term recurrence
 solutions use 2s +- 1 with irrational s); one run also gives L_{n-1} of the
 superscript two above.  Spherical harmonics come from the fully normalized
 associated-Legendre recurrence with the Condon-Shortley phase; negative
-orders go through the conjugation symmetry.  Gauss-Legendre rules come
-from Newton's method on the Legendre recurrence, on Python floats (numpy's
+orders go through the conjugation symmetry; the hydrogen density runs the
+real columns alone (_columns).  Gauss-Legendre rules come from Newton's
+method on the Legendre recurrence, on Python floats (numpy's
 eigen-solve leggauss is their oracle in verify).  Sphere integrals use a
 Gauss-Legendre x uniform product rule; radial integrals of x^alpha e^{-x}
 times a polynomial use generalized Gauss-Laguerre nodes (verify's
@@ -88,38 +89,49 @@ def _legendre_column(l: int, ma: int):
                     for d in range(ma + 1, l + 1))
 
 
-def _harmonics(degrees, m: int, column, theta, phi) -> list:
-    """[Y_l^m(theta, phi) for l in degrees] from column =
-    _legendre_column(max(degrees), |m|); zero where l < |m|.  A Python-float
-    theta (phi one too) runs on Python floats and gives Python complex
-    values, float arrays give arrays.  This is the one loop of the column
-    recurrence."""
-    ma = abs(m)
+def _columns(degrees, orders, theta) -> list:
+    """[Pbar_l^ma(cos theta) sin^ma theta for l in degrees] (0.0 where
+    l < ma) for each (ma, _legendre_column(max(degrees), ma)) in orders, on
+    Python floats or arrays as theta: the one loop of the column recurrence,
+    for the density and for the complex harmonics (_harmonics)."""
     if type(theta) is float:
         x, u = math.cos(theta), abs(math.sin(theta))
+    else:
+        import numpy as np
+        x, u = np.cos(theta), np.abs(np.sin(theta))
+    out = []
+    for ma, (p, table) in orders:
+        values = [p]                # Pbar_l^ma / u^ma for l = ma, ma + 1, ...
+        p0 = 0.0
+        for a, b in table:
+            p0, p = p, a*(x*p - b*p0)
+            values.append(p)
+        um = u**ma
+        row = []
+        for l in degrees:
+            row.append(values[l - ma]*um if l >= ma else 0.0)
+        out.append(row)
+    return out
+
+
+def _harmonics(degrees, m: int, column, theta, phi) -> list:
+    """[Y_l^m(theta, phi) for l in degrees] from column =
+    _legendre_column(max(degrees), |m|): the real columns (_columns) times
+    e^{i m phi}; zero where l < |m|.  A Python-float theta (phi one too)
+    gives Python complex values, float arrays give arrays."""
+    ma = abs(m)
+    if type(theta) is float:
         t = 0.0 + ma*phi                # e^{i ma phi} with no -0.0
         e, zero = complex(math.cos(t), math.sin(t)), 0j
     else:
         import numpy as np
-        x, u = np.cos(theta), np.abs(np.sin(theta))
         e = np.exp(1j*ma*phi)
         zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
                         dtype=complex)
-    p, table = column
-    values = [p]                    # Pbar_l^m / u^m for l = ma, ma + 1, ...
-    p0 = 0.0
-    for a, b in table:
-        p0, p = p, a*(x*p - b*p0)
-        values.append(p)
     out = []
-    for l in degrees:
-        if l < ma:
-            out.append(zero)
-            continue
-        y = values[l - ma]*u**ma*e
-        if m < 0:
-            y = (-1)**ma*y.conjugate()
-        out.append(y)
+    for l, p in zip(degrees, _columns(degrees, ((ma, column),), theta)[0]):
+        y = p*e
+        out.append(zero if l < ma else (-1)**ma*y.conjugate() if m < 0 else y)
     return out
 
 

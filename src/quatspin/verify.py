@@ -655,6 +655,19 @@ def _hydrogen_states():
             yield QuantumNumbers(n, k, 0.5, Z)
 
 
+def _domain_states(rng):
+    """Seeded valid states, n <= 60: at each Z in (1, 20, 50, 92), a level
+    per k stratum (k = -n, other k < 0, k > 0) at m_j = -j, a draw and +j."""
+    for Z in (1, 20, 50, 92):
+        for stratum in ("-n", "k<0", "k>0"):
+            n = int(rng.integers(1 if stratum == "-n" else 2, 61))
+            k = (-n if stratum == "-n" else
+                 int(rng.integers(1, n))*(-1 if stratum == "k<0" else 1))
+            j = abs(k) - 0.5
+            for mj in (-j, int(rng.integers(0, 2*j + 1)) - j, j):
+                yield QuantumNumbers(n, k, mj, Z)
+
+
 def _radial_at(w: hy.WaveFunction, r_au, A: float):
     """(A F, A G) of w's level at radii in Bohr, with A rho^s e^{-rho}
     formed in range: the unnormalized F (A = 1) overflows for large |k|
@@ -965,16 +978,13 @@ def _chk_shell_oracle(rng, c):
 
 @_register("density-assembly", "hydrogen", 1e-12)
 def _chk_density_assembly(rng, c):
-    states = [QuantumNumbers(n, k, mj, 1) for (n, k), mj in
-              zip(_STATES, (0.5, 0.5, -0.5, 1.5, 0.5, -1.5))]
-    u = rng.random((100, 3))
-    r_all = 0.1 + (6.0 - 0.1)*u[:, 0]
-    th_all, ph_all = _sphere_points(u[:, 1:])
-    for i, qn in enumerate(states):
-        # point i goes to state i mod 6: one batch per state
+    states = list(_domain_states(rng))
+    u = rng.random((len(states), 6, 3))
+    for qn, v in zip(states, u):
+        # radii across the bulk, (0.02 .. 3) n^2/Z Bohr; uniform directions
         w = hy.assemble_wavefunction(qn)
-        pick = slice(i, None, len(states))
-        r, th, ph = r_all[pick], th_all[pick], ph_all[pick]
+        r = (0.02 + 2.98*v[:, 0])*qn.n*qn.n/qn.Z
+        th, ph = _sphere_points(v[:, 1:])
         p = w.psi(r, th, ph)
         prod = mul(conj_both(p), p)
         dens_nat = prod.q0.real
@@ -983,15 +993,16 @@ def _chk_density_assembly(rng, c):
         scale = np.maximum(dens, 1e-30)
         # scalar is real, e2/e3 vanish, e1 carries exactly -i * density
         for zero in (prod.q0.imag, prod.q2, prod.q3):
-            c(zero)
-        c(prod.q1, -1j*dens_nat)
-        c(dens_nat, abs(a)**2 + abs(b)**2)
-        c(dens, density_oracle(w, r, th), scale)
-        c(dens, dens_nat/ALPHA_FS**3, scale)
-        c(np.minimum(dens, 0.0))
-        c(p, psi_oracle(w, r, th, ph))
-    return ("product = density (e0 - i e1); componentwise formula; "
-            "two assembly routes; nonnegativity")
+            c(zero, at=qn)
+        c(prod.q1, -1j*dens_nat, at=qn)
+        c(dens_nat, abs(a)**2 + abs(b)**2, at=qn)
+        c(dens, density_oracle(w, r, th), scale, at=qn)
+        c(dens, dens_nat/ALPHA_FS**3, scale, at=qn)
+        c(np.minimum(dens, 0.0), at=qn)
+        c(p, psi_oracle(w, r, th, ph), at=qn)
+    return (f"product = density (e0 - i e1); componentwise formula; two "
+            f"assembly routes; nonnegativity; {len(states)} seeded states, "
+            f"6 points each; worst at {c.at}")
 
 
 @_register("probability-shells", "hydrogen", 1e-6)

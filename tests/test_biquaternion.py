@@ -130,23 +130,21 @@ def test_norm_sq_is_eight_vector_norm():
 
 
 def test_polarization_identity_of_the_norm():
-    # the cross term of the array density route, on elements where it is
-    # far from zero; scalars and a batch
-    from quatspin.biquaternion import _polar_im
+    # norm_sq(f a + i h b) = f^2 norm_sq(a) + h^2 norm_sq(b)
+    # + 2 f h Im Sc(a conj_both(b)) for real f and h; scalars and a batch
     rng = np.random.default_rng(23)
     for _ in range(100):
         a, b = _rand(rng), _rand(rng)
         f, h = rng.standard_normal(2)
         want = norm_sq(a*f + b*(1j*h))
-        got = f*f*norm_sq(a) + h*h*norm_sq(b) + 2*f*h*_polar_im(a, b)
+        cross = mul(a, conj_both(b)).scalar.imag
+        got = f*f*norm_sq(a) + h*h*norm_sq(b) + 2*f*h*cross
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
-        assert _polar_im(a, b) == pytest.approx(
-            mul(a, conj_both(b)).scalar.imag, rel=1e-13, abs=1e-14)
     c = rng.standard_normal((2, 4, 5)) + 1j*rng.standard_normal((2, 4, 5))
     a, b = Biquaternion(*c[0]), Biquaternion(*c[1])
     np.testing.assert_allclose(
-        _polar_im(a, b),
-        [_polar_im(Biquaternion(*c[0, :, j]), Biquaternion(*c[1, :, j]))
+        norm_sq(a + b*1j),
+        [norm_sq(Biquaternion(*c[0, :, j]) + Biquaternion(*c[1, :, j])*1j)
          for j in range(5)], rtol=1e-14, atol=1e-14)
 
 

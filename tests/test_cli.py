@@ -578,10 +578,10 @@ _CSV_PINNED = {
         "e3,-0.04981271082453307,0.0,0.0,0.09354412323440273\n",
     ("probability", "--r-hi", "1"):
         "r_lo,r_hi,probability,quadrature_error\n"
-        "0.0,1.0,0.32333593037585734,5.551115123125783e-17\n",
+        "0.0,1.0,0.32333593037585734,8.974374864796834e-15\n",
     ("probability",):
         "r_lo,r_hi,probability,quadrature_error\n"
-        "0.0,inf,0.9999999999999976,8.881784197001252e-16\n",
+        "0.0,inf,0.9999999999999976,2.7755575615628847e-14\n",
 }
 
 

@@ -407,11 +407,16 @@ def test_point_density_for_every_scalar_type(qn):
                                          (20, -7, 2.5, 50),
                                          (32, 31, 30.5, 92),
                                          (150, -150, -3.5, 92)])
-def test_point_density_is_norm_sq_of_psi_bit_for_bit(n, k, mj, Z):
+def test_point_density_is_norm_sq_of_psi_bit_for_bit(monkeypatch, n, k, mj,
+                                                     Z):
     # at one point psi's four coefficients are the composition of
-    # _radial_FG and spinor_as_biquaternion, signed zeros included, and
-    # density is their norm; at n = |k| = 150, r = 1000 Bohr takes the
-    # one-exponential prefactor, and r = inf gives the limit 0
+    # _radial_FG and spinor_as_biquaternion, signed zeros included; the
+    # density is the real kernel, the bits of the float table's entry at
+    # the same node and within 4 eps of norm_sq(psi)/alpha^3; at
+    # n = |k| = 150, r = 1000 Bohr takes the one-exponential prefactor,
+    # and r = inf gives the limit 0
+    from quatspin import hydrogen as hy
+    monkeypatch.setattr(hy, "_on_floats", lambda steps: True)
     w = assemble_wavefunction(QuantumNumbers(n, k, mj, Z))
     rng = np.random.default_rng(n)
     pts = [(1000.0, 3.0, 5.0), (1e-3, 0.0, 0.0), (2.0, math.pi, 1.0),
@@ -419,6 +424,7 @@ def test_point_density_is_norm_sq_of_psi_bit_for_bit(n, k, mj, Z):
     pts += [(float(rng.uniform(0.02, 3.0))*n*n/Z,
              float(np.arccos(rng.uniform(-1.0, 1.0))),
              float(rng.uniform(0.0, 2*math.pi))) for _ in range(50)]
+    eps = sys.float_info.epsilon
     for r, th, ph in pts:
         F, G = _radial_FG(w.level, w.C*r/ALPHA_FS, w.A)
         u = spinor_as_biquaternion(w.spinor_upper, th, ph)
@@ -430,12 +436,84 @@ def test_point_density_is_norm_sq_of_psi_bit_for_bit(n, k, mj, Z):
             want = f*a + g*b
             assert (got.real.hex(), got.imag.hex()) == (
                 want.real.hex(), want.imag.hex()), (r, th, ph)
+        dens = w.density(r, th, ph)
+        assert dens.hex() == w._density_table([r], [th])[0].hex(), (r, th)
         want = norm_sq(psi)/ALPHA_FS**3
-        assert w.density(r, th, ph).hex() == want.hex(), (r, th, ph)
+        assert abs(dens - want) <= 4*eps*want, (r, th, ph, dens, want)
     assert w.density(math.inf, 1.0, 0.0) == 0.0
     if n == 150:
         rho = w.C*1000.0/ALPHA_FS
         assert not _split_ok(math.log(w.A), w.s*math.log(rho), rho)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 60), k_pick=st.integers(0, 119),
+       mj_pick=st.integers(0, 119), Z=st.sampled_from([1, 20, 50, 92]),
+       u=st.floats(0.02, 3.0), theta=st.floats(0.0, math.pi),
+       phi1=st.floats(-1e6, 1e6), phi2=st.floats(-1e6, 1e6))
+def test_density_does_not_depend_on_phi(n, k_pick, mj_pick, Z, u, theta,
+                                        phi1, phi2):
+    # the paired harmonics share their order m: no phi reaches the density,
+    # at a point or on arrays
+    w = assemble_wavefunction(_valid_state(n, k_pick, mj_pick, Z))
+    r = u*n*n/Z
+    assert (w.density(r, theta, phi1).hex()
+            == w.density(r, theta, phi2).hex())
+    rs, ths = np.array([[r], [2*r]]), np.array([theta, math.pi - theta])
+    assert (w.density(rs, ths, phi1).tobytes()
+            == w.density(rs, ths, np.full(2, phi2)).tobytes())
+
+
+def test_density_runs_without_the_complex_assembly(monkeypatch):
+    # density, density_grid and _density_table on both routes never call
+    # the spin-basis assembly or the complex harmonics; psi does
+    from quatspin import hydrogen as hy, special, spinor
+
+    def refuse(*args):
+        raise AssertionError("complex assembly called")
+
+    for module, name in ((spinor, "_spin_basis"), (hy, "_spin_basis"),
+                         (special, "_harmonics"), (hy, "_harmonics")):
+        monkeypatch.setattr(module, name, refuse)
+    w = assemble_wavefunction(QuantumNumbers(5, 2, -1.5, 20))
+    assert w.density(1.0, 0.4, 2.0) > 0
+    assert np.all(w.density(np.array([1.0, 2.0]), 0.4, 2.0) > 0)
+    assert np.all(w.density_grid(np.array([[0.5], [1.0]]),
+                                 np.array([0.3, 1.2, 2.8])) > 0)
+    floats, arrays, _ = _both_routes(
+        monkeypatch, lambda: w._density_table([0.5, 1.0], [0.3, 1.2]))
+    assert len(floats) == len(arrays) == 4
+    with pytest.raises(AssertionError, match="complex assembly"):
+        w.psi(1.0, 0.4, 2.0)
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize("method", ["psi", "density"])
+def test_non_finite_angles_raise_at_a_point(method, bad):
+    w = assemble_wavefunction(QuantumNumbers(3, 2, -1.5, 20))
+    call = getattr(w, method)
+    for args in ((1.0, bad, 0.3), (1.0, 0.3, bad), (1.0, bad, bad),
+                 (1.0, np.float64(bad), 0.3), (2, 0.3, np.array(bad))):
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            call(*args)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize("method", ["psi", "density"])
+def test_non_finite_angles_raise_on_arrays(method, bad):
+    w = assemble_wavefunction(QuantumNumbers(3, 2, -1.5, 20))
+    call = getattr(w, method)
+    r, good = np.array([[0.5], [1.0]]), np.array([0.3, 1.2])
+    for args in ((r, np.array([0.3, bad]), 0.3), (r, good, bad),
+                 (r, good, np.array([bad, 1.0])), (1.0, good, bad)):
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            call(*args)
+    if method == "density":
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            w.density_grid(r, np.array([0.3, bad]))
 
 
 @pytest.mark.parametrize("n, k, mj, Z", [(1, -1, 0.5, 1), (7, 3, -1.5, 50),
@@ -684,6 +762,31 @@ def test_shell_probability_routes_agree(monkeypatch):
             assert abs(pf - pa) <= 1e-13*abs(pa), (qn, lo, hi, pf, pa)
             assert abs(ef - ea) <= 1e-13*abs(pa), (qn, lo, hi, ef, ea)
             assert steps < hy._FLOAT_STEPS
+
+
+def test_shell_arrays_leave_the_rule_memo_alone(monkeypatch):
+    # the array route holds its rules as arrays alone; the float route
+    # memoizes them in special.leggauss
+    from quatspin import hydrogen as hy
+    from quatspin.special import leggauss
+    w = assemble_wavefunction(QuantumNumbers(7, 3, 0.5, 20))
+    hy._shell_arrays.cache_clear()
+    leggauss.cache_clear()
+    monkeypatch.setattr(hy, "_on_floats", lambda steps: False)
+    p = probability_in_region(w, 0.0, math.inf)
+    assert leggauss.cache_info().currsize == 0
+    monkeypatch.setattr(hy, "_on_floats", lambda steps: True)
+    assert abs(probability_in_region(w, 0.0, math.inf) - p) <= 1e-13
+    assert leggauss.cache_info().currsize == 2
+
+
+def test_quadrature_error_has_a_rounding_floor(monkeypatch):
+    # converged rules agree to rounding; the estimate is then the a-priori
+    # bound (N + N/4) eps P on the sum of N + N/4 nonnegative terms
+    w = assemble_wavefunction(QuantumNumbers(1, -1))
+    for p, err in _both_routes(monkeypatch, lambda: probability_in_region(
+            w, 0.0, 1.0, return_error=True))[:2]:
+        assert err == 125*sys.float_info.epsilon*p > 0
 
 
 @pytest.mark.parametrize("n, k", [(250, -1), (300, -1), (400, -100)])

@@ -155,14 +155,14 @@ def test_harmonic_rejects_bad_label():
 
 def test_spinor_pair_shares_column_passes():
     # the two spinors of a Dirac state, l and l + 1, from one
-    # WaveFunction._parts call: one column pass per order serves both, and
-    # each is spinor_as_biquaternion bit for bit
+    # WaveFunction._angular call: one column pass per order serves both,
+    # and each is spinor_as_biquaternion bit for bit
     w = assemble_wavefunction(QuantumNumbers(6, -4, -1.5, 20))
     up, lo = w.spinor_upper, w.spinor_lower
     assert (up.l, lo.l) == (3, 4)
     th = np.array([0.4, 1.9])
     ph = np.array([2.2, 0.1])
-    _, _, u, v = w._parts(np.array([1.0]), th, ph)
+    u, v = w._angular(th, ph)
     for s, coeffs in ((up, u), (lo, v)):
         want = spinor_as_biquaternion(s, th, ph).coefficients()
         for a, b in zip(coeffs, want):
