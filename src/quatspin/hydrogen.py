@@ -38,6 +38,11 @@ Psi conj_both(Psi), i.e. norm_sq(Psi).  The reversed product conj_both(Psi)
 Psi has the same scalar part, its e2/e3 parts cancel identically, and it
 equals density times (e0 - i e1).  Paired harmonics share their order m, so
 the F G cross term vanishes: density = (A/r)^2 (F^2 |y_up|^2 + G^2 |y_low|^2).
+The lower spinor is the Pauli-quaternion product y_low = -(sigma . r_hat) y_up
+(verify's spinor-parity-map), and sigma . r_hat is unitary, so
+|y_low|^2 = |y_up|^2 and density = (A/r)^2 (F^2 + G^2) |y_up|^2: the radial
+factor on the radii, one spinor's real Legendre columns up to l_up on the
+angles, and one product at full size.
 
 numpy is imported by the calls that take arrays, and nothing else.  The
 shell probabilities and the density tables of the command line run the
@@ -100,11 +105,13 @@ def _radial_FG(lv: _Level, rho, A: float = 1.0):
     return _radial_kernel(lv, A, math.log(A), rho, _steps(lv))
 
 
-def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps):
+def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps,
+                   bounds=()):
     """(F, G) times A, log_a = log A, at rho >= 0: a Python float gives
     Python floats, a float array arrays; steps as for _brackets.  At
     rho = inf (F, G) is the limit 0: e^{-rho} beats every power of rho.
-    A Python float never touches numpy.
+    A Python float never touches numpy.  bounds, if given, are the least
+    and greatest rho of an array, bit for bit, so that no reduction runs.
 
     The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
     so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
@@ -119,7 +126,8 @@ def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps):
         exp = math.exp
     else:
         import numpy as np
-        lo, hi = (rho.min(), rho.max()) if rho.size else (0.0, 0.0)
+        lo, hi = bounds or ((rho.min(), rho.max()) if rho.size
+                            else (0.0, 0.0))
         if hi == math.inf:
             finite = rho < hi
             F, G = _radial_kernel(lv, A, log_a, np.where(finite, rho, 0.0),
@@ -161,13 +169,16 @@ def _trim(a: np.ndarray) -> np.ndarray:
 
     Exact: the comparison is bitwise (signed zeros and NaNs count as
     values), and broadcasting against the other arguments restores the
-    cut axes."""
+    cut axes.  An axis whose last slice differs from its first is kept
+    without the full compare."""
     import numpy as np
     bits = a.view(np.int64)
     for axis in range(a.ndim):
         if a.shape[axis] > 1:
             first = (slice(None),)*axis + (slice(0, 1),)
-            if (bits == bits[first]).all():
+            last = (slice(None),)*axis + (slice(-1, None),)
+            if ((bits[last] == bits[first]).all()
+                    and (bits == bits[first]).all()):
                 a, bits = a[first], bits[first]
     return a
 
@@ -284,7 +295,7 @@ def _arguments(r_au, theta, phi):
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
         if r_au.ndim or theta.ndim or phi.ndim:
-            shape = np.broadcast_shapes(r_au.shape, theta.shape, phi.shape)
+            shape = np.broadcast(r_au, theta, phi).shape
             r_au, theta, phi = _trim(r_au), _trim(theta), _trim(phi)
         if not r_au.ndim:
             r_au = float(r_au)
@@ -335,14 +346,14 @@ class WaveFunction(Record):
             raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
                              f"the float range")
         # log A, the Laguerre steps of the radial pair, the degrees l_up and
-        # l_low, the orders m_j -+ 1/2 with their Legendre columns up to
-        # max(l_up, l_low), and the Clebsch weights
+        # l_low, the orders m1, m2 = m_j -+ 1/2, the pairs (|m|, Legendre
+        # column up to max(l_up, l_low)) of m1 and m2, and the Clebsch
+        # weights
         ls = (upper.l, lower.l)
-        m1 = int(round(qn.m_j - 0.5))
+        ms = (int(round(qn.m_j - 0.5)), int(round(qn.m_j + 0.5)))
         object.__setattr__(self, "_tables", (
-            math.log(A), tuple(_steps(lv)), ls,
-            m1, _legendre_column(max(ls), abs(m1)),
-            m1 + 1, _legendre_column(max(ls), abs(m1 + 1)),
+            math.log(A), tuple(_steps(lv)), ls, ms,
+            tuple((abs(m), _legendre_column(max(ls), abs(m))) for m in ms),
             (upper.c1, upper.c2, lower.c1, lower.c2)))
 
     def __reduce__(self):
@@ -370,11 +381,16 @@ class WaveFunction(Record):
         pref = ALPHA_FS/r
         return pref*F, pref*G
 
+    def _radial_sq(self, r):
+        """f^2 + h^2 at r, from _radial."""
+        f, h = self._radial(r)
+        return f*f + h*h
+
     def _angular(self, theta, phi) -> tuple:
         """(u, v): the coefficients of the biquaternion forms of the upper
         and lower spinors at theta and phi; Python floats give Python
         complex values, arrays arrays."""
-        _, _, ls, m1, col1, m2, col2, c = self._tables
+        _, _, ls, (m1, m2), ((_, col1), (_, col2)), c = self._tables
         y1u, y1l = _harmonics(ls, m1, col1, theta, phi)
         y2u, y2l = _harmonics(ls, m2, col2, theta, phi)
         return (_spin_basis(c[0]*y1u, c[1]*y2u),
@@ -389,15 +405,15 @@ class WaveFunction(Record):
         g = 1j*h
         return f*u0 + g*v0, f*u1 + g*v1, f*u2 + g*v2, f*u3 + g*v3
 
-    def _angular_sq(self, theta) -> tuple:
-        """(|y_up|^2, |y_low|^2) at theta, c1^2 (Pbar_l^|m1| sin^|m1|)^2 +
-        c2^2 (Pbar_l^|m2| sin^|m2|)^2 each, from the real columns of the
-        orders m1, m2 = m_j -+ 1/2: no phi and no complex value."""
-        _, _, ls, m1, col1, m2, col2, c = self._tables
-        (p1u, p1l), (p2u, p2l) = _columns(
-            ls, ((abs(m1), col1), (abs(m2), col2)), theta)
-        return (c[0]*c[0]*(p1u*p1u) + c[1]*c[1]*(p2u*p2u),
-                c[2]*c[2]*(p1l*p1l) + c[3]*c[3]*(p2l*p2l))
+    def _angular_sq(self, theta):
+        """|y_up|^2 at theta, c1^2 (Pbar_l^|m1| sin^|m1|)^2 +
+        c2^2 (Pbar_l^|m2| sin^|m2|)^2 with l = l_up, from the real columns
+        of the orders m1, m2 = m_j -+ 1/2 run up to l_up: no phi and no
+        complex value.  It is also |y_low|^2: y_low = -(sigma . r_hat) y_up
+        and sigma . r_hat is unitary (verify's spinor-parity-map)."""
+        _, _, ls, _, orders, c = self._tables
+        p1, p2 = _columns(ls[:1], orders, theta)
+        return c[0]*c[0]*(p1*p1) + c[1]*c[1]*(p2*p2)
 
     def psi(self, r_au, theta, phi) -> Biquaternion:
         """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
@@ -427,7 +443,7 @@ class WaveFunction(Record):
         in psi), with no Psi and no complex value; it does not depend on phi.
         """
         shape, r, theta, _ = _arguments(r_au, theta, phi)
-        d = _density(self._radial(r), self._angular_sq(theta))
+        d = _density(self._radial_sq(r), self._angular_sq(theta))
         return d if shape is None else _full(d, shape)
 
     def density_grid(self, r_au, theta):
@@ -443,24 +459,26 @@ class WaveFunction(Record):
         numpy, else as one density_grid call."""
         n_r, n_theta = len(r_au), len(theta)
         steps = (n_r*(self.qn.n_r + _NODE_STEPS)
-                 + n_theta*(max(self._tables[2]) + _ANGLE_STEPS)
+                 + n_theta*(self.qn.l_upper + _ANGLE_STEPS)
                  + n_r*n_theta)
         if not _on_floats(steps):
             import numpy as np
             with np.errstate(over="ignore", invalid="ignore"):
                 return self.density_grid(np.array(r_au)[:, None],
                                          np.array(theta)).ravel().tolist()
-        radial = [self._radial(r) for r in r_au]
+        radial = [self._radial_sq(r) for r in r_au]
         angular = [self._angular_sq(t) for t in theta]
         return [_density(a, b) for a in radial for b in angular]
 
 
-def _density(fh, b):
-    """(f^2 |y_up|^2 + h^2 |y_low|^2)/alpha^3 from fh = _radial(r) and
+def _density(q, b):
+    """(f^2 + h^2) |y_up|^2/alpha^3 from q = _radial_sq(r) and
     b = _angular_sq(theta), the one expression of every route; alpha^3
-    divides last, to underflow as norm_sq(psi)/alpha^3 does in far tails."""
-    f, h = fh
-    return (f*f*b[0] + h*h*b[1])/ALPHA_FS**3
+    divides last, to underflow as norm_sq(psi)/alpha^3 does in far tails,
+    and in place, so that a grid allocates one full-size array."""
+    d = q*b
+    d /= ALPHA_FS**3
+    return d
 
 
 # Importing numpy takes about 110 ms in a fresh process, and one step of
@@ -469,12 +487,15 @@ def _density(fh, b):
 # shared 2-vCPU x86_64 host): a call that needs fewer than _FLOAT_STEPS
 # such steps is faster without numpy.  On the same host a radial node
 # costs its n_r recurrence steps plus about _NODE_STEPS more, an angular
-# node its l steps plus about _ANGLE_STEPS, and one node of a density
-# table (_density) about one step.  The Gauss-Legendre rules run on
+# node (_angular_sq) its l_up steps plus about _ANGLE_STEPS, and one node
+# of a density table (_density) about one step.  The angular figure is
+# the median of five runs, each the best of 7 x 2000 calls at m_j = 1/2
+# (the longest columns) over one step timed alongside: l_up + 12.5 at
+# l_up = 1 to l_up + 16 at l_up = 40.  The Gauss-Legendre rules run on
 # Python floats on both routes, so they do not enter the choice.
 _FLOAT_STEPS = 750_000
 _NODE_STEPS = 20
-_ANGLE_STEPS = 60
+_ANGLE_STEPS = 14
 
 
 def _on_floats(steps: int) -> bool:
@@ -501,22 +522,26 @@ def _shell_rules(nodes: int, rule=leggauss) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _shell_arrays(nodes: int) -> tuple:
-    """_shell_rules(nodes) as read-only numpy arrays, memoized per node
-    count, from leggauss unmemoized: its memo would hold them twice."""
+    """_shell_rules(nodes) as read-only numpy arrays, and the least and
+    greatest node as two Python floats, memoized per node count, from
+    leggauss unmemoized: its memo would hold the rules twice."""
     import numpy as np
-    rules = tuple(map(np.array, _shell_rules(nodes, leggauss.__wrapped__)))
-    for a in rules:
+    rules = _shell_rules(nodes, leggauss.__wrapped__)
+    arrays = tuple(map(np.array, rules))
+    for a in arrays:
         a.flags.writeable = False
-    return rules
+    return arrays + ((min(rules[0]), max(rules[0])),)
 
 
-def _shell_terms(w: WaveFunction, lo: float, hi: float, t):
+def _shell_terms(w: WaveFunction, lo: float, hi: float, t, t_ends=()):
     """The integrand 2 (hi - lo) t (F^2 + G^2) of probability_in_region at
     r = lo + (hi - lo) t^2 (natural units), dr = 2 (hi - lo) t dt; a Python
-    float t gives a Python float, an array an array."""
+    float t gives a Python float, an array an array, whose least and
+    greatest node t_ends gives the bounds of rho: the map is monotone in t
+    and rounds alike on floats and arrays."""
     lv = w.level
-    F, G = _radial_kernel(lv, w.A, w._tables[0], lv.C*(lo + (hi - lo)*t*t),
-                          w._tables[1])
+    rho, *bounds = [lv.C*(lo + (hi - lo)*x*x) for x in (t, *t_ends)]
+    F, G = _radial_kernel(lv, w.A, w._tables[0], rho, w._tables[1], bounds)
     return 2.0*(hi - lo)*t*(F*F + G*G)
 
 
@@ -553,9 +578,9 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
         val = sum(map(operator.mul, w_f, terms[nodes:]))
     else:
         import numpy as np
-        t, w_c, w_f = _shell_arrays(nodes)
+        t, w_c, w_f, t_ends = _shell_arrays(nodes)
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = _shell_terms(w, lo, hi, t)
+            terms = _shell_terms(w, lo, hi, t, t_ends)
             coarse = float(np.dot(w_c, terms[:nodes]))
             val = float(np.dot(w_f, terms[nodes:]))
     err = max(abs(val - coarse), (nodes + nodes//4)*2.0**-52*val)  # eps

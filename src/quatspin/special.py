@@ -90,27 +90,35 @@ def _legendre_column(l: int, ma: int):
 
 
 def _columns(degrees, orders, theta) -> list:
-    """[Pbar_l^ma(cos theta) sin^ma theta for l in degrees] (0.0 where
-    l < ma) for each (ma, _legendre_column(max(degrees), ma)) in orders, on
-    Python floats or arrays as theta: the one loop of the column recurrence,
-    for the density and for the complex harmonics (_harmonics)."""
+    """Pbar_l^ma(cos theta) sin^ma theta (0.0 where l < ma) for each
+    (ma, column) in orders and each l in degrees, order by order, from
+    column = _legendre_column(L, ma), L >= max(degrees).  The one loop of
+    the column recurrence: a run resumes up to the next degree asked for,
+    and keeps those values alone; it holds the degree below the last one
+    too, and starts over for a lower degree.  The hydrogen density asks
+    for one degree, where its runs end, psi for l_up and l_low = l_up -+ 1.
+    On Python floats or arrays as theta."""
     if type(theta) is float:
         x, u = math.cos(theta), abs(math.sin(theta))
     else:
         import numpy as np
         x, u = np.cos(theta), np.abs(np.sin(theta))
     out = []
-    for ma, (p, table) in orders:
-        values = [p]                # Pbar_l^ma / u^ma for l = ma, ma + 1, ...
-        p0 = 0.0
-        for a, b in table:
-            p0, p = p, a*(x*p - b*p0)
-            values.append(p)
+    for ma, (start, table) in orders:
         um = u**ma
-        row = []
+        p0, p, d = 0.0, start, ma   # Pbar_{d-1}^ma, Pbar_d^ma over u^ma
         for l in degrees:
-            row.append(values[l - ma]*um if l >= ma else 0.0)
-        out.append(row)
+            if l < ma:
+                out.append(0.0)
+            elif l == d - 1:
+                out.append(p0*um)
+            else:
+                if l < d:
+                    p0, p, d = 0.0, start, ma
+                for a, b in table[d - ma:l - ma]:
+                    p0, p = p, a*(x*p - b*p0)
+                d = l
+                out.append(p*um)
     return out
 
 
@@ -129,7 +137,7 @@ def _harmonics(degrees, m: int, column, theta, phi) -> list:
         zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
                         dtype=complex)
     out = []
-    for l, p in zip(degrees, _columns(degrees, ((ma, column),), theta)[0]):
+    for l, p in zip(degrees, _columns(degrees, ((ma, column),), theta)):
         y = p*e
         out.append(zero if l < ma else (-1)**ma*y.conjugate() if m < 0 else y)
     return out
@@ -138,7 +146,7 @@ def _harmonics(degrees, m: int, column, theta, phi) -> list:
 def spherical_harmonics(degrees, m: int, theta, phi) -> list:
     """[Y_l^m(theta, phi) for l in degrees]: harmonics of one integer order
     m at nonnegative integer degrees from a single pass of the normalized
-    column recurrence; 0 where l < |m|.
+    column recurrence (ascending degrees; see _columns); 0 where l < |m|.
 
     Y_l^m = Pbar_l^m(cos theta) e^{i m phi} for m >= 0, where Pbar_l^m is
     the associated Legendre function with sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)

@@ -52,7 +52,7 @@ from .spinor import (
 )
 from .levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, binding_energy_ev, energy,
-    radial_parameters, sommerfeld_energy,
+    l_of_k, radial_parameters, sommerfeld_energy,
 )
 from . import hydrogen as hy
 from . import pauli_dirac as pd
@@ -640,6 +640,28 @@ def _chk_spinor_orth(rng, c):
 
         c(quadrature_sphere(integrand))
     return "same-l, different (j, m_j) sphere inner products vanish"
+
+
+@_register("spinor-parity-map", "spinor", 1e-13)
+def _chk_parity_map(rng, c):
+    th, ph = _sphere_points(rng.random((32, 2)))
+    n = (np.sin(th)*np.cos(ph), np.sin(th)*np.sin(ph), np.cos(th))
+    # sigma . r_hat as a Pauli biquaternion (left product) and as a matrix
+    sigma_r = sum((sp.pauli_quaternion(a)*x for a, x in zip("xyz", n)),
+                  Biquaternion())
+    sigma_m = sum(_PAULI[a][..., None]*x for a, x in zip("xyz", n))
+    for k in (*range(-12, 0), *range(1, 13)):
+        j = abs(k) - 0.5
+        for mj in np.arange(-j, j + 1).tolist():
+            y, y_par = (SpinorFunction(l_of_k(kk), j, mj) for kk in (k, -k))
+            prod = mul(sigma_r, spinor_as_biquaternion(y, th, ph))
+            vec = np.einsum("abn,bn->na", sigma_m, spinor_as_vector(y, th, ph))
+            c(prod, -spinor_as_biquaternion(y_par, th, ph), at=(k, mj))
+            c(ket_to_vector(prod), vec, at=(k, mj))
+            c(vec, -spinor_as_vector(y_par, th, ph).T, at=(k, mj))
+    return (f"(sigma . r_hat) y_k = -y_-k: Hamilton product vs Clebsch "
+            f"route vs 2x2 matrices; |k| <= 12, every m_j, {th.size} seeded "
+            f"directions; worst at (k, m_j) = {c.at}")
 
 
 # --------------------------------------------------------------- hydrogen

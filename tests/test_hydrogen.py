@@ -838,3 +838,80 @@ def test_density_table_routes_agree(monkeypatch, big):
         tiny = sys.float_info.min
         assert all(abs(f - a) <= 1e-14*a + tiny
                    for f, a in zip(floats, arrays)), qn
+
+
+def test_density_is_the_two_spinor_formula(monkeypatch):
+    # (f^2 + h^2) |y_up|^2 against f^2 |y_up|^2 + h^2 |y_low|^2 with both
+    # spinors from spinor_components, at points, on arrays, on a grid and
+    # in both routes of the float table.  Each side rounds in up to about
+    # seven operations: f^2 |y_up|^2 + h^2 |y_low|^2 itself, on the real
+    # columns, differs from this complex reference by up to 5.6 eps on
+    # these states, so the bound is 8 eps
+    from quatspin.spinor import spinor_components
+    eps = sys.float_info.epsilon
+    rng = np.random.default_rng(21)
+    for qn in verify._domain_states(rng):
+        w = assemble_wavefunction(qn)
+        r = (0.02 + 2.98*rng.random(6))*qn.n*qn.n/qn.Z
+        th = np.arccos(rng.uniform(-1.0, 1.0, 5))
+        ph = rng.uniform(0.0, 2*math.pi, 5)
+        f, h = w._radial(r[:, None])
+        up, low = (sum(abs(y)**2 for y in spinor_components(s, th, ph))
+                   for s in (w.spinor_upper, w.spinor_lower))
+        want = (f*f*up + h*h*low)/ALPHA_FS**3
+        floats, arrays, _ = _both_routes(
+            monkeypatch, lambda: w._density_table(r.tolist(), th.tolist()))
+        points = [[w.density(a, b, c) for b, c in zip(th.tolist(),
+                                                      ph.tolist())]
+                  for a in r.tolist()]
+        for got in (w.density_grid(r[:, None], th), np.reshape(floats, (6, 5)),
+                    np.reshape(arrays, (6, 5)), np.array(points),
+                    w.density(r[:5], th, ph)):
+            ref = want if got.shape == want.shape else want[range(5),
+                                                           range(5)]
+            assert np.all(np.abs(got - ref) <= 8*eps*ref), qn
+
+
+def test_trim_keeps_an_axis_whose_ends_agree():
+    # the end-slice test only rejects: equal ends still take the full
+    # compare, and a middle that differs keeps the axis
+    from quatspin.hydrogen import _trim
+    assert _trim(np.array([1.0, 2.0, 1.0])).shape == (3,)
+    a = np.array([[1.0, 5.0, 1.0], [1.0, 5.0, 1.0]])
+    assert _trim(a).tobytes() == a[:1].tobytes()
+    b = np.array([[0.0, 0.0], [3.0, 3.0], [-0.0, -0.0]])   # -0.0 is not 0.0
+    assert _trim(b).shape == (3, 1)
+    assert _trim(np.full((4, 3), 2.5)).shape == (1, 1)
+
+
+@pytest.mark.parametrize("n, k, Z", [(7, 3, 20), (40, -40, 92),
+                                     (150, -150, 1), (200, -1, 1)])
+def test_shell_bounds_are_the_extremes_of_rho(monkeypatch, n, k, Z):
+    # the memoized end nodes give rho.min() and rho.max() bit for bit, so
+    # the array route takes the split prefactor where the reductions would:
+    # at (200, -1) _split_ok fails at the far end alone, at (40, -40) at
+    # the near end alone, at (150, -150) at both
+    from quatspin import hydrogen as hy
+    w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
+    plain, seen = hy._radial_kernel, []
+
+    def spy(lv, A, log_a, rho, steps, bounds=()):
+        out = plain(lv, A, log_a, rho, steps, bounds)
+        ref = plain(lv, A, log_a, rho, steps)
+        seen.append((tuple(bounds), (float(rho.min()), float(rho.max()))))
+        for a, b in zip(out, ref):
+            assert a.tobytes() == b.tobytes()
+        return out
+
+    monkeypatch.setattr(hy, "_radial_kernel", spy)
+    monkeypatch.setattr(hy, "_on_floats", lambda steps: False)
+    split = math.sqrt(n*n/Z)
+    for lo, hi in ((0.0, split), (split, math.inf), (0.0, math.inf)):
+        probability_in_region(w, lo, hi)
+    assert len(seen) == 3
+    for got, want in seen:
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    log_a = math.log(w.A)
+    ends = [_split_ok(log_a, w.s*math.log(rho), rho) for rho in seen[2][0]]
+    assert ends == {7: [True, True], 40: [False, True], 150: [False, False],
+                    200: [True, False]}[n]

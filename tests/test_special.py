@@ -284,3 +284,22 @@ def test_shared_column_pass_matches_single_harmonics():
                 assert np.array_equal(y, np.zeros(3))
             else:
                 assert np.array_equal(y, spherical_harmonic(l, m, th, ph))
+
+
+def test_harmonics_in_any_degree_order_match_single_harmonics():
+    # a run resumes upward, answers the degree just below from the value
+    # it holds, and starts over for a lower one: bits of one run each
+    th = np.array([0.0, 0.2, 1.3, 2.9])
+    ph = np.array([0.7, 3.0, 5.5, 1.0])
+    for m in (-3, 0, 2):
+        degrees = (9, 8, 3, 12, 12, 4, 2, 0, 5)
+        for l, y in zip(degrees, spherical_harmonics(degrees, m, th, ph)):
+            if l < abs(m):
+                assert np.array_equal(y, np.zeros(4))
+            else:
+                assert y.tobytes() == spherical_harmonic(l, m, th,
+                                                         ph).tobytes()
+        for l, y in zip(degrees, spherical_harmonics(degrees, m, 0.4, 2.0)):
+            want = 0j if l < abs(m) else spherical_harmonic(l, m, 0.4, 2.0)
+            assert (y.real.hex(), y.imag.hex()) == (want.real.hex(),
+                                                    want.imag.hex())

@@ -194,3 +194,22 @@ def test_residual_probe_keeps_a_nan():
 
     for res in verify.system_residual(qn, energy(qn), fg, grid):
         assert np.isnan(res).all()
+
+
+@pytest.mark.parametrize("branch", ["j = l - 1/2", "j = l + 1/2"])
+def test_parity_map_fails_on_a_flipped_spinor_sign(monkeypatch, branch):
+    # negating both Clebsch weights of one branch flips the lower spinor
+    # of every k < 0 (j = l - 1/2) or k > 0 (j = l + 1/2) state; the
+    # density cannot see that sign
+    from quatspin import spinor
+    plain = spinor.clebsch_coefficients
+    flip = -0.5 if branch == "j = l - 1/2" else 0.5
+
+    def flipped(l, j, m_j):
+        c1, c2 = plain(l, j, m_j)
+        return (-c1, -c2) if j == l + flip else (c1, c2)
+
+    assert verify.run_check("spinor-parity-map").passed
+    monkeypatch.setattr(spinor, "clebsch_coefficients", flipped)
+    res = verify.run_check("spinor-parity-map")
+    assert not res.passed and res.max_dev > 0.1, res
