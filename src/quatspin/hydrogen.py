@@ -28,21 +28,21 @@ the normalization A has a closed form (Laguerre orthogonality).  Their
 second routes live in verify: the finite-difference residual check
 (ode_residual) and the exact Gauss-Laguerre sum of the norm; the
 independent two-sided shooting eigensolver is here.  The wavefunction of
-a state qn attaches total-angular-momentum spinors to the two components,
+a state qn attaches the total-angular-momentum spinor y_up of degree
+l_up = l(k) (k for k > 0, -k - 1 otherwise) to F, and the Pauli-quaternion
+product y_low = -(sigma . r_hat) y_up (verify's spinor-parity-map) to G.
+With the real unit quaternion N = i sigma . r_hat = n_z e1 + n_y e2 + n_x e3,
 
-    Psi = (A/r) (F y_{l_up} + i G y_{l_low}),   l_up = l(k), l_low = l(-k),
+    Psi = (A/r) (F y_up + i G y_low) = (A/r) (F - G N) y_up,
 
-with l(k) = k for k > 0 and -k - 1 otherwise; its biquaternion form is
-a q_up + b q_down, and the probability density is the scalar part of
-Psi conj_both(Psi), i.e. norm_sq(Psi).  The reversed product conj_both(Psi)
-Psi has the same scalar part, its e2/e3 parts cancel identically, and it
-equals density times (e0 - i e1).  Paired harmonics share their order m, so
-the F G cross term vanishes: density = (A/r)^2 (F^2 |y_up|^2 + G^2 |y_low|^2).
-The lower spinor is the Pauli-quaternion product y_low = -(sigma . r_hat) y_up
-(verify's spinor-parity-map), and sigma . r_hat is unitary, so
-|y_low|^2 = |y_up|^2 and density = (A/r)^2 (F^2 + G^2) |y_up|^2: the radial
-factor on the radii, one spinor's real Legendre columns up to l_up on the
-angles, and one product at full size.
+y_up as a biquaternion a q_up + b q_down.  The probability density is the
+scalar part of Psi conj_both(Psi), i.e. norm_sq(Psi).  The reversed
+product conj_both(Psi) Psi has the same scalar part, its e2/e3 parts
+cancel identically, and it equals density times (e0 - i e1).  Paired
+harmonics share their order m, so the F G cross term vanishes, and
+sigma . r_hat is unitary, so density = (A/r)^2 (F^2 + G^2) |y_up|^2: the
+radial factor on the radii, one spinor's real Legendre columns up to l_up
+on the angles, and one product at full size.
 
 numpy is imported by the calls that take arrays, and nothing else.  The
 shell probabilities and the density tables of the command line run the
@@ -59,7 +59,7 @@ import operator
 import sys
 
 from ._record import Record
-from .biquaternion import Biquaternion, _bq
+from .biquaternion import Biquaternion, _bq, mul
 from .levels import ALPHA_FS, QuantumNumbers, _level, _Level
 # unused here: perfbench/workloads.py and perfbench/probes.py read them as hy.*
 from .levels import energy, radial_parameters  # noqa: F401
@@ -318,9 +318,9 @@ def _full(a, shape):
 
 
 class WaveFunction(Record):
-    """Normalized bound-state wavefunction Psi = (A/r)(F y_up + i G y_low)
-    of a valid state qn.  Its level, A and both spinors are derived fields;
-    A^2 int (F^2 + G^2) dr = 1 (the spinors are sphere-normalized) in the
+    """Normalized bound-state wavefunction Psi = (A/r)(F - G N) y_up of a
+    valid state qn, N = i sigma . r_hat.  Its level, A and y_up are derived
+    fields; A^2 int (F^2 + G^2) dr = 1 (y_up is sphere-normalized) in the
     closed form of _log_norm_sq, whose oracle is the exact Gauss-Laguerre
     sum in verify.  Raises ValueError where A leaves the float range."""
 
@@ -328,33 +328,28 @@ class WaveFunction(Record):
     level: _Level
     A: float
     spinor_upper: SpinorFunction
-    spinor_lower: SpinorFunction
 
     # the per-state tables of psi and density, built by __init__; not a
     # field, so no part of ==, hash or repr
     __slots__ = ("_tables",)
 
     def __init__(self, qn: QuantumNumbers):
-        lv, j = _level(qn), qn.j
+        lv = _level(qn)
         A = math.exp(-0.5*_log_norm_sq(lv))
-        upper = SpinorFunction(qn.l_upper, j, qn.m_j)
-        lower = SpinorFunction(qn.l_lower, j, qn.m_j)
+        upper = SpinorFunction(qn.l_upper, qn.j, qn.m_j)
         d = self.__dict__
-        d["qn"], d["level"], d["A"] = qn, lv, A
-        d["spinor_upper"], d["spinor_lower"] = upper, lower
+        d["qn"], d["level"], d["A"], d["spinor_upper"] = qn, lv, A, upper
         if not 0.0 < A < math.inf:          # also refuses NaN
             raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
                              f"the float range")
-        # log A, the Laguerre steps of the radial pair, the degrees l_up and
-        # l_low, the orders m1, m2 = m_j -+ 1/2, the pairs (|m|, Legendre
-        # column up to max(l_up, l_low)) of m1 and m2, and the Clebsch
-        # weights
-        ls = (upper.l, lower.l)
+        # log A, the Laguerre steps of the radial pair, the degrees (l_up,),
+        # the orders m1, m2 = m_j -+ 1/2, the pairs (|m|, Legendre column up
+        # to l_up) of m1 and m2, and y_up's Clebsch weights
         ms = (int(round(qn.m_j - 0.5)), int(round(qn.m_j + 0.5)))
         object.__setattr__(self, "_tables", (
-            math.log(A), tuple(_steps(lv)), ls, ms,
-            tuple((abs(m), _legendre_column(max(ls), abs(m))) for m in ms),
-            (upper.c1, upper.c2, lower.c1, lower.c2)))
+            math.log(A), tuple(_steps(lv)), (upper.l,), ms,
+            tuple((abs(m), _legendre_column(upper.l, abs(m))) for m in ms),
+            (upper.c1, upper.c2)))
 
     def __reduce__(self):
         # copies and pickles carry qn alone; __init__ derives the rest
@@ -386,24 +381,30 @@ class WaveFunction(Record):
         f, h = self._radial(r)
         return f*f + h*h
 
-    def _angular(self, theta, phi) -> tuple:
-        """(u, v): the coefficients of the biquaternion forms of the upper
-        and lower spinors at theta and phi; Python floats give Python
-        complex values, arrays arrays."""
-        _, _, ls, (m1, m2), ((_, col1), (_, col2)), c = self._tables
-        y1u, y1l = _harmonics(ls, m1, col1, theta, phi)
-        y2u, y2l = _harmonics(ls, m2, col2, theta, phi)
-        return (_spin_basis(c[0]*y1u, c[1]*y2u),
-                _spin_basis(c[2]*y1l, c[3]*y2l))
+    def _angular(self, theta, phi) -> Biquaternion:
+        """The biquaternion form of y_up at theta and phi, one
+        single-degree _harmonics call per order; Python floats give Python
+        complex coefficients, arrays arrays."""
+        _, _, deg, (m1, m2), ((_, col1), (_, col2)), (c1, c2) = self._tables
+        (y1,) = _harmonics(deg, m1, col1, theta, phi)
+        (y2,) = _harmonics(deg, m2, col2, theta, phi)
+        return _bq(*_spin_basis(c1*y1, c2*y2))
 
     def _psi(self, r, theta, phi) -> tuple:
-        """Psi's four coefficients f u_i + i h v_i (_radial on r's axes,
-        _angular on those of the angles): one expression per coefficient,
-        so that numpy reuses the full-size product temporaries."""
+        """Psi's coefficients f u_i - h (N u)_i, u = y_up: _radial on r's
+        axes, _angular and N u on the angles' (|sin theta| as in _columns),
+        then one expression each, so that numpy reuses the temporaries."""
         f, h = self._radial(r)
-        (u0, u1, u2, u3), (v0, v1, v2, v3) = self._angular(theta, phi)
-        g = 1j*h
-        return f*u0 + g*v0, f*u1 + g*v1, f*u2 + g*v2, f*u3 + g*v3
+        u = self._angular(theta, phi)
+        if type(theta) is float:
+            cos, sin = math.cos, math.sin
+        else:
+            import numpy as np
+            cos, sin = np.cos, np.sin
+        s = abs(sin(theta))
+        v = mul(Biquaternion(0.0, cos(theta), s*sin(phi), s*cos(phi)), u)
+        return (f*u.q0 - h*v.q0, f*u.q1 - h*v.q1, f*u.q2 - h*v.q2,
+                f*u.q3 - h*v.q3)
 
     def _angular_sq(self, theta):
         """|y_up|^2 at theta, c1^2 (Pbar_l^|m1| sin^|m1|)^2 +
@@ -411,12 +412,12 @@ class WaveFunction(Record):
         of the orders m1, m2 = m_j -+ 1/2 run up to l_up: no phi and no
         complex value.  It is also |y_low|^2: y_low = -(sigma . r_hat) y_up
         and sigma . r_hat is unitary (verify's spinor-parity-map)."""
-        _, _, ls, _, orders, c = self._tables
-        p1, p2 = _columns(ls[:1], orders, theta)
-        return c[0]*c[0]*(p1*p1) + c[1]*c[1]*(p2*p2)
+        _, _, deg, _, orders, (c1, c2) = self._tables
+        p1, p2 = _columns(deg, orders, theta)
+        return c1*c1*(p1*p1) + c2*c2*(p2*p2)
 
     def psi(self, r_au, theta, phi) -> Biquaternion:
-        """Wavefunction value as a biquaternion, (A/r)(F y_up + i G y_low).
+        """Wavefunction value as a biquaternion, (A/r)(F - G N) y_up.
 
         r (Bohr, > 0), theta and phi (finite) broadcast; array arguments
         give a biquaternion with fresh array coefficients of the broadcast
@@ -425,7 +426,7 @@ class WaveFunction(Record):
         numpy scalars and 0-d arrays are converted to them first.  Each
         array argument is first cut to length 1 along every axis on which
         it is constant (a meshgrid R varies along one axis only), so F and
-        G are evaluated once per distinct radius and the spinors once per
+        G are evaluated once per distinct radius and y_up and N y_up once per
         distinct angle; only the final combination is formed at full size.
         """
         shape, r, theta, phi = _arguments(r_au, theta, phi)

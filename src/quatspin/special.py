@@ -94,10 +94,10 @@ def _columns(degrees, orders, theta) -> list:
     (ma, column) in orders and each l in degrees, order by order, from
     column = _legendre_column(L, ma), L >= max(degrees).  The one loop of
     the column recurrence: a run resumes up to the next degree asked for,
-    and keeps those values alone; it holds the degree below the last one
-    too, and starts over for a lower degree.  The hydrogen density asks
-    for one degree, where its runs end, psi for l_up and l_low = l_up -+ 1.
-    On Python floats or arrays as theta."""
+    and keeps those values alone; a lower degree starts the run over, which
+    gives the same bits.  The hydrogen density and psi ask for the one
+    degree l_up, where their runs end.  On Python floats or arrays as
+    theta."""
     if type(theta) is float:
         x, u = math.cos(theta), abs(math.sin(theta))
     else:
@@ -110,8 +110,6 @@ def _columns(degrees, orders, theta) -> list:
         for l in degrees:
             if l < ma:
                 out.append(0.0)
-            elif l == d - 1:
-                out.append(p0*um)
             else:
                 if l < d:
                     p0, p, d = 0.0, start, ma
@@ -134,8 +132,7 @@ def _harmonics(degrees, m: int, column, theta, phi) -> list:
     else:
         import numpy as np
         e = np.exp(1j*ma*phi)
-        zero = np.zeros(np.broadcast_shapes(theta.shape, phi.shape),
-                        dtype=complex)
+        zero = np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
     out = []
     for l, p in zip(degrees, _columns(degrees, ((ma, column),), theta)):
         y = p*e

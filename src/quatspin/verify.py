@@ -774,12 +774,12 @@ def ode_residual(qn: QuantumNumbers, E: float, r_grid):
 def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
     """(a, b): coefficients of Psi on the spin basis, Psi = a q+ + b q-.
 
-    Combines each harmonic with its radial factor directly, rather than
-    through the spinor biquaternions that WaveFunction.psi uses.  Arguments
-    broadcast.
+    Combines each harmonic with its radial factor directly, y_low's from
+    its own Clebsch weights, rather than (F - G N) y_up as WaveFunction.psi
+    does.  Arguments broadcast.
     """
     F, G = _radial_at(w, r_au, w.A)
-    up, lo = w.spinor_upper, w.spinor_lower
+    up, lo = w.spinor_upper, SpinorFunction(w.qn.l_lower, w.qn.j, w.qn.m_j)
     pref = ALPHA_FS/np.asarray(r_au, dtype=float)
     a = pref*(F*up.c1*up.harmonic("up", theta, phi)
               + 1j*G*lo.c1*lo.harmonic("up", theta, phi))
@@ -806,7 +806,7 @@ def density_oracle(w: hy.WaveFunction, r_au, theta):
     r_nat = np.asarray(r_au, dtype=float)/ALPHA_FS
     theta = np.asarray(theta, dtype=float)
     F, G = _radial_at(w, r_au, w.A)
-    up, lo = w.spinor_upper, w.spinor_lower
+    up, lo = w.spinor_upper, SpinorFunction(w.qn.l_lower, w.qn.j, w.qn.m_j)
     ang_F = (up.c1**2*np.abs(up.harmonic("up", theta, 0.0))**2
              + up.c2**2*np.abs(up.harmonic("down", theta, 0.0))**2)
     ang_G = (lo.c1**2*np.abs(lo.harmonic("up", theta, 0.0))**2

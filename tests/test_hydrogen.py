@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from quatspin import (
-    conj_both, mul, norm_sq, shoot_eigenvalue, assemble_wavefunction,
-    probability_in_region, allclose, verify,
+    Biquaternion, conj_both, mul, norm_sq, shoot_eigenvalue,
+    assemble_wavefunction, probability_in_region, allclose, verify,
 )
 from quatspin.hydrogen import (
     WaveFunction, _log_norm_sq, _radial_FG, _split_ok, clear_shooting_cache,
@@ -409,10 +409,12 @@ def test_point_density_for_every_scalar_type(qn):
                                          (150, -150, -3.5, 92)])
 def test_point_density_is_norm_sq_of_psi_bit_for_bit(monkeypatch, n, k, mj,
                                                      Z):
-    # at one point psi's four coefficients are the composition of
-    # _radial_FG and spinor_as_biquaternion, signed zeros included; the
-    # density is the real kernel, the bits of the float table's entry at
-    # the same node and within 4 eps of norm_sq(psi)/alpha^3; at
+    # at one point psi's four coefficients are f u - h (N u), signed zeros
+    # included, with f, h from _radial_FG, u = y_up from
+    # spinor_as_biquaternion and N = i sigma . r_hat = n_z e1 + n_y e2 +
+    # n_x e3 through mul; the density is the real kernel, the bits of the
+    # float table's entry at the same node and within 4 eps of
+    # norm_sq(psi)/alpha^3; at
     # n = |k| = 150, r = 1000 Bohr takes the one-exponential prefactor,
     # and r = inf gives the limit 0
     from quatspin import hydrogen as hy
@@ -428,12 +430,14 @@ def test_point_density_is_norm_sq_of_psi_bit_for_bit(monkeypatch, n, k, mj,
     for r, th, ph in pts:
         F, G = _radial_FG(w.level, w.C*r/ALPHA_FS, w.A)
         u = spinor_as_biquaternion(w.spinor_upper, th, ph)
-        v = spinor_as_biquaternion(w.spinor_lower, th, ph)
-        f, g = ALPHA_FS/r*F, 1j*(ALPHA_FS/r)*G
+        s = math.sin(th)
+        v = mul(Biquaternion(0, math.cos(th), s*math.sin(ph), s*math.cos(ph)),
+                u)
+        f, h = ALPHA_FS/r*F, ALPHA_FS/r*G
         psi = w.psi(r, th, ph)
         for got, a, b in zip(psi.coefficients(), u.coefficients(),
                              v.coefficients()):
-            want = f*a + g*b
+            want = f*a - h*b
             assert (got.real.hex(), got.imag.hex()) == (
                 want.real.hex(), want.imag.hex()), (r, th, ph)
         dens = w.density(r, th, ph)
@@ -562,7 +566,7 @@ def test_wavefunction_record_fields():
     assert 0 < w.energy < 1
     assert w.A > 0
     assert w.spinor_upper.l == qn.l_upper
-    assert w.spinor_lower.l == qn.l_lower
+    assert w._fields == ("qn", "level", "A", "spinor_upper")
     F, G = _radial_FG(w.level, w.C/ALPHA_FS)
     assert np.isfinite(F) and np.isfinite(G)
 
@@ -847,7 +851,7 @@ def test_density_is_the_two_spinor_formula(monkeypatch):
     # seven operations: f^2 |y_up|^2 + h^2 |y_low|^2 itself, on the real
     # columns, differs from this complex reference by up to 5.6 eps on
     # these states, so the bound is 8 eps
-    from quatspin.spinor import spinor_components
+    from quatspin.spinor import SpinorFunction, spinor_components
     eps = sys.float_info.epsilon
     rng = np.random.default_rng(21)
     for qn in verify._domain_states(rng):
@@ -857,7 +861,8 @@ def test_density_is_the_two_spinor_formula(monkeypatch):
         ph = rng.uniform(0.0, 2*math.pi, 5)
         f, h = w._radial(r[:, None])
         up, low = (sum(abs(y)**2 for y in spinor_components(s, th, ph))
-                   for s in (w.spinor_upper, w.spinor_lower))
+                   for s in (w.spinor_upper,
+                             SpinorFunction(qn.l_lower, qn.j, qn.m_j)))
         want = (f*f*up + h*h*low)/ALPHA_FS**3
         floats, arrays, _ = _both_routes(
             monkeypatch, lambda: w._density_table(r.tolist(), th.tolist()))

@@ -86,9 +86,11 @@ def test_second_routes_live_in_verify():
 def test_one_formula_each():
     # the spin basis q+, q- is read in spin and spinor alone; the Laguerre
     # step loop is special._laguerre_run, and hydrogen._brackets runs it
-    # once for the radial pair; hydrogen writes the i of Psi = f u + i h v
-    # once, in WaveFunction._psi, and takes A from its closed form, with no
-    # Gauss-Laguerre rule or eigen-solve
+    # once for the radial pair; l_lower is read in levels and verify alone:
+    # hydrogen writes Psi = f u - h (N u) with no lower spinor, its one
+    # Hamilton product (and no complex constant) in WaveFunction._psi, and
+    # takes A from its closed form, with no Gauss-Laguerre rule or
+    # eigen-solve
     src = pathlib.Path(quatspin.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -101,6 +103,8 @@ def test_one_formula_each():
                     and node.attr in ("q0", "q1", "q2", "q3",
                                       "coefficients")):
                 assert path.name in ("spin.py", "spinor.py"), path.name
+            if isinstance(node, ast.Attribute) and node.attr == "l_lower":
+                assert path.name in ("levels.py", "verify.py"), path.name
             if isinstance(node, (ast.For, ast.comprehension)):
                 names = {n.id if isinstance(n, ast.Name) else n.attr
                          for n in ast.walk(node.iter)
@@ -109,12 +113,13 @@ def test_one_formula_each():
                     assert (path.name, owner.get(id(node))) == (
                         "special.py", "_laguerre_run"), path.name
         if path.name == "hydrogen.py":
-            unit = [n for n in ast.walk(tree) if isinstance(n, ast.Constant)
-                    and isinstance(n.value, complex)]
-            assert [owner.get(id(n)) for n in unit] == ["_psi"]
+            assert not [n for n in ast.walk(tree)
+                        if isinstance(n, ast.Constant)
+                        and isinstance(n.value, complex)]
             called = [(owner.get(id(n)),
                        getattr(n.func, "id", getattr(n.func, "attr", None)))
                       for n in ast.walk(tree) if isinstance(n, ast.Call)]
+            assert [f for f, name in called if name == "mul"] == ["_psi"]
             assert called.count(("_brackets", "_laguerre_run")) == 1
             assert not {name for _, name in called} & {
                 "gauss_laguerre_nodes", "eigvalsh"}

@@ -62,8 +62,7 @@ def test_wavefunction_repr():
         "c2=0.816496580927726)")
     assert repr(w) == (
         f"WaveFunction(qn=QuantumNumbers(n=2, k=1, m_j=0.5, Z=20), "
-        f"level={w.level!r}, A={w.A!r}, spinor_upper={w.spinor_upper!r}, "
-        f"spinor_lower=SpinorFunction(l=0, j=0.5, m_j=0.5, c1=1.0, c2=0.0))")
+        f"level={w.level!r}, A={w.A!r}, spinor_upper={w.spinor_upper!r})")
 
 
 ALL = {**{name: make for name, (make, _) in CASES.items()},

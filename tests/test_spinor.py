@@ -153,17 +153,36 @@ def test_harmonic_rejects_bad_label():
         s.harmonic("sideways", 0.5, 0.5)
 
 
-def test_spinor_pair_shares_column_passes():
-    # the two spinors of a Dirac state, l and l + 1, from one
-    # WaveFunction._angular call: one column pass per order serves both,
-    # and each is spinor_as_biquaternion bit for bit
+def test_upper_spinor_form_is_spinor_as_biquaternion():
+    # psi's one spinor, from WaveFunction._angular (one single-degree
+    # column run per order), is spinor_as_biquaternion bit for bit, on
+    # arrays and at a point
     w = assemble_wavefunction(QuantumNumbers(6, -4, -1.5, 20))
-    up, lo = w.spinor_upper, w.spinor_lower
-    assert (up.l, lo.l) == (3, 4)
-    th = np.array([0.4, 1.9])
-    ph = np.array([2.2, 0.1])
-    u, v = w._angular(th, ph)
-    for s, coeffs in ((up, u), (lo, v)):
-        want = spinor_as_biquaternion(s, th, ph).coefficients()
-        for a, b in zip(coeffs, want):
-            assert a.tobytes() == b.tobytes()
+    assert w.spinor_upper.l == 3
+    for th, ph in ((np.array([0.4, 1.9]), np.array([2.2, 0.1])),
+                   (0.4, 2.2)):
+        got = w._angular(th, ph).coefficients()
+        want = spinor_as_biquaternion(w.spinor_upper, th, ph).coefficients()
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_lower_spinor_product_matches_clebsch_route(monkeypatch):
+    # with f = 0 and h = 1, psi is i y_low as psi forms it, -(N y_up) with
+    # N = i sigma . r_hat; the Clebsch route to y_low (its own weights and
+    # degree l(-k)) agrees within 1e-13 of |y_up|, over the seeded domain
+    # states (n <= 60, Z up to 92, m_j = -j, drawn, +j), 40 directions each
+    from quatspin import hydrogen as hy, verify
+    monkeypatch.setattr(hy.WaveFunction, "_radial",
+                        lambda self, r: (0.0, 1.0))
+    rng = np.random.default_rng(22)
+    for qn in verify._domain_states(rng):
+        w = assemble_wavefunction(qn)
+        th, ph = verify._sphere_points(rng.random((40, 2)))
+        got = w.psi(1.0, th, ph)
+        lower = SpinorFunction(qn.l_lower, qn.j, qn.m_j)
+        want = 1j*spinor_as_biquaternion(lower, th, ph)
+        scale = np.sqrt(norm_sq(spinor_as_biquaternion(w.spinor_upper, th,
+                                                       ph)))
+        for a, b in zip(got.coefficients(), want.coefficients()):
+            assert np.all(np.abs(a - b) <= 1e-13*scale), qn

@@ -200,7 +200,9 @@ def test_residual_probe_keeps_a_nan():
 def test_parity_map_fails_on_a_flipped_spinor_sign(monkeypatch, branch):
     # negating both Clebsch weights of one branch flips the lower spinor
     # of every k < 0 (j = l - 1/2) or k > 0 (j = l + 1/2) state; the
-    # density cannot see that sign
+    # density cannot see that sign.  psi forms y_low from y_up, and the
+    # oracles of density-assembly take the Clebsch route to y_low, so that
+    # check sees the flip too
     from quatspin import spinor
     plain = spinor.clebsch_coefficients
     flip = -0.5 if branch == "j = l - 1/2" else 0.5
@@ -209,7 +211,10 @@ def test_parity_map_fails_on_a_flipped_spinor_sign(monkeypatch, branch):
         c1, c2 = plain(l, j, m_j)
         return (-c1, -c2) if j == l + flip else (c1, c2)
 
-    assert verify.run_check("spinor-parity-map").passed
+    for name in ("spinor-parity-map", "density-assembly"):
+        assert verify.run_check(name).passed
     monkeypatch.setattr(spinor, "clebsch_coefficients", flipped)
     res = verify.run_check("spinor-parity-map")
     assert not res.passed and res.max_dev > 0.1, res
+    res = verify.run_check("density-assembly")
+    assert not res.passed, res
