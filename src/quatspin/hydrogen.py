@@ -41,8 +41,8 @@ product conj_both(Psi) Psi has the same scalar part, its e2/e3 parts
 cancel identically, and it equals density times (e0 - i e1).  Paired
 harmonics share their order m, so the F G cross term vanishes, and
 sigma . r_hat is unitary, so density = (A/r)^2 (F^2 + G^2) |y_up|^2: the
-radial factor on the radii, one spinor's real Legendre columns up to l_up
-on the angles, and one product at full size.
+radial factor on the radii, y_up's SpinorFunction.density on the angles,
+and one product at full size.  A WaveFunction holds only radial tables.
 
 numpy is imported by the calls that take arrays, and nothing else.  The
 shell probabilities and the density tables of the command line run the
@@ -63,11 +63,8 @@ from .biquaternion import Biquaternion, _bq, mul
 from .levels import ALPHA_FS, QuantumNumbers, _level, _Level
 # unused here: perfbench/workloads.py and perfbench/probes.py read them as hy.*
 from .levels import energy, radial_parameters  # noqa: F401
-from .special import (
-    _columns, _harmonics, _laguerre_run, _laguerre_steps, _legendre_column,
-    leggauss,
-)
-from .spinor import SpinorFunction, _spin_basis
+from .special import _laguerre_run, _laguerre_steps, leggauss
+from .spinor import SpinorFunction, spinor_as_biquaternion
 
 __all__ = [
     "WaveFunction", "shoot_eigenvalue", "assemble_wavefunction",
@@ -329,27 +326,21 @@ class WaveFunction(Record):
     A: float
     spinor_upper: SpinorFunction
 
-    # the per-state tables of psi and density, built by __init__; not a
+    # the radial tables of psi and density, built by __init__; not a
     # field, so no part of ==, hash or repr
     __slots__ = ("_tables",)
 
     def __init__(self, qn: QuantumNumbers):
         lv = _level(qn)
         A = math.exp(-0.5*_log_norm_sq(lv))
-        upper = SpinorFunction(qn.l_upper, qn.j, qn.m_j)
         d = self.__dict__
-        d["qn"], d["level"], d["A"], d["spinor_upper"] = qn, lv, A, upper
+        d["qn"], d["level"], d["A"] = qn, lv, A
+        d["spinor_upper"] = SpinorFunction(qn.l_upper, qn.j, qn.m_j)
         if not 0.0 < A < math.inf:          # also refuses NaN
             raise ValueError(f"normalization of n={qn.n}, k={qn.k} is out of "
                              f"the float range")
-        # log A, the Laguerre steps of the radial pair, the degrees (l_up,),
-        # the orders m1, m2 = m_j -+ 1/2, the pairs (|m|, Legendre column up
-        # to l_up) of m1 and m2, and y_up's Clebsch weights
-        ms = (int(round(qn.m_j - 0.5)), int(round(qn.m_j + 0.5)))
-        object.__setattr__(self, "_tables", (
-            math.log(A), tuple(_steps(lv)), (upper.l,), ms,
-            tuple((abs(m), _legendre_column(upper.l, abs(m))) for m in ms),
-            (upper.c1, upper.c2)))
+        # log A and the Laguerre steps of the radial pair
+        object.__setattr__(self, "_tables", (math.log(A), tuple(_steps(lv))))
 
     def __reduce__(self):
         # copies and pickles carry qn alone; __init__ derives the rest
@@ -376,45 +367,21 @@ class WaveFunction(Record):
         pref = ALPHA_FS/r
         return pref*F, pref*G
 
-    def _radial_sq(self, r):
-        """f^2 + h^2 at r, from _radial."""
-        f, h = self._radial(r)
-        return f*f + h*h
-
-    def _angular(self, theta, phi) -> Biquaternion:
-        """The biquaternion form of y_up at theta and phi, one
-        single-degree _harmonics call per order; Python floats give Python
-        complex coefficients, arrays arrays."""
-        _, _, deg, (m1, m2), ((_, col1), (_, col2)), (c1, c2) = self._tables
-        (y1,) = _harmonics(deg, m1, col1, theta, phi)
-        (y2,) = _harmonics(deg, m2, col2, theta, phi)
-        return _bq(*_spin_basis(c1*y1, c2*y2))
-
     def _psi(self, r, theta, phi) -> tuple:
         """Psi's coefficients f u_i - h (N u)_i, u = y_up: _radial on r's
-        axes, _angular and N u on the angles' (|sin theta| as in _columns),
+        axes, u and the real N u on the angles' (|sin theta| as in _columns),
         then one expression each, so that numpy reuses the temporaries."""
         f, h = self._radial(r)
-        u = self._angular(theta, phi)
+        u = spinor_as_biquaternion(self.spinor_upper, theta, phi)
         if type(theta) is float:
             cos, sin = math.cos, math.sin
         else:
             import numpy as np
             cos, sin = np.cos, np.sin
         s = abs(sin(theta))
-        v = mul(Biquaternion(0.0, cos(theta), s*sin(phi), s*cos(phi)), u)
+        v = mul(_bq(0.0, cos(theta), s*sin(phi), s*cos(phi)), u)
         return (f*u.q0 - h*v.q0, f*u.q1 - h*v.q1, f*u.q2 - h*v.q2,
                 f*u.q3 - h*v.q3)
-
-    def _angular_sq(self, theta):
-        """|y_up|^2 at theta, c1^2 (Pbar_l^|m1| sin^|m1|)^2 +
-        c2^2 (Pbar_l^|m2| sin^|m2|)^2 with l = l_up, from the real columns
-        of the orders m1, m2 = m_j -+ 1/2 run up to l_up: no phi and no
-        complex value.  It is also |y_low|^2: y_low = -(sigma . r_hat) y_up
-        and sigma . r_hat is unitary (verify's spinor-parity-map)."""
-        _, _, deg, _, orders, (c1, c2) = self._tables
-        p1, p2 = _columns(deg, orders, theta)
-        return c1*c1*(p1*p1) + c2*c2*(p2*p2)
 
     def psi(self, r_au, theta, phi) -> Biquaternion:
         """Wavefunction value as a biquaternion, (A/r)(F - G N) y_up.
@@ -444,7 +411,8 @@ class WaveFunction(Record):
         in psi), with no Psi and no complex value; it does not depend on phi.
         """
         shape, r, theta, _ = _arguments(r_au, theta, phi)
-        d = _density(self._radial_sq(r), self._angular_sq(theta))
+        f, h = self._radial(r)
+        d = _density(f*f + h*h, self.spinor_upper.density(theta))
         return d if shape is None else _full(d, shape)
 
     def density_grid(self, r_au, theta):
@@ -467,14 +435,15 @@ class WaveFunction(Record):
             with np.errstate(over="ignore", invalid="ignore"):
                 return self.density_grid(np.array(r_au)[:, None],
                                          np.array(theta)).ravel().tolist()
-        radial = [self._radial_sq(r) for r in r_au]
-        angular = [self._angular_sq(t) for t in theta]
+        radial = [f*f + h*h for f, h in map(self._radial, r_au)]
+        angular = [self.spinor_upper.density(t) for t in theta]
         return [_density(a, b) for a in radial for b in angular]
 
 
 def _density(q, b):
-    """(f^2 + h^2) |y_up|^2/alpha^3 from q = _radial_sq(r) and
-    b = _angular_sq(theta), the one expression of every route; alpha^3
+    """(f^2 + h^2) |y_up|^2/alpha^3 from q = f^2 + h^2 (_radial) and
+    b = spinor_upper.density(theta), which is also |y_low|^2 (verify's
+    spinor-parity-map).  The one expression of every route; alpha^3
     divides last, to underflow as norm_sq(psi)/alpha^3 does in far tails,
     and in place, so that a grid allocates one full-size array."""
     d = q*b
@@ -488,12 +457,12 @@ def _density(q, b):
 # shared 2-vCPU x86_64 host): a call that needs fewer than _FLOAT_STEPS
 # such steps is faster without numpy.  On the same host a radial node
 # costs its n_r recurrence steps plus about _NODE_STEPS more, an angular
-# node (_angular_sq) its l_up steps plus about _ANGLE_STEPS, and one node
-# of a density table (_density) about one step.  The angular figure is
-# the median of five runs, each the best of 7 x 2000 calls at m_j = 1/2
-# (the longest columns) over one step timed alongside: l_up + 12.5 at
-# l_up = 1 to l_up + 16 at l_up = 40.  The Gauss-Legendre rules run on
-# Python floats on both routes, so they do not enter the choice.
+# node (SpinorFunction.density) its l_up steps plus about _ANGLE_STEPS,
+# and one node of a density table (_density) about one step.  The angular
+# figure is the median of five runs, each the best of 7 x 2000 calls at
+# m_j = 1/2 (the longest columns) over one step timed alongside: l_up +
+# 12.5 at l_up = 1 to l_up + 16 at l_up = 40.  The Gauss-Legendre rules
+# run on Python floats on both routes, so they do not enter the choice.
 _FLOAT_STEPS = 750_000
 _NODE_STEPS = 20
 _ANGLE_STEPS = 14

@@ -5,7 +5,7 @@ Generalized Laguerre polynomials come from the stable three-term recurrence
 solutions use 2s +- 1 with irrational s); one run also gives L_{n-1} of the
 superscript two above.  Spherical harmonics come from the fully normalized
 associated-Legendre recurrence with the Condon-Shortley phase; negative
-orders go through the conjugation symmetry; the hydrogen density runs the
+orders go through the conjugation symmetry; a spinor's density runs the
 real columns alone (_columns).  Gauss-Legendre rules come from Newton's
 method on the Legendre recurrence, on Python floats (numpy's
 eigen-solve leggauss is their oracle in verify).  Sphere integrals use a
@@ -95,9 +95,8 @@ def _columns(degrees, orders, theta) -> list:
     column = _legendre_column(L, ma), L >= max(degrees).  The one loop of
     the column recurrence: a run resumes up to the next degree asked for,
     and keeps those values alone; a lower degree starts the run over, which
-    gives the same bits.  The hydrogen density and psi ask for the one
-    degree l_up, where their runs end.  On Python floats or arrays as
-    theta."""
+    gives the same bits.  A SpinorFunction asks for its one degree l, where
+    its runs end.  On Python floats or arrays as theta."""
     if type(theta) is float:
         x, u = math.cos(theta), abs(math.sin(theta))
     else:
@@ -140,6 +139,17 @@ def _harmonics(degrees, m: int, column, theta, phi) -> list:
     return out
 
 
+def _angles(theta, phi) -> tuple:
+    """(theta, phi) for _harmonics: two Python floats when both are 0-d
+    (Python numbers, numpy scalars, 0-d arrays), else two float arrays."""
+    if not (isinstance(theta, (int, float)) and isinstance(phi, (int, float))):
+        import numpy as np
+        theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+        if theta.ndim or phi.ndim:
+            return theta, phi
+    return float(theta), float(phi)
+
+
 def spherical_harmonics(degrees, m: int, theta, phi) -> list:
     """[Y_l^m(theta, phi) for l in degrees]: harmonics of one integer order
     m at nonnegative integer degrees from a single pass of the normalized
@@ -162,16 +172,8 @@ def spherical_harmonics(degrees, m: int, theta, phi) -> list:
     broadcast; when both are 0-d the recurrence runs on Python floats and
     each value is a Python complex.
     """
-    point = isinstance(theta, (int, float)) and isinstance(phi, (int, float))
-    if not point:
-        import numpy as np
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        point = theta.ndim == phi.ndim == 0
-    if point:
-        theta, phi = float(theta), float(phi)
     return _harmonics(degrees, m, _legendre_column(max(degrees), abs(m)),
-                      theta, phi)
+                      *_angles(theta, phi))
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):
@@ -184,7 +186,9 @@ def spherical_harmonic(l: int, m: int, theta, phi):
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
     if m != int(m) or abs(m) > l:
         raise ValueError(f"order must be an integer with |m| <= l, got {m!r}")
-    return spherical_harmonics((int(l),), int(m), theta, phi)[0]
+    l, m = int(l), int(m)
+    return _harmonics((l,), m, _legendre_column(l, abs(m)),
+                      *_angles(theta, phi))[0]
 
 
 def quadrature_sphere(f):

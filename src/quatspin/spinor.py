@@ -10,7 +10,9 @@ sphere-integrated density is exactly 1).  The biquaternion form expands the
 same object on the spin-state quaternions.  Signs follow the standard
 two-component convention under the Condon-Shortley harmonic phase:
 for j = l + 1/2 both weights are nonnegative, for j = l - 1/2 the first
-carries the minus sign.
+carries the minus sign.  A SpinorFunction builds the orders m_j -+ 1/2
+and their Legendre columns once, for every evaluation; its phi-free density
+|y|^2 is the angular factor of the hydrogen density.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from ._record import Record
 from .biquaternion import Biquaternion, _bq
 from .levels import _is_half_odd
-from .special import spherical_harmonics
+from .special import _angles, _columns, _harmonics, _legendre_column
 from .spin import _Q_UP, _Q_DOWN, inner
 
 __all__ = [
@@ -72,24 +74,48 @@ class SpinorFunction(Record):
     c1: float
     c2: float
 
+    # not a field: (l,), m_j -+ 1/2, their (|m|, column) and (c1^2, c2^2)
+    __slots__ = ("_tables",)
+
     def __init__(self, l: int, j: float, m_j: float):
         d = self.__dict__
         d["l"], d["j"], d["m_j"] = l, j, m_j
-        d["c1"], d["c2"] = clebsch_coefficients(l, j, m_j)
+        d["c1"], d["c2"] = c1, c2 = clebsch_coefficients(l, j, m_j)
+        ms = (int(round(m_j - 0.5)), int(round(m_j + 0.5)))
+        object.__setattr__(self, "_tables", (
+            (int(l),), ms,
+            tuple((abs(m), _legendre_column(int(l), abs(m))) for m in ms),
+            (c1*c1, c2*c2)))
+
+    def __reduce__(self):
+        # copies and pickles carry (l, j, m_j); __init__ derives the rest
+        return type(self), (self.l, self.j, self.m_j)
+
+    def _harmonic(self, i: int, theta, phi):
+        """Y_l^{m_j -+ 1/2} (i = 0, 1) at angles from special._angles."""
+        deg, ms, orders, _ = self._tables
+        return _harmonics(deg, ms[i], orders[i][1], theta, phi)[0]
 
     def harmonic(self, which: str, theta, phi):
         """Y_l^{m_j -+ 1/2} for which in {'up','down'}; zero if |m| > l."""
         if which not in ("up", "down"):
             raise ValueError(f"which must be 'up' or 'down', got {which!r}")
-        m = self.m_j - 0.5 if which == "up" else self.m_j + 0.5
-        return spherical_harmonics((self.l,), int(round(m)), theta, phi)[0]
+        return self._harmonic(which == "down", *_angles(theta, phi))
+
+    def density(self, theta):
+        """|y|^2 = c1^2 (Pbar_l^|m1| sin^|m1|)^2 + c2^2 (Pbar_l^|m2| sin^|m2|)^2
+        at theta from the real columns (special._columns): no phi, no complex
+        value.  A Python float gives a Python float, an array an array."""
+        deg, _, orders, (w1, w2) = self._tables
+        p1, p2 = _columns(deg, orders, theta)
+        return w1*(p1*p1) + w2*(p2*p2)
 
 
 def spinor_components(s: SpinorFunction, theta, phi) -> tuple:
     """Two-component form (C1 Y_l^{m_j-1/2}, C2 Y_l^{m_j+1/2}) as a pair;
     Python complex values at Python-float angles."""
-    return (s.c1*s.harmonic("up", theta, phi),
-            s.c2*s.harmonic("down", theta, phi))
+    theta, phi = _angles(theta, phi)
+    return s.c1*s._harmonic(0, theta, phi), s.c2*s._harmonic(1, theta, phi)
 
 
 def spinor_as_vector(s: SpinorFunction, theta, phi):

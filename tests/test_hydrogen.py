@@ -476,8 +476,8 @@ def test_density_runs_without_the_complex_assembly(monkeypatch):
     def refuse(*args):
         raise AssertionError("complex assembly called")
 
-    for module, name in ((spinor, "_spin_basis"), (hy, "_spin_basis"),
-                         (special, "_harmonics"), (hy, "_harmonics")):
+    for module, name in ((spinor, "_spin_basis"), (spinor, "_harmonics"),
+                         (special, "_harmonics")):
         monkeypatch.setattr(module, name, refuse)
     w = assemble_wavefunction(QuantumNumbers(5, 2, -1.5, 20))
     assert w.density(1.0, 0.4, 2.0) > 0

@@ -90,12 +90,19 @@ def test_one_formula_each():
     # hydrogen writes Psi = f u - h (N u) with no lower spinor, its one
     # Hamilton product (and no complex constant) in WaveFunction._psi, and
     # takes A from its closed form, with no Gauss-Laguerre rule or
-    # eigen-solve
+    # eigen-solve; a spinor's layout (its Legendre columns, complex
+    # harmonics and spin-basis assembly) is read in spinor and special alone
     src = pathlib.Path(quatspin.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         owner = {id(n): f.name for f in funcs for n in ast.walk(f)}
+        read = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+        if path.name not in ("spinor.py", "special.py"):
+            assert not read & {"_legendre_column", "_harmonics", "_columns",
+                               "_spin_basis"}, path.name
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
@@ -147,3 +154,44 @@ def test_values_derived_or_fixed_take_no_parameter():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--tol", "1e6"])
     assert exc.value.code == 1
+
+
+def _top_level_imports(paths) -> set:
+    """The top-level module of every absolute import in the files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_declared():
+    # each third-party module imported under src/ or tests/ is declared in
+    # pyproject.toml: in dependencies or in the test extra
+    tomllib = pytest.importorskip("tomllib")
+    import re
+    import sys
+    from importlib.metadata import packages_distributions
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def name(requirement):
+        return re.match(r"[A-Za-z0-9._-]+", requirement)[0].lower().replace(
+            "_", "-")
+
+    declared = {name(r) for r in (project["dependencies"]
+                                  + project["optional-dependencies"]["test"])}
+    local = {"quatspin"} | {p.stem for p in (root / "tests").glob("*.py")}
+    dists = packages_distributions()
+    imported = _top_level_imports([*(root / "src").rglob("*.py"),
+                                   *(root / "tests").glob("*.py")])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party >= {"numpy", "scipy", "pytest", "hypothesis",
+                           "mpmath"}
+    for module in sorted(third_party):
+        provided = {name(d) for d in dists.get(module, [module])}
+        assert provided & declared, f"{module} is not declared"

@@ -1,16 +1,20 @@
 """Spin spherical harmonics: coupling coefficients and spinor functions."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from quatspin import (
-    QuantumNumbers, SpinorFunction, assemble_wavefunction,
+    Biquaternion, QuantumNumbers, SpinorFunction, assemble_wavefunction,
     clebsch_coefficients, spinor_as_vector,
-    spinor_as_biquaternion, measure_probability,
+    spinor_as_biquaternion, measure_probability, mul,
     ket_to_vector, norm_sq, spherical_harmonic, quadrature_sphere,
 )
+from quatspin.special import spherical_harmonics
+from quatspin.spinor import spinor_components
 from quatspin.verify import clebsch_oracle
 
 
@@ -154,17 +158,64 @@ def test_harmonic_rejects_bad_label():
 
 
 def test_upper_spinor_form_is_spinor_as_biquaternion():
-    # psi's one spinor, from WaveFunction._angular (one single-degree
-    # column run per order), is spinor_as_biquaternion bit for bit, on
-    # arrays and at a point
+    # psi's one spinor is spinor_as_biquaternion bit for bit, on arrays and
+    # at a point: psi = f u - h (N u) with u = spinor_as_biquaternion(y_up);
+    # and the spinor's held orders and Legendre columns give the bits of
+    # special.spherical_harmonics at the orders m_j -+ 1/2
     w = assemble_wavefunction(QuantumNumbers(6, -4, -1.5, 20))
-    assert w.spinor_upper.l == 3
+    s = w.spinor_upper
+    assert s.l == 3
+    f, h = w._radial(1.3)
     for th, ph in ((np.array([0.4, 1.9]), np.array([2.2, 0.1])),
                    (0.4, 2.2)):
-        got = w._angular(th, ph).coefficients()
-        want = spinor_as_biquaternion(w.spinor_upper, th, ph).coefficients()
-        for a, b in zip(got, want):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        m = math if type(th) is float else np     # as psi takes them
+        u = spinor_as_biquaternion(s, th, ph)
+        st = abs(m.sin(th))
+        v = mul(Biquaternion(0.0, m.cos(th), st*m.sin(ph), st*m.cos(ph)), u)
+        got = w.psi(1.3, th, ph).coefficients()
+        for c, a, b in zip(got, u.coefficients(), v.coefficients()):
+            assert np.asarray(c).tobytes() == np.asarray(f*a - h*b).tobytes()
+        y1, y2 = spinor_components(s, th, ph)
+        assert np.asarray(y1).tobytes() == np.asarray(
+            s.c1*spherical_harmonics((3,), -2, th, ph)[0]).tobytes()
+        assert np.asarray(y2).tobytes() == np.asarray(
+            s.c2*spherical_harmonics((3,), -1, th, ph)[0]).tobytes()
+
+
+def test_copies_and_pickles_rebuild_the_spinor_tables():
+    # the orders and Legendre columns are not fields: ==, hash and repr
+    # ignore them, and a copy, a deep copy and a pickle rebuild them and
+    # give the harmonics' bits at a point and on arrays
+    s = SpinorFunction(4, 3.5, -2.5)
+    assert "_tables" not in vars(s)
+    assert repr(s) == ("SpinorFunction(l=4, j=3.5, m_j=-2.5, "
+                       f"c1={s.c1!r}, c2={s.c2!r})")
+    th, ph = np.array([0.2, 1.9, 3.0]), np.array([0.7, 4.0, 0.0])
+    for twin in (copy.copy(s), copy.deepcopy(s),
+                 pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+        assert twin._tables is not s._tables and twin._tables == s._tables
+        for which in ("up", "down"):
+            for pt in ((1.1, 0.4), (th, ph)):
+                assert (np.asarray(twin.harmonic(which, *pt)).tobytes()
+                        == np.asarray(s.harmonic(which, *pt)).tobytes())
+
+
+@pytest.mark.parametrize("l, j, mj", [(0, 0.5, 0.5), (1, 0.5, -0.5),
+                                      (3, 3.5, 3.5), (5, 4.5, -1.5)])
+def test_spinor_density_is_the_phi_free_spin_sum(l, j, mj):
+    # |y|^2 from the real columns is measure_probability up + down within a
+    # few eps at every phi, and a Python float gives a Python float, within
+    # a few eps of the array route
+    s = SpinorFunction(l, j, mj)
+    th = np.linspace(0.0, math.pi, 9)
+    for ph in (0.0, 1.3, -4.0):
+        want = (measure_probability("up", s, th, ph)
+                + measure_probability("down", s, th, ph))
+        assert np.allclose(s.density(th), want, rtol=1e-14, atol=1e-16)
+    got = s.density(0.7)
+    assert type(got) is float
+    assert abs(got - s.density(np.array([0.7]))[0]) <= 4e-16*got
 
 
 def test_lower_spinor_product_matches_clebsch_route(monkeypatch):
