@@ -108,7 +108,11 @@ def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps,
     Python floats, a float array arrays; steps as for _brackets.  At
     rho = inf (F, G) is the limit 0: e^{-rho} beats every power of rho.
     A Python float never touches numpy.  bounds, if given, are the least
-    and greatest rho of an array, bit for bit, so that no reduction runs.
+    and greatest rho of an array, bit for bit, so that no reduction runs
+    (density and psi take them from r's, probability_in_region from its
+    extreme nodes).  At n_r = 0 the brackets are the constants (s - k) W
+    and za W, Python floats that pref multiplies: no array arithmetic
+    forms the zero term of L_{-1}.
 
     The prefactor is (A rho^s) e^{-rho}: the argument of e^{-rho} is exact,
     so this rounds to a few eps wherever A rho^s, e^{-rho} and the product
@@ -132,7 +136,8 @@ def _radial_kernel(lv: _Level, A: float, log_a: float, rho, steps,
             return np.where(finite, F, 0.0), np.where(finite, G, 0.0)
         exp = np.exp
     s = lv.s
-    P, Q = _brackets(lv, 2*rho, steps)
+    # degree 0 does not read x (its L_{-1} term is 0 at every finite x)
+    P, Q = _brackets(lv, 2*rho if lv.n - abs(lv.k) else 0.0, steps)
     # each condition of _split_ok is monotone or concave in rho, so it holds
     # on every node when it holds at both ends
     if (lo > 0 and _split_ok(log_a, s*math.log(lo), lo)
@@ -164,20 +169,31 @@ def _split_ok(log_a, log_rs, rho):
 def _trim(a: np.ndarray) -> np.ndarray:
     """a cut to length 1 along every axis on which it is constant.
 
-    Exact: the comparison is bitwise (signed zeros and NaNs count as
-    values), and broadcasting against the other arguments restores the
-    cut axes.  An axis whose last slice differs from its first is kept
-    without the full compare."""
-    import numpy as np
-    bits = a.view(np.int64)
+    Exact: the comparison is of bytes (signed zeros and NaN payloads count
+    as values), and broadcasting against the other arguments restores the
+    cut axes.  An axis is constant when its last slice equals its first
+    and its slices 1.. equal its slices ..-1, byte for byte; the second
+    test copies blocks of at most _TRIM_BLOCK elements at a time.  tobytes
+    is the only numpy call: no ufunc, no reduction."""
     for axis in range(a.ndim):
-        if a.shape[axis] > 1:
-            first = (slice(None),)*axis + (slice(0, 1),)
-            last = (slice(None),)*axis + (slice(-1, None),)
-            if ((bits[last] == bits[first]).all()
-                    and (bits == bits[first]).all()):
-                a, bits = a[first], bits[first]
+        m = a.shape[axis]
+        if m > 1:
+            at = (slice(None),)*axis
+            first = a[at + (slice(0, 1),)]
+            if first.tobytes() == a[at + (slice(m - 1, m),)].tobytes():
+                x, y = a[at + (slice(1, None),)], a[at + (slice(None, -1),)]
+                rows = max(1, _TRIM_BLOCK*len(x)//max(x.size, 1))
+                if all(x[i:i + rows].tobytes() == y[i:i + rows].tobytes()
+                       for i in range(0, len(x), rows)):
+                    a = first
     return a
+
+
+# elements per copy of _trim, in blocks of x's and y's leading axis:
+# 64 KB of doubles, which the allocator reuses.  On the R of a 512 x 256
+# meshgrid the whole-array compare takes about 480 minor page faults and
+# 1.1 ms, the blocks none and 0.14 ms (getrusage; 2-vCPU x86_64 host)
+_TRIM_BLOCK = 8192
 
 
 def _log_norm_sq(lv: _Level) -> float:
@@ -279,31 +295,55 @@ def clear_shooting_cache():
 
 
 def _arguments(r_au, theta, phi):
-    """(shape, r, theta, phi) of psi and density.  For one point shape is
-    None and the three are Python floats (ints, numpy scalars and 0-d
-    arrays are converted).  Otherwise shape is the broadcast shape and each
-    argument is a float array cut by _trim, except that a 0-d r, and 0-d
-    theta and phi together, run as Python floats.  Raises ValueError unless
-    r > 0 (NaN r included) and theta, phi are finite; empty arrays pass."""
-    shape = None
+    """(shape, r, theta, phi, r_ends) of psi and density.  For one point
+    shape is None and the three are Python floats (ints, numpy scalars and
+    0-d arrays are converted).  Otherwise shape is the broadcast shape and
+    each argument is a float array cut by _trim, except that a 0-d r, and a
+    0-d theta with a 0-d phi, run as Python floats; a Python-float phi, as
+    in every density_grid call, is taken as it is.  r_ends is (least r,
+    greatest r) of a nonempty argument other than one point, else ().
+    Raises ValueError unless r > 0 (NaN r included) and theta, phi are
+    finite (_ends); empty arrays pass."""
+    shape, r_ends = None, ()
+    r_lo, t_lo, t_hi, p_lo, p_hi = r_au, theta, theta, phi, phi
     if not type(r_au) is type(theta) is type(phi) is float:
         import numpy as np
         r_au = np.asarray(r_au, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        if r_au.ndim or theta.ndim or phi.ndim:
+        if type(phi) is not float:
+            phi = np.asarray(phi, dtype=float)
+            phi = phi if phi.ndim else float(phi)
+        if r_au.ndim or theta.ndim or type(phi) is not float:
             shape = np.broadcast(r_au, theta, phi).shape
-            r_au, theta, phi = _trim(r_au), _trim(theta), _trim(phi)
+            r_au, theta = _trim(r_au), _trim(theta)
+            phi = phi if type(phi) is float else _trim(phi)
         if not r_au.ndim:
             r_au = float(r_au)
-        if not (theta.ndim or phi.ndim):
-            theta, phi = float(theta), float(phi)
-    if not (r_au > 0 if type(r_au) is float else (r_au > 0).all()):
+        if not theta.ndim and type(phi) is float:
+            theta = float(theta)
+        (r_lo, r_hi), (t_lo, t_hi), (p_lo, p_hi) = map(_ends,
+                                                       (r_au, theta, phi))
+        if r_lo <= r_hi:
+            r_ends = r_lo, r_hi
+    if not r_lo > 0:
         raise ValueError("r must be > 0")
-    if not (math.isfinite(theta) and math.isfinite(phi) if type(theta) is float
-            else np.isfinite(theta).all() and np.isfinite(phi).all()):
+    if not (-math.inf < t_lo and t_hi < math.inf
+            and -math.inf < p_lo and p_hi < math.inf):
         raise ValueError("theta and phi must be finite")
-    return shape, r_au, theta, phi
+    return shape, r_au, theta, phi, r_ends
+
+
+def _ends(a) -> tuple:
+    """(least, greatest) value of a Python float or a float array, as
+    Python floats, from np.minimum.reduce and np.maximum.reduce: NaN when a
+    holds one (both propagate it), -inf or inf at the ends, and their
+    identities (inf, -inf) when a is empty, so that an empty array passes
+    every check of _arguments."""
+    if type(a) is float:
+        return a, a
+    import numpy as np
+    return (float(np.minimum.reduce(a, axis=None, initial=math.inf)),
+            float(np.maximum.reduce(a, axis=None, initial=-math.inf)))
 
 
 def _full(a, shape):
@@ -358,20 +398,25 @@ class WaveFunction(Record):
     def C(self) -> float:
         return self.level.C
 
-    def _radial(self, r) -> tuple:
+    def _radial(self, r, r_ends=()) -> tuple:
         """(f, h) at r (Bohr, > 0): f = (alpha/r) A F and h = (alpha/r) A G.
-        A Python float gives Python floats, an array arrays."""
+        A Python float gives Python floats, an array arrays.  r_ends, the
+        least and greatest r of an array (_ends), give _radial_kernel its
+        bounds: rho = C r/alpha is monotone and rounds alike on both."""
         lv = self.level
         F, G = _radial_kernel(lv, self.A, self._tables[0], lv.C*r/ALPHA_FS,
-                              self._tables[1])
+                              self._tables[1], r_ends
+                              and (lv.C*r_ends[0]/ALPHA_FS,
+                                   lv.C*r_ends[1]/ALPHA_FS))
         pref = ALPHA_FS/r
         return pref*F, pref*G
 
-    def _psi(self, r, theta, phi) -> tuple:
-        """Psi's coefficients f u_i - h (N u)_i, u = y_up: _radial on r's
-        axes, u and the real N u on the angles' (|sin theta| as in _columns),
-        then one expression each, so that numpy reuses the temporaries."""
-        f, h = self._radial(r)
+    def _psi(self, r, theta, phi, r_ends) -> tuple:
+        """Psi's coefficients f u_i - h (N u)_i, u = y_up: _radial(r, r_ends)
+        on r's axes, u and the real N u on the angles' (|sin theta| as in
+        _columns), then one expression each, so that numpy reuses the
+        temporaries."""
+        f, h = self._radial(r, r_ends)
         u = spinor_as_biquaternion(self.spinor_upper, theta, phi)
         if type(theta) is float:
             cos, sin = math.cos, math.sin
@@ -396,8 +441,8 @@ class WaveFunction(Record):
         G are evaluated once per distinct radius and y_up and N y_up once per
         distinct angle; only the final combination is formed at full size.
         """
-        shape, r, theta, phi = _arguments(r_au, theta, phi)
-        q = self._psi(r, theta, phi)
+        shape, r, theta, phi, r_ends = _arguments(r_au, theta, phi)
+        q = self._psi(r, theta, phi, r_ends)
         return _bq(*q) if shape is None else _bq(*[_full(c, shape) for c in q])
 
     def density(self, r_au, theta, phi):
@@ -410,8 +455,8 @@ class WaveFunction(Record):
         One real kernel, _density, for a point and for arrays (trimmed as
         in psi), with no Psi and no complex value; it does not depend on phi.
         """
-        shape, r, theta, _ = _arguments(r_au, theta, phi)
-        f, h = self._radial(r)
+        shape, r, theta, _, r_ends = _arguments(r_au, theta, phi)
+        f, h = self._radial(r, r_ends)
         d = _density(f*f + h*h, self.spinor_upper.density(theta))
         return d if shape is None else _full(d, shape)
 
@@ -515,6 +560,34 @@ def _shell_terms(w: WaveFunction, lo: float, hi: float, t, t_ends=()):
     return 2.0*(hi - lo)*t*(F*F + G*G)
 
 
+def _shell_in_range(w: WaveFunction, rho: float, span: float) -> bool:
+    """True when no value of _shell_terms on nodes rho' <= rho (rho >= 1)
+    of a shell of width span (natural units), nor their sums, can overflow
+    or be NaN: an a-priori bound, on Python floats.
+
+    The run at x = 2 rho' holds L_j^(b)(x) for b = 2s - 1, 2s, 2s + 1 and
+    j <= n_r (the running sums are L_j^(2s) and L_j^(2s+1)), and
+    |L_j^(b)(x)| <= B e^{x/2}, B = max(2, binom(n_r + 2s + 1, n_r))
+    (Abramowitz & Stegun 22.14.13 for b >= 0, 22.14.14 for -1 < b < 0).
+    A step's products and the brackets are at most c B e^{x/2} with
+    c = (1 + za + |s - k|)(3 n_r + 4s + 2 rho + |W| + 1), so
+    |F|, |G| <= A rho^s c B (e^{x/2} cancels the prefactor's e^{-rho'}),
+    which also bounds A rho'^s, and a term is at most 4 span (A rho^s c B)^2.
+    The logs of the three bounds stay below 600, against 709.78 at the top
+    of the float range, the margin for rounding.  For k = -1 this clears
+    the cap rho = N up to about n = 125.
+    """
+    lv = w.level
+    n_r, s = lv.n - abs(lv.k), lv.s
+    log_b = max(math.log(2.0), math.lgamma(n_r + 2*s + 2)
+                - math.lgamma(n_r + 1) - math.lgamma(2*s + 2))
+    log_c = math.log((1 + lv.za + abs(lv.sk))
+                     * (3*n_r + 4*s + 2*rho + abs(lv.W) + 1))
+    log_f = w._tables[0] + s*math.log(rho) + log_c + log_b
+    return max(log_b + rho + log_c, log_f,
+               math.log(4*span) + 2*log_f) < 600
+
+
 def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
                           return_error: bool = False):
     """Probability of finding the electron in the radial shell [r_lo, r_hi].
@@ -530,7 +603,12 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     leaves the float range (from n = 235 at k = -1, Z = 1, where the
     brackets overflow at the cap) this raises ValueError.  The nodes run
     one by one on Python floats when _on_floats finds that cheaper than
-    importing numpy, else as arrays; the two agree to a few eps.
+    importing numpy, else as arrays; the two agree to a few eps.  The
+    arrays enter np.errstate, which keeps numpy's overflow warnings from
+    that ValueError, only where _shell_in_range's bound |L_n^(a)(x)| <=
+    binom(n + a, n) e^{x/2} (Abramowitz & Stegun 22.14.13, 22.14.14) at
+    the cap cannot rule overflow out, from n = 106 at some k (Z = 1, 20,
+    50, 92).
     """
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
@@ -547,9 +625,11 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
         coarse = sum(map(operator.mul, w_c, terms))
         val = sum(map(operator.mul, w_f, terms[nodes:]))
     else:
+        import contextlib
         import numpy as np
         t, w_c, w_f, t_ends = _shell_arrays(nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with (contextlib.nullcontext() if _shell_in_range(w, nodes, hi - lo)
+              else np.errstate(over="ignore", invalid="ignore")):
             terms = _shell_terms(w, lo, hi, t, t_ends)
             coarse = float(np.dot(w_c, terms[:nodes]))
             val = float(np.dot(w_f, terms[nodes:]))

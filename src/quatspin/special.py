@@ -7,11 +7,11 @@ superscript two above.  Spherical harmonics come from the fully normalized
 associated-Legendre recurrence with the Condon-Shortley phase; negative
 orders go through the conjugation symmetry; a spinor's density runs the
 real columns alone (_columns).  Gauss-Legendre rules come from Newton's
-method on the Legendre recurrence, on Python floats (numpy's
-eigen-solve leggauss is their oracle in verify).  Sphere integrals use a
-Gauss-Legendre x uniform product rule; radial integrals of x^alpha e^{-x}
-times a polynomial use generalized Gauss-Laguerre nodes (verify's
-normalization oracle).
+method on the Legendre recurrence, on Python floats (the Golub-Welsch
+eigenvalues of the Jacobi matrix are their oracle in verify).  Sphere
+integrals use a Gauss-Legendre x uniform product rule; radial integrals
+of x^alpha e^{-x} times a polynomial use generalized Gauss-Laguerre nodes
+(verify's normalization oracle).
 Nothing here imports scipy; numpy is imported by the calls that use arrays.
 """
 

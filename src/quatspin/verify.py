@@ -20,7 +20,7 @@ Sampled checks draw each array once and evaluate it as one batch; they loop
 only over fixed sets (axes, basis states, labels).
 Second routes that no production path uses live here: the *_oracle
 functions, the exact Gauss-Laguerre sum of the radial norm
-(_log_radial_norm_sq), numpy's eigen-solve Gauss-Legendre rule
+(_log_radial_norm_sq), the Golub-Welsch Gauss-Legendre nodes
 (legendre-rule) and the finite-difference residual probes
 system_residual and ode_residual.  scipy is imported only in the checks
 whose second route needs it.
@@ -921,6 +921,21 @@ def _chk_radial_shape(rng, c):
 _LEGENDRE_COUNTS = (1, 2, 3, 4, 5, 8, 33, 64, 100, 125, 128, 240, 1000)
 
 
+def _golub_welsch_legendre(n: int) -> np.ndarray:
+    """The n Gauss-Legendre nodes, ascending, as the eigenvalues of the
+    Legendre Jacobi matrix (zero diagonal, off-diagonal k/sqrt(4k^2 - 1);
+    Golub & Welsch, Math. Comp. 23, 221, 1969), each polished by one Newton
+    step on P_n from scipy's eval_legendre, with
+    P_n' = n (x P_n - P_{n-1})/(x^2 - 1): a route that shares nothing with
+    special.leggauss's recurrence and starting guesses."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.special import eval_legendre
+    k = np.arange(1, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k/np.sqrt(4.0*k*k - 1.0))
+    p = eval_legendre(n, x)
+    return x - p*(x*x - 1.0)/(n*(x*p - eval_legendre(n - 1, x)))
+
+
 @_register("legendre-rule", "hydrogen", 1.0)
 def _chk_legendre_rule(rng, c):
     for n in _LEGENDRE_COUNTS:
@@ -928,11 +943,11 @@ def _chk_legendre_rule(rng, c):
         j = np.arange(n)
         # exact for degree <= 2n - 1: x^(2j) integrates to 2/(2j + 1)
         c((w @ x[:, None]**(2*j))*(2*j + 1)/2, 1.0, scale=1e-14, at=n)
-        c(x, np.polynomial.legendre.leggauss(n)[0], scale=4e-16, at=n)
+        c(x, _golub_welsch_legendre(n), scale=4e-16, at=n)
     return (f"Gauss-Legendre rules of n = "
             f"{', '.join(map(str, _LEGENDRE_COUNTS))}: x^(2j), 2j <= 2n - 2, "
-            f"relative to 1e-14, and numpy's leggauss nodes to 4e-16; "
-            f"ratio-of-tol; worst at n = {c.at}")
+            f"relative to 1e-14, and the Golub-Welsch nodes, one Newton "
+            f"step polished, to 4e-16; ratio-of-tol; worst at n = {c.at}")
 
 
 @_register("normalization-3d", "hydrogen", 1e-6)

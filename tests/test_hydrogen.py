@@ -920,3 +920,157 @@ def test_shell_bounds_are_the_extremes_of_rho(monkeypatch, n, k, Z):
     ends = [_split_ok(log_a, w.s*math.log(rho), rho) for rho in seen[2][0]]
     assert ends == {7: [True, True], 40: [False, True], 150: [False, False],
                     200: [True, False]}[n]
+
+
+def _trim_bitwise(a):
+    # the rule _trim keeps, written out: an axis is cut to its first slice
+    # when every element equals that slice's as a 64-bit pattern
+    bits = a.view(np.int64)
+    for axis in range(a.ndim):
+        if a.shape[axis] > 1:
+            first = (slice(None),)*axis + (slice(0, 1),)
+            if (bits == bits[first]).all():
+                a, bits = a[first], bits[first]
+    return a
+
+
+def _layouts(a):
+    # a in C order, Fortran order, transposed, strided and broadcast views
+    yield a
+    yield np.asfortranarray(a)
+    yield a.T
+    yield np.repeat(a, 2, axis=0)[::2]
+    if a.ndim:
+        yield np.broadcast_to(a[:1], a.shape)           # stride 0
+        yield np.broadcast_to(a[..., :1], a.shape)
+
+
+@pytest.mark.parametrize("block", [1, 5, None])
+def test_trim_equals_the_bitwise_rule(monkeypatch, block):
+    # block: elements per compared copy (None: the module's own), so that
+    # the small inputs below also run the compare in several blocks
+    from quatspin import hydrogen as hy
+    from quatspin.hydrogen import _trim
+    if block:
+        monkeypatch.setattr(hy, "_TRIM_BLOCK", block)
+    nan_payload, nan_neg = np.array([0x7FF8000000000001, -0x0008000000000000],
+                                    dtype=np.int64).view(float)
+    pool = np.array([0.0, -0.0, 1.0, math.nan, nan_payload, nan_neg, 2.5])
+    rng = np.random.default_rng(2401)
+    seen = set()
+    for _ in range(400):
+        shape = tuple(rng.integers(0, 4, rng.integers(1, 4)))
+        # few distinct values, so that constant axes are common
+        values = pool[rng.choice(len(pool), rng.integers(1, 3))]
+        a = values[rng.integers(0, len(values), shape)]
+        for axis in range(a.ndim):      # make some axes constant
+            if rng.random() < 0.4 and a.shape[axis]:
+                a = np.repeat(a.take([0], axis=axis), a.shape[axis], axis=axis)
+        for b in _layouts(a):
+            got, want = _trim(b), _trim_bitwise(b)
+            assert got.shape == want.shape, (b, got.shape, want.shape)
+            assert got.tobytes() == want.tobytes()
+            seen.add((b.ndim, got.shape != b.shape))
+    assert seen >= {(d, cut) for d in (1, 2, 3) for cut in (False, True)}
+    # the cases by name: signed zeros and NaN payloads are distinct values
+    for a, cut in (([0.0, -0.0], False), ([math.nan, nan_payload], False),
+                   ([math.nan, nan_neg], False), ([nan_payload]*3, True),
+                   ([-0.0]*2, True)):
+        a = np.array(a)
+        assert (_trim(a).shape == (1,)) is cut
+        assert _trim(a).tobytes() == _trim_bitwise(a).tobytes()
+    for shape in ((0,), (3, 0), (0, 2, 1), (1, 1, 1)):
+        a = np.ones(shape)
+        assert _trim(a).shape == _trim_bitwise(a).shape
+    # one element off in the last block of a grid of several blocks
+    R, TH = np.meshgrid(np.linspace(0.1, 5.0, 300), np.linspace(0.1, 3.0, 90),
+                        indexing="ij")
+    for a, axis in ((R, 1), (TH, 0)):
+        assert _trim(a).shape[axis] == 1
+        b = a.copy()
+        b[-2, -2] = np.nextafter(b[-2, -2], 9.0)
+        assert _trim(b).shape == _trim_bitwise(b).shape == a.shape
+
+
+_BAD_R = (math.nan, 0.0, -0.0, -1.0)
+
+
+@pytest.mark.parametrize("form", ["float", "0-d", "array"])
+@pytest.mark.parametrize("method", ["psi", "density", "density_grid"])
+def test_arguments_refuse_bad_values_in_every_form(method, form):
+    w = assemble_wavefunction(QuantumNumbers(3, -2, 0.5, 20))
+    call = getattr(w, method)
+    wrap = {"float": float, "0-d": np.array,
+            "array": lambda x: np.array([[0.7], [1.3], [x]])}[form]
+    good = {"float": 0.4, "0-d": np.array(0.4),
+            "array": np.array([0.4, 2.0])}[form]
+
+    def args(r, theta, phi):
+        return (r, theta) if method == "density_grid" else (r, theta, phi)
+
+    for r in _BAD_R:
+        with pytest.raises(ValueError, match="r must be > 0"):
+            call(*args(wrap(r), good, good))
+    for bad in _NON_FINITE:
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            call(*args(1.0, wrap(bad), good))
+        if method != "density_grid":
+            with pytest.raises(ValueError,
+                               match="theta and phi must be finite"):
+                call(*args(1.0, good, wrap(bad)))
+    out = call(*args(np.empty((0, 1)), good, good))
+    shapes = ([c.shape for c in out.coefficients()] if method == "psi"
+              else [out.shape])
+    assert all(0 in s for s in shapes)
+
+
+def _spy_bound(monkeypatch):
+    # the array shell route, with every decision of the overflow bound
+    from quatspin import hydrogen as hy
+    plain, decided = hy._shell_in_range, []
+
+    def spy(*args):
+        decided.append(plain(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(hy, "_shell_in_range", spy)
+    monkeypatch.setattr(hy, "_on_floats", lambda steps: False)
+    return decided
+
+
+def test_shell_bound_clears_only_calls_that_cannot_overflow(monkeypatch):
+    # up to the bound's edge; numpy never warns on underflow, and F^2
+    # underflows to its correctly rounded 0 in far tails, so only
+    # under= stays at its default
+    decided = _spy_bound(monkeypatch)
+    rng = np.random.default_rng(2403)
+    ns = sorted({1, 2, 32, 100, 127, 160, *rng.integers(3, 160, 12).tolist()})
+    for Z in (1, 20, 50, 92):
+        for n in ns:
+            for k in {-1, n//2, -(n//2), -n} - {0}:
+                w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
+                split = rng.uniform(0.2, 1.5)*n*n/Z
+                for lo, hi in ((0.0, split), (split, math.inf),
+                               (0.0, math.inf)):
+                    try:
+                        with np.errstate(all="raise", under="ignore"):
+                            p = probability_in_region(w, lo, hi)
+                    except ValueError:
+                        assert not decided[-1], (n, k, Z)
+                        continue
+                    assert 0.0 <= p <= 1.0 + 1e-12
+                    if n <= 32:     # the benchmark's domain runs unguarded
+                        assert decided[-1], (n, k, Z)
+    assert 0 < decided.count(False) < decided.count(True)
+
+
+@pytest.mark.parametrize("n, Z", [(235, 1), (250, 92)])
+def test_shell_past_the_bound_runs_guarded(monkeypatch, n, Z):
+    decided = _spy_bound(monkeypatch)
+    w = assemble_wavefunction(QuantumNumbers(n, -1, 0.5, Z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"n={n}, k=-1 is out of the "
+                                             f"float range"):
+            probability_in_region(w, 0.0, math.inf)
+    assert decided == [False]

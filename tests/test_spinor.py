@@ -225,7 +225,7 @@ def test_lower_spinor_product_matches_clebsch_route(monkeypatch):
     # states (n <= 60, Z up to 92, m_j = -j, drawn, +j), 40 directions each
     from quatspin import hydrogen as hy, verify
     monkeypatch.setattr(hy.WaveFunction, "_radial",
-                        lambda self, r: (0.0, 1.0))
+                        lambda self, r, r_ends=(): (0.0, 1.0))
     rng = np.random.default_rng(22)
     for qn in verify._domain_states(rng):
         w = assemble_wavefunction(qn)
