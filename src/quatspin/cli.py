@@ -16,11 +16,19 @@ and density or probability above that bound, load numpy.
 
 Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
 exits quietly), 2 domain error, 3 verification failure.
+
+main is the library entry: it parses argv, runs one subcommand and returns
+its exit code, and callers may run it many times in one process.  run is
+the process entry of `python -m quatspin` and the `quatspin` script: it
+returns main's code and then freezes the collector, so the interpreter's
+shutdown collections skip everything the call loaded.  The process still
+ends normally: atexit callbacks run and stdio is flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -29,7 +37,7 @@ import os
 import sys
 import time
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -500,5 +508,19 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> int:
+    """main(argv) as a whole process.  However main ends (a return, an
+    error, argparse's usage and help exits), every object left is then
+    moved to the collector's permanent generation, which the interpreter's
+    shutdown collections do not traverse, so the process ends sooner;
+    atexit callbacks and the final flush of stdio still run.  Frozen
+    objects are never collected, so call main, not run, where the process
+    goes on."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

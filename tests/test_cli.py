@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, units, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -286,6 +287,116 @@ def test_full_stdout_device_is_one_error_line(argv):
     assert proc.wait(timeout=300) == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# every subcommand but verify in JSON and CSV, help, no arguments, a usage
+# error and a domain error
+_EXIT_MATRIX = [
+    *([*argv, *fmt] for argv in (["energy"], ["spinor"],
+                                 ["rotate", "--angle", "1.0"],
+                                 ["probability"], ["density"])
+      for fmt in ([], ["--csv"])),
+    ["--help"], [], ["rotate"], ["probability", "--n", "250", "--k", "-1"]]
+
+_MAIN_PROBE = """
+import contextlib, io, json, sys
+from quatspin import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(report))
+"""
+
+
+def test_a_cli_process_writes_what_main_writes():
+    # cli.main runs in one fresh interpreter, as in a CLI process: here,
+    # with numpy loaded, density and probability would take the array
+    # route, whose last digits may differ from the float route's
+    proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE,
+                           json.dumps(_EXIT_MATRIX)],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = json.loads(proc.stdout)
+    assert [code for *_, code in expected] == [0]*11 + [1, 1, 2]
+    for argv, want in zip(_EXIT_MATRIX, expected):
+        child = subprocess.run([sys.executable, "-m", "quatspin", *argv],
+                               capture_output=True, env=_child_env(),
+                               timeout=300)
+        got = [child.stdout.decode(), child.stderr.decode(), child.returncode]
+        assert got == want, argv
+
+
+_ATEXIT_PROBE = """
+import atexit, runpy, sys
+# written without a flush: only the interpreter's final flush emits it
+atexit.register(sys.stdout.write, "atexit callback ran")
+sys.argv = ["quatspin", "energy"]
+runpy.run_module("quatspin", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_cli_process_ends_normally():
+    # after cli.run the interpreter still runs atexit callbacks, flushes
+    # stdout and lets a profiler print its report
+    proc = subprocess.run([sys.executable, "-c", _ATEXIT_PROBE],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out, tail = proc.stdout.decode().rsplit("\n", 1)
+    assert json.loads(out)["command"] == "energy"
+    assert tail == "atexit callback ran"
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "quatspin",
+                           "energy"],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"function calls" in proc.stdout and b"Ordered by:" in proc.stdout
+
+
+# success, a domain error and a usage error, with their exit codes
+_FREEZE_CASES = [(["energy"], 0),
+                 (["probability", "--n", "250", "--k", "-1"], 2),
+                 (["rotate"], 1)]
+
+
+@pytest.mark.parametrize("argv, code", _FREEZE_CASES)
+def test_main_never_freezes_the_collector(capsys, argv, code):
+    before = gc.get_freeze_count()
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert gc.get_freeze_count() == before
+
+
+_RUN_PROBE = """
+import contextlib, gc, io, json, sys
+from quatspin import cli
+before = gc.get_freeze_count()
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = cli.run(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, before, gc.get_freeze_count()]))
+"""
+
+
+def test_run_freezes_the_collector_however_main_ends():
+    for argv, code in _FREEZE_CASES:
+        proc = subprocess.run([sys.executable, "-c", _RUN_PROBE,
+                               json.dumps(argv)],
+                              capture_output=True, env=_child_env(),
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        got, before, after = json.loads(proc.stdout)
+        assert (got, before) == (code, 0) and after > 0, argv
 
 
 def test_spinor_worked_example(capsys):

@@ -195,3 +195,20 @@ def test_every_third_party_import_is_declared():
     for module in sorted(third_party):
         provided = {name(d) for d in dists.get(module, [module])}
         assert provided & declared, f"{module} is not declared"
+
+
+def test_the_script_and_python_m_call_the_same_entry():
+    # [project.scripts] and __main__.py name one function, cli.run
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = tomllib.loads((root / "pyproject.toml").read_text())[
+        "project"]["scripts"]["quatspin"]
+    tree = ast.parse((root / "src" / "quatspin" / "__main__.py").read_text())
+    imported = {f"quatspin.{node.module}:{alias.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert script == "quatspin.cli:run"
+    assert imported == {script}
+    assert called == {"SystemExit", "run"}
