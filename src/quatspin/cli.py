@@ -7,8 +7,22 @@ through _emit (density through its row-template twin, _emit_density): JSON
 by default, CSV with --csv; floats are emitted as shortest-round-trip
 decimal strings, so identical invocations produce byte-identical output; a
 NaN or infinite result is refused by both writers (exit 2, empty stdout).
-Timing goes to stderr only.  Building the parser imports nothing numeric;
-each subcommand imports the modules it runs.  energy, spinor and rotate
+Timing goes to stderr only.
+
+_COMMANDS is the one table of each subcommand's handler, help and flags.
+build_parser makes the argparse parser from it, and _read turns a
+well-formed argv into the namespace that parser would give.  _read declines
+whatever argparse treats specially (help, `--flag=value`, abbreviations,
+`--`, unknown or missing flags, extra or ill-typed values, and a token that
+starts with "-" but is no negative number); main then falls back to
+argparse, which alone writes help, usage and error text.  A handler reports
+its own usage errors through a handle that builds the subcommand's parser
+only when it is called.  JSON is written by _dumps, with the bytes of
+json.dumps(record, indent=2, allow_nan=False).  So a well-formed call loads
+neither argparse (nor the gettext and locale it loads) nor json; help, a
+usage error and verify may.
+
+Each subcommand imports the modules it runs.  energy, spinor and rotate
 never load numpy; density and probability run node by node on Python
 floats unless numpy is loaded already or the call would cost more than
 importing it (hydrogen._on_floats), so of the subcommands only verify,
@@ -27,47 +41,99 @@ ends normally: atexit callbacks run and stdio is flushed.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
-import json
 import math
 import operator
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 __all__ = ["main", "run", "build_parser"]
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the contract here reserves 2 for
-    domain errors, so usage problems are remapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _finite_float(text: str) -> float:
-    """argparse type for every float flag: NaN and infinities are usage
-    errors."""
+    """Type of every float flag: NaN and infinities are usage errors."""
     try:
         x = float(text)
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
+        import argparse
         raise argparse.ArgumentTypeError(
             f"expected a finite number, got {text!r}")
     return x
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed: numpy's generators take integers >= 0."""
+    """Type of --seed: numpy's generators take integers >= 0."""
     if not text.isdecimal():
+        import argparse
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+                 "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_char(c: str) -> str:
+    if c in _JSON_ESCAPES:
+        return _JSON_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    n -= 0x10000        # a UTF-16 surrogate pair, as json writes it
+    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+
+
+def _json_str(s: str) -> str:
+    """s as json writes a string by default: ASCII, with escapes."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    return '"' + "".join(map(_json_char, s)) + '"'
+
+
+def _dumps(o, indent: str = "\n") -> str:
+    """json.dumps(o, indent=2, allow_nan=False) for what a record holds
+    (dicts with str keys, lists, tuples, str, int, float, bool, None): the
+    same text, and the same ValueError for a NaN or infinity.  json runs
+    its pure-Python encoder whenever indent is set, so this is no slower;
+    indent is the newline and indentation that precede the closing
+    bracket."""
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: " + repr(o))
+        return float.__repr__(o)
+    inner = indent + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _dumps(v, inner) for k, v in o.items()])
+            + indent + "}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_dumps(v, inner) for v in o])
+                + indent + "]")
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    "is not JSON serializable")
 
 
 def _emit(args, record: dict, rows: list[dict], fields=None) -> None:
@@ -75,7 +141,7 @@ def _emit(args, record: dict, rows: list[dict], fields=None) -> None:
     fields (default: the first row's keys), and a row's other keys are
     left out."""
     if not args.csv:
-        sys.stdout.write(json.dumps(record, indent=2, allow_nan=False))
+        sys.stdout.write(_dumps(record))
         sys.stdout.write("\n")
         return
     import csv
@@ -182,10 +248,9 @@ def _emit_density(record: dict, r: list, theta: list, dens: list,
         head, row, sep, tail = ("r,theta,density,cell_weight\n",
                                 "%s,%s,%s,%s", "\n", "\n")
     else:
-        # json.dumps checks the header's floats; "rows" is the last key, so
+        # _dumps checks the header's floats; "rows" is the last key, so
         # the rows go in before the closing brace
-        head = (json.dumps(record, indent=2, allow_nan=False)[:-2]
-                + ',\n  "rows": [\n')
+        head = _dumps(record)[:-2] + ',\n  "rows": [\n'
         row, sep, tail = _DENSITY_JSON_ROW, ",\n", "\n  ]\n}\n"
     finite = math.isfinite
     if not (all(map(finite, dens)) and all(map(finite, cell))):
@@ -321,8 +386,10 @@ def _parse_axis(text: str, parser):
     if len(parts) != 3:
         parser.error(f"--axis expects x, y, z, or nx,ny,nz; got {text!r}")
     try:
-        v = [_finite_float(p) for p in parts]
-    except argparse.ArgumentTypeError:
+        v = [float(p) for p in parts]
+    except ValueError:
+        v = [math.nan]
+    if not all(map(math.isfinite, v)):
         parser.error(f"--axis components must be finite numbers, got {text!r}")
     # scaled by a power of two so that the squares cannot overflow; the
     # scaling is exact, so the normalized digits do not change
@@ -399,98 +466,190 @@ def _cmd_verify(args, parser) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_state_flags(p):
-    p.add_argument("--z", type=int, default=1, help="nuclear charge (int >= 1)")
-    p.add_argument("--n", type=int, default=1, help="principal quantum number")
-    p.add_argument("--k", type=int, default=-1,
-                   help="Dirac quantum number (nonzero int)")
-    p.add_argument("--mj", type=_finite_float, default=0.5,
-                   help="total angular momentum projection (half-odd)")
+# each subcommand's handler, help and flags; every flag's keywords go to
+# argparse's add_argument as they are, and _read reads the same ones (type,
+# default, nargs, which is "+" where given, choices, required and the
+# store_true action).  --csv comes last, so that it ends each usage line
+# and help listing.
+_CSV = {"--csv": {"action": "store_true", "default": False,
+                  "help": "CSV instead of JSON"}}
+
+_STATE_FLAGS = {
+    "--z": {"type": int, "default": 1, "help": "nuclear charge (int >= 1)"},
+    "--n": {"type": int, "default": 1, "help": "principal quantum number"},
+    "--k": {"type": int, "default": -1,
+            "help": "Dirac quantum number (nonzero int)"},
+    "--mj": {"type": _finite_float, "default": 0.5,
+             "help": "total angular momentum projection (half-odd)"},
+}
+
+_COMMANDS = {
+    "energy": (_cmd_energy, "relativistic level table over (n, k) ranges", {
+        "--z": {"type": int, "default": 1, "help": "nuclear charge"},
+        "--n": {"type": int, "nargs": "+", "default": [1, 2, 3],
+                "help": "principal quantum numbers"},
+        "--k": {"type": int, "nargs": "+", "default": [-1, 1, -2, 2],
+                "help": "Dirac quantum numbers"},
+        "--units": {"type": str.lower, "choices": ["mc2", "ev"],
+                    "default": "mc2",
+                    "help": "energy units (fraction of rest energy, or "
+                            "electron-volts)"},
+        **_CSV}),
+    "density": (_cmd_density, "probability density on an (r, theta) grid "
+                              "(independent of phi)", {
+        **_STATE_FLAGS,
+        "--grid": {"default": None,
+                   "help": "R:THETA node counts (Gauss-Legendre), default "
+                           "max(128, 48 + 6n):max(32, n + 2)"},
+        "--r-max": {"type": _finite_float, "default": None,
+                    "help": "radial extent in Bohr (default (2n + 40)/C in "
+                            "natural units, scaled to the state)"},
+        **_CSV}),
+    "probability": (_cmd_probability, "probability in a radial shell", {
+        **_STATE_FLAGS,
+        "--r-lo": {"type": _finite_float, "default": 0.0,
+                   "help": "inner radius in Bohr"},
+        # inf is allowed; NaN fails the 0 <= r_lo < r_hi check
+        "--r-hi": {"type": float, "default": math.inf,
+                   "help": "outer radius in Bohr (inf allowed)"},
+        **_CSV}),
+    "spinor": (_cmd_spinor, "evaluate a spin spherical harmonic", {
+        "--k": {"type": int, "default": -1,
+                "help": "Dirac quantum number (encodes l and j)"},
+        "--mj": {"type": _finite_float, "default": 0.5,
+                 "help": "total angular momentum projection"},
+        "--theta": {"type": _finite_float, "default": 1.0,
+                    "help": "polar angle in radians"},
+        "--phi": {"type": _finite_float, "default": 0.0,
+                  "help": "azimuthal angle in radians"},
+        **_CSV}),
+    "rotate": (_cmd_rotate, "conjugate a spin operator by a rotation", {
+        "--axis": {"default": "z",
+                   "help": "rotation axis: x, y, z, or nx,ny,nz"},
+        "--angle": {"type": _finite_float, "required": True,
+                    "help": "rotation angle in radians"},
+        "--target": {"default": "Sz",
+                     "help": "operator to rotate: Sx, Sy, or Sz"},
+        **_CSV}),
+    "verify": (_cmd_verify, "run the identity-check suites", {
+        "--suite": {"default": "all",
+                    "help": "algebra, spin, rotation, spinor, hydrogen, "
+                            "dirac, or all"},
+        "--seed": {"type": _seed, "default": 12345,
+                   "help": "seed for randomized checks, an integer >= 0 "
+                           "(fixed seed gives byte-identical reports)"},
+        **_CSV}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="quatspin",
-                     description="Biquaternion spin-1/2 toolkit: energy "
-                                 "tables, densities, spinors, rotations, and "
-                                 "identity verification.")
+def _parser_class():
+    """argparse.ArgumentParser with usage errors remapped to exit code 1:
+    argparse exits with 2 on bad usage, and the contract here reserves 2
+    for domain errors.  Made on call, so that only the help and error
+    paths import argparse."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    return Parser
+
+
+def _add_flags(parser, command: str) -> None:
+    for flag, spec in _COMMANDS[command][2].items():
+        parser.add_argument(flag, **spec)
+
+
+def build_parser():
+    """The argparse parser of every subcommand, made from _COMMANDS."""
+    Parser = _parser_class()
+    parser = Parser(prog="quatspin",
+                    description="Biquaternion spin-1/2 toolkit: energy "
+                                "tables, densities, spinors, rotations, and "
+                                "identity verification.")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p = sub.add_parser("energy", help="relativistic level table over "
-                                      "(n, k) ranges")
-    p.add_argument("--z", type=int, default=1, help="nuclear charge")
-    p.add_argument("--n", type=int, nargs="+", default=[1, 2, 3],
-                   help="principal quantum numbers")
-    p.add_argument("--k", type=int, nargs="+", default=[-1, 1, -2, 2],
-                   help="Dirac quantum numbers")
-    p.add_argument("--units", type=str.lower, choices=["mc2", "ev"],
-                   default="mc2", help="energy units (fraction of rest "
-                                       "energy, or electron-volts)")
-    p.set_defaults(func=_cmd_energy)
-
-    p = sub.add_parser("density", help="probability density on an "
-                                       "(r, theta) grid (independent of phi)")
-    _add_state_flags(p)
-    p.add_argument("--grid", default=None,
-                   help="R:THETA node counts (Gauss-Legendre), default "
-                        "max(128, 48 + 6n):max(32, n + 2)")
-    p.add_argument("--r-max", type=_finite_float, default=None,
-                   help="radial extent in Bohr (default (2n + 40)/C in "
-                        "natural units, scaled to the state)")
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("probability", help="probability in a radial shell")
-    _add_state_flags(p)
-    p.add_argument("--r-lo", type=_finite_float, default=0.0,
-                   help="inner radius in Bohr")
-    # inf is allowed; NaN fails the 0 <= r_lo < r_hi check
-    p.add_argument("--r-hi", type=float, default=math.inf,
-                   help="outer radius in Bohr (inf allowed)")
-    p.set_defaults(func=_cmd_probability)
-
-    p = sub.add_parser("spinor", help="evaluate a spin spherical harmonic")
-    p.add_argument("--k", type=int, default=-1,
-                   help="Dirac quantum number (encodes l and j)")
-    p.add_argument("--mj", type=_finite_float, default=0.5,
-                   help="total angular momentum projection")
-    p.add_argument("--theta", type=_finite_float, default=1.0,
-                   help="polar angle in radians")
-    p.add_argument("--phi", type=_finite_float, default=0.0,
-                   help="azimuthal angle in radians")
-    p.set_defaults(func=_cmd_spinor)
-
-    p = sub.add_parser("rotate", help="conjugate a spin operator by a "
-                                      "rotation")
-    p.add_argument("--axis", default="z",
-                   help="rotation axis: x, y, z, or nx,ny,nz")
-    p.add_argument("--angle", type=_finite_float, required=True,
-                   help="rotation angle in radians")
-    p.add_argument("--target", default="Sz",
-                   help="operator to rotate: Sx, Sy, or Sz")
-    p.set_defaults(func=_cmd_rotate)
-
-    p = sub.add_parser("verify", help="run the identity-check suites")
-    p.add_argument("--suite", default="all",
-                   help="algebra, spin, rotation, spinor, hydrogen, dirac, "
-                        "or all")
-    p.add_argument("--seed", type=_seed, default=12345,
-                   help="seed for randomized checks, an integer >= 0 (fixed "
-                        "seed gives byte-identical reports)")
-    p.set_defaults(func=_cmd_verify)
-
-    # added last, so that --csv ends each usage line and help listing; a
-    # handler reports usage errors through its own subcommand's parser
-    for p in sub.choices.values():
-        p.add_argument("--csv", action="store_true",
-                       help="CSV instead of JSON")
-        p.set_defaults(parser=p)
+                                parser_class=Parser)
+    for command, (_, help_, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(command, help=help_), command)
     return parser
 
 
+class _Usage:
+    """A handler's parser: error(message) builds the subcommand's parser,
+    as build_parser's subparser named "quatspin COMMAND", and reports the
+    usage error through it (exit 1)."""
+
+    def __init__(self, command: str):
+        self.command = command
+
+    def error(self, message: str):
+        parser = _parser_class()(prog=f"quatspin {self.command}")
+        _add_flags(parser, self.command)
+        parser.error(message)
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse takes token as a flag's value: it does not start
+    with "-", or it is a negative number in ASCII digits, such as -5 or
+    -.5.  (argparse also takes "-", a token with a space and other digits;
+    _read leaves those to it.)"""
+    body = token[1:]
+    return token[:1] != "-" or (body.isascii() and body[-1:].isdigit()
+                                and body.replace(".", "", 1).isdigit())
+
+
+def _read(argv: list):
+    """build_parser().parse_args(argv) for a well-formed argv, without
+    argparse: a subcommand, then its flags spelled as in _COMMANDS, each
+    with its values (a repeated flag's last values win, as in argparse).
+    None for anything else, which argparse handles: help, `--flag=value`,
+    an abbreviation, `--`, an unknown flag, a missing required flag, an
+    extra value, a value that fails its type or choices, or a token that
+    starts with "-" and is no negative number."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][2]
+    given = {}
+    i = 1
+    while i < len(argv):
+        flag, spec = argv[i], flags.get(argv[i])
+        if spec is None:
+            return None
+        i += 1
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        end = i
+        while end < len(argv) and _is_value(argv[end]):
+            end += 1
+        if end == i:
+            return None
+        if "nargs" not in spec:
+            end = i + 1         # any further value is an extra one
+        try:
+            values = list(map(spec.get("type", str), argv[i:end]))
+        except Exception:       # argparse reports a type's failure
+            return None
+        choices = spec.get("choices")
+        if choices is not None and not all(v in choices for v in values):
+            return None
+        given[flag] = values if "nargs" in spec else values[0]
+        i = end
+    if any(spec.get("required") and flag not in given
+           for flag, spec in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+        for flag, spec in flags.items()})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
-        code = args.func(args, args.parser)
+        code = _COMMANDS[args.command][0](args, _Usage(args.command))
         sys.stdout.flush()      # a failing stdout fails here, not at exit
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

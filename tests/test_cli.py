@@ -290,13 +290,17 @@ def test_full_stdout_device_is_one_error_line(argv):
 
 
 # every subcommand but verify in JSON and CSV, help, no arguments, a usage
-# error and a domain error
+# error and a domain error, then calls that cli._read leaves to argparse: a
+# joined flag and value, an abbreviation, subcommand help, a negative
+# number argparse takes for a flag, and a value that fails its type
 _EXIT_MATRIX = [
     *([*argv, *fmt] for argv in (["energy"], ["spinor"],
                                  ["rotate", "--angle", "1.0"],
                                  ["probability"], ["density"])
       for fmt in ([], ["--csv"])),
-    ["--help"], [], ["rotate"], ["probability", "--n", "250", "--k", "-1"]]
+    ["--help"], [], ["rotate"], ["probability", "--n", "250", "--k", "-1"],
+    ["energy", "--n=2"], ["rotate", "--ang", "1"], ["energy", "-h"],
+    ["rotate", "--angle", "-1e-3"], ["spinor", "--mj", "nan"]]
 
 _MAIN_PROBE = """
 import contextlib, io, json, sys
@@ -323,7 +327,8 @@ def test_a_cli_process_writes_what_main_writes():
                           capture_output=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     expected = json.loads(proc.stdout)
-    assert [code for *_, code in expected] == [0]*11 + [1, 1, 2]
+    assert [code for *_, code in expected] == ([0]*11 + [1, 1, 2]
+                                               + [0, 0, 0, 1, 1])
     for argv, want in zip(_EXIT_MATRIX, expected):
         child = subprocess.run([sys.executable, "-m", "quatspin", *argv],
                                capture_output=True, env=_child_env(),
@@ -760,20 +765,24 @@ def test_every_subcommand_writes_its_record_as_csv(capsys, argv):
         {k: _csv_text(v) for k, v in row.items()} for row in rows]
 
 
+# json is imported only once every call has run, so that the probe itself
+# loads none of the modules it reports on
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 def loaded():
     scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     return [len(scipy)] + [m in sys.modules for m in
                            ("numpy", "quatspin.verify", "quatspin.pauli_dirac",
-                            "dataclasses", "inspect")]
+                            "dataclasses", "inspect", "argparse", "gettext",
+                            "locale", "json")]
 import quatspin
 report = [["import quatspin", 0, *loaded()]]
 from quatspin import cli
-for argv in json.loads(sys.argv[1]):
+for argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     report.append([argv[0], code, *loaded()])
+import json
 print(json.dumps(report))
 """
 
@@ -781,11 +790,11 @@ print(json.dumps(report))
 def _import_probe(*argvs):
     """Import quatspin, then run cli.main on each argv in order, in one
     fresh interpreter.  Returns one row after the import and one after each
-    call: [what ran, exit code, number of scipy modules loaded, numpy
-    loaded, quatspin.verify loaded, quatspin.pauli_dirac loaded,
-    dataclasses loaded, inspect loaded]."""
+    call: [what ran, exit code, number of scipy modules loaded, then
+    whether each is loaded: numpy, quatspin.verify, quatspin.pauli_dirac,
+    dataclasses, inspect, argparse, gettext, locale, json]."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           json.dumps(argvs)],
+                           repr(argvs)],
                           capture_output=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout)
@@ -806,8 +815,9 @@ def test_scipy_loaded_only_on_first_use():
 
 def test_numpy_loaded_only_where_arrays_appear():
     # no subcommand but verify loads numpy, dataclasses or inspect at these
-    # sizes: density and probability run node by node on Python floats
-    none = [0, False, False, False, False, False]
+    # sizes: density and probability run node by node on Python floats; nor
+    # does a well-formed call load argparse or json (cli._read, cli._dumps)
+    none = [0] + [False]*9
     report = _import_probe(["energy", "--units", "ev"],
                            ["spinor", "--k", "-3", "--mj", "1.5"],
                            *(["rotate", "--axis", axis, "--angle", "0.7",
@@ -826,6 +836,15 @@ def test_numpy_loaded_only_where_arrays_appear():
                  ["density", "--n", "32", "--k", "-1", "--z", "92",
                   "--grid", "240:34"]):
         assert _import_probe(argv)[1] == [argv[0], 0, *none]
+
+
+def test_argparse_loads_only_for_calls_the_reader_declines():
+    # the probe sees the front end's modules: a joined flag and value goes
+    # to argparse, which loads gettext and locale; json stays unloaded
+    report = _import_probe(["rotate", "--angle", "0.7"],
+                           ["rotate", "--angle=0.7"])
+    assert [row[8:] for row in report] == [[False]*4, [False]*4,
+                                           [True, True, True, False]]
 
 
 @pytest.mark.parametrize("n, k, z", [(20, -1, 1), (1, -1, 92), (40, -1, 1),
