@@ -539,7 +539,9 @@ def _shell_rules(nodes: int, rule=leggauss) -> tuple:
 def _shell_arrays(nodes: int) -> tuple:
     """_shell_rules(nodes) as read-only numpy arrays, and the least and
     greatest node as two Python floats, memoized per node count, from
-    leggauss unmemoized: its memo would hold the rules twice."""
+    leggauss unmemoized: its memo would hold the rules twice.  They are
+    also the ends of the nodes + nodes//4 rule alone, since the largest
+    zero of P_n grows with n."""
     import numpy as np
     rules = _shell_rules(nodes, leggauss.__wrapped__)
     arrays = tuple(map(np.array, rules))
@@ -596,19 +598,19 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     this reduces to the radial Born integral of A^2 (F^2 + G^2), done by a
     fixed Gauss-Legendre rule in t with r = lo + (hi - lo) t^2, which
     clusters the nodes at the lower end (the r^{2s} start at the origin,
-    the decaying tail of an outer shell).  The rule has
-    N = max(100, 4n + 60) nodes; the error estimate is its difference from
-    the rule with N + N/4 nodes, whose value is returned, or (N + N/4) eps
-    times that value, the rounding bound of its sum, if larger.  Where either
-    leaves the float range (from n = 235 at k = -1, Z = 1, where the
-    brackets overflow at the cap) this raises ValueError.  The nodes run
-    one by one on Python floats when _on_floats finds that cheaper than
-    importing numpy, else as arrays; the two agree to a few eps.  The
-    arrays enter np.errstate, which keeps numpy's overflow warnings from
-    that ValueError, only where _shell_in_range's bound |L_n^(a)(x)| <=
-    binom(n + a, n) e^{x/2} (Abramowitz & Stegun 22.14.13, 22.14.14) at
-    the cap cannot rule overflow out, from n = 106 at some k (Z = 1, 20,
-    50, 92).
+    the decaying tail of an outer shell).  The value is the rule with
+    N + N/4 nodes, N = max(100, 4n + 60).  The rule with N nodes runs only
+    for return_error: the error estimate is its difference from the value,
+    or (N + N/4) eps times the value, the rounding bound of its sum, if
+    larger.  Where the value or the error leaves the float range (from
+    n = 235 at k = -1, Z = 1, where the brackets overflow at the cap) this
+    raises ValueError.  The nodes run one by one on Python floats when
+    _on_floats finds that cheaper than importing numpy, else as arrays; the
+    two agree to a few eps.  The arrays enter np.errstate, which keeps
+    numpy's overflow warnings from that ValueError, only where
+    _shell_in_range's bound |L_n^(a)(x)| <= binom(n + a, n) e^{x/2}
+    (Abramowitz & Stegun 22.14.13, 22.14.14) at the cap cannot rule
+    overflow out, from n = 106 at some k (Z = 1, 20, 50, 92).
     """
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
@@ -619,21 +621,26 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     lo, hi = float(min(r_lo/ALPHA_FS, cap)), float(min(r_hi/ALPHA_FS, cap))
     if hi <= lo:
         return (0.0, 0.0) if return_error else 0.0
+    # the N-node rule, t[:nodes], serves the error estimate alone
+    first = 0 if return_error else nodes
     if _on_floats((2*nodes + nodes//4)*(w.qn.n_r + _NODE_STEPS)):
         t, w_c, w_f = _shell_rules(nodes)
-        terms = [_shell_terms(w, lo, hi, x) for x in t]
-        coarse = sum(map(operator.mul, w_c, terms))
-        val = sum(map(operator.mul, w_f, terms[nodes:]))
+        terms = [_shell_terms(w, lo, hi, x) for x in t[first:]]
+        val = sum(map(operator.mul, w_f, terms[nodes - first:]))
+        if return_error:
+            coarse = sum(map(operator.mul, w_c, terms))
     else:
         import contextlib
         import numpy as np
         t, w_c, w_f, t_ends = _shell_arrays(nodes)
         with (contextlib.nullcontext() if _shell_in_range(w, nodes, hi - lo)
               else np.errstate(over="ignore", invalid="ignore")):
-            terms = _shell_terms(w, lo, hi, t, t_ends)
-            coarse = float(np.dot(w_c, terms[:nodes]))
-            val = float(np.dot(w_f, terms[nodes:]))
-    err = max(abs(val - coarse), (nodes + nodes//4)*2.0**-52*val)  # eps
+            terms = _shell_terms(w, lo, hi, t[first:], t_ends)
+            val = float(np.dot(w_f, terms[nodes - first:]))
+            if return_error:
+                coarse = float(np.dot(w_c, terms[:nodes]))
+    err = (max(abs(val - coarse), (nodes + nodes//4)*2.0**-52*val)  # eps
+           if return_error else val)
     if not math.isfinite(err):          # also refuses a NaN val
         raise ValueError(f"shell probability of n={w.qn.n}, k={w.qn.k} is "
                          f"out of the float range")

@@ -53,8 +53,10 @@ def laguerre(n: int, alpha: float, x):
 
 def _laguerre_steps(n: int, a: float):
     """Coefficients (2k + 1 + a, k + a, k + 1) of the steps k = 1 .. n - 1
-    of the recurrence of laguerre, one at a time."""
-    return ((2*k + 1 + a, k + a, k + 1) for k in range(1, n))
+    of the recurrence of laguerre, one at a time.  The divisor k + 1 is a
+    float: it converts exactly, so the bits are those of an int divisor,
+    and numpy divides an array by a Python float faster than by an int."""
+    return ((2*k + 1 + a, k + a, float(k + 1)) for k in range(1, n))
 
 
 def _laguerre_run(steps, a: float, x):

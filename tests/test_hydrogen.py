@@ -815,6 +815,83 @@ def test_shell_probability_routes_refuse_alike(monkeypatch, n, k):
                                 f"of the float range")
 
 
+def test_shell_value_does_not_depend_on_the_error_request(monkeypatch):
+    # the error request adds the N-node rule alone: the value is the same
+    # N + N/4-node sum, bit for bit, on both routes
+    rng = np.random.default_rng(2811)
+    for qn in _route_states(2811, 2):
+        w = assemble_wavefunction(qn)
+        a, b = np.sort(rng.random(2))*(2.0*qn.n + 30.0)/w.C*ALPHA_FS
+        for lo, hi in ((0.0, a), (a, b), (a, math.inf), (0.0, math.inf),
+                       (a, a*(1 + 1e-9)), (b, b + 1e-12)):   # tiny shells
+            for p, (pe, _) in _both_routes(monkeypatch, lambda: (
+                    probability_in_region(w, lo, hi),
+                    probability_in_region(w, lo, hi, True)))[:2]:
+                assert type(p) is float and p.hex() == pe.hex(), (qn, lo, hi)
+
+
+@pytest.mark.parametrize("n, k, Z", [(234, -1, 1), (235, -1, 1),
+                                     (250, -1, 92), (300, -1, 1),
+                                     (400, -100, 1)])
+def test_shell_refusal_does_not_depend_on_the_error_request(
+        monkeypatch, n, k, Z):
+    # (234, -1) is the last k = -1, Z = 1 state in range; the others raise
+    # the same message with and without the error, and nothing warns
+    w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
+
+    def outcome(error):
+        try:
+            p = probability_in_region(w, 0.0, math.inf, error)
+        except ValueError as exc:
+            return str(exc)
+        return (p[0] if error else p).hex()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for plain, with_error in _both_routes(
+                monkeypatch, lambda: (outcome(False), outcome(True)))[:2]:
+            assert plain == with_error
+            assert (plain == f"shell probability of n={n}, k={k} is out of "
+                             f"the float range") == (n != 234)
+
+
+@pytest.mark.parametrize("n, k, Z", [(1, -1, 1), (14, -6, 20), (32, -1, 1),
+                                     (60, 30, 92)])
+def test_shell_error_alone_runs_the_n_node_rule(monkeypatch, n, k, Z):
+    # N + N/4 nodes without the error, 2N + N/4 with it: on floats one
+    # _shell_terms call per node, on arrays one _radial_kernel call
+    from quatspin import hydrogen as hy
+    w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
+    nodes = max(100, 4*n + 60)
+    calls, sizes = [], []
+    terms, kernel = hy._shell_terms, hy._radial_kernel
+    monkeypatch.setattr(hy, "_shell_terms",
+                        lambda *args: calls.append(1) or terms(*args))
+    monkeypatch.setattr(hy, "_radial_kernel", lambda *args: sizes.append(
+        np.size(args[3])) or kernel(*args))
+    for floats in (True, False):
+        monkeypatch.setattr(hy, "_on_floats", lambda steps: floats)
+        for error, want in ((False, nodes + nodes//4),
+                            (True, 2*nodes + nodes//4)):
+            calls.clear()
+            sizes.clear()
+            probability_in_region(w, 0.0, math.inf, error)
+            assert (len(calls), sizes) == ((want, [1]*want) if floats
+                                           else (1, [want]))
+
+
+def test_shell_bounds_are_the_ends_of_the_fine_rule():
+    # a call without the error runs the N + N/4-node rule alone with the
+    # ends of both rules: the largest zero of P_n grows with n
+    from quatspin import hydrogen as hy
+    for nodes in (*range(100, 401), 4*500 + 60, 4*1000 + 60):
+        t, _, w_f, t_ends = hy._shell_arrays.__wrapped__(nodes)
+        fine = t[nodes:]
+        assert fine.size == w_f.size == nodes + nodes//4
+        assert ([x.hex() for x in t_ends]
+                == [float(fine.min()).hex(), float(fine.max()).hex()]), nodes
+
+
 def _cli_grid(w, n_r, n_theta):
     """The (r, theta) lists of quatspin density's grid of n_r x n_theta
     nodes on its default r_max."""
