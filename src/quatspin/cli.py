@@ -23,10 +23,13 @@ neither argparse (nor the gettext and locale it loads) nor json; help, a
 usage error and verify may.
 
 Each subcommand imports the modules it runs.  energy, spinor and rotate
-never load numpy; density and probability run node by node on Python
-floats unless numpy is loaded already or the call would cost more than
-importing it (hydrogen._on_floats), so of the subcommands only verify,
-and density or probability above that bound, load numpy.
+never load numpy, and density runs node by node on Python floats, so its
+bytes do not depend on what the process has imported.  probability runs
+node by node while numpy is not loaded and as arrays once it is
+(hydrogen._on_floats), so of the subcommands only verify loads numpy.  In
+a process that has imported numpy, main's probability may therefore
+differ from a fresh process's in the last digit: the route would have to
+be chosen by the caller, through a second entry point.
 
 Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
 exits quietly), 2 domain error, 3 verification failure.

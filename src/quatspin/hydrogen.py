@@ -45,10 +45,9 @@ radial factor on the radii, y_up's SpinorFunction.density on the angles,
 and one product at full size.  A WaveFunction holds only radial tables.
 
 numpy is imported by the calls that take arrays, and nothing else.  The
-shell probabilities and the density tables of the command line run the
-same kernels node by node on Python floats while numpy is not loaded and
-the call costs less than importing it (_on_floats), and as arrays
-otherwise.
+density table of the command line runs node by node on Python floats.  The
+shell probabilities run the same kernels node by node on Python floats
+while numpy is not loaded (_on_floats), and as arrays once it is.
 """
 
 from __future__ import annotations
@@ -468,18 +467,8 @@ class WaveFunction(Record):
     def _density_table(self, r_au: list, theta: list) -> list:
         """density_grid on every pair of r_au (Bohr, > 0) and theta, two
         lists of Python floats, r outer, as one flat list of Python floats.
-        It runs node by node on Python floats, each entry the bits of the
-        point density, when _on_floats finds that cheaper than importing
-        numpy, else as one density_grid call."""
-        n_r, n_theta = len(r_au), len(theta)
-        steps = (n_r*(self.qn.n_r + _NODE_STEPS)
-                 + n_theta*(self.qn.l_upper + _ANGLE_STEPS)
-                 + n_r*n_theta)
-        if not _on_floats(steps):
-            import numpy as np
-            with np.errstate(over="ignore", invalid="ignore"):
-                return self.density_grid(np.array(r_au)[:, None],
-                                         np.array(theta)).ravel().tolist()
+        It runs node by node on Python floats whatever the process has
+        imported: each entry is the bits of the point density."""
         radial = [f*f + h*h for f, h in map(self._radial, r_au)]
         angular = [self.spinor_upper.density(t) for t in theta]
         return [_density(a, b) for a in radial for b in angular]
@@ -496,28 +485,10 @@ def _density(q, b):
     return d
 
 
-# Importing numpy takes about 110 ms in a fresh process, and one step of
-# special._laguerre_run about 0.15 us on Python floats (medians of 15
-# fresh interpreters and best of 7 loops; Python 3.11.7, numpy 2.4.6, a
-# shared 2-vCPU x86_64 host): a call that needs fewer than _FLOAT_STEPS
-# such steps is faster without numpy.  On the same host a radial node
-# costs its n_r recurrence steps plus about _NODE_STEPS more, an angular
-# node (SpinorFunction.density) its l_up steps plus about _ANGLE_STEPS,
-# and one node of a density table (_density) about one step.  The angular
-# figure is the median of five runs, each the best of 7 x 2000 calls at
-# m_j = 1/2 (the longest columns) over one step timed alongside: l_up +
-# 12.5 at l_up = 1 to l_up + 16 at l_up = 40.  The Gauss-Legendre rules
-# run on Python floats on both routes, so they do not enter the choice.
-_FLOAT_STEPS = 750_000
-_NODE_STEPS = 20
-_ANGLE_STEPS = 14
-
-
-def _on_floats(steps: int) -> bool:
-    """True when a call of about steps Laguerre steps is cheaper node by
-    node on Python floats: numpy is not loaded yet, and the steps cost
-    less than its import.  Once numpy is loaded, arrays are cheaper."""
-    return steps < _FLOAT_STEPS and "numpy" not in sys.modules
+def _on_floats() -> bool:
+    """True while numpy is not loaded: probability_in_region then runs node
+    by node on Python floats, and as arrays once numpy is loaded."""
+    return "numpy" not in sys.modules
 
 
 def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
@@ -562,34 +533,6 @@ def _shell_terms(w: WaveFunction, lo: float, hi: float, t, t_ends=()):
     return 2.0*(hi - lo)*t*(F*F + G*G)
 
 
-def _shell_in_range(w: WaveFunction, rho: float, span: float) -> bool:
-    """True when no value of _shell_terms on nodes rho' <= rho (rho >= 1)
-    of a shell of width span (natural units), nor their sums, can overflow
-    or be NaN: an a-priori bound, on Python floats.
-
-    The run at x = 2 rho' holds L_j^(b)(x) for b = 2s - 1, 2s, 2s + 1 and
-    j <= n_r (the running sums are L_j^(2s) and L_j^(2s+1)), and
-    |L_j^(b)(x)| <= B e^{x/2}, B = max(2, binom(n_r + 2s + 1, n_r))
-    (Abramowitz & Stegun 22.14.13 for b >= 0, 22.14.14 for -1 < b < 0).
-    A step's products and the brackets are at most c B e^{x/2} with
-    c = (1 + za + |s - k|)(3 n_r + 4s + 2 rho + |W| + 1), so
-    |F|, |G| <= A rho^s c B (e^{x/2} cancels the prefactor's e^{-rho'}),
-    which also bounds A rho'^s, and a term is at most 4 span (A rho^s c B)^2.
-    The logs of the three bounds stay below 600, against 709.78 at the top
-    of the float range, the margin for rounding.  For k = -1 this clears
-    the cap rho = N up to about n = 125.
-    """
-    lv = w.level
-    n_r, s = lv.n - abs(lv.k), lv.s
-    log_b = max(math.log(2.0), math.lgamma(n_r + 2*s + 2)
-                - math.lgamma(n_r + 1) - math.lgamma(2*s + 2))
-    log_c = math.log((1 + lv.za + abs(lv.sk))
-                     * (3*n_r + 4*s + 2*rho + abs(lv.W) + 1))
-    log_f = w._tables[0] + s*math.log(rho) + log_c + log_b
-    return max(log_b + rho + log_c, log_f,
-               math.log(4*span) + 2*log_f) < 600
-
-
 def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
                           return_error: bool = False):
     """Probability of finding the electron in the radial shell [r_lo, r_hi].
@@ -604,13 +547,10 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     or (N + N/4) eps times the value, the rounding bound of its sum, if
     larger.  Where the value or the error leaves the float range (from
     n = 235 at k = -1, Z = 1, where the brackets overflow at the cap) this
-    raises ValueError.  The nodes run one by one on Python floats when
-    _on_floats finds that cheaper than importing numpy, else as arrays; the
-    two agree to a few eps.  The arrays enter np.errstate, which keeps
-    numpy's overflow warnings from that ValueError, only where
-    _shell_in_range's bound |L_n^(a)(x)| <= binom(n + a, n) e^{x/2}
-    (Abramowitz & Stegun 22.14.13, 22.14.14) at the cap cannot rule
-    overflow out, from n = 106 at some k (Z = 1, 20, 50, 92).
+    raises ValueError.  The nodes run one by one on Python floats while
+    numpy is not loaded (_on_floats), and as arrays once it is; the two
+    agree to a few eps.  The arrays run under np.errstate, which keeps
+    numpy's overflow warnings from that ValueError.
     """
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
@@ -623,18 +563,16 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
         return (0.0, 0.0) if return_error else 0.0
     # the N-node rule, t[:nodes], serves the error estimate alone
     first = 0 if return_error else nodes
-    if _on_floats((2*nodes + nodes//4)*(w.qn.n_r + _NODE_STEPS)):
+    if _on_floats():
         t, w_c, w_f = _shell_rules(nodes)
         terms = [_shell_terms(w, lo, hi, x) for x in t[first:]]
         val = sum(map(operator.mul, w_f, terms[nodes - first:]))
         if return_error:
             coarse = sum(map(operator.mul, w_c, terms))
     else:
-        import contextlib
         import numpy as np
         t, w_c, w_f, t_ends = _shell_arrays(nodes)
-        with (contextlib.nullcontext() if _shell_in_range(w, nodes, hi - lo)
-              else np.errstate(over="ignore", invalid="ignore")):
+        with np.errstate(over="ignore", invalid="ignore"):
             terms = _shell_terms(w, lo, hi, t[first:], t_ends)
             val = float(np.dot(w_f, terms[nodes - first:]))
             if return_error:

@@ -33,13 +33,18 @@ def laguerre(n: int, alpha: float, x):
     Three-term recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}
     upward from L_0 = 1, L_1 = 1 + alpha - x.  Requires integer n >= 0 and
     real alpha > -1; x may be a scalar or array (any dtype numpy accepts,
-    so the radial module can differentiate through it).
+    so the radial module can differentiate through it).  A Python int or
+    float x runs on Python floats, with no numpy, and gives a Python float.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
     if not alpha > -1:
         raise ValueError(f"superscript must exceed -1, got {alpha!r}")
     n = int(n)
+    if isinstance(x, (int, float)):
+        if n == 0:
+            return 1.0
+        return _laguerre_run(_laguerre_steps(n, alpha), alpha, float(x))[0]
     import numpy as np
     x = np.asarray(x)
     if n == 0:

@@ -68,7 +68,8 @@ class RotationOperator(Record):
     """Half-angle rotation quaternion about a unit axis.
 
     value = e0 cos(phi/2) - (nx e3 + ny e2 + nz e1) sin(phi/2); unit norm for
-    every angle, and D(n, 2pi) = -e0 (spinor double cover).
+    every angle, and D(n, 2pi) = -e0 (spinor double cover).  ValueError for
+    a NaN or infinite angle, at a point or anywhere in a batch.
     """
 
     axis: tuple
@@ -81,6 +82,9 @@ class RotationOperator(Record):
         r = lib.sqrt(nx*nx + ny*ny + nz*nz)
         if not _peak(r - 1.0) <= 1e-12:
             raise ValueError(f"axis must be a unit vector, |n| = {r!r}")
+        finite = lib.isfinite(angle)
+        if not (finite if lib is math else finite.all()):
+            raise ValueError(f"angle must be finite, got {angle!r}")
         c = lib.cos(angle/2)
         s = lib.sin(angle/2)
         d = self.__dict__

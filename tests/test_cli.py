@@ -215,11 +215,10 @@ def _density_dict_rows(params):
     x, wx = leggauss(n_theta)
     theta, wx = [math.acos(t) for t in reversed(x)], wx[::-1]
     R, TH = np.meshgrid(r, theta, indexing="ij")
-    dens = w.density_grid(R, TH)
     cell = 2.0*math.pi*R*R*np.outer(wr, wx)
     return [{"r": r_, "theta": t, "density": d, "cell_weight": c}
             for r_, t, d, c in zip(R.ravel().tolist(), TH.ravel().tolist(),
-                                   dens.ravel().tolist(),
+                                   w._density_table(r, theta),
                                    cell.ravel().tolist())]
 
 
@@ -320,8 +319,8 @@ print(json.dumps(report))
 
 def test_a_cli_process_writes_what_main_writes():
     # cli.main runs in one fresh interpreter, as in a CLI process: here,
-    # with numpy loaded, density and probability would take the array
-    # route, whose last digits may differ from the float route's
+    # with numpy loaded, probability would take the array route, whose last
+    # digits may differ from the float route's
     proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE,
                            json.dumps(_EXIT_MATRIX)],
                           capture_output=True, env=_child_env(), timeout=300)
@@ -335,6 +334,22 @@ def test_a_cli_process_writes_what_main_writes():
                                timeout=300)
         got = [child.stdout.decode(), child.stderr.decode(), child.returncode]
         assert got == want, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--k", "2", "--mj", "1.5", "--z", "20"],
+    ["--n", "250", "--k", "-1", "--grid", "3000:4"],
+])
+def test_density_bytes_do_not_depend_on_numpy_being_loaded(capsys, argv):
+    # this process has imported numpy, a fresh one has not: both write the
+    # density table on Python floats
+    assert "numpy" in sys.modules
+    code, out = _run(capsys, "density", *argv)
+    child = subprocess.run([sys.executable, "-m", "quatspin", "density",
+                            *argv], capture_output=True, env=_child_env(),
+                           timeout=300)
+    assert child.returncode == code == 0, child.stderr.decode()
+    assert child.stdout.decode() == out
 
 
 _ATEXIT_PROBE = """
@@ -814,9 +829,9 @@ def test_scipy_loaded_only_on_first_use():
 
 
 def test_numpy_loaded_only_where_arrays_appear():
-    # no subcommand but verify loads numpy, dataclasses or inspect at these
-    # sizes: density and probability run node by node on Python floats; nor
-    # does a well-formed call load argparse or json (cli._read, cli._dumps)
+    # no subcommand but verify loads numpy, dataclasses or inspect: density
+    # and probability run node by node on Python floats; nor does a
+    # well-formed call load argparse or json (cli._read, cli._dumps)
     none = [0] + [False]*9
     report = _import_probe(["energy", "--units", "ev"],
                            ["spinor", "--k", "-3", "--mj", "1.5"],
@@ -830,11 +845,13 @@ def test_numpy_loaded_only_where_arrays_appear():
                       ["rotate", 0, *none], ["rotate", 0, *none],
                       ["density", 0, *none], ["probability", 0, *none],
                       ["rotate", 0, *none]]
-    # the defaults, and the largest state and grid of the benchmark's mix
+    # the defaults, the largest state and grid of the benchmark's mix, and
+    # a density table whose 3000 radii run 249 Laguerre steps each
     for argv in (["probability"], ["density"],
                  ["probability", "--n", "32", "--k", "-1", "--z", "92"],
                  ["density", "--n", "32", "--k", "-1", "--z", "92",
-                  "--grid", "240:34"]):
+                  "--grid", "240:34"],
+                 ["density", "--n", "250", "--k", "-1", "--grid", "3000:4"]):
         assert _import_probe(argv)[1] == [argv[0], 0, *none]
 
 

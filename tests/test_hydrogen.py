@@ -407,8 +407,7 @@ def test_point_density_for_every_scalar_type(qn):
                                          (20, -7, 2.5, 50),
                                          (32, 31, 30.5, 92),
                                          (150, -150, -3.5, 92)])
-def test_point_density_is_norm_sq_of_psi_bit_for_bit(monkeypatch, n, k, mj,
-                                                     Z):
+def test_point_density_is_norm_sq_of_psi_bit_for_bit(n, k, mj, Z):
     # at one point psi's four coefficients are f u - h (N u), signed zeros
     # included, with f, h from _radial_FG, u = y_up from
     # spinor_as_biquaternion and N = i sigma . r_hat = n_z e1 + n_y e2 +
@@ -417,8 +416,6 @@ def test_point_density_is_norm_sq_of_psi_bit_for_bit(monkeypatch, n, k, mj,
     # norm_sq(psi)/alpha^3; at
     # n = |k| = 150, r = 1000 Bohr takes the one-exponential prefactor,
     # and r = inf gives the limit 0
-    from quatspin import hydrogen as hy
-    monkeypatch.setattr(hy, "_on_floats", lambda steps: True)
     w = assemble_wavefunction(QuantumNumbers(n, k, mj, Z))
     rng = np.random.default_rng(n)
     pts = [(1000.0, 3.0, 5.0), (1e-3, 0.0, 0.0), (2.0, math.pi, 1.0),
@@ -469,9 +466,9 @@ def test_density_does_not_depend_on_phi(n, k_pick, mj_pick, Z, u, theta,
 
 
 def test_density_runs_without_the_complex_assembly(monkeypatch):
-    # density, density_grid and _density_table on both routes never call
-    # the spin-basis assembly or the complex harmonics; psi does
-    from quatspin import hydrogen as hy, special, spinor
+    # density, density_grid and _density_table never call the spin-basis
+    # assembly or the complex harmonics; psi does
+    from quatspin import special, spinor
 
     def refuse(*args):
         raise AssertionError("complex assembly called")
@@ -484,9 +481,7 @@ def test_density_runs_without_the_complex_assembly(monkeypatch):
     assert np.all(w.density(np.array([1.0, 2.0]), 0.4, 2.0) > 0)
     assert np.all(w.density_grid(np.array([[0.5], [1.0]]),
                                  np.array([0.3, 1.2, 2.8])) > 0)
-    floats, arrays, _ = _both_routes(
-        monkeypatch, lambda: w._density_table([0.5, 1.0], [0.3, 1.2]))
-    assert len(floats) == len(arrays) == 4
+    assert len(w._density_table([0.5, 1.0], [0.3, 1.2])) == 4
     with pytest.raises(AssertionError, match="complex assembly"):
         w.psi(1.0, 0.4, 2.0)
 
@@ -720,16 +715,13 @@ def test_density_routes_agree_property(n, k_pick, mj_pick, Z, u, form):
 
 def _both_routes(monkeypatch, call):
     """call() node by node on Python floats and then as arrays, with
-    hydrogen._on_floats forced each way; also the a-priori cost in steps
-    that the call put to _on_floats."""
+    hydrogen._on_floats forced each way."""
     from quatspin import hydrogen as hy
-    asked, out = [], []
+    out = []
     for floats in (True, False):
-        monkeypatch.setattr(hy, "_on_floats",
-                            lambda steps: asked.append(steps) or floats)
+        monkeypatch.setattr(hy, "_on_floats", lambda: floats)
         out.append(call())
-    assert asked[0] == asked[1]
-    return out[0], out[1], asked[0]
+    return tuple(out)
 
 
 def _route_states(seed, per_stratum):
@@ -750,22 +742,18 @@ def _route_states(seed, per_stratum):
 
 
 def test_shell_probability_routes_agree(monkeypatch):
-    # every state in the float range costs less than _FLOAT_STEPS here (it
-    # takes n ~ 300 to cross it, where the brackets overflow): the value
-    # side of the bound; the error side is the test below
-    from quatspin import hydrogen as hy
+    # the values of both routes; their refusals are the test below
     rng = np.random.default_rng(19)
     for qn in _route_states(19, 3):
         w = assemble_wavefunction(qn)
         a, b = np.sort(rng.random(2))*(2.0*qn.n + 30.0)/w.C*ALPHA_FS
         for lo, hi in ((0.0, a), (a, b), (a, math.inf), (0.0, math.inf),
                        (a, a*(1 + 1e-9)), (b, b + 1e-12)):   # tiny shells
-            (pf, ef), (pa, ea), steps = _both_routes(
+            (pf, ef), (pa, ea) = _both_routes(
                 monkeypatch, lambda: probability_in_region(w, lo, hi, True))
             assert type(pf) is type(pa) is float
             assert abs(pf - pa) <= 1e-13*abs(pa), (qn, lo, hi, pf, pa)
             assert abs(ef - ea) <= 1e-13*abs(pa), (qn, lo, hi, ef, ea)
-            assert steps < hy._FLOAT_STEPS
 
 
 def test_shell_arrays_leave_the_rule_memo_alone(monkeypatch):
@@ -776,10 +764,10 @@ def test_shell_arrays_leave_the_rule_memo_alone(monkeypatch):
     w = assemble_wavefunction(QuantumNumbers(7, 3, 0.5, 20))
     hy._shell_arrays.cache_clear()
     leggauss.cache_clear()
-    monkeypatch.setattr(hy, "_on_floats", lambda steps: False)
+    monkeypatch.setattr(hy, "_on_floats", lambda: False)
     p = probability_in_region(w, 0.0, math.inf)
     assert leggauss.cache_info().currsize == 0
-    monkeypatch.setattr(hy, "_on_floats", lambda steps: True)
+    monkeypatch.setattr(hy, "_on_floats", lambda: True)
     assert abs(probability_in_region(w, 0.0, math.inf) - p) <= 1e-13
     assert leggauss.cache_info().currsize == 2
 
@@ -789,19 +777,14 @@ def test_quadrature_error_has_a_rounding_floor(monkeypatch):
     # bound (N + N/4) eps P on the sum of N + N/4 nonnegative terms
     w = assemble_wavefunction(QuantumNumbers(1, -1))
     for p, err in _both_routes(monkeypatch, lambda: probability_in_region(
-            w, 0.0, 1.0, return_error=True))[:2]:
+            w, 0.0, 1.0, return_error=True)):
         assert err == 125*sys.float_info.epsilon*p > 0
 
 
 @pytest.mark.parametrize("n, k", [(250, -1), (300, -1), (400, -100)])
 def test_shell_probability_routes_refuse_alike(monkeypatch, n, k):
-    # below the bound (n = 250) and above it: the same ValueError, no warning
-    from quatspin import hydrogen as hy
+    # the same ValueError on both routes, and no warning
     w = assemble_wavefunction(QuantumNumbers(n, k))
-    nodes = 4*n + 60
-    above = (2*nodes + nodes//4)*(n - abs(k) + hy._NODE_STEPS) \
-        >= hy._FLOAT_STEPS
-    assert above == (n > 250)
 
     def refused():
         with pytest.raises(ValueError) as exc:
@@ -810,7 +793,7 @@ def test_shell_probability_routes_refuse_alike(monkeypatch, n, k):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        floats, arrays, _ = _both_routes(monkeypatch, refused)
+        floats, arrays = _both_routes(monkeypatch, refused)
     assert floats == arrays == (f"shell probability of n={n}, k={k} is out "
                                 f"of the float range")
 
@@ -826,7 +809,7 @@ def test_shell_value_does_not_depend_on_the_error_request(monkeypatch):
                        (a, a*(1 + 1e-9)), (b, b + 1e-12)):   # tiny shells
             for p, (pe, _) in _both_routes(monkeypatch, lambda: (
                     probability_in_region(w, lo, hi),
-                    probability_in_region(w, lo, hi, True)))[:2]:
+                    probability_in_region(w, lo, hi, True))):
                 assert type(p) is float and p.hex() == pe.hex(), (qn, lo, hi)
 
 
@@ -849,7 +832,7 @@ def test_shell_refusal_does_not_depend_on_the_error_request(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for plain, with_error in _both_routes(
-                monkeypatch, lambda: (outcome(False), outcome(True)))[:2]:
+                monkeypatch, lambda: (outcome(False), outcome(True))):
             assert plain == with_error
             assert (plain == f"shell probability of n={n}, k={k} is out of "
                              f"the float range") == (n != 234)
@@ -870,7 +853,7 @@ def test_shell_error_alone_runs_the_n_node_rule(monkeypatch, n, k, Z):
     monkeypatch.setattr(hy, "_radial_kernel", lambda *args: sizes.append(
         np.size(args[3])) or kernel(*args))
     for floats in (True, False):
-        monkeypatch.setattr(hy, "_on_floats", lambda steps: floats)
+        monkeypatch.setattr(hy, "_on_floats", lambda: floats)
         for error, want in ((False, nodes + nodes//4),
                             (True, 2*nodes + nodes//4)):
             calls.clear()
@@ -901,18 +884,17 @@ def _cli_grid(w, n_r, n_theta):
 
 
 @pytest.mark.parametrize("big", [False, True])
-def test_density_table_routes_agree(monkeypatch, big):
-    # the default grid of quatspin density lies below the bound, a
-    # 1100 x 700 grid above it
-    from quatspin import hydrogen as hy
+def test_density_table_routes_agree(big):
+    # the float table against density_grid's arrays, on the default grid of
+    # quatspin density and on a 1100 x 700 grid
     states = _route_states(23, 1)[::6] if big else _route_states(23, 3)
     for qn in states:
         w = assemble_wavefunction(qn)
         r, theta = _cli_grid(w, *((1100, 700) if big else
                                   (max(128, 48 + 6*qn.n), max(32, qn.n + 2))))
-        floats, arrays, steps = _both_routes(
-            monkeypatch, lambda: w._density_table(r, theta))
-        assert (steps >= hy._FLOAT_STEPS) == big
+        floats = w._density_table(r, theta)
+        arrays = w.density_grid(np.array(r)[:, None],
+                                np.array(theta)).ravel().tolist()
         assert len(floats) == len(arrays) == len(r)*len(theta)
         assert all(type(d) is float for d in floats)
         # below the normal range (far tails) no route keeps relative digits
@@ -921,11 +903,11 @@ def test_density_table_routes_agree(monkeypatch, big):
                    for f, a in zip(floats, arrays)), qn
 
 
-def test_density_is_the_two_spinor_formula(monkeypatch):
+def test_density_is_the_two_spinor_formula():
     # (f^2 + h^2) |y_up|^2 against f^2 |y_up|^2 + h^2 |y_low|^2 with both
     # spinors from spinor_components, at points, on arrays, on a grid and
-    # in both routes of the float table.  Each side rounds in up to about
-    # seven operations: f^2 |y_up|^2 + h^2 |y_low|^2 itself, on the real
+    # in the float table.  Each side rounds in up to about seven
+    # operations: f^2 |y_up|^2 + h^2 |y_low|^2 itself, on the real
     # columns, differs from this complex reference by up to 5.6 eps on
     # these states, so the bound is 8 eps
     from quatspin.spinor import SpinorFunction, spinor_components
@@ -941,14 +923,12 @@ def test_density_is_the_two_spinor_formula(monkeypatch):
                    for s in (w.spinor_upper,
                              SpinorFunction(qn.l_lower, qn.j, qn.m_j)))
         want = (f*f*up + h*h*low)/ALPHA_FS**3
-        floats, arrays, _ = _both_routes(
-            monkeypatch, lambda: w._density_table(r.tolist(), th.tolist()))
+        table = w._density_table(r.tolist(), th.tolist())
         points = [[w.density(a, b, c) for b, c in zip(th.tolist(),
                                                       ph.tolist())]
                   for a in r.tolist()]
-        for got in (w.density_grid(r[:, None], th), np.reshape(floats, (6, 5)),
-                    np.reshape(arrays, (6, 5)), np.array(points),
-                    w.density(r[:5], th, ph)):
+        for got in (w.density_grid(r[:, None], th), np.reshape(table, (6, 5)),
+                    np.array(points), w.density(r[:5], th, ph)):
             ref = want if got.shape == want.shape else want[range(5),
                                                            range(5)]
             assert np.all(np.abs(got - ref) <= 8*eps*ref), qn
@@ -986,7 +966,7 @@ def test_shell_bounds_are_the_extremes_of_rho(monkeypatch, n, k, Z):
         return out
 
     monkeypatch.setattr(hy, "_radial_kernel", spy)
-    monkeypatch.setattr(hy, "_on_floats", lambda steps: False)
+    monkeypatch.setattr(hy, "_on_floats", lambda: False)
     split = math.sqrt(n*n/Z)
     for lo, hi in ((0.0, split), (split, math.inf), (0.0, math.inf)):
         probability_in_region(w, lo, hi)
@@ -1101,53 +1081,15 @@ def test_arguments_refuse_bad_values_in_every_form(method, form):
     assert all(0 in s for s in shapes)
 
 
-def _spy_bound(monkeypatch):
-    # the array shell route, with every decision of the overflow bound
-    from quatspin import hydrogen as hy
-    plain, decided = hy._shell_in_range, []
-
-    def spy(*args):
-        decided.append(plain(*args))
-        return decided[-1]
-
-    monkeypatch.setattr(hy, "_shell_in_range", spy)
-    monkeypatch.setattr(hy, "_on_floats", lambda steps: False)
-    return decided
-
-
-def test_shell_bound_clears_only_calls_that_cannot_overflow(monkeypatch):
-    # up to the bound's edge; numpy never warns on underflow, and F^2
-    # underflows to its correctly rounded 0 in far tails, so only
-    # under= stays at its default
-    decided = _spy_bound(monkeypatch)
-    rng = np.random.default_rng(2403)
-    ns = sorted({1, 2, 32, 100, 127, 160, *rng.integers(3, 160, 12).tolist()})
-    for Z in (1, 20, 50, 92):
-        for n in ns:
-            for k in {-1, n//2, -(n//2), -n} - {0}:
-                w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
-                split = rng.uniform(0.2, 1.5)*n*n/Z
-                for lo, hi in ((0.0, split), (split, math.inf),
-                               (0.0, math.inf)):
-                    try:
-                        with np.errstate(all="raise", under="ignore"):
-                            p = probability_in_region(w, lo, hi)
-                    except ValueError:
-                        assert not decided[-1], (n, k, Z)
-                        continue
-                    assert 0.0 <= p <= 1.0 + 1e-12
-                    if n <= 32:     # the benchmark's domain runs unguarded
-                        assert decided[-1], (n, k, Z)
-    assert 0 < decided.count(False) < decided.count(True)
-
-
 @pytest.mark.parametrize("n, Z", [(235, 1), (250, 92)])
 def test_shell_past_the_bound_runs_guarded(monkeypatch, n, Z):
-    decided = _spy_bound(monkeypatch)
+    # past the float range the array route refuses the call, and numpy
+    # warns nothing
+    from quatspin import hydrogen as hy
+    monkeypatch.setattr(hy, "_on_floats", lambda: False)
     w = assemble_wavefunction(QuantumNumbers(n, -1, 0.5, Z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"n={n}, k=-1 is out of the "
                                              f"float range"):
             probability_in_region(w, 0.0, math.inf)
-    assert decided == [False]

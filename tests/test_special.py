@@ -1,11 +1,16 @@
 """Laguerre polynomials, spherical harmonics, quadratures vs scipy."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, sph_harm_y
 
+import quatspin
 from quatspin import laguerre, spherical_harmonic, quadrature_sphere
 from quatspin.hydrogen import _brackets, _steps
 from quatspin.levels import QuantumNumbers, _level
@@ -117,6 +122,35 @@ def test_laguerre_accepts_a_0d_superscript():
     for x in (2.5, np.array([0.0, 1.0, 4.0])):
         np.testing.assert_array_equal(laguerre(5, alpha, x),
                                       laguerre(5, 0.7, x))
+
+
+_LAGUERRE_PROBE = """
+import ast, sys
+from quatspin.special import laguerre
+xs, cases = ast.literal_eval(sys.argv[1])
+print(repr(([[laguerre(n, a, x).hex() for x in xs] for n, a in cases],
+            "numpy" in sys.modules)))
+"""
+
+
+def test_laguerre_on_a_python_number_loads_no_numpy():
+    # in a fresh interpreter: a float or int x gives a Python float, 1.0 at
+    # n = 0, with the bits of the matching element of the array call
+    xs = (0.0, 0.5, 2, 7.25, 31.0)
+    cases = ((0, 0.5), (1, -0.5), (3, 0.5), (12, 2.7), (40, 1.0))
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _LAGUERRE_PROBE,
+                           repr((xs, cases))],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows, numpy_loaded = ast.literal_eval(proc.stdout)
+    assert not numpy_loaded
+    x = np.array(xs, dtype=float)
+    assert rows == [[v.hex() for v in laguerre(n, a, x).tolist()]
+                    for n, a in cases]
 
 
 def test_laguerre_rejects_bad_arguments():

@@ -232,6 +232,13 @@ def test_constructors_reject_nan_and_infinity():
         SpinState(Biquaternion(math.nan))
     with pytest.raises(ValueError, match="unit vector"):
         rotation((math.nan, 0.0, 0.0), 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for axis in ("x", (0.0, 0.0, 1.0), (0, 0.6, 0.8)):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                rotation(axis, bad)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            rotation("y", np.array([0.3, bad, 1.0]))
+    assert rotation("z", np.array([])).value.q0.shape == (0,)
     for bad in (math.nan, math.inf, complex(0.0, math.nan), -math.inf):
         with pytest.raises(ValueError, match="finite"):
             superposition(bad, 1.0)
