@@ -3,11 +3,13 @@
 Subcommands: energy (level tables), density ((r, theta) grids), probability
 (shell integrals), spinor (angular-state evaluation), rotate (operator
 conjugation), verify (the identity-check suites).  Every subcommand writes
-through _emit (density through its row-template twin, _emit_density): JSON
-by default, CSV with --csv; floats are emitted as shortest-round-trip
-decimal strings, so identical invocations produce byte-identical output; a
-NaN or infinite result is refused by both writers (exit 2, empty stdout).
-Timing goes to stderr only.
+through _emit (density through its block-template twin, _emit_density,
+which formats each distinct value of a mirrored column pair once and
+writes the table in chunks of r values): JSON by default, CSV with --csv;
+floats are emitted as shortest-round-trip decimal strings, so identical
+invocations produce byte-identical output; a NaN or infinite result is
+refused by both writers (exit 2, empty stdout).  Timing goes to stderr
+only.
 
 _COMMANDS is the one table of each subcommand's handler, help and flags.
 build_parser makes the argparse parser from it, and _read turns a
@@ -23,13 +25,10 @@ neither argparse (nor the gettext and locale it loads) nor json; help, a
 usage error and verify may.
 
 Each subcommand imports the modules it runs.  energy, spinor and rotate
-never load numpy, and density runs node by node on Python floats, so its
-bytes do not depend on what the process has imported.  probability runs
-node by node while numpy is not loaded and as arrays once it is
-(hydrogen._on_floats), so of the subcommands only verify loads numpy.  In
-a process that has imported numpy, main's probability may therefore
-differ from a fresh process's in the last digit: the route would have to
-be chosen by the caller, through a second entry point.
+never load numpy, and density and probability run node by node on Python
+floats (probability through hydrogen._shell_probability, whatever
+hydrogen._on_floats says), so of the subcommands only verify loads numpy,
+and the bytes of each do not depend on what the process has imported.
 
 Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
 exits quietly), 2 domain error, 3 verification failure.
@@ -238,15 +237,33 @@ _DENSITY_JSON_ROW = ('    {\n      "r": %s,\n      "theta": %s,\n'
                      '      "density": %s,\n      "cell_weight": %s\n    }')
 
 
+# r values per write of the density table
+_R_PER_WRITE = 64
+
+
+def _mirrored(values: list, n_theta: int) -> set:
+    """The columns j > n_theta - 1 - j of a flat table of n_theta columns
+    whose entries equal those of column n_theta - 1 - j bit for bit.  A
+    column holding a zero is never one, so -0.0 never takes the text of
+    +0.0 (== tells them apart in no other case: the values are finite)."""
+    return {j for j in range((n_theta + 1)//2, n_theta)
+            if values[j::n_theta] == values[n_theta - 1 - j::n_theta]
+            and 0.0 not in values[j::n_theta]}
+
+
 def _emit_density(record: dict, r: list, theta: list, dens: list,
                   cell: list, as_csv: bool) -> None:
     """Write the density record with one row per (r, theta) node, r outer,
     from lists of Python floats (dens and cell flat, r outer): the bytes of
-    json.dumps(record + rows, indent=2) + "\n", or of _emit's CSV.  Each r,
-    each theta and each density and cell weight is formatted once with
-    repr, the shortest round-trip digits both encoders emit, into a fixed
-    row template; nothing is written before every value has passed the
-    finiteness check."""
+    json.dumps(record + rows, indent=2) + "\n", or of _emit's CSV.  Values
+    are formatted with repr, the shortest round-trip digits both encoders
+    emit.  The rows of one r form a block of a template made once per
+    call, with each theta's text in it; a density or cell-weight column
+    equal to its mirror about theta = pi/2 bit for bit (_mirrored; the
+    cell weights always are) takes the mirror's texts, so each distinct
+    value of a column pair is formatted once.  The table goes out
+    _R_PER_WRITE r values per write, and nothing is written before every
+    value has passed the finiteness check."""
     if as_csv:
         head, row, sep, tail = ("r,theta,density,cell_weight\n",
                                 "%s,%s,%s,%s", "\n", "\n")
@@ -263,14 +280,34 @@ def _emit_density(record: dict, r: list, theta: list, dens: list,
         raise ValueError("Out of range float values are not "
                          f"{'CSV' if as_csv else 'JSON'} compliant: {x!r}")
     n_theta = len(theta)
-    r_col = [s for x in r for s in (repr(x),)*n_theta]
-    theta_col = list(map(repr, theta))*len(r)
-    cols = zip(r_col, theta_col, map(repr, dens), map(repr, cell))
-    sys.stdout.write(head + sep.join(map(row.__mod__, cols)))
+    block = sep.join([row % ("%s", t, "%s", "%s") for t in map(repr, theta)])
+    # each row takes (r, density, cell weight) at offsets 0, 1, 2
+    columns = [(1, dens, _mirrored(dens, n_theta)),
+               (2, cell, _mirrored(cell, n_theta))]
+    stride = 3*n_theta
+    # the first template starts with the head, which % must leave as is
+    lead, templates = head.replace("%", "%%"), {}
+    write = sys.stdout.write
+    for i in range(0, len(r), _R_PER_WRITE):
+        r_texts = list(map(repr, r[i:i + _R_PER_WRITE]))
+        k = len(r_texts)
+        args = [None]*(k*stride)
+        for j in range(n_theta):
+            args[3*j::stride] = r_texts
+        for at, values, mirrored in columns:
+            part = values[i*n_theta:(i + k)*n_theta]
+            for j in range(n_theta):
+                args[3*j + at::stride] = (
+                    args[3*(n_theta - 1 - j) + at::stride] if j in mirrored
+                    else map(repr, part[j::n_theta]))
+        if (lead, k) not in templates:
+            templates[lead, k] = lead + sep.join([block]*k)
+        write(templates[lead, k] % tuple(args))
+        lead = sep
     # the closing bytes get a write of their own: an unbuffered stdout
     # (python -u) drops the rest of a write cut short by a reader that quit,
     # and reports the broken pipe only on the next write
-    sys.stdout.write(tail)
+    write(tail)
 
 
 def _cmd_density(args, parser) -> int:
@@ -294,7 +331,13 @@ def _cmd_density(args, parser) -> int:
     # past the float range (a huge --r-max, or n >= 335 at k = -1, Z = 1)
     # these overflow, and the writer refuses the result with one line
     dens = w._density_table(r, theta)
-    cell = [2.0*math.pi*a*a*(b*c) for a, b in zip(r, wr) for c in wx]
+    # 2 pi r^2 w_r w_theta, r outer; leggauss's weights are exact mirrors,
+    # so column j is column n_theta - 1 - j
+    area = [2.0*math.pi*a*a for a in r]
+    cell = [0.0]*(n_r*n_theta)
+    for j, c in enumerate(wx[:(n_theta + 1)//2]):
+        cell[j::n_theta] = cell[n_theta - 1 - j::n_theta] = [
+            s*(b*c) for s, b in zip(area, wr)]
     total = sum(map(operator.mul, dens, cell))
     record = {
         "command": "density",
@@ -319,8 +362,9 @@ def _cmd_probability(args, parser) -> int:
         parser.error("need 0 <= --r-lo < --r-hi")
     qn = _state_or_usage(args, parser)
     w = hy.assemble_wavefunction(qn)
-    p, err = hy.probability_in_region(w, args.r_lo, args.r_hi,
-                                      return_error=True)
+    # on Python floats, as in a process that has not loaded numpy
+    p, err = hy._shell_probability(w, args.r_lo, args.r_hi,
+                                   return_error=True, floats=True)
     record = {
         "command": "probability",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,

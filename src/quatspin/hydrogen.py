@@ -45,9 +45,10 @@ radial factor on the radii, y_up's SpinorFunction.density on the angles,
 and one product at full size.  A WaveFunction holds only radial tables.
 
 numpy is imported by the calls that take arrays, and nothing else.  The
-density table of the command line runs node by node on Python floats.  The
-shell probabilities run the same kernels node by node on Python floats
-while numpy is not loaded (_on_floats), and as arrays once it is.
+density table and the shell probabilities of the command line run node by
+node on Python floats.  probability_in_region runs the same kernels node by
+node on Python floats while numpy is not loaded (_on_floats), and as
+arrays once it is.
 """
 
 from __future__ import annotations
@@ -552,6 +553,14 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     agree to a few eps.  The arrays run under np.errstate, which keeps
     numpy's overflow warnings from that ValueError.
     """
+    return _shell_probability(w, r_lo, r_hi, return_error, _on_floats())
+
+
+def _shell_probability(w: WaveFunction, r_lo: float, r_hi: float,
+                       return_error: bool, floats: bool):
+    """probability_in_region on Python floats if floats, else on arrays;
+    the command line runs it on floats, so that its bytes do not depend on
+    whether the process has loaded numpy."""
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
     nodes = int(max(100, 4*w.qn.n + 60))
@@ -563,7 +572,7 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
         return (0.0, 0.0) if return_error else 0.0
     # the N-node rule, t[:nodes], serves the error estimate alone
     first = 0 if return_error else nodes
-    if _on_floats():
+    if floats:
         t, w_c, w_f = _shell_rules(nodes)
         terms = [_shell_terms(w, lo, hi, x) for x in t[first:]]
         val = sum(map(operator.mul, w_f, terms[nodes - first:]))

@@ -15,7 +15,6 @@ wavefunction and the energy table read them from its record.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 
 from ._record import Record
@@ -36,9 +35,14 @@ def l_of_k(k: int) -> int:
 
 
 def _is_int(x) -> bool:
-    """True for integral numbers (3 or 3.0); False for bools, NaN and inf."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x) and x == int(x))
+    """True for integral numbers (3 or 3.0); False for bools, NaN and inf.
+    numbers is imported only for a value that is no plain int or float, so
+    the command line, which passes those, never loads it."""
+    if type(x) not in (int, float):
+        import numbers
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            return False
+    return math.isfinite(x) and x == int(x)
 
 
 def _is_half_odd(x) -> bool:

@@ -225,9 +225,14 @@ def _density_dict_rows(params):
 @pytest.mark.parametrize("argv", [
     ["--grid", "4:4"],
     ["--grid", "24:12"],
+    ["--grid", "24:13"],                            # a middle theta column
     ["--n", "20"],                                  # default grid 168:32
     ["--z", "92", "--n", "3", "--k", "2", "--mj", "-1.5"],
     ["--r-max", "400", "--grid", "48:4"],           # subnormals and zeros
+    # some density columns equal their mirror bit for bit, some do not
+    ["--z", "50", "--n", "32", "--k", "-2", "--mj", "-0.5", "--grid",
+     "240:34"],
+    ["--n", "3", "--k", "2", "--mj", "1.5", "--grid", "200:5"],  # 4 writes
 ])
 def test_density_rows_match_the_dict_encoders(capsys, argv):
     code = cli.main(["density", *argv])
@@ -237,9 +242,16 @@ def test_density_rows_match_the_dict_encoders(capsys, argv):
     rows = _density_dict_rows(record["params"])
     assert out == json.dumps(record | {"rows": rows}, indent=2,
                              allow_nan=False) + "\n"
+    d = [row["density"] for row in rows]
     if "400" in argv:
-        d = [row["density"] for row in rows]
         assert 0.0 in d and any(0 < x < sys.float_info.min for x in d)
+    n_r, n_theta = map(int, record["params"]["grid"].split(":"))
+    if "240:34" in argv:
+        equal = [d[j::n_theta] == d[n_theta - 1 - j::n_theta]
+                 for j in range(n_theta//2)]
+        assert any(equal) and not all(equal)
+    if "200:5" in argv or "240:34" in argv:
+        assert n_r > 3*cli._R_PER_WRITE         # several writes of the table
 
     code = cli.main(["density", "--csv", *argv])
     out = capsys.readouterr().out
@@ -249,6 +261,29 @@ def test_density_rows_match_the_dict_encoders(capsys, argv):
     writer.writeheader()
     writer.writerows({k: repr(v) for k, v in row.items()} for row in rows)
     assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("as_csv", [False, True])
+def test_density_writer_never_lends_a_zero_its_mirror_text(capsys, as_csv):
+    # columns 0 and 2 are equal under ==, but not bit for bit: -0.0 and
+    # 0.0; the cell weights mirror exactly, and so does the 1.5 column pair
+    # of the second table
+    record = {"command": "density", "params": {"grid": "2:3"}}
+    r, theta = [0.5, 1.0], [0.25, 1.5, 2.875]
+    for dens, cell in (([0.0, 1.0, -0.0, 2.0, 3.0, 2.0],
+                        [1.0, 2.0, 1.0, 3.0, 4.0, 3.0]),
+                       ([1.5, 1.0, 1.5, 2.0, -0.0, 2.0],
+                        [-0.0, 2.0, 0.0, 0.0, 4.0, -0.0])):
+        cli._emit_density(record, r, theta, dens, cell, as_csv)
+        out = capsys.readouterr().out
+        rows = [{"r": a, "theta": t, "density": dens[3*i + j],
+                 "cell_weight": cell[3*i + j]}
+                for i, a in enumerate(r) for j, t in enumerate(theta)]
+        if as_csv:
+            assert out == "r,theta,density,cell_weight\n" + "".join(
+                ",".join(map(repr, row.values())) + "\n" for row in rows)
+        else:
+            assert out == json.dumps(record | {"rows": rows}, indent=2) + "\n"
 
 
 def _child_env():
@@ -267,7 +302,9 @@ def _cli_subprocess(argv, stdout):
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_closed_stdout_pipe_exits_one_quietly(fmt):
     # the output (~850 kB) outgrows the pipe, so the writer is still
-    # writing when the reader quits, as `quatspin density --n 20 | head`
+    # writing when the reader quits, as `quatspin density --n 20 | head`;
+    # its 168 radii go out in several writes
+    assert 48 + 6*20 > 2*cli._R_PER_WRITE
     proc = _cli_subprocess(["density", "--n", "20", *fmt], subprocess.PIPE)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
@@ -318,9 +355,8 @@ print(json.dumps(report))
 
 
 def test_a_cli_process_writes_what_main_writes():
-    # cli.main runs in one fresh interpreter, as in a CLI process: here,
-    # with numpy loaded, probability would take the array route, whose last
-    # digits may differ from the float route's
+    # cli.main runs in one fresh interpreter, which has loaded what a CLI
+    # process loads, and nothing of this one's
     proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE,
                            json.dumps(_EXIT_MATRIX)],
                           capture_output=True, env=_child_env(), timeout=300)
@@ -346,6 +382,24 @@ def test_density_bytes_do_not_depend_on_numpy_being_loaded(capsys, argv):
     assert "numpy" in sys.modules
     code, out = _run(capsys, "density", *argv)
     child = subprocess.run([sys.executable, "-m", "quatspin", "density",
+                            *argv], capture_output=True, env=_child_env(),
+                           timeout=300)
+    assert child.returncode == code == 0, child.stderr.decode()
+    assert child.stdout.decode() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--k", "-1"],
+    ["--n", "20", "--k", "-1"],
+    ["--n", "60", "--k", "-1"],
+    ["--z", "92", "--n", "15", "--k", "-1", "--mj", "0.5", "--r-hi", "3.1"],
+])
+def test_probability_bytes_do_not_depend_on_numpy_being_loaded(capsys, argv):
+    # probability_in_region would take the array route here; the command
+    # line runs the shells on Python floats in either process
+    assert "numpy" in sys.modules
+    code, out = _run(capsys, "probability", *argv)
+    child = subprocess.run([sys.executable, "-m", "quatspin", "probability",
                             *argv], capture_output=True, env=_child_env(),
                            timeout=300)
     assert child.returncode == code == 0, child.stderr.decode()
@@ -710,9 +764,9 @@ _CSV_PINNED = {
     ("probability", "--r-hi", "1"):
         "r_lo,r_hi,probability,quadrature_error\n"
         "0.0,1.0,0.32333593037585734,8.974374864796834e-15\n",
-    ("probability",):
+    ("probability",):           # the bytes of `quatspin probability --csv`
         "r_lo,r_hi,probability,quadrature_error\n"
-        "0.0,inf,0.9999999999999976,2.7755575615628847e-14\n",
+        "0.0,inf,0.9999999999999978,2.775557561562885e-14\n",
 }
 
 
@@ -789,7 +843,7 @@ def loaded():
     return [len(scipy)] + [m in sys.modules for m in
                            ("numpy", "quatspin.verify", "quatspin.pauli_dirac",
                             "dataclasses", "inspect", "argparse", "gettext",
-                            "locale", "json")]
+                            "locale", "json", "numbers")]
 import quatspin
 report = [["import quatspin", 0, *loaded()]]
 from quatspin import cli
@@ -807,7 +861,7 @@ def _import_probe(*argvs):
     fresh interpreter.  Returns one row after the import and one after each
     call: [what ran, exit code, number of scipy modules loaded, then
     whether each is loaded: numpy, quatspin.verify, quatspin.pauli_dirac,
-    dataclasses, inspect, argparse, gettext, locale, json]."""
+    dataclasses, inspect, argparse, gettext, locale, json, numbers]."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            repr(argvs)],
                           capture_output=True, env=_child_env(), timeout=300)
@@ -831,8 +885,9 @@ def test_scipy_loaded_only_on_first_use():
 def test_numpy_loaded_only_where_arrays_appear():
     # no subcommand but verify loads numpy, dataclasses or inspect: density
     # and probability run node by node on Python floats; nor does a
-    # well-formed call load argparse or json (cli._read, cli._dumps)
-    none = [0] + [False]*9
+    # well-formed call load argparse or json (cli._read, cli._dumps), or
+    # numbers (levels._is_int gets plain ints)
+    none = [0] + [False]*10
     report = _import_probe(["energy", "--units", "ev"],
                            ["spinor", "--k", "-3", "--mj", "1.5"],
                            *(["rotate", "--axis", axis, "--angle", "0.7",
@@ -860,8 +915,8 @@ def test_argparse_loads_only_for_calls_the_reader_declines():
     # to argparse, which loads gettext and locale; json stays unloaded
     report = _import_probe(["rotate", "--angle", "0.7"],
                            ["rotate", "--angle=0.7"])
-    assert [row[8:] for row in report] == [[False]*4, [False]*4,
-                                           [True, True, True, False]]
+    assert [row[8:] for row in report] == [[False]*5, [False]*5,
+                                           [True, True, True, False, False]]
 
 
 @pytest.mark.parametrize("n, k, z", [(20, -1, 1), (1, -1, 92), (40, -1, 1),

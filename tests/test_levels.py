@@ -1,13 +1,16 @@
 """The level record: one home for s, E, 1 - E, C, s - k and W."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quatspin import hydrogen as hy, verify
 from quatspin.levels import (
-    ALPHA_FS, MC2_EV, QuantumNumbers, _level, binding_energy_ev, energy,
-    radial_parameters, sommerfeld_energy,
+    ALPHA_FS, MC2_EV, QuantumNumbers, _is_int, _level, binding_energy_ev,
+    energy, radial_parameters, sommerfeld_energy,
 )
 
 
@@ -75,3 +78,21 @@ def test_energy_outside_the_bound_range_raises(E):
         verify.ode_residual(qn, E, [1.0, 2.0])
     with pytest.raises(ValueError, match=msg):
         verify.system_residual(qn, E, lambda r: (abs(r), abs(r)), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("value", [
+    3, 3.0, np.int64(3), np.int32(3), np.float64(3.0), np.float32(3.0),
+    Fraction(3), Fraction(6, 2)])
+def test_integral_numbers_of_any_real_type_are_integers(value):
+    assert _is_int(value)
+    assert QuantumNumbers(value, -1, 0.5, value).n == 3
+
+
+@pytest.mark.parametrize("value", [
+    True, False, np.bool_(True), math.nan, math.inf, -math.inf,
+    np.float64("nan"), np.float64("inf"), 3.5, Fraction(7, 2),
+    np.float64(3.5), 3 + 0j, Decimal(3), "3", None])
+def test_bools_non_finite_and_fractional_values_are_not_integers(value):
+    assert not _is_int(value)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        QuantumNumbers(value, -1)

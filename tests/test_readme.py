@@ -37,9 +37,7 @@ def test_command_line_block_runs(capsys, line):
 
 
 def test_command_line_example_shows_the_real_stdout():
-    # a fresh interpreter, as users run it: in-process cli.main runs with
-    # numpy loaded, where probability alone takes the array route
-    # (hydrogen._on_floats)
+    # a fresh interpreter, as users run it
     block = _COMMAND_LINE.split("Example:", 1)[1]
     command, want = re.search(r"```sh\n\$ (.*?)\n(.*?)```", block,
                               re.S).groups()
