@@ -35,12 +35,11 @@ _EXPORTS = {
         "ALPHA_FS", "MC2_EV", "QuantumNumbers", "sommerfeld_energy",
         "energy", "binding_energy_ev", "radial_parameters"),
     "hydrogen": (
-        "WaveFunction", "shoot_eigenvalue", "assemble_wavefunction",
-        "probability_in_region"),
+        "WaveFunction", "assemble_wavefunction", "probability_in_region"),
     "pauli_dirac": (
         "PauliAlgebraElement", "DiracMatrix", "embed",
         "pauli_element_matrix", "hodge", "gamma", "verify_clifford"),
-    "verify": (),
+    "verify": ("shoot_eigenvalue",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

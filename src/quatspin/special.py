@@ -9,9 +9,7 @@ orders go through the conjugation symmetry; a spinor's density runs the
 real columns alone (_columns).  Gauss-Legendre rules come from Newton's
 method on the Legendre recurrence, on Python floats (the Golub-Welsch
 eigenvalues of the Jacobi matrix are their oracle in verify).  Sphere
-integrals use a Gauss-Legendre x uniform product rule; radial integrals
-of x^alpha e^{-x} times a polynomial use generalized Gauss-Laguerre nodes
-(verify's normalization oracle).
+integrals use a Gauss-Legendre x uniform product rule.
 Nothing here imports scipy; numpy is imported by the calls that use arrays.
 """
 
@@ -23,7 +21,7 @@ import math
 __all__ = [
     "laguerre", "spherical_harmonic", "spherical_harmonics",
     "quadrature_sphere",
-    "leggauss", "gauss_legendre_nodes", "gauss_laguerre_nodes",
+    "leggauss", "gauss_legendre_nodes",
 ]
 
 
@@ -284,32 +282,3 @@ def gauss_legendre_nodes(n: int, lo: float, hi: float) -> tuple:
     x, w = leggauss(n)
     half = 0.5*(hi - lo)
     return [lo + half*(t + 1) for t in x], [half*v for v in w]
-
-
-def gauss_laguerre_nodes(n: int, alpha: float):
-    """Generalized Gauss-Laguerre nodes and log weights for the weight
-    x^alpha e^{-x} on [0, inf); exact for polynomials of degree <= 2n - 1.
-
-    The nodes are the eigenvalues of the Golub-Welsch Jacobi matrix
-    (diagonal 2i + alpha + 1, off-diagonal sqrt(i (i + alpha))).  The weights
-    are Gamma(n+alpha+1) x_j / (n! (n+1)^2 L_{n+1}^{(alpha)}(x_j)^2), returned
-    as logs: they underflow at the far nodes for large n, and eigenvector-
-    based weights lose their relative accuracy there.  The dense
-    eigen-solve costs O(n^3), so no production path calls this: it is the
-    exact rule of verify's normalization oracle.
-    """
-    if n != int(n) or n < 1:
-        raise ValueError(f"node count must be a positive integer, got {n!r}")
-    if not alpha > -1:
-        raise ValueError(f"superscript must exceed -1, got {alpha!r}")
-    n = int(n)
-    import numpy as np
-    i = np.arange(1, n)
-    off = np.sqrt(i*(i + alpha))
-    jacobi = (np.diag(2*np.arange(n) + alpha + 1.0)
-              + np.diag(off, 1) + np.diag(off, -1))
-    x = np.linalg.eigvalsh(jacobi)
-    log_w = (math.lgamma(n + alpha + 1) - math.lgamma(n + 1)
-             - 2*math.log(n + 1) + np.log(x)
-             - 2*np.log(np.abs(laguerre(n + 1, alpha, x))))
-    return x, log_w

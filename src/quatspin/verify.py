@@ -18,12 +18,14 @@ check fails.  run_check reports the worst as max_dev, which passes when
 tolerances pass each as scale=, run against tol 1.0 and say so in detail.
 Sampled checks draw each array once and evaluate it as one batch; they loop
 only over fixed sets (axes, basis states, labels).
-Second routes that no production path uses live here: the *_oracle
-functions, the exact Gauss-Laguerre sum of the radial norm
-(_log_radial_norm_sq), the Golub-Welsch Gauss-Legendre nodes
-(legendre-rule) and the finite-difference residual probes
-system_residual and ode_residual.  scipy is imported only in the checks
-whose second route needs it.
+Second routes live here and nowhere else: the *_oracle functions, the
+two-sided shooting eigensolver (shoot_eigenvalue), the exact
+Gauss-Laguerre sum of the radial norm (_log_radial_norm_sq, on the rule of
+gauss_laguerre_nodes), the Golub-Welsch Gauss-Legendre nodes
+(legendre-rule) and the finite-difference residual probes system_residual
+and ode_residual, which read the closed-form radial pair through
+_radial_FG.  scipy is imported by no other module, and here only inside
+the checks and the solver that need it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .matrices import (
 )
 from . import spin as sp
 from .special import (
-    quadrature_sphere, gauss_laguerre_nodes, gauss_legendre_nodes, leggauss,
+    quadrature_sphere, gauss_legendre_nodes, laguerre, leggauss,
     spherical_harmonic, spherical_harmonics,
 )
 from .spinor import (
@@ -58,7 +60,8 @@ from . import hydrogen as hy
 from . import pauli_dirac as pd
 
 __all__ = ["CheckResult", "run_check", "run_suite", "suite_names",
-           "check_names", "clebsch_oracle", "amplitude_oracle", "psi_oracle",
+           "check_names", "shoot_eigenvalue", "gauss_laguerre_nodes",
+           "clebsch_oracle", "amplitude_oracle", "psi_oracle",
            "density_oracle", "probability_oracle", "system_residual",
            "ode_residual"]
 
@@ -690,12 +693,44 @@ def _domain_states(rng):
                 yield QuantumNumbers(n, k, mj, Z)
 
 
-def _radial_at(w: hy.WaveFunction, r_au, A: float):
-    """(A F, A G) of w's level at radii in Bohr, with A rho^s e^{-rho}
-    formed in range: the unnormalized F (A = 1) overflows for large |k|
-    (n = k = 150) where A F with w.A does not."""
-    rho = w.C*np.asarray(r_au, dtype=float)/ALPHA_FS
-    return hy._radial_FG(w.level, rho, A)
+def _radial_FG(lv, rho, A: float = 1.0):
+    """Closed-form (A F, A G) of level lv at dimensionless rho = C r
+    (vectorized; A = 1: unnormalized), from hydrogen's radial kernel with
+    A rho^s e^{-rho} formed in range: the unnormalized F overflows for
+    large |k| (n = k = 150) where A F with the wavefunction's A does not.
+    A float or 0-d rho gives Python floats, and rho = inf the limit 0."""
+    if type(rho) is not float:
+        rho = np.asarray(rho, dtype=float)
+        if rho.ndim == 0:
+            rho = float(rho)
+    return hy._radial_kernel(lv, A, math.log(A), rho, hy._steps(lv))
+
+
+def gauss_laguerre_nodes(n: int, alpha: float):
+    """Generalized Gauss-Laguerre nodes and log weights for the weight
+    x^alpha e^{-x} on [0, inf); exact for polynomials of degree <= 2n - 1.
+
+    The nodes are the eigenvalues of the Golub-Welsch Jacobi matrix
+    (diagonal 2i + alpha + 1, off-diagonal sqrt(i (i + alpha))).  The weights
+    are Gamma(n+alpha+1) x_j / (n! (n+1)^2 L_{n+1}^{(alpha)}(x_j)^2), returned
+    as logs: they underflow at the far nodes for large n, and eigenvector-
+    based weights lose their relative accuracy there.  The dense
+    eigen-solve costs O(n^3): it is the exact rule of _log_radial_norm_sq.
+    """
+    if n != int(n) or n < 1:
+        raise ValueError(f"node count must be a positive integer, got {n!r}")
+    if not alpha > -1:
+        raise ValueError(f"superscript must exceed -1, got {alpha!r}")
+    n = int(n)
+    i = np.arange(1, n)
+    off = np.sqrt(i*(i + alpha))
+    jacobi = (np.diag(2*np.arange(n) + alpha + 1.0)
+              + np.diag(off, 1) + np.diag(off, -1))
+    x = np.linalg.eigvalsh(jacobi)
+    log_w = (math.lgamma(n + alpha + 1) - math.lgamma(n + 1)
+             - 2*math.log(n + 1) + np.log(x)
+             - 2*np.log(np.abs(laguerre(n + 1, alpha, x))))
+    return x, log_w
 
 
 def _log_radial_norm_sq(lv) -> float:
@@ -767,8 +802,71 @@ def ode_residual(qn: QuantumNumbers, E: float, r_grid):
     eigenvalue-sensitivity probe).
     """
     lv = _level(qn, E)
-    return system_residual(qn, E, lambda r: hy._radial_FG(lv, lv.C*r),
-                           r_grid)
+    return system_residual(qn, E, lambda r: _radial_FG(lv, lv.C*r), r_grid)
+
+
+def shoot_eigenvalue(qn: QuantumNumbers) -> float:
+    """Bound-state energy from two-sided shooting, independent of the formula.
+
+    Integrates the radial system outward from the origin (indicial start) and
+    inward from the far tail (asymptotic decay ratio), and root-finds the
+    Wronskian-style mismatch at an interior matching point to machine
+    precision.  The bracket spans +-35% of the binding energy around the
+    closed-form value; bracket placement does not bias the root.  Raises
+    RuntimeError when the bracket contains no sign change, or when F at the
+    root has other than the level's n_r (k < 0) or n_r - 1 (k > 0) nodes:
+    the root of a neighbouring level.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+    k = qn.k
+
+    def sides(E):
+        # (F, G) at the solver's steps at energy E, integrated outward from
+        # the origin and inward from the far tail to the matching point
+        lv = _level(qn, E)
+        za, C = lv.za, lv.C
+
+        def rhs(r, y):
+            F, G = y
+            return [-(k/r)*F + (1 + E + za/r)*G,
+                    (k/r)*G - (-lv.eps + za/r)*F]
+
+        r0 = 1e-4/C
+        r_match = max(za*E/C, 1.0)/C
+        r_out = 45.0/C
+        # indicial behaviour at the origin: F, G ~ r^s with G/F = (s + k)/za
+        y0 = np.array([1.0, (lv.s + k)/za])
+        y0 /= np.linalg.norm(y0)
+        # exponential decay at infinity: G/F -> -C/(1 + E)
+        y1 = np.array([1.0, -C/(1 + E)])
+        y1 /= np.linalg.norm(y1)
+        return tuple(solve_ivp(rhs, (start, r_match), y, method="DOP853",
+                               rtol=1e-11, atol=1e-300).y
+                     for start, y in ((r0, y0), (r_out, y1)))
+
+    def mismatch(E):
+        # normalized Wronskian mismatch of the two sides at energy E
+        (Fi, Gi), (Fo, Go) = (side[:, -1] for side in sides(E))
+        return (Fi*Go - Fo*Gi)/(math.hypot(Fi, Gi)*math.hypot(Fo, Go))
+
+    lv = _level(qn)
+    lo, hi = lv.E - 0.35*lv.eps, min(lv.E + 0.35*lv.eps, 1.0 - 1e-16)
+    f_lo, f_hi = mismatch(lo), mismatch(hi)
+    if f_lo*f_hi > 0:
+        raise RuntimeError(
+            f"no sign change in bracket [{lo}, {hi}]: "
+            f"mismatch {f_lo!r} .. {f_hi!r}")
+    E = brentq(mismatch, lo, hi, xtol=5e-17, rtol=8.9e-16)
+    # F's sign changes, counted per side: each side has its own scale
+    nodes = sum(int(np.count_nonzero(np.diff(np.signbit(F))))
+                for F, _ in sides(E))
+    want = qn.n_r - (qn.k > 0)
+    if nodes != want:
+        raise RuntimeError(
+            f"the shooting root E = {E!r} has {nodes} radial nodes; "
+            f"n={qn.n}, k={qn.k} has {want}: it is a neighbouring level")
+    return E
 
 
 def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
@@ -778,9 +876,10 @@ def amplitude_oracle(w: hy.WaveFunction, r_au, theta, phi):
     its own Clebsch weights, rather than (F - G N) y_up as WaveFunction.psi
     does.  Arguments broadcast.
     """
-    F, G = _radial_at(w, r_au, w.A)
+    r = np.asarray(r_au, dtype=float)
+    F, G = _radial_FG(w.level, w.C*r/ALPHA_FS, w.A)
     up, lo = w.spinor_upper, SpinorFunction(w.qn.l_lower, w.qn.j, w.qn.m_j)
-    pref = ALPHA_FS/np.asarray(r_au, dtype=float)
+    pref = ALPHA_FS/r
     a = pref*(F*up.c1*up.harmonic("up", theta, phi)
               + 1j*G*lo.c1*lo.harmonic("up", theta, phi))
     b = pref*(F*up.c2*up.harmonic("down", theta, phi)
@@ -803,15 +902,15 @@ def density_oracle(w: hy.WaveFunction, r_au, theta):
     + C4^2 |Yd|^2)]; the F G cross terms vanish pointwise because paired
     harmonics share the same order m, so the value is independent of phi.
     """
-    r_nat = np.asarray(r_au, dtype=float)/ALPHA_FS
+    r = np.asarray(r_au, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    F, G = _radial_at(w, r_au, w.A)
+    F, G = _radial_FG(w.level, w.C*r/ALPHA_FS, w.A)
     up, lo = w.spinor_upper, SpinorFunction(w.qn.l_lower, w.qn.j, w.qn.m_j)
     ang_F = (up.c1**2*np.abs(up.harmonic("up", theta, 0.0))**2
              + up.c2**2*np.abs(up.harmonic("down", theta, 0.0))**2)
     ang_G = (lo.c1**2*np.abs(lo.harmonic("up", theta, 0.0))**2
              + lo.c2**2*np.abs(lo.harmonic("down", theta, 0.0))**2)
-    return (F*F*ang_F + G*G*ang_G)/r_nat**2/ALPHA_FS**3
+    return (F*F*ang_F + G*G*ang_G)/(r/ALPHA_FS)**2/ALPHA_FS**3
 
 
 def probability_oracle(w: hy.WaveFunction, r_lo: float, r_hi: float):
@@ -875,7 +974,7 @@ def _chk_energy_refs(rng, c):
 def _chk_shooting(rng, c):
     for qn in _hydrogen_states():
         e_formula = energy(qn)
-        c(hy.shoot_eigenvalue(qn), e_formula, scale=1.0 - e_formula)
+        c(shoot_eigenvalue(qn), e_formula, scale=1.0 - e_formula)
     return "18 states, shooting vs formula, relative to binding"
 
 
@@ -905,14 +1004,14 @@ def _chk_radial_shape(rng, c):
     lv = _level(QuantumNumbers(1, -1, 0.5, 1))
     expect = -(1 - lv.s)/ALPHA_FS
     for rho in (0.1, 0.5, 1.0, 3.0, 8.0):
-        F, G = hy._radial_FG(lv, rho)
+        F, G = _radial_FG(lv, rho)
         c(G/F, expect, scale=abs(expect))
-    c(hy._radial_FG(lv, 0.0))
+    c(_radial_FG(lv, 0.0))
     expected_nodes = {(1, -1): 0, (2, -1): 1, (2, 1): 0,
                       (2, -2): 0, (3, -1): 2, (3, -2): 1}
     rho = np.linspace(1e-3, 35.0, 20000)
     for (n, k), want in expected_nodes.items():
-        F, _ = hy._radial_FG(_level(QuantumNumbers(n, k, 0.5, 1)), rho)
+        F, _ = _radial_FG(_level(QuantumNumbers(n, k, 0.5, 1)), rho)
         sgn = np.sign(F[np.abs(F) > 1e-12*np.abs(F).max()])
         c(np.count_nonzero(sgn[1:] != sgn[:-1]), want)
     return "ground G/F = -(1-s)/(Z alpha); origin zeros; node counts"
@@ -1065,8 +1164,8 @@ def _chk_nonrel(rng, c):
     for Z in (1, 5, 10):
         w = hy.assemble_wavefunction(QuantumNumbers(1, -1, 0.5, Z))
         # integrated G^2 over integrated F^2
-        num, den = (_quad(lambda r: float(_radial_at(w, r, 1.0)[i])**2, 0,
-                          60/w.C*ALPHA_FS, epsabs=1e-15, epsrel=1e-10,
+        num, den = (_quad(lambda r: _radial_FG(w.level, w.C*r/ALPHA_FS)[i]**2,
+                          0, 60/w.C*ALPHA_FS, epsabs=1e-15, epsrel=1e-10,
                           limit=200)[0] for i in (1, 0))
         ratio = math.sqrt(num/den)
         za = Z*ALPHA_FS

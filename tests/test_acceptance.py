@@ -23,13 +23,11 @@ from quatspin import (
     SpinorFunction, measure_probability, spinor_as_vector,
     spherical_harmonic, quadrature_sphere,
     QuantumNumbers, energy, binding_energy_ev, sommerfeld_energy,
-    shoot_eigenvalue, assemble_wavefunction,
-    probability_in_region,
+    assemble_wavefunction, probability_in_region,
     PauliAlgebraElement, embed, pauli_element_matrix, verify_clifford,
 )
-from quatspin.hydrogen import clear_shooting_cache
 from quatspin.special import gauss_legendre_nodes
-from quatspin.verify import ode_residual
+from quatspin.verify import ode_residual, shoot_eigenvalue
 
 _E0 = Biquaternion(1, 0, 0, 0)
 _STATES = ((1, -1), (2, -1), (2, 1), (2, -2), (3, -1), (3, -2))
@@ -147,7 +145,6 @@ def test_criterion_05_spinor_worked_example():
 
 
 def test_criterion_06_energies_vs_shooting():
-    clear_shooting_cache()
     t0 = time.monotonic()
     worst = 0.0
     for Z in (1, 20, 50):

@@ -12,19 +12,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from quatspin import (
-    Biquaternion, conj_both, mul, norm_sq, shoot_eigenvalue,
+    Biquaternion, conj_both, mul, norm_sq,
     assemble_wavefunction, probability_in_region, allclose, verify,
 )
-from quatspin.hydrogen import (
-    WaveFunction, _log_norm_sq, _radial_FG, _split_ok, clear_shooting_cache,
-)
+from quatspin.hydrogen import WaveFunction, _log_norm_sq, _split_ok
 from quatspin.levels import (
     ALPHA_FS, MC2_EV, QuantumNumbers, _level, sommerfeld_energy, energy,
     binding_energy_ev, radial_parameters,
 )
 from quatspin.special import gauss_legendre_nodes
 from quatspin.spinor import spinor_as_biquaternion
-from quatspin.verify import ode_residual, system_residual
+from quatspin.verify import (
+    _radial_FG, ode_residual, shoot_eigenvalue, system_residual,
+)
 
 # frozen reference values, computed once from the closed formula and checked
 # against the independent shooting solver
@@ -200,7 +200,6 @@ def test_system_residual_zero_function_reports_zero():
 
 
 def test_shooting_matches_formula():
-    clear_shooting_cache()
     for n, k, Z in ((1, -1, 1), (2, -1, 20)):
         qn = QuantumNumbers(n, k, 0.5, Z)
         E = energy(qn)

@@ -15,9 +15,9 @@ from quatspin import laguerre, spherical_harmonic, quadrature_sphere
 from quatspin.hydrogen import _brackets, _steps
 from quatspin.levels import QuantumNumbers, _level
 from quatspin.special import (
-    _laguerre_run, gauss_laguerre_nodes, gauss_legendre_nodes, leggauss,
-    spherical_harmonics,
+    _laguerre_run, gauss_legendre_nodes, leggauss, spherical_harmonics,
 )
+from quatspin.verify import gauss_laguerre_nodes
 
 
 def test_laguerre_against_scipy():

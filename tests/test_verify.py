@@ -86,15 +86,14 @@ def test_wrong_energy_residual_at_the_eigenvalue():
 def test_ode_residual_evaluates_the_closed_form_five_times(monkeypatch):
     # the four stencil points and the centre, each giving F and G together
     import numpy as np
-    from quatspin import hydrogen as hy
     from quatspin.levels import QuantumNumbers, energy
-    plain, calls = hy._radial_FG, []
+    plain, calls = verify._radial_FG, []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(hy, "_radial_FG", counting)
+    monkeypatch.setattr(verify, "_radial_FG", counting)
     qn = QuantumNumbers(3, -2, 0.5, 20)
     for E in (energy(qn), energy(qn) + 1e-3):
         calls.clear()
