@@ -4,12 +4,11 @@ Subcommands: energy (level tables), density ((r, theta) grids), probability
 (shell integrals), spinor (angular-state evaluation), rotate (operator
 conjugation), verify (the identity-check suites).  Every subcommand writes
 through _emit (density through its block-template twin, _emit_density,
-which formats each distinct value of a mirrored column pair once and
-writes the table in chunks of r values): JSON by default, CSV with --csv;
-floats are emitted as shortest-round-trip decimal strings, so identical
-invocations produce byte-identical output; a NaN or infinite result is
-refused by both writers (exit 2, empty stdout).  Timing goes to stderr
-only.
+which writes the table in chunks of r values): JSON by default, CSV with
+--csv; floats are emitted as shortest-round-trip decimal strings, so
+identical invocations produce byte-identical output; a NaN or infinite
+result is refused by both writers (exit 2, empty stdout).  Timing goes to
+stderr only.
 
 _COMMANDS is the one table of each subcommand's handler, help and flags.
 build_parser makes the argparse parser from it, and _read turns a
@@ -24,11 +23,19 @@ json.dumps(record, indent=2, allow_nan=False).  So a well-formed call loads
 neither argparse (nor the gettext and locale it loads) nor json; help, a
 usage error and verify may.
 
-Each subcommand imports the modules it runs.  energy, spinor and rotate
-never load numpy, and density and probability run node by node on Python
-floats (probability through hydrogen._shell_probability, whatever
-hydrogen._on_floats says), so of the subcommands only verify loads numpy,
-and the bytes of each do not depend on what the process has imported.
+The density is even under theta -> pi - theta and the polar nodes are
+exact mirror pairs, so density evaluates the first ceil(n_theta/2) columns
+alone; a column past them is its mirror's, whose values it shares, so each
+distinct value is computed, checked, summed and formatted once.
+
+Each subcommand imports the modules it runs.  energy loads levels alone,
+and density and probability also hydrogen, special and spinor; of the
+subcommands only spinor, rotate and verify load biquaternion and spin.
+energy, spinor and rotate never load numpy, and density and probability
+run node by node on Python floats (probability through
+hydrogen._shell_probability, whatever hydrogen._on_floats says), so of the
+subcommands only verify loads numpy, and the bytes of each do not depend
+on what the process has imported.
 
 Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
 exits quietly), 2 domain error, 3 verification failure.
@@ -241,29 +248,18 @@ _DENSITY_JSON_ROW = ('    {\n      "r": %s,\n      "theta": %s,\n'
 _R_PER_WRITE = 64
 
 
-def _mirrored(values: list, n_theta: int) -> set:
-    """The columns j > n_theta - 1 - j of a flat table of n_theta columns
-    whose entries equal those of column n_theta - 1 - j bit for bit.  A
-    column holding a zero is never one, so -0.0 never takes the text of
-    +0.0 (== tells them apart in no other case: the values are finite)."""
-    return {j for j in range((n_theta + 1)//2, n_theta)
-            if values[j::n_theta] == values[n_theta - 1 - j::n_theta]
-            and 0.0 not in values[j::n_theta]}
-
-
 def _emit_density(record: dict, r: list, theta: list, dens: list,
                   cell: list, as_csv: bool) -> None:
-    """Write the density record with one row per (r, theta) node, r outer,
-    from lists of Python floats (dens and cell flat, r outer): the bytes of
-    json.dumps(record + rows, indent=2) + "\n", or of _emit's CSV.  Values
-    are formatted with repr, the shortest round-trip digits both encoders
-    emit.  The rows of one r form a block of a template made once per
-    call, with each theta's text in it; a density or cell-weight column
-    equal to its mirror about theta = pi/2 bit for bit (_mirrored; the
-    cell weights always are) takes the mirror's texts, so each distinct
-    value of a column pair is formatted once.  The table goes out
-    _R_PER_WRITE r values per write, and nothing is written before every
-    value has passed the finiteness check."""
+    """Write the density record with one row per (r, theta) node, r outer:
+    the bytes of json.dumps(record + rows, indent=2) + "\n", or of _emit's
+    CSV.  dens and cell are flat lists of Python floats, r outer, over the
+    first h = ceil(len(theta)/2) thetas; column j >= h of the table is
+    column len(theta) - 1 - j, its mirror about theta = pi/2, so each value
+    is checked and formatted once.  Values are formatted with repr, the
+    shortest round-trip digits both encoders emit.  The rows of one r form
+    a block of a template made once per call, with each theta's text in
+    it.  The table goes out _R_PER_WRITE r values per write, and nothing
+    is written before every value has passed the finiteness check."""
     if as_csv:
         head, row, sep, tail = ("r,theta,density,cell_weight\n",
                                 "%s,%s,%s,%s", "\n", "\n")
@@ -280,10 +276,8 @@ def _emit_density(record: dict, r: list, theta: list, dens: list,
         raise ValueError("Out of range float values are not "
                          f"{'CSV' if as_csv else 'JSON'} compliant: {x!r}")
     n_theta = len(theta)
+    h = (n_theta + 1)//2
     block = sep.join([row % ("%s", t, "%s", "%s") for t in map(repr, theta)])
-    # each row takes (r, density, cell weight) at offsets 0, 1, 2
-    columns = [(1, dens, _mirrored(dens, n_theta)),
-               (2, cell, _mirrored(cell, n_theta))]
     stride = 3*n_theta
     # the first template starts with the head, which % must leave as is
     lead, templates = head.replace("%", "%%"), {}
@@ -294,12 +288,11 @@ def _emit_density(record: dict, r: list, theta: list, dens: list,
         args = [None]*(k*stride)
         for j in range(n_theta):
             args[3*j::stride] = r_texts
-        for at, values, mirrored in columns:
-            part = values[i*n_theta:(i + k)*n_theta]
+        # each row takes (r, density, cell weight) at offsets 0, 1, 2
+        for at, values in ((1, dens), (2, cell)):
+            texts = list(map(repr, values[i*h:(i + k)*h]))
             for j in range(n_theta):
-                args[3*j + at::stride] = (
-                    args[3*(n_theta - 1 - j) + at::stride] if j in mirrored
-                    else map(repr, part[j::n_theta]))
+                args[3*j + at::stride] = texts[min(j, n_theta - 1 - j)::h]
         if (lead, k) not in templates:
             templates[lead, k] = lead + sep.join([block]*k)
         write(templates[lead, k] % tuple(args))
@@ -325,20 +318,24 @@ def _cmd_density(args, parser) -> int:
     if r_max <= 0:
         parser.error("--r-max must be positive")
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
+    if r[0] == 0.0:
+        parser.error("--r-max is so small that a radial node rounds to 0")
     x, wx = leggauss(n_theta)
-    theta, wx = [math.acos(t) for t in reversed(x)], wx[::-1]  # ascending
-    # the point density's real kernel, which no phi enters, at every node;
-    # past the float range (a huge --r-max, or n >= 335 at k = -1, Z = 1)
-    # these overflow, and the writer refuses the result with one line
-    dens = w._density_table(r, theta)
-    # 2 pi r^2 w_r w_theta, r outer; leggauss's weights are exact mirrors,
-    # so column j is column n_theta - 1 - j
+    theta = [math.acos(t) for t in reversed(x)]     # ascending
+    # leggauss's nodes and weights are exact mirrors, and the density is
+    # even under theta -> pi - theta, so the first h columns hold every
+    # value of the table: the density's real kernel, which no phi enters,
+    # and the cell weights 2 pi r^2 w_r w_theta, both r outer.  Past the
+    # float range (a huge --r-max, or n >= 335 at k = -1, Z = 1) these
+    # overflow, and the writer refuses the result with one line
+    h = (n_theta + 1)//2
+    dens = w._density_table(r, theta[:h])
     area = [2.0*math.pi*a*a for a in r]
-    cell = [0.0]*(n_r*n_theta)
-    for j, c in enumerate(wx[:(n_theta + 1)//2]):
-        cell[j::n_theta] = cell[n_theta - 1 - j::n_theta] = [
-            s*(b*c) for s, b in zip(area, wr)]
-    total = sum(map(operator.mul, dens, cell))
+    cell = [s*(b*c) for s, b in zip(area, wr) for c in wx[:h]]
+    # a column stands for its mirror too; an odd n_theta's middle column
+    # is its own mirror
+    twice = ([2.0]*(n_theta//2) + [1.0]*(n_theta % 2))*n_r
+    total = sum(map(operator.mul, map(operator.mul, dens, cell), twice))
     record = {
         "command": "density",
         "params": {"z": qn.Z, "n": qn.n, "k": qn.k, "mj": qn.m_j,

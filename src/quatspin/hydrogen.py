@@ -46,10 +46,11 @@ radial factor on the radii, y_up's SpinorFunction.density on the angles,
 and one product at full size.  A WaveFunction holds only radial tables.
 
 numpy is imported by the calls that take arrays, and nothing else; scipy
-never is.  The density table and the shell probabilities of the command
-line run node by node on Python floats.  probability_in_region runs the
-same kernels node by node on Python floats while numpy is not loaded
-(_on_floats), and as arrays once it is.
+never is, and biquaternion only where Psi is formed (psi).  The density
+table and the shell probabilities of the command line run node by node on
+Python floats.  probability_in_region runs the same kernels node by node
+on Python floats while numpy is not loaded (_on_floats), and as arrays
+once it is.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ import operator
 import sys
 
 from ._record import Record
-from .biquaternion import Biquaternion, _bq, mul
 from .levels import ALPHA_FS, QuantumNumbers, _level, _Level
 from .special import _laguerre_run, _laguerre_steps, leggauss
 from .spinor import SpinorFunction, spinor_as_biquaternion
@@ -341,6 +341,7 @@ class WaveFunction(Record):
         on r's axes, u and the real N u on the angles' (|sin theta| as in
         _columns), then one expression each, so that numpy reuses the
         temporaries."""
+        from .biquaternion import _bq, mul
         f, h = self._radial(r, r_ends)
         u = spinor_as_biquaternion(self.spinor_upper, theta, phi)
         if type(theta) is float:
@@ -366,6 +367,7 @@ class WaveFunction(Record):
         G are evaluated once per distinct radius and y_up and N y_up once per
         distinct angle; only the final combination is formed at full size.
         """
+        from .biquaternion import _bq
         shape, r, theta, phi, r_ends = _arguments(r_au, theta, phi)
         q = self._psi(r, theta, phi, r_ends)
         return _bq(*q) if shape is None else _bq(*[_full(c, shape) for c in q])

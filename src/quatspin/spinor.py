@@ -20,18 +20,13 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .biquaternion import Biquaternion, _bq
 from .levels import _is_half_odd
 from .special import _angles, _columns, _harmonics, _legendre_column
-from .spin import _Q_UP, _Q_DOWN, inner
 
 __all__ = [
     "SpinorFunction", "clebsch_coefficients", "spinor_components",
     "spinor_as_vector", "spinor_as_biquaternion", "measure_probability",
 ]
-
-# the nonzero coefficients of the spin-state quaternions q+ and q-
-_UP0, _UP1, _DOWN2, _DOWN3 = _Q_UP.q0, _Q_UP.q1, _Q_DOWN.q2, _Q_DOWN.q3
 
 
 def clebsch_coefficients(l: int, j: float, m_j: float) -> tuple[float, float]:
@@ -128,8 +123,11 @@ def _spin_basis(c, d) -> tuple:
     """Coefficients of c q+ + d q- on the spin-state quaternions q+ and q-:
     the one assembly of a spinor's biquaternion form, for scalars and
     arrays alike.  Each 0j is the other term's structural zero, which also
-    fixes the sign of zero parts."""
-    return c*_UP0 + 0j, c*_UP1 + 0j, 0j + d*_DOWN2, 0j + d*_DOWN3
+    fixes the sign of zero parts.  spin (and biquaternion) load on this
+    first call: the density needs neither."""
+    from .spin import _Q_UP, _Q_DOWN
+    return (c*_Q_UP.q0 + 0j, c*_Q_UP.q1 + 0j, 0j + d*_Q_DOWN.q2,
+            0j + d*_Q_DOWN.q3)
 
 
 def spinor_as_biquaternion(s: SpinorFunction, theta,
@@ -137,6 +135,7 @@ def spinor_as_biquaternion(s: SpinorFunction, theta,
     """Biquaternion form C1 Y_l^{m_j-1/2} q+ + C2 Y_l^{m_j+1/2} q- of a
     spinor, on the spin-state quaternions q+ and q-.  theta and phi
     broadcast; array angles give array coefficients."""
+    from .biquaternion import _bq
     return _bq(*_spin_basis(*spinor_components(s, theta, phi)))
 
 
@@ -149,6 +148,7 @@ def measure_probability(state: str, s: SpinorFunction, theta, phi):
     """
     if state not in ("up", "down"):
         raise ValueError(f"state must be 'up' or 'down', got {state!r}")
+    from .spin import _Q_UP, _Q_DOWN, inner
     ket = _Q_UP if state == "up" else _Q_DOWN
     amp = inner(ket, spinor_as_biquaternion(s, theta, phi))
     return abs(amp)**2

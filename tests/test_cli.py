@@ -204,7 +204,9 @@ def test_density_json_refuses_non_finite(capsys):
 
 def _density_dict_rows(params):
     """The density rows as dicts, rebuilt from a record's params the way the
-    dict-per-row writer built them: the oracle of the row writer."""
+    dict-per-row writer built them: the oracle of the row writer.  Column
+    j >= h = ceil(n_theta/2) takes the density of column n_theta - 1 - j,
+    its mirror about theta = pi/2, from the half table."""
     from quatspin import hydrogen as hy
     from quatspin.levels import QuantumNumbers
     from quatspin.special import gauss_legendre_nodes, leggauss
@@ -214,12 +216,15 @@ def _density_dict_rows(params):
     r, wr = gauss_legendre_nodes(n_r, 0.0, params["r_max"])
     x, wx = leggauss(n_theta)
     theta, wx = [math.acos(t) for t in reversed(x)], wx[::-1]
+    h = (n_theta + 1)//2
+    half = w._density_table(r, theta[:h])
+    dens = [half[i*h + min(j, n_theta - 1 - j)]
+            for i in range(n_r) for j in range(n_theta)]
     R, TH = np.meshgrid(r, theta, indexing="ij")
     cell = 2.0*math.pi*R*R*np.outer(wr, wx)
     return [{"r": r_, "theta": t, "density": d, "cell_weight": c}
             for r_, t, d, c in zip(R.ravel().tolist(), TH.ravel().tolist(),
-                                   w._density_table(r, theta),
-                                   cell.ravel().tolist())]
+                                   dens, cell.ravel().tolist())]
 
 
 @pytest.mark.parametrize("argv", [
@@ -229,7 +234,6 @@ def _density_dict_rows(params):
     ["--n", "20"],                                  # default grid 168:32
     ["--z", "92", "--n", "3", "--k", "2", "--mj", "-1.5"],
     ["--r-max", "400", "--grid", "48:4"],           # subnormals and zeros
-    # some density columns equal their mirror bit for bit, some do not
     ["--z", "50", "--n", "32", "--k", "-2", "--mj", "-0.5", "--grid",
      "240:34"],
     ["--n", "3", "--k", "2", "--mj", "1.5", "--grid", "200:5"],  # 4 writes
@@ -242,14 +246,15 @@ def test_density_rows_match_the_dict_encoders(capsys, argv):
     rows = _density_dict_rows(record["params"])
     assert out == json.dumps(record | {"rows": rows}, indent=2,
                              allow_nan=False) + "\n"
-    d = [row["density"] for row in rows]
+    d = [row["density"] for row in record["rows"]]
     if "400" in argv:
         assert 0.0 in d and any(0 < x < sys.float_info.min for x in d)
     n_r, n_theta = map(int, record["params"]["grid"].split(":"))
     if "240:34" in argv:
-        equal = [d[j::n_theta] == d[n_theta - 1 - j::n_theta]
-                 for j in range(n_theta//2)]
-        assert any(equal) and not all(equal)
+        # every density column equals its mirror bit for bit
+        assert all(list(map(float.hex, d[j::n_theta]))
+                   == list(map(float.hex, d[n_theta - 1 - j::n_theta]))
+                   for j in range(n_theta//2))
     if "200:5" in argv or "240:34" in argv:
         assert n_r > 3*cli._R_PER_WRITE         # several writes of the table
 
@@ -264,26 +269,52 @@ def test_density_rows_match_the_dict_encoders(capsys, argv):
 
 
 @pytest.mark.parametrize("as_csv", [False, True])
-def test_density_writer_never_lends_a_zero_its_mirror_text(capsys, as_csv):
-    # columns 0 and 2 are equal under ==, but not bit for bit: -0.0 and
-    # 0.0; the cell weights mirror exactly, and so does the 1.5 column pair
-    # of the second table
+def test_density_writer_mirrors_the_half_tables(capsys, as_csv):
+    # column j >= h of the table is column n_theta - 1 - j of the half
+    # tables, signed zeros and subnormals included; a middle column for an
+    # odd n_theta, none for an even one
     record = {"command": "density", "params": {"grid": "2:3"}}
-    r, theta = [0.5, 1.0], [0.25, 1.5, 2.875]
-    for dens, cell in (([0.0, 1.0, -0.0, 2.0, 3.0, 2.0],
-                        [1.0, 2.0, 1.0, 3.0, 4.0, 3.0]),
-                       ([1.5, 1.0, 1.5, 2.0, -0.0, 2.0],
-                        [-0.0, 2.0, 0.0, 0.0, 4.0, -0.0])):
+    r = [0.5, 1.0]
+    for theta, dens, cell in (
+            ([0.25, 1.5, 2.875], [0.0, 5e-324, -0.0, 2.0],
+             [-0.0, 1e-310, 3.0, 0.0]),
+            ([0.25, 1.0, 2.125, 2.875], [-0.0, 1.5, 4e-320, 0.0],
+             [1.0, -0.0, 0.0, 2.5e-308])):
         cli._emit_density(record, r, theta, dens, cell, as_csv)
         out = capsys.readouterr().out
-        rows = [{"r": a, "theta": t, "density": dens[3*i + j],
-                 "cell_weight": cell[3*i + j]}
+        n, h = len(theta), (len(theta) + 1)//2
+        rows = [{"r": a, "theta": t,
+                 "density": dens[i*h + min(j, n - 1 - j)],
+                 "cell_weight": cell[i*h + min(j, n - 1 - j)]}
                 for i, a in enumerate(r) for j, t in enumerate(theta)]
         if as_csv:
             assert out == "r,theta,density,cell_weight\n" + "".join(
                 ",".join(map(repr, row.values())) + "\n" for row in rows)
         else:
             assert out == json.dumps(record | {"rows": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--k", "2", "--mj", "1.5", "--z", "20", "--grid", "24:13"],
+    [],                                             # default grid 128:32
+    ["--z", "50", "--n", "32", "--k", "-2", "--mj", "-0.5", "--grid",
+     "240:34"],
+])
+def test_density_table_lies_on_the_point_density(capsys, argv):
+    # every written density, the mirrored columns included, lies within
+    # 1e-14 of the table's maximum of w.density at its printed r and theta
+    from quatspin import hydrogen as hy
+    from quatspin.levels import QuantumNumbers
+    assert cli.main(["density", *argv]) == 0
+    record = json.loads(capsys.readouterr().out)
+    p = record["params"]
+    w = hy.assemble_wavefunction(QuantumNumbers(p["n"], p["k"], p["mj"],
+                                                p["z"]))
+    rows = record["rows"]
+    ref = w.density(np.array([row["r"] for row in rows]),
+                    np.array([row["theta"] for row in rows]), 0.0)
+    got = np.array([row["density"] for row in rows])
+    assert np.max(np.abs(got - ref)) <= 1e-14*np.max(ref)
 
 
 def _child_env():
@@ -591,10 +622,15 @@ def test_density_past_the_normalization_range_is_one_error_line():
                                   ["density", "--r-max", "1e300", "--grid",
                                    "4:4", "--csv"],
                                   ["density", "--r-max", "1e300", "--grid",
+                                   "4:4"],
+                                  ["density", "--r-max", "1e-310", "--grid",
+                                   "4:4"],
+                                  ["density", "--r-max", "1e-320", "--grid",
                                    "4:4"]])
 def test_state_past_the_float_range_is_one_error_line(capsys, argv):
     # the shell rule's brackets overflow from n = 235 and the default
-    # density grid's from n = 335 (k = -1, Z = 1): no numpy warning leaks.
+    # density grid's from n = 335 (k = -1, Z = 1), and alpha/r at a
+    # subnormal radial node: no numpy warning leaks.
     # A fresh interpreter runs the calls below hydrogen's cost bound on
     # Python floats, this one (numpy loaded) runs arrays: the same refusal
     proc = subprocess.run([sys.executable, "-m", "quatspin", *argv],
@@ -706,6 +742,8 @@ def test_usage_errors_exit_one():
      "m_j must be half-odd-integer"),
     (["probability", "--mj", "0.4999999999"], "m_j must be half-odd-integer"),
     (["verify", "--seed", "-1"], "expected a non-negative integer"),
+    (["density", "--grid", "4:4", "--r-max", "5e-324"],
+     "a radial node rounds to 0"),
 ])
 def test_usage_errors_after_parsing_name_the_subcommand(capsys, argv,
                                                         message):
@@ -908,6 +946,27 @@ def test_numpy_loaded_only_where_arrays_appear():
                   "--grid", "240:34"],
                  ["density", "--n", "250", "--k", "-1", "--grid", "3000:4"]):
         assert _import_probe(argv)[1] == [argv[0], 0, *none]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["energy"], ["cli", "levels"]),
+    (["density"], ["cli", "hydrogen", "levels", "special", "spinor"]),
+    (["probability"], ["cli", "hydrogen", "levels", "special", "spinor"]),
+])
+def test_subcommand_loads_only_the_modules_it_runs(argv, modules):
+    # no subcommand here forms a biquaternion or a spin basis, so none
+    # loads quatspin.biquaternion or quatspin.spin
+    probe = ("import contextlib, io, sys\n"
+             "from quatspin import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main({argv!r})\n"
+             "print(code, *sorted(m for m in sys.modules\n"
+             "                    if m.startswith('quatspin.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == [
+        "0", *(f"quatspin.{m}" for m in ["_record", *modules])]
 
 
 def test_argparse_loads_only_for_calls_the_reader_declines():
