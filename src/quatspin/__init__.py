@@ -9,7 +9,7 @@ is imported on first access, so code that uses only the spin-1/2 algebra
 or the level energies never loads numpy.
 """
 
-import importlib
+import sys
 
 # submodule -> the public names it defines, in the order of __all__
 _EXPORTS = {
@@ -49,13 +49,19 @@ __all__ = [*_HOME, "verify"]
 __version__ = "0.1.0"
 
 
+def _submodule(name: str):
+    """quatspin.name, imported by the import statement's own path, which
+    `python -X importtime` lists (importlib.import_module bypasses it)."""
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__),
-                    name)
+    value = getattr(_submodule(_HOME[name]), name)
     globals()[name] = value         # later lookups skip __getattr__
     return value
 

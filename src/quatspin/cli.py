@@ -42,15 +42,16 @@ exits quietly), 2 domain error, 3 verification failure.
 
 main is the library entry: it parses argv, runs one subcommand and returns
 its exit code, and callers may run it many times in one process.  run is
-the process entry of `python -m quatspin` and the `quatspin` script: it
-returns main's code and then freezes the collector, so the interpreter's
-shutdown collections skip everything the call loaded.  The process still
-ends normally: atexit callbacks run and stdio is flushed.
+the process entry of `python -m quatspin` and the `quatspin` script: once
+main has returned or raised SystemExit, it runs the atexit callbacks,
+flushes stdout and stderr and ends the process with os._exit, so the
+interpreter's module teardown and arena freeing are skipped.  Under a
+profiler or tracer run returns main's code instead, so that the wrapper
+(cProfile, trace, pdb) gets control back.  In-process callers use main.
 """
 
 from __future__ import annotations
 
-import gc
 import io
 import math
 import operator
@@ -320,6 +321,11 @@ def _cmd_density(args, parser) -> int:
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
     if r[0] == 0.0:
         parser.error("--r-max is so small that a radial node rounds to 0")
+    # alpha/r scales the radial functions; where it overflows at the
+    # innermost node, that node's densities are inf and grid_integral NaN
+    if ALPHA_FS/r[0] == math.inf:
+        parser.error("--r-max is so small that alpha/r overflows at a "
+                     "radial node")
     x, wx = leggauss(n_theta)
     theta = [math.acos(t) for t in reversed(x)]     # ascending
     # leggauss's nodes and weights are exact mirrors, and the density is
@@ -701,7 +707,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         # stdout was closed early (a reader such as `head` quit) or refused
         # the bytes (a full disk); the unwritten rest goes to the null
-        # device so the interpreter's final flush stays silent
+        # device so that the final flush stays silent
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -711,18 +717,53 @@ def main(argv=None) -> int:
     return code
 
 
+def _watched() -> bool:
+    """Whether a profiler or tracer watches this process: sys.setprofile or
+    sys.settrace, or from Python 3.12 a sys.monitoring tool (cProfile)."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
+
+
+def _flush_stdio() -> bool:
+    """Flush stdout and stderr, and the streams they replaced, as the
+    interpreter's final flush would; False if one failed.  A failing
+    stdout follows main's rule: a closed pipe is quiet, any other error is
+    one line on stderr."""
+    ok = True
+    err = (sys.stderr, sys.__stderr__)
+    for stream in dict.fromkeys((sys.stdout, sys.__stdout__, *err)):
+        if stream is None or getattr(stream, "closed", False):
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:
+            ok = False
+            if stream not in err and not isinstance(exc, BrokenPipeError):
+                try:
+                    print(f"error: {exc}", file=sys.stderr)
+                except OSError:
+                    pass
+    return ok
+
+
 def run(argv=None) -> int:
     """main(argv) as a whole process.  However main ends (a return, an
-    error, argparse's usage and help exits), every object left is then
-    moved to the collector's permanent generation, which the interpreter's
-    shutdown collections do not traverse, so the process ends sooner;
-    atexit callbacks and the final flush of stdio still run.  Frozen
-    objects are never collected, so call main, not run, where the process
-    goes on."""
+    error, argparse's usage and help exits), the atexit callbacks then
+    run, stdio is flushed and os._exit ends the process with main's code,
+    or with 1 if the flush failed; the interpreter's teardown is skipped.
+    Under a profiler or tracer it returns main's code instead.  Call main,
+    not run, where the process goes on."""
     try:
-        return main(argv)
-    finally:
-        gc.freeze()
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code             # argparse's help and usage exits
+    if _watched():
+        return code
+    import atexit
+    atexit._run_exitfuncs()
+    os._exit(code if _flush_stdio() else 1)
 
 
 if __name__ == "__main__":

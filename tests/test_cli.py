@@ -447,8 +447,8 @@ runpy.run_module("quatspin", run_name="__main__", alter_sys=True)
 
 
 def test_a_cli_process_ends_normally():
-    # after cli.run the interpreter still runs atexit callbacks, flushes
-    # stdout and lets a profiler print its report
+    # cli.run still runs the atexit callbacks and flushes stdout, and a
+    # profiler still prints its report
     proc = subprocess.run([sys.executable, "-c", _ATEXIT_PROBE],
                           capture_output=True, env=_child_env(), timeout=300)
     assert (proc.returncode, proc.stderr) == (0, b"")
@@ -463,12 +463,12 @@ def test_a_cli_process_ends_normally():
 
 
 # success, a domain error and a usage error, with their exit codes
-_FREEZE_CASES = [(["energy"], 0),
-                 (["probability", "--n", "250", "--k", "-1"], 2),
-                 (["rotate"], 1)]
+_EXIT_CASES = [(["energy"], 0),
+               (["probability", "--n", "250", "--k", "-1"], 2),
+               (["rotate"], 1)]
 
 
-@pytest.mark.parametrize("argv, code", _FREEZE_CASES)
+@pytest.mark.parametrize("argv, code", _EXIT_CASES)
 def test_main_never_freezes_the_collector(capsys, argv, code):
     before = gc.get_freeze_count()
     try:
@@ -479,29 +479,120 @@ def test_main_never_freezes_the_collector(capsys, argv, code):
     assert gc.get_freeze_count() == before
 
 
-_RUN_PROBE = """
-import contextlib, gc, io, json, sys
-from quatspin import cli
-before = gc.get_freeze_count()
-out, err = io.StringIO(), io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    try:
-        code = cli.run(json.loads(sys.argv[1]))
-    except SystemExit as exc:
-        code = exc.code
-print(json.dumps([code, before, gc.get_freeze_count()]))
+_ATEXIT_SITE = """
+import atexit, sys
+# written without a flush: only the flush after the callbacks emits it
+atexit.register(sys.stdout.write, "atexit callback ran")
 """
 
 
-def test_run_freezes_the_collector_however_main_ends():
-    for argv, code in _FREEZE_CASES:
-        proc = subprocess.run([sys.executable, "-c", _RUN_PROBE,
-                               json.dumps(argv)],
-                              capture_output=True, env=_child_env(),
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
-        got, before, after = json.loads(proc.stdout)
-        assert (got, before) == (code, 0) and after > 0, argv
+def test_run_exits_after_the_atexit_callbacks_and_the_flush(capsys,
+                                                            tmp_path):
+    # cli.run ends the process itself: a sitecustomize on the child's path
+    # registers the callback before `python -m quatspin` starts
+    (tmp_path / "sitecustomize.py").write_text(_ATEXIT_SITE)
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
+    for argv, code in _EXIT_CASES:
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "quatspin", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert (got, proc.returncode) == (code, code), argv
+        assert proc.stdout.decode() == out + "atexit callback ran", argv
+        assert proc.stderr.decode() == err, argv
+
+
+_WATCHED_PROBE = """
+import runpy, sys
+hook = getattr(sys, sys.argv[1])
+hook(lambda *args: None)
+sys.argv = ["quatspin", "energy"]
+try:
+    runpy.run_module("quatspin", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+hook(None)
+print("control came back with", code)
+"""
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_run_returns_to_a_tracer_or_profiler(capsys, hook):
+    # as under trace, pdb or cProfile: the wrapper gets control back
+    assert cli.main(["energy"]) == 0
+    want = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-c", _WATCHED_PROBE, hook],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == want + "control came back with 0\n"
+
+
+def _buffered_env():
+    """_child_env() without PYTHONUNBUFFERED: stdout keeps what is written
+    until a flush."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("device", ["closed pipe", "/dev/full"])
+def test_a_failing_final_flush_follows_mains_rule(device):
+    # argparse writes the help into stdout's buffer and exits 0; the flush
+    # in cli.run fails, as main's own flush would: a closed pipe exits 1
+    # quietly, a full disk with one error line
+    if device == "closed pipe":
+        read, out = os.pipe()
+        os.close(read)
+    elif os.path.exists(device):
+        out = os.open(device, os.O_WRONLY)
+    else:
+        pytest.skip("needs the /dev/full device")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quatspin", "--help"],
+                              stdout=out, stderr=subprocess.PIPE,
+                              env=_buffered_env(), timeout=300)
+    finally:
+        os.close(out)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    if device == "closed pipe":
+        assert err == ""
+    else:
+        assert err == "error: [Errno 28] No space left on device\n"
+
+
+_REPLACED_PROBE = """
+import io, sys
+sys.__stdout__.write("written to the original stdout")
+sys.stdout = io.StringIO()
+from quatspin import cli
+cli.run(["energy"])
+"""
+
+
+def test_run_flushes_the_stdout_that_was_replaced():
+    proc = subprocess.run([sys.executable, "-c", _REPLACED_PROBE],
+                          capture_output=True, env=_buffered_env(),
+                          timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"written to the original stdout"
+
+
+def test_importtime_lists_every_submodule_a_call_loads():
+    # quatspin.__getattr__ imports through the path -X importtime logs
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "quatspin", "density", "--grid", "4:4"],
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    listed = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.decode().splitlines()
+              if line.startswith("import time:")}
+    assert {f"quatspin.{m}" for m in ("_record", "cli", "hydrogen", "levels",
+                                      "special", "spinor")} <= listed
 
 
 def test_spinor_worked_example(capsys):
@@ -622,15 +713,10 @@ def test_density_past_the_normalization_range_is_one_error_line():
                                   ["density", "--r-max", "1e300", "--grid",
                                    "4:4", "--csv"],
                                   ["density", "--r-max", "1e300", "--grid",
-                                   "4:4"],
-                                  ["density", "--r-max", "1e-310", "--grid",
-                                   "4:4"],
-                                  ["density", "--r-max", "1e-320", "--grid",
                                    "4:4"]])
 def test_state_past_the_float_range_is_one_error_line(capsys, argv):
     # the shell rule's brackets overflow from n = 235 and the default
-    # density grid's from n = 335 (k = -1, Z = 1), and alpha/r at a
-    # subnormal radial node: no numpy warning leaks.
+    # density grid's from n = 335 (k = -1, Z = 1): no numpy warning leaks.
     # A fresh interpreter runs the calls below hydrogen's cost bound on
     # Python floats, this one (numpy loaded) runs arrays: the same refusal
     proc = subprocess.run([sys.executable, "-m", "quatspin", *argv],
@@ -744,6 +830,10 @@ def test_usage_errors_exit_one():
     (["verify", "--seed", "-1"], "expected a non-negative integer"),
     (["density", "--grid", "4:4", "--r-max", "5e-324"],
      "a radial node rounds to 0"),
+    (["density", "--grid", "4:4", "--r-max", "1e-310"],
+     "alpha/r overflows"),
+    (["density", "--grid", "4:4", "--r-max", "1e-320"],
+     "alpha/r overflows"),
 ])
 def test_usage_errors_after_parsing_name_the_subcommand(capsys, argv,
                                                         message):
