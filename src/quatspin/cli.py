@@ -16,12 +16,13 @@ well-formed argv into the namespace that parser would give.  _read declines
 whatever argparse treats specially (help, `--flag=value`, abbreviations,
 `--`, unknown or missing flags, extra or ill-typed values, and a token that
 starts with "-" but is no negative number); main then falls back to
-argparse, which alone writes help, usage and error text.  A handler reports
-its own usage errors through a handle that builds the subcommand's parser
-only when it is called.  JSON is written by _dumps, with the bytes of
-json.dumps(record, indent=2, allow_nan=False).  So a well-formed call loads
-neither argparse (nor the gettext and locale it loads) nor json; help, a
-usage error and verify may.
+argparse, which alone writes help, usage and error text.  A handler raises
+its own usage errors as _UsageError, which main reports through the
+subcommand's parser, built only then.  JSON is written by _dumps, with the
+bytes of json.dumps(record, indent=2, allow_nan=False); it hands json only
+a string that needs escapes, and the CLI writes none.  So a well-formed call
+loads neither argparse (nor the gettext and locale it loads) nor json;
+help, a usage error and verify may.
 
 The density is even under theta -> pi - theta and the polar nodes are
 exact mirror pairs, so density evaluates the first ceil(n_theta/2) columns
@@ -33,9 +34,10 @@ and density and probability also hydrogen, special and spinor; of the
 subcommands only spinor, rotate and verify load biquaternion and spin.
 energy, spinor and rotate never load numpy, and density and probability
 run node by node on Python floats (probability through
-hydrogen._shell_probability, whatever hydrogen._on_floats says), so of the
-subcommands only verify loads numpy, and the bytes of each do not depend
-on what the process has imported.
+hydrogen._shell_probability with floats=True, where the library's
+probability_in_region runs arrays), so of the subcommands only verify
+loads numpy, and the bytes of each do not depend on what the process has
+imported.
 
 Exit codes: 0 success, 1 usage error or a stdout that failed (a closed pipe
 exits quietly), 2 domain error, 3 verification failure.
@@ -85,27 +87,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-                 "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _json_char(c: str) -> str:
-    if c in _JSON_ESCAPES:
-        return _JSON_ESCAPES[c]
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n < 0x10000:
-        return "\\u%04x" % n
-    n -= 0x10000        # a UTF-16 surrogate pair, as json writes it
-    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
-
-
 def _json_str(s: str) -> str:
-    """s as json writes a string by default: ASCII, with escapes."""
+    """s as json writes a string by default: ASCII, with escapes.  Plain
+    printable ASCII without quotes or backslashes is written as is; json
+    escapes any other string."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return '"' + s + '"'
-    return '"' + "".join(map(_json_char, s)) + '"'
+    import json
+    return json.dumps(s)
 
 
 def _dumps(o, indent: str = "\n") -> str:
@@ -184,12 +173,18 @@ def _coeff_pairs(q) -> list[list[float]]:
     return [_cpair(c) for c in q.coefficients()]
 
 
+class _UsageError(Exception):
+    """A usage error that a handler finds after parsing; main reports it
+    through the subcommand's parser (exit 1).  Not a ValueError, which is a
+    domain error (exit 2)."""
+
+
 # ------------------------------------------------------------------ energy
 
-def _cmd_energy(args, parser) -> int:
+def _cmd_energy(args) -> int:
     from .levels import MC2_EV, QuantumNumbers, _level
     if args.z < 1:
-        parser.error("--z must be a positive integer")
+        raise _UsageError("--z must be a positive integer")
     scale = MC2_EV if args.units == "ev" else 1.0
     rows = []
     for n in args.n:
@@ -222,23 +217,23 @@ def _cmd_energy(args, parser) -> int:
 
 # ----------------------------------------------------------------- density
 
-def _parse_grid(spec: str, parser) -> tuple[int, int]:
+def _parse_grid(spec: str) -> tuple[int, int]:
     try:
         nr_s, nt_s = spec.split(":")
         nr, nt = int(nr_s), int(nt_s)
     except ValueError:
-        parser.error(f"--grid expects R:THETA counts, got {spec!r}")
+        raise _UsageError(f"--grid expects R:THETA counts, got {spec!r}")
     if nr < 4 or nt < 4:
-        parser.error("--grid counts must be at least 4")
+        raise _UsageError("--grid counts must be at least 4")
     return nr, nt
 
 
-def _state_or_usage(args, parser):
+def _state_or_usage(args):
     from .levels import QuantumNumbers
     try:
         return QuantumNumbers(args.n, args.k, args.mj, args.z)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc))
 
 
 _DENSITY_JSON_ROW = ('    {\n      "r": %s,\n      "theta": %s,\n'
@@ -304,12 +299,12 @@ def _emit_density(record: dict, r: list, theta: list, dens: list,
     write(tail)
 
 
-def _cmd_density(args, parser) -> int:
+def _cmd_density(args) -> int:
     from . import hydrogen as hy
     from .levels import ALPHA_FS
     from .special import gauss_legendre_nodes, leggauss
-    grid = _parse_grid(args.grid, parser) if args.grid is not None else None
-    qn = _state_or_usage(args, parser)
+    grid = _parse_grid(args.grid) if args.grid is not None else None
+    qn = _state_or_usage(args)
     w = hy.assemble_wavefunction(qn)
     # defaults sized to the state: the outermost Laguerre node lies near
     # rho = 2n, and theta needs n + 2 nodes for the degree-2l harmonics
@@ -317,15 +312,16 @@ def _cmd_density(args, parser) -> int:
     r_max = args.r_max if args.r_max is not None \
         else (2*qn.n + 40.0)/w.C*ALPHA_FS
     if r_max <= 0:
-        parser.error("--r-max must be positive")
+        raise _UsageError("--r-max must be positive")
     r, wr = gauss_legendre_nodes(n_r, 0.0, r_max)
     if r[0] == 0.0:
-        parser.error("--r-max is so small that a radial node rounds to 0")
+        raise _UsageError("--r-max is so small that a radial node rounds "
+                          "to 0")
     # alpha/r scales the radial functions; where it overflows at the
     # innermost node, that node's densities are inf and grid_integral NaN
     if ALPHA_FS/r[0] == math.inf:
-        parser.error("--r-max is so small that alpha/r overflows at a "
-                     "radial node")
+        raise _UsageError("--r-max is so small that alpha/r overflows at a "
+                          "radial node")
     x, wx = leggauss(n_theta)
     theta = [math.acos(t) for t in reversed(x)]     # ascending
     # leggauss's nodes and weights are exact mirrors, and the density is
@@ -359,13 +355,13 @@ def _cmd_density(args, parser) -> int:
 
 # ------------------------------------------------------------- probability
 
-def _cmd_probability(args, parser) -> int:
+def _cmd_probability(args) -> int:
     from . import hydrogen as hy
     if not (0.0 <= args.r_lo < args.r_hi):
-        parser.error("need 0 <= --r-lo < --r-hi")
-    qn = _state_or_usage(args, parser)
+        raise _UsageError("need 0 <= --r-lo < --r-hi")
+    qn = _state_or_usage(args)
     w = hy.assemble_wavefunction(qn)
-    # on Python floats, as in a process that has not loaded numpy
+    # on Python floats, which load no numpy
     p, err = hy._shell_probability(w, args.r_lo, args.r_hi,
                                    return_error=True, floats=True)
     record = {
@@ -385,19 +381,19 @@ def _cmd_probability(args, parser) -> int:
 
 # ------------------------------------------------------------------ spinor
 
-def _cmd_spinor(args, parser) -> int:
+def _cmd_spinor(args) -> int:
     from .levels import l_of_k
     from .spinor import (SpinorFunction, spinor_as_biquaternion,
                          spinor_components)
     k = args.k
     if k == 0:
-        parser.error("--k must be a nonzero integer")
+        raise _UsageError("--k must be a nonzero integer")
     l = l_of_k(k)
     j = abs(k) - 0.5
     try:
         s = SpinorFunction(l, j, args.mj)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc))
     th, ph = args.theta, args.phi
     up, down = spinor_components(s, th, ph)
     q = spinor_as_biquaternion(s, th, ph)
@@ -428,36 +424,39 @@ def _cmd_spinor(args, parser) -> int:
 
 # ------------------------------------------------------------------ rotate
 
-def _parse_axis(text: str, parser):
+def _parse_axis(text: str):
     """A named axis ('x', 'y', 'z') as is, or nx,ny,nz as a unit 3-tuple."""
     if text in ("x", "y", "z"):
         return text
     parts = text.split(",")
     if len(parts) != 3:
-        parser.error(f"--axis expects x, y, z, or nx,ny,nz; got {text!r}")
+        raise _UsageError(f"--axis expects x, y, z, or nx,ny,nz; got "
+                          f"{text!r}")
     try:
         v = [float(p) for p in parts]
     except ValueError:
         v = [math.nan]
     if not all(map(math.isfinite, v)):
-        parser.error(f"--axis components must be finite numbers, got {text!r}")
+        raise _UsageError(f"--axis components must be finite numbers, got "
+                          f"{text!r}")
     # scaled by a power of two so that the squares cannot overflow; the
     # scaling is exact, so the normalized digits do not change
     e = math.frexp(max(map(abs, v)))[1]
     v = [math.ldexp(c, -e) for c in v]
     norm = math.hypot(*v)
     if math.ldexp(norm, min(e, 0)) < 1e-12:
-        parser.error("--axis must be a nonzero vector")
+        raise _UsageError("--axis must be a nonzero vector")
     return tuple(c/norm for c in v)
 
 
-def _cmd_rotate(args, parser) -> int:
+def _cmd_rotate(args) -> int:
     from . import spin as sp
     from .biquaternion import max_dev
     target = args.target.lower().lstrip("s")
     if target not in ("x", "y", "z"):
-        parser.error(f"--target expects Sx, Sy, or Sz; got {args.target!r}")
-    axis = _parse_axis(args.axis, parser)
+        raise _UsageError(f"--target expects Sx, Sy, or Sz; got "
+                          f"{args.target!r}")
+    axis = _parse_axis(args.axis)
     D = sp.rotation(axis, args.angle)
     S = sp.spin_operator(target)
     rotated = sp.rotate_operator(D, S)
@@ -484,13 +483,13 @@ def _cmd_rotate(args, parser) -> int:
 
 # ------------------------------------------------------------------ verify
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     from . import verify as vf
     t0 = time.monotonic()
     try:
         results = vf.run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
-        parser.error(str(exc.args[0]))
+        raise _UsageError(str(exc.args[0]))
     elapsed = time.monotonic() - t0
     # a NaN or infinite max_dev has failed its check; it is written as null
     # (an empty CSV cell)
@@ -595,14 +594,21 @@ _COMMANDS = {
 def _parser_class():
     """argparse.ArgumentParser with usage errors remapped to exit code 1:
     argparse exits with 2 on bad usage, and the contract here reserves 2
-    for domain errors.  Made on call, so that only the help and error
-    paths import argparse."""
+    for domain errors.  A failed write of help to stdout raises, as any
+    write of main does (argparse drops it), so that main's rule reports it.
+    Made on call, so that only the help and error paths import argparse."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
+
+        def _print_message(self, message, file=None):
+            if file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
 
     return Parser
 
@@ -624,20 +630,6 @@ def build_parser():
     for command, (_, help_, _) in _COMMANDS.items():
         _add_flags(sub.add_parser(command, help=help_), command)
     return parser
-
-
-class _Usage:
-    """A handler's parser: error(message) builds the subcommand's parser,
-    as build_parser's subparser named "quatspin COMMAND", and reports the
-    usage error through it (exit 1)."""
-
-    def __init__(self, command: str):
-        self.command = command
-
-    def error(self, message: str):
-        parser = _parser_class()(prog=f"quatspin {self.command}")
-        _add_flags(parser, self.command)
-        parser.error(message)
 
 
 def _is_value(token: str) -> bool:
@@ -697,10 +689,15 @@ def _read(argv: list):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read(argv) or build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command][0](args, _Usage(args.command))
+        args = _read(argv) or build_parser().parse_args(argv)
+        code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()      # a failing stdout fails here, not at exit
+    except _UsageError as exc:
+        # as build_parser's subparser named "quatspin COMMAND" reports it
+        parser = _parser_class()(prog=f"quatspin {args.command}")
+        _add_flags(parser, args.command)
+        parser.error(str(exc))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,12 +45,11 @@ sigma . r_hat is unitary, so density = (A/r)^2 (F^2 + G^2) |y_up|^2: the
 radial factor on the radii, y_up's SpinorFunction.density on the angles,
 and one product at full size.  A WaveFunction holds only radial tables.
 
-numpy is imported by the calls that take arrays, and nothing else; scipy
-never is, and biquaternion only where Psi is formed (psi).  The density
-table and the shell probabilities of the command line run node by node on
-Python floats.  probability_in_region runs the same kernels node by node
-on Python floats while numpy is not loaded (_on_floats), and as arrays
-once it is.
+numpy is imported by the calls that take arrays, and by
+probability_in_region, which runs its nodes as arrays; scipy never is, and
+biquaternion only where Psi is formed (psi).  The density table and the
+shell probabilities of the command line run the same kernels node by node
+on Python floats (_shell_probability with floats=True).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 
 from ._record import Record
 from .levels import ALPHA_FS, QuantumNumbers, _level, _Level
@@ -413,12 +411,6 @@ def _density(q, b):
     return d
 
 
-def _on_floats() -> bool:
-    """True while numpy is not loaded: probability_in_region then runs node
-    by node on Python floats, and as arrays once numpy is loaded."""
-    return "numpy" not in sys.modules
-
-
 def assemble_wavefunction(qn: QuantumNumbers) -> WaveFunction:
     """WaveFunction(qn), the normalized wavefunction of a valid state."""
     return WaveFunction(qn)
@@ -475,19 +467,17 @@ def probability_in_region(w: WaveFunction, r_lo: float, r_hi: float,
     or (N + N/4) eps times the value, the rounding bound of its sum, if
     larger.  Where the value or the error leaves the float range (from
     n = 235 at k = -1, Z = 1, where the brackets overflow at the cap) this
-    raises ValueError.  The nodes run one by one on Python floats while
-    numpy is not loaded (_on_floats), and as arrays once it is; the two
-    agree to a few eps.  The arrays run under np.errstate, which keeps
-    numpy's overflow warnings from that ValueError.
+    raises ValueError.  The nodes run as numpy arrays, under np.errstate,
+    which keeps numpy's overflow warnings from that ValueError; the command
+    line runs them one by one on Python floats, which agree to a few eps.
     """
-    return _shell_probability(w, r_lo, r_hi, return_error, _on_floats())
+    return _shell_probability(w, r_lo, r_hi, return_error, floats=False)
 
 
 def _shell_probability(w: WaveFunction, r_lo: float, r_hi: float,
                        return_error: bool, floats: bool):
     """probability_in_region on Python floats if floats, else on arrays;
-    the command line runs it on floats, so that its bytes do not depend on
-    whether the process has loaded numpy."""
+    the command line runs it on floats, which load no numpy."""
     if not 0.0 <= r_lo < r_hi:
         raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo!r}, {r_hi!r}]")
     nodes = int(max(100, 4*w.qn.n + 60))

@@ -1105,9 +1105,14 @@ def _chk_shell_oracle(rng, c):
                 # shell edges drawn uniformly in rho on [0, 2n + 30]
                 a, b = np.sort(rng.random(2))*(2.0*n + 30.0)/w.C*ALPHA_FS
                 for lo, hi in ((0.0, a), (a, b), (a, math.inf)):
-                    c(hy.probability_in_region(w, lo, hi),
-                      probability_oracle(w, lo, hi))
-    return (f"Gauss-Legendre shells vs adaptive quadrature, {c.count} "
+                    # the library's array route and the float route that
+                    # `quatspin probability` prints (its value does not
+                    # depend on the error request)
+                    want = probability_oracle(w, lo, hi)
+                    c(hy.probability_in_region(w, lo, hi), want)
+                    c(hy._shell_probability(w, lo, hi, False, True), want)
+    return (f"Gauss-Legendre shells on arrays and on Python floats vs "
+            f"adaptive quadrature, {c.count} comparisons on {c.count//2} "
             f"seeded shells [0, a], [a, b], [a, inf); n <= 60, "
             f"k in {{-1, n/2, -n}}, Z = 1 and 92")
 

@@ -539,11 +539,19 @@ def _buffered_env():
     return env
 
 
-@pytest.mark.parametrize("device", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("device", ["closed pipe", "/dev/full",
+                                    "closed pipe, unbuffered",
+                                    "/dev/full, unbuffered"])
 def test_a_failing_final_flush_follows_mains_rule(device):
     # argparse writes the help into stdout's buffer and exits 0; the flush
-    # in cli.run fails, as main's own flush would: a closed pipe exits 1
-    # quietly, a full disk with one error line
+    # in cli.run fails, as main's own flush would.  With an unbuffered
+    # stdout the help's own write fails (argparse would drop that error),
+    # and main reports it.  Either way a closed pipe exits 1 quietly, a
+    # full disk with one error line
+    device, _, unbuffered = device.partition(", ")
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     if device == "closed pipe":
         read, out = os.pipe()
         os.close(read)
@@ -553,8 +561,8 @@ def test_a_failing_final_flush_follows_mains_rule(device):
         pytest.skip("needs the /dev/full device")
     try:
         proc = subprocess.run([sys.executable, "-m", "quatspin", "--help"],
-                              stdout=out, stderr=subprocess.PIPE,
-                              env=_buffered_env(), timeout=300)
+                              stdout=out, stderr=subprocess.PIPE, env=env,
+                              timeout=300)
     finally:
         os.close(out)
     err = proc.stderr.decode()

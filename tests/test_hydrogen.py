@@ -1,8 +1,11 @@
 """Relativistic Coulomb bound states: energies, radial forms, densities."""
 
 import copy
+import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 import warnings
 
@@ -712,17 +715,6 @@ def test_density_routes_agree_property(n, k_pick, mj_pick, Z, u, form):
     assert np.max(np.abs(grid - oracle)) <= 1e-12*scale
 
 
-def _both_routes(monkeypatch, call):
-    """call() node by node on Python floats and then as arrays, with
-    hydrogen._on_floats forced each way."""
-    from quatspin import hydrogen as hy
-    out = []
-    for floats in (True, False):
-        monkeypatch.setattr(hy, "_on_floats", lambda: floats)
-        out.append(call())
-    return tuple(out)
-
-
 def _route_states(seed, per_stratum):
     """Seeded valid states with n <= 60: per_stratum of each k stratum
     (k = -n, other k < 0, k > 0) at each Z in {1, 20, 50, 92}."""
@@ -740,22 +732,24 @@ def _route_states(seed, per_stratum):
     return states
 
 
-def test_shell_probability_routes_agree(monkeypatch):
+def test_shell_probability_routes_agree():
     # the values of both routes; their refusals are the test below
+    from quatspin import hydrogen as hy
     rng = np.random.default_rng(19)
     for qn in _route_states(19, 3):
         w = assemble_wavefunction(qn)
         a, b = np.sort(rng.random(2))*(2.0*qn.n + 30.0)/w.C*ALPHA_FS
         for lo, hi in ((0.0, a), (a, b), (a, math.inf), (0.0, math.inf),
                        (a, a*(1 + 1e-9)), (b, b + 1e-12)):   # tiny shells
-            (pf, ef), (pa, ea) = _both_routes(
-                monkeypatch, lambda: probability_in_region(w, lo, hi, True))
+            (pf, ef), (pa, ea) = [hy._shell_probability(w, lo, hi, True,
+                                                        floats)
+                                  for floats in (True, False)]
             assert type(pf) is type(pa) is float
             assert abs(pf - pa) <= 1e-13*abs(pa), (qn, lo, hi, pf, pa)
             assert abs(ef - ea) <= 1e-13*abs(pa), (qn, lo, hi, ef, ea)
 
 
-def test_shell_arrays_leave_the_rule_memo_alone(monkeypatch):
+def test_shell_arrays_leave_the_rule_memo_alone():
     # the array route holds its rules as arrays alone; the float route
     # memoizes them in special.leggauss
     from quatspin import hydrogen as hy
@@ -763,75 +757,124 @@ def test_shell_arrays_leave_the_rule_memo_alone(monkeypatch):
     w = assemble_wavefunction(QuantumNumbers(7, 3, 0.5, 20))
     hy._shell_arrays.cache_clear()
     leggauss.cache_clear()
-    monkeypatch.setattr(hy, "_on_floats", lambda: False)
-    p = probability_in_region(w, 0.0, math.inf)
+    p = hy._shell_probability(w, 0.0, math.inf, False, False)
     assert leggauss.cache_info().currsize == 0
-    monkeypatch.setattr(hy, "_on_floats", lambda: True)
-    assert abs(probability_in_region(w, 0.0, math.inf) - p) <= 1e-13
+    assert abs(hy._shell_probability(w, 0.0, math.inf, False, True)
+               - p) <= 1e-13
     assert leggauss.cache_info().currsize == 2
 
 
-def test_quadrature_error_has_a_rounding_floor(monkeypatch):
+def test_quadrature_error_has_a_rounding_floor():
     # converged rules agree to rounding; the estimate is then the a-priori
     # bound (N + N/4) eps P on the sum of N + N/4 nonnegative terms
+    from quatspin import hydrogen as hy
     w = assemble_wavefunction(QuantumNumbers(1, -1))
-    for p, err in _both_routes(monkeypatch, lambda: probability_in_region(
-            w, 0.0, 1.0, return_error=True)):
+    for floats in (True, False):
+        p, err = hy._shell_probability(w, 0.0, 1.0, True, floats)
         assert err == 125*sys.float_info.epsilon*p > 0
 
 
 @pytest.mark.parametrize("n, k", [(250, -1), (300, -1), (400, -100)])
-def test_shell_probability_routes_refuse_alike(monkeypatch, n, k):
+def test_shell_probability_routes_refuse_alike(n, k):
     # the same ValueError on both routes, and no warning
+    from quatspin import hydrogen as hy
     w = assemble_wavefunction(QuantumNumbers(n, k))
 
-    def refused():
+    def refused(floats):
         with pytest.raises(ValueError) as exc:
-            probability_in_region(w, 0.0, math.inf)
+            hy._shell_probability(w, 0.0, math.inf, False, floats)
         return str(exc.value)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        floats, arrays = _both_routes(monkeypatch, refused)
+        floats, arrays = refused(True), refused(False)
     assert floats == arrays == (f"shell probability of n={n}, k={k} is out "
                                 f"of the float range")
 
 
-def test_shell_value_does_not_depend_on_the_error_request(monkeypatch):
+def test_shell_value_does_not_depend_on_the_error_request():
     # the error request adds the N-node rule alone: the value is the same
     # N + N/4-node sum, bit for bit, on both routes
+    from quatspin import hydrogen as hy
     rng = np.random.default_rng(2811)
     for qn in _route_states(2811, 2):
         w = assemble_wavefunction(qn)
         a, b = np.sort(rng.random(2))*(2.0*qn.n + 30.0)/w.C*ALPHA_FS
         for lo, hi in ((0.0, a), (a, b), (a, math.inf), (0.0, math.inf),
                        (a, a*(1 + 1e-9)), (b, b + 1e-12)):   # tiny shells
-            for p, (pe, _) in _both_routes(monkeypatch, lambda: (
-                    probability_in_region(w, lo, hi),
-                    probability_in_region(w, lo, hi, True))):
+            for floats in (True, False):
+                p = hy._shell_probability(w, lo, hi, False, floats)
+                pe, _ = hy._shell_probability(w, lo, hi, True, floats)
                 assert type(p) is float and p.hex() == pe.hex(), (qn, lo, hi)
+
+
+_IMPORT_ORDER_PROBE = """
+import json, sys
+from quatspin import (QuantumNumbers, assemble_wavefunction,
+                      probability_in_region)
+
+def shells():
+    out = []
+    for n, k, mj, Z, lo, hi in json.loads(sys.argv[1]):
+        w = assemble_wavefunction(QuantumNumbers(n, k, mj, Z))
+        p, err = probability_in_region(w, lo, hi, return_error=True)
+        out.append([probability_in_region(w, lo, hi).hex(), p.hex(),
+                    err.hex()])
+    return out
+
+first = "numpy" in sys.modules, shells()
+import numpy
+print(json.dumps([first, shells()]))
+"""
+
+
+def test_shell_probability_does_not_depend_on_the_import_order():
+    # a fresh interpreter that has not imported numpy gets the bits it
+    # gets after `import numpy`, and this process's
+    import quatspin
+    rng = np.random.default_rng(36)
+    cases, want = [], []
+    for qn in _route_states(36, 1):
+        w = assemble_wavefunction(qn)
+        a, b = np.sort(rng.random(2))*(2.0*qn.n + 30.0)/w.C*ALPHA_FS
+        for lo, hi in ((0.0, float(a)), (float(a), float(b)),
+                       (float(a), math.inf)):
+            cases.append([qn.n, qn.k, qn.m_j, qn.Z, lo, hi])
+            p, err = probability_in_region(w, lo, hi, return_error=True)
+            want.append([probability_in_region(w, lo, hi).hex(), p.hex(),
+                         err.hex()])
+    src = os.path.dirname(os.path.dirname(quatspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        d for d in (src, os.environ.get("PYTHONPATH")) if d))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ORDER_PROBE,
+                           json.dumps(cases)], capture_output=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    (loaded, before), after = json.loads(proc.stdout)
+    assert not loaded
+    assert before == after == want
 
 
 @pytest.mark.parametrize("n, k, Z", [(234, -1, 1), (235, -1, 1),
                                      (250, -1, 92), (300, -1, 1),
                                      (400, -100, 1)])
-def test_shell_refusal_does_not_depend_on_the_error_request(
-        monkeypatch, n, k, Z):
+def test_shell_refusal_does_not_depend_on_the_error_request(n, k, Z):
     # (234, -1) is the last k = -1, Z = 1 state in range; the others raise
     # the same message with and without the error, and nothing warns
+    from quatspin import hydrogen as hy
     w = assemble_wavefunction(QuantumNumbers(n, k, 0.5, Z))
 
-    def outcome(error):
+    def outcome(error, floats):
         try:
-            p = probability_in_region(w, 0.0, math.inf, error)
+            p = hy._shell_probability(w, 0.0, math.inf, error, floats)
         except ValueError as exc:
             return str(exc)
         return (p[0] if error else p).hex()
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for plain, with_error in _both_routes(
-                monkeypatch, lambda: (outcome(False), outcome(True))):
+        for floats in (True, False):
+            plain, with_error = outcome(False, floats), outcome(True, floats)
             assert plain == with_error
             assert (plain == f"shell probability of n={n}, k={k} is out of "
                              f"the float range") == (n != 234)
@@ -852,12 +895,11 @@ def test_shell_error_alone_runs_the_n_node_rule(monkeypatch, n, k, Z):
     monkeypatch.setattr(hy, "_radial_kernel", lambda *args: sizes.append(
         np.size(args[3])) or kernel(*args))
     for floats in (True, False):
-        monkeypatch.setattr(hy, "_on_floats", lambda: floats)
         for error, want in ((False, nodes + nodes//4),
                             (True, 2*nodes + nodes//4)):
             calls.clear()
             sizes.clear()
-            probability_in_region(w, 0.0, math.inf, error)
+            hy._shell_probability(w, 0.0, math.inf, error, floats)
             assert (len(calls), sizes) == ((want, [1]*want) if floats
                                            else (1, [want]))
 
@@ -965,7 +1007,6 @@ def test_shell_bounds_are_the_extremes_of_rho(monkeypatch, n, k, Z):
         return out
 
     monkeypatch.setattr(hy, "_radial_kernel", spy)
-    monkeypatch.setattr(hy, "_on_floats", lambda: False)
     split = math.sqrt(n*n/Z)
     for lo, hi in ((0.0, split), (split, math.inf), (0.0, math.inf)):
         probability_in_region(w, lo, hi)
@@ -1081,11 +1122,9 @@ def test_arguments_refuse_bad_values_in_every_form(method, form):
 
 
 @pytest.mark.parametrize("n, Z", [(235, 1), (250, 92)])
-def test_shell_past_the_bound_runs_guarded(monkeypatch, n, Z):
+def test_shell_past_the_bound_runs_guarded(n, Z):
     # past the float range the array route refuses the call, and numpy
     # warns nothing
-    from quatspin import hydrogen as hy
-    monkeypatch.setattr(hy, "_on_floats", lambda: False)
     w = assemble_wavefunction(QuantumNumbers(n, -1, 0.5, Z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -161,6 +161,15 @@ def _nan_shells(monkeypatch):
                         lambda w, lo, hi: math.nan)
 
 
+def _nan_float_shells(monkeypatch):
+    # the float route alone, which `quatspin probability` prints
+    from quatspin import hydrogen as hy
+    plain = hy._shell_probability
+    monkeypatch.setattr(hy, "_shell_probability",
+                        lambda w, lo, hi, return_error, floats: math.nan
+                        if floats else plain(w, lo, hi, return_error, floats))
+
+
 def _nan_density_grid(monkeypatch):
     import numpy as np
     from quatspin import hydrogen as hy
@@ -171,6 +180,7 @@ def _nan_density_grid(monkeypatch):
 @pytest.mark.parametrize("name, poison", [
     ("hamilton-table", _nan_product),
     ("shell-oracle", _nan_shells),
+    ("shell-oracle", _nan_float_shells),
     ("normalization-3d", _nan_density_grid),
 ])
 def test_a_nan_production_route_fails_its_check(monkeypatch, name, poison):
